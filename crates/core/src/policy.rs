@@ -19,20 +19,17 @@ use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent};
 use vdm_overlay::peer::PeerState;
 use vdm_overlay::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
 use vdm_overlay::VDist;
+use vdm_topology::splitmix64;
 
 /// Deterministic per-tree jitter on a virtual distance (multi-tree
 /// sessions, A10): hash the distance's bits with the tree's seed
-/// (splitmix64 finalizer) into `h ∈ [-1, 1)` and scale by `1 + amp·h`.
+/// ([`splitmix64`]) into `h ∈ [-1, 1)` and scale by `1 + amp·h`.
 /// Every agent of a tree perturbs a given distance identically (the
 /// walk stays coherent), different trees rank candidate parents
 /// differently (their interiors decorrelate), and per-session
 /// determinism is preserved. Zero stays zero and the sign never flips.
 pub fn perturb_vdist(d: VDist, tree_seed: u64, amp: f64) -> VDist {
-    let mut z = d.to_bits() ^ tree_seed;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = splitmix64(d.to_bits() ^ tree_seed);
     let h = (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0; // [-1, 1)
     d * (1.0 + amp * h)
 }

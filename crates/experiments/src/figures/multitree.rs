@@ -15,10 +15,14 @@
 //!   economy (NACKs sent / chunks recovered / off-stripe violations,
 //!   which must stay zero).
 //!
-//! `k = 1` delegates to the plain single-tree [`Driver`] inside
-//! [`MultiTreeSession`]; [`k1_matches_single_tree`] replays one cell
-//! both ways and byte-compares the outputs, and the `--smoke` CI gate
-//! fails the `multitree` subcommand when they diverge.
+//! Every cell is one [`Driver`] built with [`Driver::striped`]: the
+//! same session world for every `k`, with `k = 1` simply running its
+//! per-tree loops once. [`k1_matches_single_tree`] replays one cell
+//! through [`Driver::new`] with unfolded limits and a raw fault plan
+//! and byte-compares the outputs — pinning that the `k`-tree plumbing
+//! around the world (limit striping, fault expansion) is the identity
+//! at `k = 1` — and the `--smoke` CI gate fails the `multitree`
+//! subcommand when they diverge.
 
 use crate::ci::CiStat;
 use crate::figures::column;
@@ -34,10 +38,7 @@ use vdm_overlay::driver::{Driver, DriverConfig};
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
 use vdm_overlay::walk::WalkConfig;
-use vdm_overlay::{
-    interior_overlap, interior_victim, striped_limits, MultiTreeConfig, MultiTreeOutput,
-    MultiTreeSession,
-};
+use vdm_overlay::{interior_overlap, interior_victim, striped_limits, MultiTreeOutput};
 
 /// The stripe counts swept (table rows).
 pub const KS: [usize; 4] = [1, 2, 3, 4];
@@ -197,14 +198,11 @@ fn metrics(out: &MultiTreeOutput, crash_s: Option<f64>, overlap: f64) -> MtMetri
     }
 }
 
-fn session_cfg(k: usize) -> MultiTreeConfig {
-    MultiTreeConfig {
-        driver: DriverConfig {
-            data_interval: Some(SimTime::from_secs(1)),
-            compute_stress: true,
-            ..DriverConfig::default()
-        },
-        ..MultiTreeConfig::new(k)
+fn session_cfg() -> DriverConfig {
+    DriverConfig {
+        data_interval: Some(SimTime::from_secs(1)),
+        compute_stress: true,
+        ..DriverConfig::default()
     }
 }
 
@@ -214,7 +212,7 @@ fn build_session(
     k: usize,
     churn_pct: f64,
     seed: u64,
-) -> MultiTreeSession<VdmFactory> {
+) -> Driver<VdmFactory> {
     let scenario = Scenario::churn(
         &ChurnConfig {
             members: sc.members,
@@ -228,14 +226,14 @@ fn build_session(
     );
     let base_limits = degree_limits_range(sc.members + 1, 2, 5, seed);
     let limits = striped_limits(&base_limits, k, setup.source, 1);
-    MultiTreeSession::new(
+    Driver::striped(
         setup.underlay.clone(),
         Some(setup.underlay.clone()),
         setup.source,
         build_factories(k, seed),
         &scenario,
         limits,
-        session_cfg(k),
+        session_cfg(),
         seed,
     )
 }
@@ -258,7 +256,7 @@ fn run_crash_point(setup: &Ch3Setup, sc: &MtScale, k: usize, seed: u64) -> MtMet
     if let Some(victim) = interior_victim(&snaps) {
         session.crash_now(victim);
     }
-    metrics(&session.finish(), Some(crash_t.as_secs()), overlap)
+    metrics(&session.run_trees(), Some(crash_t.as_secs()), overlap)
 }
 
 /// The chaos series: churn plus the combined fault cocktail, expanded
@@ -272,16 +270,16 @@ fn run_chaos_point(setup: &Ch3Setup, sc: &MtScale, k: usize, seed: u64) -> MtMet
     hosts.extend(&setup.candidates);
     let plan = FaultPlan::generate(&combined_spec(f_start, f_end), &hosts, seed);
     session.set_fault_events(seed, plan.events().to_vec());
-    let out = session.finish();
+    let out = session.run_trees();
     let overlap = interior_overlap(&out.snapshots);
     metrics(&out, None, overlap)
 }
 
-/// Byte-compare a `k = 1` [`MultiTreeSession`] against a bare
-/// [`Driver`] fed identical inputs — same factory, scenario, limits,
-/// fault schedule, and seed. Compares the full measurement series, the
-/// final tree, and the engine/traffic counters through their exact
-/// debug renderings.
+/// Byte-compare a `k = 1` [`Driver::striped`] session against a bare
+/// [`Driver::new`] fed identical inputs — same factory, scenario,
+/// limits, fault schedule, and seed. Compares the full measurement
+/// series, the final tree, and the engine/traffic counters through
+/// their exact debug renderings.
 fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
     let f_start = SimTime::from_ms((sc.warmup_s + 10.0) * 1000.0);
     let f_end = SimTime::from_ms((sc.warmup_s + sc.slot_s) * 1000.0);
@@ -291,7 +289,7 @@ fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
 
     let mut session = build_session(setup, sc, 1, 5.0, seed);
     session.set_fault_events(seed, plan.events().to_vec());
-    let mt = session.finish();
+    let mt = session.run_trees();
 
     let scenario = Scenario::churn(
         &ChurnConfig {
@@ -313,7 +311,7 @@ fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
         factories.pop().expect("one factory"),
         &scenario,
         limits,
-        session_cfg(1).driver,
+        session_cfg(),
         seed,
     );
     driver.set_fault_plan(FaultPlan::with_events(seed, plan.events().to_vec()));
@@ -327,7 +325,7 @@ fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
 }
 
 /// The A10 report: rendered tables, the raw per-cell points, and the
-/// `k = 1` delegation check.
+/// `k = 1` identity check.
 pub struct MultiTreeReport {
     /// A10a (crash) and A10b (chaos) tables.
     pub tables: Vec<Table>,

@@ -26,6 +26,7 @@ use vdm_overlay::coords::{CoordTable, CoordsConfig};
 use vdm_overlay::sync::SyncOverlay;
 use vdm_overlay::walk::WalkPolicy;
 use vdm_overlay::VDist;
+use vdm_topology::splitmix64;
 
 /// Degree limit every A9 run uses (mid-range of the paper's 2–5).
 const DEGREE: u32 = 4;
@@ -147,16 +148,6 @@ fn finish_point<D: Fn(HostId, HostId) -> VDist>(
         row_evictions: stats.evictions,
         stretch_mean: mean_stretch(ov, n),
     }
-}
-
-/// splitmix64 (same finalizer the overlay's coordinate tie-break uses):
-/// the deterministic index stream behind the guided joiner's candidate
-/// view.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Outcome of [`guided_join_sweep`]: the built overlay, per-join

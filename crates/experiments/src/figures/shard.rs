@@ -41,6 +41,7 @@ use vdm_netsim::{
 };
 use vdm_overlay::HostArena;
 use vdm_topology::shard::{generate_sharded, ShardedPowerLawConfig};
+use vdm_topology::splitmix64;
 
 /// Degree limit, matching A9.
 const DEGREE: u32 = 4;
@@ -92,13 +93,6 @@ pub struct ShardReport {
     pub s1_identical: bool,
     /// Delivery fingerprints agreed across every shard count.
     pub fingerprints_match: bool,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Hash one delivery into the commutative fingerprint.

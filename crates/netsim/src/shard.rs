@@ -31,6 +31,7 @@ use crate::engine::{Counters, Engine, World};
 use crate::time::SimTime;
 use crate::underlay::{HostId, Underlay};
 use std::sync::Arc;
+use vdm_topology::splitmix64;
 
 /// Partition of the host id space into contiguous shard blocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,13 +148,6 @@ pub(crate) struct ShardCtx<M> {
     /// Outgoing events, indexed by destination shard.
     pub(crate) outbox: Vec<Vec<OutboundEvent<M>>>,
     pub(crate) sent: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// `S` engines advancing in lookahead-bounded lock-step windows.

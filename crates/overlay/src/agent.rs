@@ -275,6 +275,18 @@ pub trait OverlayAgent {
     /// without discovery support keep the omniscient source-anchored
     /// join.
     fn configure_discovery(&mut self, _cfg: &crate::discovery::DiscoveryConfig, _now: SimTime) {}
+    /// Multi-tree sessions: should this receiver pull its stripe from
+    /// a sibling tree right now — it once had a parent but lost it, or
+    /// its stripe has been silent for at least `stall`? Default: never
+    /// (agents without cross-tree repair just wait for the rejoin).
+    fn wants_cross_repair(&self, _now: SimTime, _stall: SimTime) -> bool {
+        false
+    }
+    /// Multi-tree sessions: one cross-repair opportunity — register the
+    /// silent stripe holes up to `latest` and NACK the due ones at
+    /// `sibling` (a same-tree virtual id the driver found through a
+    /// sibling tree's parent relation). Default: ignore.
+    fn cross_repair_tick(&mut self, _ctx: &mut Ctx<'_>, _sibling: HostId, _latest: u64) {}
     /// Source only: emit one stream chunk to the children.
     fn emit_data(&mut self, ctx: &mut Ctx<'_>, seq: u64);
     /// Current parent.
@@ -970,19 +982,6 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         &self.state
     }
 
-    /// Whether this incarnation ever attached to the tree (drivers use
-    /// it to tell a mid-join newcomer from a cut-off subtree).
-    /// Arrival time of the most recent stream chunk ([`SimTime::ZERO`]
-    /// before the first); multi-tree sessions read this to detect a
-    /// starving stripe.
-    pub fn last_data_at(&self) -> SimTime {
-        self.last_data_at
-    }
-
-    pub fn ever_connected(&self) -> bool {
-        self.ever_connected
-    }
-
     /// Gap-repair bookkeeping (for tests and diagnostics).
     pub fn gaps(&self) -> &GapTracker {
         &self.gaps
@@ -991,34 +990,6 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
     /// Cross-tree gap bookkeeping (for tests and diagnostics).
     pub fn cross_gaps(&self) -> &GapTracker {
         &self.cross_gaps
-    }
-
-    /// Multi-tree cross repair, driven by the session layer: while this
-    /// peer is cut off from its stripe tree, the driver points it at a
-    /// connected parent of the *sibling* tree that owns the stripe
-    /// (`sibling`) and tells it how far the stripe has advanced
-    /// (`latest`). Silent holes are registered (an orphaned subtree
-    /// sees no watermark jump — without this, its gaps are invisible),
-    /// then due NACKs go to the sibling instead of the missing parent.
-    /// No-op unless both repair and cross-repair are configured.
-    pub fn cross_repair_tick(&mut self, ctx: &mut Ctx<'_>, sibling: HostId, latest: u64) {
-        let Some(rc) = self.cfg.repair else { return };
-        if self.cfg.cross_repair.is_none() || !self.ever_connected || self.state.is_source {
-            return;
-        }
-        self.cross_gaps
-            .note_absent(latest, self.state.last_seq, ctx.now(), &rc);
-        let batch = self.cross_gaps.due_nacks(ctx.now(), &rc);
-        self.sync_lost(ctx);
-        if !batch.is_empty() {
-            ctx.stats.recovery.cross_nacks_sent += 1;
-            ctx.trace(|| vdm_trace::TraceEvent::NackSent {
-                host: ctx.me.0,
-                parent: sibling.0,
-                count: batch.len() as u32,
-            });
-            ctx.send(sibling, Msg::CrossNack { seqs: batch });
-        }
     }
 
     /// The protocol policy.
@@ -1607,6 +1578,40 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
             // Keep the warm view as membership knowledge; drop the
             // per-join episode (in-flight probes, round counter).
             d.reset_episode();
+        }
+    }
+
+    fn wants_cross_repair(&self, now: SimTime, stall: SimTime) -> bool {
+        self.ever_connected
+            && !self.state.is_source
+            && (self.state.parent.is_none() || now.saturating_sub(self.last_data_at) >= stall)
+    }
+
+    // Multi-tree cross repair: while this peer is cut off from its
+    // stripe tree, the driver points it at a connected parent of the
+    // *sibling* tree (`sibling`, mapped into this peer's own tree) and
+    // tells it how far the stripe has advanced (`latest`). Silent holes
+    // are registered (an orphaned subtree sees no watermark jump —
+    // without this, its gaps are invisible), then due NACKs go to the
+    // sibling instead of the missing parent. No-op unless both repair
+    // and cross-repair are configured.
+    fn cross_repair_tick(&mut self, ctx: &mut Ctx<'_>, sibling: HostId, latest: u64) {
+        let Some(rc) = self.cfg.repair else { return };
+        if self.cfg.cross_repair.is_none() || !self.ever_connected || self.state.is_source {
+            return;
+        }
+        self.cross_gaps
+            .note_absent(latest, self.state.last_seq, ctx.now(), &rc);
+        let batch = self.cross_gaps.due_nacks(ctx.now(), &rc);
+        self.sync_lost(ctx);
+        if !batch.is_empty() {
+            ctx.stats.recovery.cross_nacks_sent += 1;
+            ctx.trace(|| vdm_trace::TraceEvent::NackSent {
+                host: ctx.me.0,
+                parent: sibling.0,
+                count: batch.len() as u32,
+            });
+            ctx.send(sibling, Msg::CrossNack { seqs: batch });
         }
     }
 

@@ -26,6 +26,7 @@
 
 use crate::VDist;
 use vdm_netsim::HostId;
+use vdm_topology::splitmix64;
 
 /// Embedding dimensionality. Vivaldi converges well in 2–5 dimensions;
 /// 4 keeps samples `Copy`-small while leaving room for the power-law
@@ -184,15 +185,6 @@ impl VivaldiState {
         }
         step.abs()
     }
-}
-
-/// SplitMix64 — the same cheap avalanche the per-tree metric
-/// perturbation uses; good enough to decorrelate degenerate directions.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Deterministic seed for the degenerate-direction tie-break of an

@@ -33,11 +33,12 @@
 //! * [`scenario`] — seeded join/leave/churn schedules (§3.6.2, §5.4);
 //! * [`metrics`] — stress, stretch, hop count, resource usage, MST ratio
 //!   (Eqs. 3.4–3.7 and §5.3);
-//! * [`driver`] — the discrete-event [`netsim`](vdm_netsim) world that
-//!   executes a scenario against a set of agents and collects
-//!   measurements;
-//! * [`multitree`] — striped delivery over `k` decorrelated trees with
-//!   cross-tree repair (ablation A10);
+//! * [`driver`] — the one discrete-event [`netsim`](vdm_netsim) world:
+//!   executes a scenario against `k` trees of agents (`k = 1` is the
+//!   plain single-tree run) and collects measurements;
+//! * [`multitree`] — what `k ≥ 2` adds around that world: the virtual
+//!   id space, the striped underlay fold, fault expansion and the
+//!   interior-disjointness measures (ablation A10);
 //! * [`stats`] — run statistics and measurement records.
 
 pub mod agent;
@@ -66,8 +67,8 @@ pub use driver::{Driver, DriverConfig, RunOutput};
 pub use metrics::TreeMetrics;
 pub use msg::Msg;
 pub use multitree::{
-    expand_faults, fold_vid, interior_overlap, interior_victim, striped_limits, CrossRepairAgent,
-    MtSlot, MultiTreeConfig, MultiTreeOutput, MultiTreeSession, StripedUnderlay,
+    expand_faults, fold_vid, interior_overlap, interior_victim, striped_limits, MtSlot,
+    MultiTreeOutput, StripedUnderlay,
 };
 pub use repair::{GapTracker, RepairConfig, RetransmitRing};
 pub use scenario::{Action, Scenario};

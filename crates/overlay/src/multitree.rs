@@ -1,30 +1,38 @@
-//! Multi-tree striped delivery with cross-tree repair (ablation A10).
+//! Multi-tree striped delivery with cross-tree repair (ablation A10):
+//! the pieces a `k`-tree session is composed from.
 //!
-//! A [`MultiTreeSession`] runs `k` overlay trees for one stream and
-//! stripes the chunk sequence round-robin across them (`seq % k` is the
-//! owning tree), so an interior-node failure in one tree costs at most
-//! ~`1/k` of the stream while the other stripes keep flowing. The
-//! resilience is only real when the trees do not share interior nodes;
-//! callers decorrelate them with per-tree walk policies (perturbed
-//! virtual-direction metrics) and [`striped_limits`] degree biasing,
-//! and [`interior_overlap`] reports how disjoint the interiors actually
-//! are.
+//! A [`Driver`](crate::driver::Driver) built with
+//! [`Driver::striped`](crate::driver::Driver::striped) runs `k` overlay
+//! trees for one stream and stripes the chunk sequence round-robin
+//! across them (`seq % k` is the owning tree), so an interior-node
+//! failure in one tree costs at most ~`1/k` of the stream while the
+//! other stripes keep flowing. The resilience is only real when the
+//! trees do not share interior nodes; callers decorrelate them with
+//! per-tree walk policies (perturbed virtual-direction metrics) and
+//! [`striped_limits`] degree biasing, and [`interior_overlap`] reports
+//! how disjoint the interiors actually are.
+//!
+//! There is no second session world: the driver's one `World` owns
+//! `k` trees × `n` physical hosts, and `k = 1` is that same code with
+//! the loops running once. This module holds what `k ≥ 2` adds around
+//! it — the virtual id space, the underlay fold, the fault expansion,
+//! the trace retagging and the disjointness measures.
 //!
 //! ## Virtual hosts
 //!
 //! Tree `t` of a session over `n` physical hosts runs its agents under
-//! *virtual* host ids `t*n + h` on one shared engine; a
+//! *virtual* host ids `t*n + h` ([`fold_vid`]) on one shared engine; a
 //! [`StripedUnderlay`] folds every virtual pair back onto the physical
 //! RTT/loss model, so the `k` trees contend for the same network while
-//! the per-tree protocol state stays fully isolated. `k = 1` bypasses
-//! all of this and delegates to the plain single-tree [`Driver`] —
-//! byte-identical outputs per seed, chaos on or off.
+//! the per-tree protocol state stays fully isolated. At `k = 1` virtual
+//! and physical ids coincide and the engine runs over the bare
+//! underlay.
 //!
 //! ## Cross-tree repair
 //!
 //! A receiver cut off from stripe `t` (orphaned, or silent past a
 //! stall threshold) cannot NACK its dead parent. Instead, each sweep of
-//! the session-level cross-repair tick finds the host's parent in a
+//! the driver's cross-repair tick finds the host's parent in a
 //! *sibling* tree, maps that physical host back into tree `t`, and
 //! pulls the missing stripe-`t` chunks from there (`CrossNack` /
 //! `CrossData`, token-bucket bounded at the server). Requests therefore
@@ -32,28 +40,16 @@
 //! the receiver enforces by dropping and counting off-stripe
 //! retransmissions.
 
-use crate::agent::{AgentFactory, Ctx, OverlayAgent, ProtocolAgent};
-use crate::driver::{Driver, DriverConfig, RunOutput};
-use crate::metrics::TreeMetrics;
-use crate::msg::Msg;
-use crate::scenario::{Action, Scenario};
-use crate::stats::{RunStats, SlotMeasurement};
+use crate::stats::RunStats;
 use crate::tree::TreeSnapshot;
-use crate::walk::WalkPolicy;
 use rand::RngCore;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use vdm_netsim::dataplane::LinkSpec;
 use vdm_netsim::engine::Counters;
-use vdm_netsim::{Engine, FaultEvent, FaultPlan, HostId, RoutedUnderlay, SimTime, Underlay, World};
+use vdm_netsim::{FaultEvent, HostId, Underlay};
 use vdm_topology::{EdgeId, Millis};
 use vdm_trace::{EventSink, TraceEvent, Tracer};
-
-/// External-event token for the periodic stream tick (mirrors the
-/// single-tree driver).
-const DATA_TICK: u64 = u64::MAX;
-/// External-event token for the cross-tree repair sweep.
-const CROSS_TICK: u64 = u64::MAX - 1;
 
 /// `k` copies of a physical underlay under virtual host ids: virtual
 /// host `t*n + h` is physical host `h` participating in tree `t`.
@@ -133,64 +129,9 @@ impl Underlay for StripedUnderlay {
     }
 }
 
-/// What the session driver needs from an agent beyond [`OverlayAgent`]:
-/// the cross-tree repair hooks. Blanket-implemented for every
-/// [`ProtocolAgent`], so any walk policy gets multi-tree support for
-/// free.
-pub trait CrossRepairAgent: OverlayAgent {
-    /// One cross-repair opportunity: register the silent stripe holes
-    /// up to `latest` and NACK the due ones at `sibling` (a same-tree
-    /// virtual id found through a sibling tree's parent relation).
-    fn cross_repair_tick(&mut self, ctx: &mut Ctx<'_>, sibling: HostId, latest: u64);
-
-    /// Should this receiver pull from a sibling tree right now? True
-    /// when it once had a parent but lost it, or when its stripe has
-    /// been silent for at least `stall`.
-    fn wants_cross_repair(&self, now: SimTime, stall: SimTime) -> bool;
-}
-
-impl<P: WalkPolicy> CrossRepairAgent for ProtocolAgent<P> {
-    fn cross_repair_tick(&mut self, ctx: &mut Ctx<'_>, sibling: HostId, latest: u64) {
-        ProtocolAgent::cross_repair_tick(self, ctx, sibling, latest);
-    }
-
-    fn wants_cross_repair(&self, now: SimTime, stall: SimTime) -> bool {
-        self.ever_connected()
-            && !self.state().is_source
-            && (self.parent().is_none() || now.saturating_sub(self.last_data_at()) >= stall)
-    }
-}
-
-/// Session tunables on top of the per-tree [`DriverConfig`].
-#[derive(Clone, Copy, Debug)]
-pub struct MultiTreeConfig {
-    /// Number of stripe trees (`1` = the plain single-tree driver).
-    pub k: usize,
-    /// Per-tree driver mechanics (stream interval, metric toggles).
-    pub driver: DriverConfig,
-    /// Cadence of the cross-tree repair sweep (`None` disables it; the
-    /// per-chunk NACK budget still applies when enabled).
-    pub cross_period: Option<SimTime>,
-    /// Stripe silence that makes a still-connected receiver start
-    /// pulling from a sibling tree (orphans pull immediately).
-    pub cross_stall: SimTime,
-}
-
-impl MultiTreeConfig {
-    /// Defaults for a `k`-tree session: 1 s stream tick, 1 s cross
-    /// sweep, 3 s stall threshold.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            driver: DriverConfig::default(),
-            cross_period: Some(SimTime::from_secs(1)),
-            cross_stall: SimTime::from_secs(3),
-        }
-    }
-}
-
 /// One multi-tree measurement point (alongside the tree-0 shaped
-/// [`SlotMeasurement`] pushed into [`RunStats::measurements`]).
+/// [`SlotMeasurement`](crate::stats::SlotMeasurement) pushed into
+/// [`RunStats::measurements`]).
 #[derive(Clone, Debug)]
 pub struct MtSlot {
     /// Simulated time of the measurement, seconds.
@@ -209,11 +150,12 @@ pub struct MtSlot {
     pub loss_rate: f64,
 }
 
-/// Result of a session run.
+/// Result of a session run, every tree included
+/// ([`Driver::run_trees`](crate::driver::Driver::run_trees)).
 #[derive(Clone, Debug)]
 pub struct MultiTreeOutput {
     /// Statistics over all `k*n` virtual receivers (for `k = 1`,
-    /// exactly the single-tree [`RunOutput::stats`]).
+    /// exactly [`RunOutput::stats`](crate::driver::RunOutput::stats)).
     pub stats: RunStats,
     /// Final snapshot of each tree, in physical host ids.
     pub snapshots: Vec<TreeSnapshot>,
@@ -366,7 +308,7 @@ struct RetagSink {
 
 impl EventSink for RetagSink {
     fn record(&mut self, t_us: u64, ev: &TraceEvent) {
-        let tree = primary_vid(ev).map_or(0, |v| v / self.n);
+        let tree = ev.primary_host().map_or(0, |v| v / self.n);
         let n = self.n;
         self.inner.emit(t_us, || TraceEvent::Tagged {
             tree,
@@ -379,613 +321,29 @@ impl EventSink for RetagSink {
     }
 }
 
-/// The acting virtual host of an event (the field tree attribution
-/// keys on); `None` for host-free events.
-fn primary_vid(ev: &TraceEvent) -> Option<u32> {
-    match ev {
-        TraceEvent::WalkStart { host, .. }
-        | TraceEvent::WalkDecision { host, .. }
-        | TraceEvent::WalkRestart { host, .. }
-        | TraceEvent::WalkConnected { host, .. }
-        | TraceEvent::ParentChange { host, .. }
-        | TraceEvent::Orphaned { host, .. }
-        | TraceEvent::FailoverAttempt { host, .. }
-        | TraceEvent::FailoverResult { host, .. }
-        | TraceEvent::NackSent { host, .. }
-        | TraceEvent::ChunkRepaired { host, .. }
-        | TraceEvent::AdmissionThrottled { host, .. }
-        | TraceEvent::AdmissionShed { host, .. }
-        | TraceEvent::DiscoveryRound { host, .. }
-        | TraceEvent::DiscoveryAnchor { host, .. }
-        | TraceEvent::DiscoveryFallback { host, .. }
-        | TraceEvent::CoordUpdate { host, .. }
-        | TraceEvent::GuidedEntry { host, .. } => Some(*host),
-        TraceEvent::FaultApplied { from, .. } => Some(*from),
-        TraceEvent::CacheLookup { .. } => None,
-        TraceEvent::Tagged { inner, .. } => primary_vid(inner),
-    }
-}
-
-struct MtWorld<F: AgentFactory> {
-    factories: Vec<F>,
-    cfg: DriverConfig,
-    k: usize,
-    n: usize,
-    source: HostId,
-    cross_period: Option<SimTime>,
-    cross_stall: SimTime,
-    agents: Vec<Option<F::Agent>>,
-    in_session: Vec<bool>,
-    incarnations: Vec<u32>,
-    limits: Vec<u32>,
-    stats: RunStats,
-    actions: Vec<(SimTime, Action)>,
-    phys: Arc<dyn Underlay + Send + Sync>,
-    routed: Option<Arc<RoutedUnderlay>>,
-    seq: u64,
-    end: SimTime,
-    slots: Vec<MtSlot>,
-    last_counters: Counters,
-    last_expected: u64,
-    last_received: u64,
-    last_chunks: u64,
-}
-
-impl<F: AgentFactory> MtWorld<F>
-where
-    F::Agent: CrossRepairAgent,
-{
-    fn dispatch<R>(
-        &mut self,
-        eng: &mut Engine<Msg>,
-        host: HostId,
-        f: impl FnOnce(&mut F::Agent, &mut Ctx<'_>) -> R,
-    ) -> Option<R> {
-        let agent = self.agents[host.idx()].as_mut()?;
-        let mut ctx = Ctx {
-            me: host,
-            io: eng,
-            stats: &mut self.stats,
-            loss_probe_noise: self.cfg.loss_probe_noise,
-        };
-        Some(f(agent, &mut ctx))
-    }
-
-    fn src_vid(&self, t: usize) -> HostId {
-        fold_vid(t, self.n, self.source)
-    }
-
-    /// Tree `t` in physical ids.
-    fn snapshot_tree(&self, t: usize) -> TreeSnapshot {
-        let n = self.n;
-        let mut parent = vec![None; n];
-        let mut members = Vec::new();
-        for (h, slot) in parent.iter_mut().enumerate() {
-            if h == self.source.idx() {
-                continue;
-            }
-            let vid = t * n + h;
-            if self.in_session[vid] {
-                members.push(HostId(h as u32));
-                if let Some(a) = &self.agents[vid] {
-                    *slot = a.parent().map(|p| HostId((p.idx() % n) as u32));
-                }
-            }
-        }
-        TreeSnapshot {
-            source: self.source,
-            members,
-            parent,
-        }
-    }
-
-    /// Latest stream sequence owned by stripe `t` (0 when none yet).
-    fn stripe_latest(&self, t: usize) -> u64 {
-        let k = self.k as u64;
-        let lag = (self.seq % k + k - t as u64) % k;
-        self.seq.saturating_sub(lag)
-    }
-
-    /// One cross-tree repair sweep: every starving receiver locates a
-    /// live repair peer through a sibling tree's parent relation and
-    /// NACKs its missing stripe chunks there.
-    fn cross_sweep(&mut self, eng: &mut Engine<Msg>) {
-        let (k, n) = (self.k, self.n);
-        if self.seq == 0 || k < 2 {
-            return;
-        }
-        let now = eng.now();
-        let stall = self.cross_stall;
-        for t in 0..k {
-            let latest = self.stripe_latest(t);
-            if latest == 0 {
-                continue;
-            }
-            for h in 0..n {
-                if h == self.source.idx() {
-                    continue;
-                }
-                let vid = t * n + h;
-                if !self.in_session[vid] {
-                    continue;
-                }
-                let wants = self.agents[vid]
-                    .as_ref()
-                    .is_some_and(|a| a.wants_cross_repair(now, stall));
-                if !wants {
-                    continue;
-                }
-                // Find a sibling tree where this physical host still has
-                // a parent; pull from that parent's *own-tree* agent, so
-                // the request stays inside the stripe that owns the
-                // sequence numbers.
-                let mut sibling = None;
-                for d in 1..k {
-                    let u = (t + d) % k;
-                    let sv = u * n + h;
-                    if !self.in_session[sv] {
-                        continue;
-                    }
-                    let Some(pp) = self.agents[sv].as_ref().and_then(|a| a.parent()) else {
-                        continue;
-                    };
-                    let p_phys = pp.idx() % n;
-                    let target = fold_vid(t, n, HostId(p_phys as u32));
-                    let present = p_phys == self.source.idx() || self.in_session[target.idx()];
-                    if p_phys != h && present && self.agents[target.idx()].is_some() {
-                        sibling = Some(target);
-                        break;
-                    }
-                }
-                if let Some(s) = sibling {
-                    self.dispatch(eng, fold_vid(t, n, HostId(h as u32)), |a, ctx| {
-                        a.cross_repair_tick(ctx, s, latest)
-                    });
-                }
-            }
-        }
-    }
-
-    fn measure(&mut self, eng: &mut Engine<Msg>) {
-        let n = self.n;
-        let snaps: Vec<TreeSnapshot> = (0..self.k).map(|t| self.snapshot_tree(t)).collect();
-        let tm0 = TreeMetrics::compute(
-            &snaps[0],
-            &*self.phys,
-            if self.cfg.compute_stress {
-                self.routed.as_deref()
-            } else {
-                None
-            },
-        );
-        let mut errors = 0;
-        for (t, s) in snaps.iter().enumerate() {
-            errors += s.validate(&self.limits[t * n..(t + 1) * n]).len();
-        }
-        if errors > 0 {
-            self.stats
-                .recovery
-                .invariant_violations
-                .push((eng.now().as_secs(), errors));
-        }
-
-        let counters = eng.counters();
-        let d_control = counters.control_sent - self.last_counters.control_sent;
-        let d_data = counters.data_sent - self.last_counters.data_sent;
-        self.last_counters = counters;
-
-        let expected: u64 = self.stats.expected.iter().sum();
-        let received: u64 = self.stats.received.iter().sum();
-        let d_expected = expected - self.last_expected;
-        let d_received = received - self.last_received;
-        self.last_expected = expected;
-        self.last_received = received;
-
-        let d_chunks = self.stats.source_chunks - self.last_chunks;
-        self.last_chunks = self.stats.source_chunks;
-
-        let loss_rate = if d_expected > 0 {
-            (1.0 - d_received as f64 / d_expected as f64).max(0.0)
-        } else {
-            0.0
-        };
-
-        let mut stress_max = tm0.stress.as_ref().map_or(0.0, |s| s.max);
-        if self.cfg.compute_stress {
-            for s in &snaps[1..] {
-                let tm = TreeMetrics::compute(s, &*self.phys, self.routed.as_deref());
-                stress_max = stress_max.max(tm.stress.as_ref().map_or(0.0, |x| x.max));
-            }
-        }
-
-        let connected0 = snaps[0].connected_members().len();
-        self.stats.measurements.push(SlotMeasurement {
-            time_s: eng.now().as_secs(),
-            members: snaps[0].members.len(),
-            connected: connected0,
-            stress: tm0.stress,
-            stretch: tm0.stretch,
-            stretch_leaf_mean: tm0.stretch_leaf_mean,
-            hopcount: tm0.hopcount,
-            hopcount_leaf_mean: tm0.hopcount_leaf_mean,
-            usage_ms: tm0.usage_ms,
-            usage_normalized: tm0.usage_normalized,
-            loss_rate,
-            duplicates: d_received.saturating_sub(d_expected),
-            overhead: if d_data > 0 {
-                d_control as f64 / d_data as f64
-            } else {
-                0.0
-            },
-            overhead_per_chunk: if d_chunks > 0 {
-                d_control as f64 / d_chunks as f64
-            } else {
-                0.0
-            },
-            mst_ratio: None,
-            tree_errors: errors,
-        });
-        self.slots.push(MtSlot {
-            time_s: eng.now().as_secs(),
-            members: snaps[0].members.len(),
-            connected: snaps.iter().map(|s| s.connected_members().len()).collect(),
-            interior_overlap: interior_overlap(&snaps),
-            stress_max,
-            loss_rate,
-        });
-    }
-}
-
-impl<F: AgentFactory> World for MtWorld<F>
-where
-    F::Agent: CrossRepairAgent,
-{
-    type Msg = Msg;
-
-    fn on_deliver(&mut self, eng: &mut Engine<Msg>, to: HostId, from: HostId, msg: Msg) {
-        self.dispatch(eng, to, |a, ctx| a.on_msg(ctx, from, msg));
-    }
-
-    fn on_timer(&mut self, eng: &mut Engine<Msg>, host: HostId, token: u64) {
-        self.dispatch(eng, host, |a, ctx| a.on_timer(ctx, token));
-    }
-
-    fn on_external(&mut self, eng: &mut Engine<Msg>, token: u64) {
-        if token == DATA_TICK {
-            let Some(interval) = self.cfg.data_interval else {
-                return;
-            };
-            self.seq += 1;
-            let seq = self.seq;
-            self.stats.source_chunks += 1;
-            // The owning stripe's receivers expect this chunk.
-            let stripe = (seq % self.k as u64) as usize;
-            let base = stripe * self.n;
-            for h in 0..self.n {
-                if h != self.source.idx() && self.in_session[base + h] {
-                    self.stats.expected[base + h] += 1;
-                }
-            }
-            let src = self.src_vid(stripe);
-            self.dispatch(eng, src, |a, ctx| a.emit_data(ctx, seq));
-            let next = eng.now() + interval;
-            if next <= self.end {
-                eng.schedule_external(next, DATA_TICK);
-            }
-            return;
-        }
-        if token == CROSS_TICK {
-            let Some(period) = self.cross_period else {
-                return;
-            };
-            self.cross_sweep(eng);
-            let next = eng.now() + period;
-            if next <= self.end {
-                eng.schedule_external(next, CROSS_TICK);
-            }
-            return;
-        }
-        let (_, action) = self.actions[token as usize];
-        let (k, n) = (self.k, self.n);
-        match action {
-            Action::Join(h) => {
-                if h == self.source {
-                    return;
-                }
-                for t in 0..k {
-                    let v = fold_vid(t, n, h);
-                    let vid = v.idx();
-                    if !self.in_session[vid] {
-                        self.in_session[vid] = true;
-                        let inc = self.incarnations[vid];
-                        self.incarnations[vid] += 1;
-                        let src = self.src_vid(t);
-                        self.agents[vid] =
-                            Some(self.factories[t].make(v, src, self.limits[vid], inc));
-                        self.dispatch(eng, v, |a, ctx| a.on_join_cmd(ctx));
-                    }
-                }
-            }
-            Action::Leave(h) => {
-                if h == self.source {
-                    return;
-                }
-                for t in 0..k {
-                    let v = fold_vid(t, n, h);
-                    let vid = v.idx();
-                    if self.in_session[vid] {
-                        self.dispatch(eng, v, |a, ctx| a.on_leave_cmd(ctx));
-                        self.agents[vid] = None;
-                        self.in_session[vid] = false;
-                    }
-                }
-            }
-            Action::Crash(h) => {
-                if h == self.source {
-                    return;
-                }
-                for t in 0..k {
-                    let vid = t * n + h.idx();
-                    if self.in_session[vid] {
-                        self.agents[vid] = None;
-                        self.in_session[vid] = false;
-                    }
-                }
-            }
-            Action::Measure => self.measure(eng),
-        }
-    }
-}
-
-/// The striped `k ≥ 2` execution (built by [`MultiTreeSession::new`]).
-pub struct StripedDriver<F: AgentFactory>
-where
-    F::Agent: CrossRepairAgent,
-{
-    eng: Engine<Msg>,
-    world: MtWorld<F>,
-}
-
-/// One stream over `k` decorrelated trees. For `k = 1` this *is* the
-/// single-tree [`Driver`] (same engine seed, same event order — outputs
-/// are byte-identical per seed); for `k ≥ 2` it runs the virtual-host
-/// world described in the module docs.
-pub enum MultiTreeSession<F: AgentFactory>
-where
-    F::Agent: CrossRepairAgent,
-{
-    /// `k = 1`: the plain single-tree path.
-    Single(Box<Driver<F>>),
-    /// `k ≥ 2`: striped delivery.
-    Striped(Box<StripedDriver<F>>),
-}
-
-impl<F: AgentFactory> MultiTreeSession<F>
-where
-    F::Agent: CrossRepairAgent,
-{
-    /// Build a session.
-    ///
-    /// * `factories` — one per tree (`factories.len() == cfg.k`); the
-    ///   caller decorrelates them (perturbed metrics) and stripes their
-    ///   repair configs (`RepairConfig::striped(k, t)`);
-    /// * `limits` — virtual-id degree limits, `cfg.k * n` entries (see
-    ///   [`striped_limits`]);
-    /// * everything else mirrors [`Driver::new`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        underlay: Arc<dyn Underlay + Send + Sync>,
-        routed: Option<Arc<RoutedUnderlay>>,
-        source: HostId,
-        mut factories: Vec<F>,
-        scenario: &Scenario,
-        limits: Vec<u32>,
-        cfg: MultiTreeConfig,
-        seed: u64,
-    ) -> Self {
-        let k = cfg.k;
-        let n = underlay.num_hosts();
-        assert!(k >= 1, "need at least one tree");
-        assert_eq!(factories.len(), k, "need one factory per tree");
-        assert_eq!(
-            limits.len(),
-            k * n,
-            "need one degree limit per virtual host"
-        );
-        assert!(source.idx() < n);
-        if k == 1 {
-            let factory = factories.pop().expect("one factory");
-            return MultiTreeSession::Single(Box::new(Driver::new(
-                underlay, routed, source, factory, scenario, limits, cfg.driver, seed,
-            )));
-        }
-
-        let striped: Arc<dyn Underlay + Send + Sync> =
-            Arc::new(StripedUnderlay::new(Arc::clone(&underlay), k));
-        let mut eng = Engine::new(striped, seed);
-        if let Some(dp_cfg) = cfg.driver.data_plane {
-            eng.enable_data_plane(dp_cfg);
-        }
-        // Re-attribute traced events to physical hosts + tree tags.
-        let global = vdm_trace::global();
-        if global.enabled() {
-            eng.set_tracer(Tracer::with_sink(Arc::new(Mutex::new(RetagSink {
-                inner: global,
-                n: n as u32,
-            }))));
-        }
-        let mut world = MtWorld {
-            factories,
-            cfg: cfg.driver,
-            k,
-            n,
-            source,
-            cross_period: cfg.cross_period,
-            cross_stall: cfg.cross_stall,
-            agents: (0..k * n).map(|_| None).collect(),
-            in_session: vec![false; k * n],
-            incarnations: vec![0; k * n],
-            limits,
-            stats: RunStats::new(k * n),
-            actions: scenario.actions.clone(),
-            phys: underlay,
-            routed,
-            seq: 0,
-            end: scenario.end,
-            slots: Vec::new(),
-            last_counters: Counters::default(),
-            last_expected: 0,
-            last_received: 0,
-            last_chunks: 0,
-        };
-        // Every tree's source agent exists for the whole run.
-        for t in 0..k {
-            let src = world.src_vid(t);
-            world.agents[src.idx()] =
-                Some(world.factories[t].make(src, src, world.limits[src.idx()], 0));
-        }
-        for (i, (t, _)) in world.actions.iter().enumerate() {
-            eng.schedule_external(*t, i as u64);
-        }
-        if world.cfg.data_interval.is_some() {
-            eng.schedule_external(SimTime::ZERO, DATA_TICK);
-        }
-        if let Some(period) = world.cross_period {
-            eng.schedule_external(period, CROSS_TICK);
-        }
-        MultiTreeSession::Striped(Box::new(StripedDriver { eng, world }))
-    }
-
-    /// Number of trees.
-    pub fn k(&self) -> usize {
-        match self {
-            MultiTreeSession::Single(_) => 1,
-            MultiTreeSession::Striped(d) => d.world.k,
-        }
-    }
-
-    /// Install a *physical-host* fault schedule; for `k ≥ 2` it is
-    /// expanded to the virtual id space (see [`expand_faults`]). Call
-    /// before running.
-    pub fn set_fault_events(&mut self, seed: u64, events: Vec<FaultEvent>) {
-        match self {
-            MultiTreeSession::Single(d) => d.set_fault_plan(FaultPlan::with_events(seed, events)),
-            MultiTreeSession::Striped(d) => {
-                let expanded = expand_faults(&events, d.world.k, d.world.n);
-                d.eng.set_fault_plan(FaultPlan::with_events(seed, expanded));
-            }
-        }
-    }
-
-    /// Run up to `t` (incremental stepping).
-    pub fn run_until(&mut self, t: SimTime) {
-        match self {
-            MultiTreeSession::Single(d) => d.run_until(t),
-            MultiTreeSession::Striped(d) => {
-                d.eng.run(&mut d.world, t);
-            }
-        }
-    }
-
-    /// Ungracefully remove a physical member from every tree right now
-    /// (runtime-chosen fault injection; see [`Driver::crash_now`]).
-    pub fn crash_now(&mut self, h: HostId) {
-        match self {
-            MultiTreeSession::Single(d) => d.crash_now(h),
-            MultiTreeSession::Striped(d) => {
-                if h == d.world.source {
-                    return;
-                }
-                for t in 0..d.world.k {
-                    let vid = t * d.world.n + h.idx();
-                    if d.world.in_session[vid] {
-                        d.world.agents[vid] = None;
-                        d.world.in_session[vid] = false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Current snapshot of each tree, physical ids.
-    pub fn snapshots(&self) -> Vec<TreeSnapshot> {
-        match self {
-            MultiTreeSession::Single(d) => vec![d.snapshot()],
-            MultiTreeSession::Striped(d) => {
-                (0..d.world.k).map(|t| d.world.snapshot_tree(t)).collect()
-            }
-        }
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &RunStats {
-        match self {
-            MultiTreeSession::Single(d) => d.stats(),
-            MultiTreeSession::Striped(d) => &d.world.stats,
-        }
-    }
-
-    /// Simulated time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            MultiTreeSession::Single(d) => d.now(),
-            MultiTreeSession::Striped(d) => d.eng.now(),
-        }
-    }
-
-    /// Execute to the scenario horizon and collect results.
-    pub fn finish(self) -> MultiTreeOutput {
-        match self {
-            MultiTreeSession::Single(d) => from_single(d.run()),
-            MultiTreeSession::Striped(d) => {
-                let mut d = *d;
-                let end = d.world.end;
-                d.eng.run(&mut d.world, end);
-                let snapshots = (0..d.world.k).map(|t| d.world.snapshot_tree(t)).collect();
-                MultiTreeOutput {
-                    snapshots,
-                    slots: d.world.slots,
-                    events: d.eng.events_processed(),
-                    counters: d.eng.counters(),
-                    stats: d.world.stats,
-                }
-            }
-        }
-    }
-}
-
-/// Lift a single-tree run into the multi-tree result shape.
-fn from_single(out: RunOutput) -> MultiTreeOutput {
-    let slots = out
-        .stats
-        .measurements
-        .iter()
-        .map(|m| MtSlot {
-            time_s: m.time_s,
-            members: m.members,
-            connected: vec![m.connected],
-            interior_overlap: 0.0,
-            stress_max: m.stress.as_ref().map_or(0.0, |s| s.max),
-            loss_rate: m.loss_rate,
-        })
-        .collect();
-    MultiTreeOutput {
-        stats: out.stats,
-        snapshots: vec![out.final_snapshot],
-        slots,
-        events: out.events,
-        counters: out.counters,
-    }
+/// The tracer a `k ≥ 2` session installs on its engine: when the
+/// process has tracing on, virtual-id events are retagged to physical
+/// ids + tree index before they reach the global sink.
+pub(crate) fn retag_tracer(n: usize) -> Option<Tracer> {
+    let inner = vdm_trace::global();
+    inner
+        .enabled()
+        .then(|| Tracer::with_sink(Arc::new(Mutex::new(RetagSink { inner, n: n as u32 }))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{AdmissionConfig, AgentConfig};
+    use crate::agent::{
+        AdmissionConfig, AgentConfig, AgentFactory, Ctx, OverlayAgent, ProtocolAgent,
+    };
+    use crate::discovery::DiscoveryConfig;
+    use crate::driver::{Driver, DriverConfig};
+    use crate::msg::Msg;
     use crate::repair::RepairConfig;
-    use crate::scenario::ChurnConfig;
-    use crate::walk::{ProbeResult, WalkPurpose, WalkStep};
-    use vdm_netsim::LatencySpace;
+    use crate::scenario::{Action, ChurnConfig, Scenario};
+    use crate::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
+    use vdm_netsim::{LatencySpace, SimTime};
 
     #[test]
     fn fold_vid_reaches_the_top_of_the_id_space() {
@@ -1110,9 +468,6 @@ mod tests {
                 Either::Star(a) => a.degree_limit(),
             }
         }
-    }
-
-    impl CrossRepairAgent for Either {
         fn cross_repair_tick(&mut self, ctx: &mut Ctx<'_>, sibling: HostId, latest: u64) {
             match self {
                 Either::Chain(a) => a.cross_repair_tick(ctx, sibling, latest),
@@ -1281,63 +636,23 @@ mod tests {
     }
 
     #[test]
-    fn k1_delegates_to_the_single_tree_driver_byte_for_byte() {
-        let space = grid_space(4);
-        let hosts = [HostId(1), HostId(2), HostId(3)];
-        let scenario = join_scenario(&hosts, 1);
-        let cfg = AgentConfig::default();
-        let single = Driver::new(
-            space.clone(),
-            None,
-            HostId(0),
-            ShapeFactory {
-                cfg,
-                n: 4,
-                chain_trees: vec![true],
-            },
-            &scenario,
-            vec![10; 4],
-            DriverConfig::default(),
-            5,
-        )
-        .run();
-        let multi = MultiTreeSession::new(
-            space,
-            None,
-            HostId(0),
-            shape_factories(4, &[true], cfg),
-            &scenario,
-            vec![10; 4],
-            MultiTreeConfig::new(1),
-            5,
-        )
-        .finish();
-        assert_eq!(multi.stats.startup_s, single.stats.startup_s);
-        assert_eq!(multi.stats.received, single.stats.received);
-        assert_eq!(multi.stats.measurements, single.stats.measurements);
-        assert_eq!(multi.events, single.events);
-        assert_eq!(multi.snapshots[0].parent, single.final_snapshot.parent);
-        assert_eq!(multi.slots.len(), single.stats.measurements.len());
-    }
-
-    #[test]
     fn two_trees_form_their_own_shapes_and_stream_deterministically() {
         let space = grid_space(5);
         let hosts = [HostId(1), HostId(2), HostId(3), HostId(4)];
         let scenario = join_scenario(&hosts, 1);
         let cfg = AgentConfig::default();
         let run = |seed| {
-            let out = MultiTreeSession::new(
+            let out = Driver::striped(
                 space.clone(),
                 None,
                 HostId(0),
                 shape_factories(5, &[true, false], cfg),
                 &scenario,
                 vec![10; 10],
-                MultiTreeConfig::new(2),
+                DriverConfig::default(),
                 seed,
             )
-            .finish();
+            .run_trees();
             (out.stats.received.clone(), out.events, out.snapshots)
         };
         let (received, events, snaps) = run(9);
@@ -1391,24 +706,20 @@ mod tests {
             }),
             ..AgentConfig::default()
         };
-        let run = |cross: bool| {
-            let mut mt_cfg = MultiTreeConfig::new(2);
-            if !cross {
-                mt_cfg.cross_period = None;
-            }
-            MultiTreeSession::new(
+        let run = |cfg: AgentConfig| {
+            Driver::striped(
                 space.clone(),
                 None,
                 HostId(0),
                 shape_factories(4, &[true, false], cfg),
                 &scenario,
                 vec![10; 8],
-                mt_cfg,
+                DriverConfig::default(),
                 7,
             )
-            .finish()
+            .run_trees()
         };
-        let with = run(true);
+        let with = run(cfg);
         // Hosts 2 and 3 sit under the crashed chain head in tree 0;
         // the star tree (stripe 1) is undisturbed, and its parent
         // relation is the repair route for stripe 0.
@@ -1416,7 +727,10 @@ mod tests {
         assert!(r.cross_nacks_sent > 0, "no cross NACKs: {r:?}");
         assert!(r.cross_repaired > 5, "little repaired: {r:?}");
         assert_eq!(r.cross_stripe_violations, 0);
-        let without = run(false);
+        let without = run(AgentConfig {
+            cross_repair: None,
+            ..cfg
+        });
         assert_eq!(without.stats.recovery.cross_nacks_sent, 0);
         // The repaired run delivers strictly more of stripe 0 to the
         // cut subtree (virtual ids 2 and 3).
@@ -1430,5 +744,26 @@ mod tests {
         }
         // Stripe 1 was never affected in either run.
         assert_eq!(with.stats.received[4 + 2], without.stats.received[4 + 2]);
+    }
+
+    /// Discovery seeds are physical ids and nothing folds them per
+    /// tree, so a striped session must refuse the config rather than
+    /// silently join omnisciently.
+    #[test]
+    #[should_panic(expected = "bootstrap discovery is single-tree only")]
+    fn striped_session_rejects_bootstrap_discovery() {
+        let hosts = [HostId(1), HostId(2), HostId(3)];
+        let mut scenario = join_scenario(&hosts, 1);
+        scenario.discovery = Some(DiscoveryConfig::default());
+        let _ = Driver::striped(
+            grid_space(4),
+            None,
+            HostId(0),
+            shape_factories(4, &[true, false], AgentConfig::default()),
+            &scenario,
+            vec![10; 8],
+            DriverConfig::default(),
+            1,
+        );
     }
 }

@@ -15,7 +15,8 @@
 //! missing artifact is a miss and the value is recomputed; a write
 //! failure (read-only `results/`) degrades to uncached operation with
 //! one clear warning instead of a panic. Hit/miss/write-error counters
-//! are process-global so run summaries can report them.
+//! live on the [`CacheStore`] (shared by its clones); run summaries read
+//! the installed global store's through [`stats`].
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -108,7 +109,7 @@ impl CacheKey {
     }
 }
 
-/// Process-global cache counters.
+/// One store's lookup counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Artifacts served from disk.
@@ -119,21 +120,21 @@ pub struct CacheStats {
     pub write_errors: u64,
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot the process-global hit/miss counters.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        write_errors: WRITE_ERRORS.load(Ordering::Relaxed),
-    }
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    write_errors: AtomicU64,
 }
 
-/// Export the process-global cache counters into the unified metrics
-/// registry under the `cache.*` namespace.
+/// Snapshot the installed global store's counters (zeros when none is
+/// installed).
+pub fn stats() -> CacheStats {
+    global().map_or_else(CacheStats::default, |s| s.stats())
+}
+
+/// Export the installed global store's counters into the unified
+/// metrics registry under the `cache.*` namespace.
 pub fn export_metrics(m: &mut vdm_trace::MetricsRegistry) {
     let s = stats();
     m.counter_add("cache.hits", s.hits);
@@ -141,16 +142,30 @@ pub fn export_metrics(m: &mut vdm_trace::MetricsRegistry) {
     m.counter_add("cache.write_errors", s.write_errors);
 }
 
-/// One on-disk artifact store.
+/// One on-disk artifact store. Clones share the counters.
 #[derive(Clone, Debug)]
 pub struct CacheStore {
     dir: PathBuf,
+    counters: Arc<Counters>,
 }
 
 impl CacheStore {
     /// Store rooted at `dir` (created lazily on first write).
     pub fn at(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
+        Self {
+            dir: dir.into(),
+            counters: Arc::default(),
+        }
+    }
+
+    /// Snapshot this store's hit/miss/write-error counters.
+    pub fn stats(&self) -> CacheStats {
+        let c = &self.counters;
+        CacheStats {
+            hits: c.hits.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            write_errors: c.write_errors.load(Ordering::Relaxed),
+        }
     }
 
     /// The store's directory.
@@ -163,11 +178,11 @@ impl CacheStore {
     pub fn load(&self, key: &CacheKey) -> Option<Vec<u8>> {
         let out = match std::fs::read(self.dir.join(key.file_name())) {
             Ok(bytes) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(bytes)
             }
             Err(_) => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         };
@@ -185,7 +200,7 @@ impl CacheStore {
     /// warning: the cache never makes a run fail.
     pub fn store(&self, key: &CacheKey, bytes: &[u8]) {
         if let Err(e) = self.try_store(key, bytes) {
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+            self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
             static WARNED: OnceLock<()> = OnceLock::new();
             WARNED.get_or_init(|| {
                 eprintln!(
@@ -226,8 +241,8 @@ impl CacheStore {
                 return v;
             }
             // Corrupt artifact: demote the hit to a miss.
-            HITS.fetch_sub(1, Ordering::Relaxed);
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_sub(1, Ordering::Relaxed);
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
         }
         let v = compute();
         self.store(key, &encode(&v));
@@ -502,13 +517,18 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let store = CacheStore::at(&dir);
         let key = KeyHasher::new().feed_u64(1).key("t");
-        let before = stats();
         assert!(store.load(&key).is_none());
         store.store(&key, b"hello");
-        assert_eq!(store.load(&key).as_deref(), Some(&b"hello"[..]));
-        let after = stats();
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
+        // Clones share the counters; sibling tests' stores do not.
+        assert_eq!(store.clone().load(&key).as_deref(), Some(&b"hello"[..]));
+        assert_eq!(
+            store.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                write_errors: 0
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -568,10 +588,9 @@ mod tests {
         std::fs::write(&file, b"x").unwrap();
         let store = CacheStore::at(file.join("sub"));
         let key = KeyHasher::new().feed_u64(4).key("t");
-        let before = stats();
         let v = store.get_or_compute(&key, || 5u64, |v| v.to_le_bytes().to_vec(), |_| None);
         assert_eq!(v, 5);
-        assert!(stats().write_errors > before.write_errors);
+        assert_eq!(store.stats().write_errors, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -624,8 +643,11 @@ mod tests {
             |b| Some(u64::from_le_bytes(b.try_into().ok()?)),
         );
         assert_eq!(v, 11);
+        // `stats()` reads the installed store, which saw our miss.
+        assert!(stats().misses >= 1);
         set_global(None);
         assert!(global().is_none());
+        assert_eq!(stats(), CacheStats::default());
         // Without a global store, compute runs directly.
         let v = get_or_compute_global(&key, || 12u64, |_| vec![], |_| None);
         assert_eq!(v, 12);

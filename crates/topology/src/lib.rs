@@ -44,6 +44,17 @@ pub use graph::{EdgeId, Graph, LinkAttrs, NodeId, NodeKind};
 pub use router::{OnDemandRouter, RouteProvider, RouteRow, RouterStats};
 pub use spath::{Apsp, ShortestPaths};
 
+/// SplitMix64's finalizer: the one cheap 64-bit avalanche every seeded
+/// derivation in the workspace uses (per-shard RNG streams, per-tree
+/// metric perturbation, coordinate tie-breaks, delivery fingerprints).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Convenience alias: latency in milliseconds.
 ///
 /// All distance-like quantities in this workspace are carried as `f64`

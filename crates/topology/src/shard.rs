@@ -25,7 +25,7 @@
 
 use crate::graph::{Graph, LinkAttrs, NodeId, NodeKind};
 use crate::spath::dijkstra;
-use crate::Millis;
+use crate::{splitmix64, Millis};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Parameters of the sharded power-law generator.
@@ -118,13 +118,6 @@ impl ShardedPowerLaw {
         }
         min
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Generate a sharded power-law underlay. Deterministic per

@@ -265,6 +265,35 @@ impl TraceEvent {
         }
     }
 
+    /// The acting host of an event — the field a multi-tree session
+    /// keys tree attribution on (`tree = vid / n`); `None` for
+    /// host-free events. Kept beside [`TraceEvent::map_hosts`] so one
+    /// module knows every variant's host fields.
+    pub fn primary_host(&self) -> Option<u32> {
+        match self {
+            TraceEvent::WalkStart { host, .. }
+            | TraceEvent::WalkDecision { host, .. }
+            | TraceEvent::WalkRestart { host, .. }
+            | TraceEvent::WalkConnected { host, .. }
+            | TraceEvent::ParentChange { host, .. }
+            | TraceEvent::Orphaned { host, .. }
+            | TraceEvent::FailoverAttempt { host, .. }
+            | TraceEvent::FailoverResult { host, .. }
+            | TraceEvent::NackSent { host, .. }
+            | TraceEvent::ChunkRepaired { host, .. }
+            | TraceEvent::AdmissionThrottled { host, .. }
+            | TraceEvent::AdmissionShed { host, .. }
+            | TraceEvent::DiscoveryRound { host, .. }
+            | TraceEvent::DiscoveryAnchor { host, .. }
+            | TraceEvent::DiscoveryFallback { host, .. }
+            | TraceEvent::CoordUpdate { host, .. }
+            | TraceEvent::GuidedEntry { host, .. } => Some(*host),
+            TraceEvent::FaultApplied { from, .. } => Some(*from),
+            TraceEvent::CacheLookup { .. } => None,
+            TraceEvent::Tagged { inner, .. } => inner.primary_host(),
+        }
+    }
+
     /// Rewrite every host-valued field through `f`. Multi-tree sessions
     /// run agents under virtual ids; this maps a per-tree event back to
     /// physical ids before it is tagged and recorded.
@@ -615,9 +644,9 @@ mod tests {
     use super::*;
     use crate::json::parse_flat_object;
 
-    #[test]
-    fn every_variant_serializes_and_parses() {
-        let events = vec![
+    /// One sample of every variant (two for the optional splice).
+    fn one_of_every_variant() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::WalkStart {
                 host: 1,
                 purpose: "join",
@@ -707,8 +736,12 @@ mod tests {
                 tree: 2,
                 inner: Box::new(TraceEvent::ChunkRepaired { host: 1, seq: 42 }),
             },
-        ];
-        for ev in events {
+        ]
+    }
+
+    #[test]
+    fn every_variant_serializes_and_parses() {
+        for ev in one_of_every_variant() {
             let line = ev.to_jsonl(123);
             let rec = parse_flat_object(&line).unwrap_or_else(|| panic!("unparseable: {line}"));
             assert_eq!(rec["kind"].as_str(), Some(ev.kind()), "{line}");
@@ -790,6 +823,35 @@ mod tests {
             hit: false,
         };
         assert_eq!(hostless.clone().map_hosts(&f), hostless);
+        assert_eq!(hostless.primary_host(), None);
+
+        // Every variant: `map_hosts` moves each serialized host field,
+        // `primary_host` reads one of them, and only host-free events
+        // have none — so a variant wired into one function but not the
+        // other (or left out of both) fails here.
+        let hosts_of = |ev: &TraceEvent| -> Vec<(String, f64)> {
+            parse_flat_object(&ev.to_jsonl(0))
+                .unwrap()
+                .into_iter()
+                .filter(|(k, _)| HOST_FIELDS.contains(&k.as_str()))
+                .filter_map(|(k, v)| Some((k, v.as_num()?)))
+                .collect()
+        };
+        for ev in one_of_every_variant() {
+            let before = hosts_of(&ev);
+            let shifted = ev.clone().map_hosts(&|h| h + 100);
+            let moved: Vec<_> = before.iter().map(|(k, v)| (k.clone(), v + 100.0)).collect();
+            assert_eq!(hosts_of(&shifted), moved, "{ev:?}");
+            assert_eq!(
+                shifted.primary_host(),
+                ev.primary_host().map(|h| h + 100),
+                "{ev:?}"
+            );
+            assert_eq!(ev.primary_host().is_some(), !before.is_empty(), "{ev:?}");
+            if let Some(h) = ev.primary_host() {
+                assert!(before.iter().any(|(_, v)| *v == h as f64), "{ev:?}");
+            }
+        }
     }
 
     #[test]

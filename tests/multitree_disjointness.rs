@@ -7,19 +7,20 @@
 
 mod common;
 
-use common::staggered_joins;
+use common::{assert_matches_golden, staggered_joins};
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use vdm_core::{perturb_vdist, VdmFactory, VdmPolicy};
+use vdm_experiments::figures::multitree::multitree_family;
 use vdm_experiments::setup::{powerlaw_setup, waxman_setup, Ch3Setup};
+use vdm_experiments::Effort;
 use vdm_netsim::{HostId, SimTime, Underlay};
 use vdm_overlay::agent::{AdmissionConfig, AgentConfig};
-use vdm_overlay::driver::DriverConfig;
+use vdm_overlay::driver::{Driver, DriverConfig};
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{Action, Scenario};
 use vdm_overlay::sync::SyncOverlay;
 use vdm_overlay::tree::TreeSnapshot;
 use vdm_overlay::{interior_overlap, interior_victim, striped_limits, walk::WalkConfig};
-use vdm_overlay::{MultiTreeConfig, MultiTreeSession};
 
 const AMP: f64 = 0.25;
 
@@ -184,24 +185,21 @@ fn crash_session(k: usize, seed: u64) -> vdm_overlay::MultiTreeOutput {
             f
         })
         .collect();
-    let mut session = MultiTreeSession::new(
+    let mut session = Driver::striped(
         setup.underlay.clone(),
         None,
         setup.source,
         factories,
         &scenario,
         limits,
-        MultiTreeConfig {
-            driver: DriverConfig::default(),
-            ..MultiTreeConfig::new(k)
-        },
+        DriverConfig::default(),
         seed,
     );
     session.run_until(SimTime::from_secs(60));
     if let Some(victim) = interior_victim(&session.snapshots()) {
         session.crash_now(victim);
     }
-    session.finish()
+    session.run_trees()
 }
 
 #[test]
@@ -217,6 +215,24 @@ fn fixed_seed_crash_engages_cross_repair_without_stripe_leaks() {
             r.cross_nacks_sent > 0,
             "seed {seed}: interior crash never engaged cross-tree repair"
         );
+    }
+}
+
+/// Golden pin over the striped path: the two A10 tables
+/// (k ∈ {1, 2, 3, 4}, crash and chaos series) must reproduce their
+/// committed CSVs byte-for-byte at the fixed seed. Before this only the
+/// k = 1 identity gate pinned the session world; any reordering of the
+/// per-tree join/leave/crash loops, the stripe bookkeeping or the
+/// cross-repair sweep shifts these numbers.
+#[test]
+fn a10_tables_match_goldens() {
+    let r = multitree_family(Effort::Quick, 42);
+    assert!(r.k1_identical);
+    for (golden, table) in [
+        ("a10a_multitree_quick_seed42.csv", &r.tables[0]),
+        ("a10b_multitree_quick_seed42.csv", &r.tables[1]),
+    ] {
+        assert_matches_golden(golden, &table.to_csv());
     }
 }
 
