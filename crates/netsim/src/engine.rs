@@ -78,28 +78,14 @@ enum EventKind<M> {
     },
 }
 
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
+/// Heap entry: the `(at, seq)` total order plus the slab slot holding the
+/// event's payload. `seq` is unique, so the slot never decides a
+/// comparison — sifts move 24 bytes instead of a whole message.
+type QueueKey = (SimTime, u64, u32);
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+/// Destinations remembered per sender by the path-loss memo: a host's
+/// children (and the odd repair target) fit with room to spare.
+const LOSS_MEMO_WAYS: usize = 16;
 
 /// Traffic counters, reset-able by the driver between measurement slots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,8 +115,19 @@ pub struct Counters {
 pub struct Engine<M> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    heap: BinaryHeap<Reverse<QueueKey>>,
+    /// Payloads of the pending events, indexed by [`QueueKey`] slot;
+    /// `None` slots are vacant and listed in `free_slots`.
+    slab: Vec<Option<EventKind<M>>>,
+    free_slots: Vec<u32>,
     underlay: Arc<dyn Underlay + Send + Sync>,
+    /// Per sender, `(to, underlay.path_loss(sender, to))` for the last
+    /// few destinations it sent data to, oldest first. The underlay is a
+    /// deterministic function of its construction inputs and everything
+    /// time- or RNG-dependent (faults, the loss draw, the hop path) is
+    /// applied after this lookup, so entries never go stale. Rows appear
+    /// on a host's first data send.
+    loss_memo: Vec<Vec<(HostId, f64)>>,
     rng: StdRng,
     counters: Counters,
     events_processed: u64,
@@ -153,7 +150,10 @@ impl<M> Engine<M> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             underlay,
+            loss_memo: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x656e_6769_6e65),
             counters: Counters::default(),
             events_processed: 0,
@@ -254,7 +254,37 @@ impl<M> Engine<M> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, kind }));
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                let vacant = self.slab[slot as usize].replace(kind).is_none();
+                assert!(vacant, "free list handed out live slot {slot}");
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
+                self.slab.push(Some(kind));
+                slot
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+    }
+
+    /// `underlay.path_loss(from, to)` for a data packet, through the
+    /// per-sender memo.
+    fn data_path_loss(&mut self, from: HostId, to: HostId) -> f64 {
+        if from.idx() >= self.loss_memo.len() {
+            self.loss_memo.resize_with(from.idx() + 1, Vec::new);
+        }
+        let row = &mut self.loss_memo[from.idx()];
+        if let Some(&(_, p)) = row.iter().find(|&&(h, _)| h == to) {
+            return p;
+        }
+        let p = self.underlay.path_loss(from, to);
+        if row.len() == LOSS_MEMO_WAYS {
+            row.remove(0);
+        }
+        row.push((to, p));
+        p
     }
 
     /// Schedule a delivery, diverting it into the cross-shard outbox when
@@ -316,7 +346,7 @@ impl<M> Engine<M> {
 
     /// Time of the earliest pending event, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(ev)| ev.at)
+        self.heap.peek().map(|&Reverse((at, ..))| at)
     }
 
     /// Send `msg` from `from` to `to`. Control messages are reliable;
@@ -397,7 +427,7 @@ impl<M> Engine<M> {
         }
         let mut primary_lost = false;
         if class == SendClass::Data {
-            let p = self.underlay.path_loss(from, to);
+            let p = self.data_path_loss(from, to);
             // Each copy crosses the lossy path independently: sample the
             // original's fate, then — only when the fault layer produced
             // a duplicate — the duplicate's. Chaos-off runs draw exactly
@@ -559,15 +589,19 @@ impl<M> Engine<M> {
         let mut n = 0;
         loop {
             match self.heap.peek() {
-                Some(Reverse(ev)) if ev.at <= until => {}
+                Some(&Reverse((at, ..))) if at <= until => {}
                 _ => break,
             }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
+            let Reverse((at, _, slot)) = self.heap.pop().expect("peeked");
+            let kind = self.slab[slot as usize]
+                .take()
+                .expect("queued event lost its payload");
+            self.free_slots.push(slot);
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
             self.events_processed += 1;
             n += 1;
-            match ev.kind {
+            match kind {
                 EventKind::Deliver { to, from, msg } => {
                     self.counters.delivered += 1;
                     world.on_deliver(self, to, from, msg);
@@ -608,6 +642,7 @@ impl<M> Engine<M> {
 mod tests {
     use super::*;
     use crate::underlay::LatencySpace;
+    use proptest::{prop_assert, prop_assert_eq, proptest};
 
     fn two_host_space(loss: f64) -> Arc<dyn Underlay + Send + Sync> {
         let rtt = vec![vec![0.0, 10.0], vec![10.0, 0.0]];
@@ -988,5 +1023,288 @@ mod tests {
             c.data_sent + c.faults_duplicated,
             "a congestion-dropped duplicate went missing: {c:?}"
         );
+    }
+
+    /// An underlay that counts `path_loss` calls per `(from, to)` pair.
+    struct CountingUnderlay {
+        inner: crate::underlay::RoutedUnderlay,
+        loss_calls: std::sync::Mutex<std::collections::BTreeMap<(u32, u32), u64>>,
+    }
+
+    impl CountingUnderlay {
+        fn loss_calls(&self) -> std::collections::BTreeMap<(u32, u32), u64> {
+            self.loss_calls.lock().expect("no panic under lock").clone()
+        }
+    }
+
+    impl Underlay for CountingUnderlay {
+        fn num_hosts(&self) -> usize {
+            self.inner.num_hosts()
+        }
+        fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
+            self.inner.rtt_ms(a, b)
+        }
+        fn path_loss(&self, a: HostId, b: HostId) -> f64 {
+            let mut calls = self.loss_calls.lock().expect("no panic under lock");
+            *calls.entry((a.0, b.0)).or_default() += 1;
+            self.inner.path_loss(a, b)
+        }
+        fn path_edges(&self, a: HostId, b: HostId) -> Option<Vec<vdm_topology::EdgeId>> {
+            self.inner.path_edges(a, b)
+        }
+    }
+
+    /// `underlay::tests::small_routed` grown into a star of `hosts`
+    /// hosts, `host_i — r_i — hub`. Every `r_i — hub` link has its own
+    /// delay and loss (every fourth one no loss at all), so a memo
+    /// serving another pair's value shifts the drop pattern.
+    fn lossy_star(hosts: u32) -> Arc<CountingUnderlay> {
+        use vdm_topology::graph::{LinkAttrs, NodeKind};
+        let mut g = vdm_topology::Graph::new();
+        let hub = g.add_node(NodeKind::Stub);
+        let mut host_nodes = Vec::new();
+        for i in 0..hosts {
+            let h = g.add_node(NodeKind::Host);
+            let r = g.add_node(NodeKind::Stub);
+            g.add_edge(h, r, LinkAttrs::delay(1.0));
+            g.add_edge(
+                r,
+                hub,
+                LinkAttrs {
+                    delay_ms: 1.0 + f64::from(i),
+                    loss: if i % 4 == 0 {
+                        0.0
+                    } else {
+                        0.1 + 0.01 * f64::from(i)
+                    },
+                    bandwidth_mbps: 100.0,
+                },
+            );
+            host_nodes.push(h);
+        }
+        Arc::new(CountingUnderlay {
+            inner: crate::underlay::RoutedUnderlay::new(g, host_nodes),
+            loss_calls: Default::default(),
+        })
+    }
+
+    #[test]
+    fn loss_memo_asks_the_underlay_once_per_pair() {
+        let u = lossy_star(8);
+        let mut eng = Engine::new(u.clone(), 5);
+        // Host 1 is an interior node: parent 0 above, children 2..=5
+        // below; 0 feeds it.
+        let pairs = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 0)];
+        for i in 0..10_000 {
+            let (from, to) = pairs[i % pairs.len()];
+            eng.send(HostId(from), HostId(to), 999u32, SendClass::Data);
+        }
+        let calls = u.loss_calls();
+        assert_eq!(calls.len(), pairs.len());
+        assert!(calls.values().all(|&n| n == 1), "{calls:?}");
+        assert_eq!(eng.counters().data_sent, 10_000);
+    }
+
+    /// A sender cycling through more destinations than a row holds
+    /// keeps evicting — the worst case for the memo. The run must still
+    /// be the one the engine's RNG stream and the un-memoised underlay
+    /// predict, packet for packet.
+    #[test]
+    fn loss_memo_under_eviction_matches_the_direct_oracle() {
+        let hosts = LOSS_MEMO_WAYS as u32 + 5;
+        let (u, oracle) = (lossy_star(hosts), lossy_star(hosts));
+        let seed = 11;
+        let mut eng = Engine::new(u.clone(), seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x656e_6769_6e65);
+        let mut w = fresh_world(0);
+        let (mut expected, mut dropped) = (Vec::new(), 0);
+        for i in 0..10_000u32 {
+            // Three hot destinations interleaved with a scan over the
+            // rest: the scan keeps evicting, the hot ones keep hitting
+            // until it is their turn to go.
+            let to = HostId(if i % 2 == 0 {
+                1 + (i / 2) % 3
+            } else {
+                4 + (i / 2) % (hosts - 4)
+            });
+            let sent = eng.send(HostId(0), to, 999, SendClass::Data);
+            let p = oracle.path_loss(HostId(0), to);
+            let lost = p > 0.0 && rng.gen::<f64>() < p;
+            assert_eq!(sent, !lost, "send {i} to {to}");
+            if lost {
+                dropped += 1;
+            } else {
+                let d = oracle.sample_one_way_ms(HostId(0), to, &mut rng);
+                expected.push((SimTime::from_ms(d), to));
+            }
+        }
+        eng.run_to_idle(&mut w);
+        // Equal-time deliveries fire in send order: a stable sort of
+        // the prediction is the engine's `(at, seq)` order.
+        expected.sort_by_key(|&(at, _)| at);
+        assert_eq!(w.deliveries, expected);
+        let c = eng.counters();
+        assert_eq!(c.data_dropped, dropped);
+        assert_eq!(c.delivered, 10_000 - dropped);
+        assert!(dropped > 500, "the star should be lossy, dropped {dropped}");
+        let calls = u.loss_calls();
+        let misses: u64 = calls.values().sum();
+        assert!(
+            calls.values().all(|&n| n > 1) && misses < 9_000,
+            "the mix should both evict and hit: {calls:?}"
+        );
+        assert!(eng.loss_memo[0].len() <= LOSS_MEMO_WAYS);
+    }
+
+    #[test]
+    fn loss_memo_is_per_engine() {
+        let u = lossy_star(4);
+        let mut a = Engine::new(u.clone(), 1);
+        let mut b = Engine::new(u.clone(), 2);
+        a.send(HostId(0), HostId(1), 999u32, SendClass::Data);
+        assert!(b.loss_memo.is_empty());
+        b.send(HostId(0), HostId(1), 999u32, SendClass::Data);
+        b.send(HostId(0), HostId(2), 999u32, SendClass::Data);
+        assert_eq!(u.loss_calls()[&(0, 1)], 2, "b answered from a's memo");
+        assert_eq!(a.loss_memo[0].len(), 1);
+        assert_eq!(b.loss_memo[0].len(), 2);
+    }
+
+    #[test]
+    fn control_sends_bypass_the_loss_memo() {
+        let u = lossy_star(4);
+        let mut eng = Engine::new(u.clone(), 1);
+        for _ in 0..100 {
+            assert!(eng.send(HostId(0), HostId(1), 999u32, SendClass::Control));
+        }
+        assert!(eng.loss_memo.is_empty(), "no data was sent");
+        assert!(u.loss_calls().is_empty(), "control asked for path loss");
+    }
+
+    /// Records the token of everything that fires, with its time.
+    #[derive(Default)]
+    struct Recorder(Vec<(SimTime, u64)>);
+
+    impl World for Recorder {
+        type Msg = u64;
+        fn on_deliver(&mut self, eng: &mut Engine<u64>, _to: HostId, _from: HostId, msg: u64) {
+            self.0.push((eng.now(), msg));
+        }
+        fn on_timer(&mut self, eng: &mut Engine<u64>, _host: HostId, token: u64) {
+            self.0.push((eng.now(), token));
+        }
+        fn on_external(&mut self, eng: &mut Engine<u64>, token: u64) {
+            self.0.push((eng.now(), token));
+        }
+    }
+
+    /// Schedule one event chosen by `pick` — a send, a timer or an
+    /// external, on a millisecond grid so equal timestamps are the
+    /// rule — and return when it must fire.
+    fn schedule_pick(eng: &mut Engine<u64>, pick: u64, token: u64) -> SimTime {
+        let ms = SimTime::from_ms((pick / 3) as f64);
+        match pick % 3 {
+            0 => {
+                eng.send(HostId(0), HostId(1), token, SendClass::Control);
+                eng.now() + SimTime::from_ms(5.0)
+            }
+            1 => {
+                eng.set_timer(HostId(0), ms, token);
+                eng.now() + ms
+            }
+            _ => {
+                eng.schedule_external(ms, token);
+                ms.max(eng.now())
+            }
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of the three scheduling calls, in two
+        /// batches around a bounded `run` (so the second batch lands in
+        /// recycled slots, in an order unrelated to scheduling order):
+        /// events fire in `(at, scheduling order)`, the bounded run never
+        /// fires past its horizon, nothing is lost or fired twice.
+        #[test]
+        fn queue_fires_in_time_then_scheduling_order(
+            first in proptest::collection::vec(0u64..24, 1..150),
+            second in proptest::collection::vec(0u64..24, 0..150),
+            horizon_ms in 0u64..10,
+        ) {
+            let mut eng = Engine::new(two_host_space(0.0), 1);
+            let mut w = Recorder::default();
+            let mut expected = Vec::new();
+            for (token, &pick) in first.iter().enumerate() {
+                expected.push((schedule_pick(&mut eng, pick, token as u64), token as u64));
+            }
+            // Stable: equal times keep scheduling order.
+            expected.sort_by_key(|&(at, _)| at);
+            let horizon = SimTime::from_ms(horizon_ms as f64);
+            let due = expected.iter().filter(|&&(at, _)| at <= horizon).count();
+            prop_assert_eq!(eng.run(&mut w, horizon), due as u64);
+            prop_assert_eq!(&w.0[..], &expected[..due]);
+            prop_assert_eq!(eng.next_event_at(), expected.get(due).map(|e| e.0));
+            prop_assert_eq!(eng.free_slots.len(), due);
+
+            for (i, &pick) in second.iter().enumerate() {
+                let token = (first.len() + i) as u64;
+                expected.push((schedule_pick(&mut eng, pick, token), token));
+            }
+            expected[due..].sort_by_key(|&(at, _)| at);
+            eng.run_to_idle(&mut w);
+            prop_assert_eq!(&w.0, &expected);
+            prop_assert!(eng.is_idle());
+            prop_assert_eq!(eng.free_slots.len(), eng.slab.len());
+            let high_water = first.len().max(first.len() - due + second.len());
+            prop_assert_eq!(eng.slab.len(), high_water);
+        }
+    }
+
+    /// Steady world: every timer re-arms itself and sends one message,
+    /// so the number of pending events hovers around a fixed level.
+    struct Steady {
+        pending: usize,
+        high_water: usize,
+    }
+
+    impl World for Steady {
+        type Msg = u64;
+        fn on_deliver(&mut self, _eng: &mut Engine<u64>, _to: HostId, _from: HostId, _msg: u64) {
+            self.pending -= 1;
+        }
+        fn on_timer(&mut self, eng: &mut Engine<u64>, host: HostId, token: u64) {
+            eng.set_timer(host, SimTime::from_ms(1.0 + (token % 7) as f64), token);
+            eng.send(host, HostId(1 - host.0), token, SendClass::Control);
+            self.pending += 1;
+            self.high_water = self.high_water.max(self.pending);
+        }
+        fn on_external(&mut self, _eng: &mut Engine<u64>, _token: u64) {}
+    }
+
+    /// Popped slots are reused: after a long steady run the slab is as
+    /// long as the most events that were ever pending at once, not as
+    /// long as the number of events that passed through.
+    #[test]
+    fn slab_stops_growing_at_the_high_water_mark() {
+        let mut eng = Engine::new(two_host_space(0.0), 1);
+        let timers = 50;
+        for t in 0..timers {
+            eng.set_timer(HostId((t % 2) as u32), SimTime::from_ms(t as f64 / 10.0), t);
+        }
+        let mut w = Steady {
+            pending: timers as usize,
+            high_water: timers as usize,
+        };
+        let n = eng.run(&mut w, SimTime::from_secs(20));
+        assert!(n > 100_000, "only {n} events");
+        assert_eq!(eng.slab.len(), w.high_water);
+        assert_eq!(eng.heap.len(), w.pending);
+        let live = eng.slab.iter().filter(|s| s.is_some()).count();
+        assert_eq!(live, eng.heap.len());
+        assert_eq!(eng.free_slots.len(), eng.slab.len() - live);
+        assert!(eng
+            .free_slots
+            .iter()
+            .all(|&s| eng.slab[s as usize].is_none()));
     }
 }

@@ -531,7 +531,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             return;
         }
         self.ancestors = list;
-        for (c, _) in self.state.children.clone() {
+        for &(c, _) in &self.state.children {
             ctx.send(
                 c,
                 Msg::AncestorList {
@@ -1247,7 +1247,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             return;
         }
         let path = self.own_path();
-        for (c, _) in self.state.children.clone() {
+        for &(c, _) in &self.state.children {
             ctx.send(c, Msg::RootPath { path: path.clone() });
         }
     }
@@ -1295,7 +1295,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             );
         }
         // Pre-existing children: their grandparent is our new parent.
-        for (c, _) in self.state.children.clone() {
+        for &(c, _) in &self.state.children {
             ctx.send(
                 c,
                 Msg::GrandparentChange {
@@ -1521,7 +1521,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
     }
 
     fn forward_data(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        for (c, _) in self.state.children.clone() {
+        for &(c, _) in &self.state.children {
             ctx.send(c, Msg::Data { seq });
         }
     }
@@ -1546,7 +1546,7 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
     }
 
     fn on_leave_cmd(&mut self, ctx: &mut Ctx<'_>) {
-        for (c, _) in self.state.children.clone() {
+        for &(c, _) in &self.state.children {
             ctx.send(c, Msg::Leave);
         }
         if let Some(p) = self.state.parent {
@@ -1699,7 +1699,7 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
                         self.state.root_path.push(from);
                         self.broadcast_root_path(ctx);
                     }
-                    for (c, _) in self.state.children.clone() {
+                    for &(c, _) in &self.state.children {
                         ctx.send(
                             c,
                             Msg::GrandparentChange {

@@ -202,10 +202,30 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "outside arena range")]
     fn out_of_range_access_panics_in_debug() {
         let a: HostArena<u8> = HostArena::for_range(5, vec![1, 1]);
         let _ = a.get(HostId(2));
+    }
+
+    /// Release builds compile the `debug_assert!` out; the slice bounds
+    /// check is then all that keeps an id below the base (the
+    /// subtraction wraps) or past the end from reaching another slot.
+    #[test]
+    fn out_of_range_access_panics_in_every_profile() {
+        for h in [HostId(2), HostId(7)] {
+            let get = std::panic::catch_unwind(|| {
+                let a: HostArena<u8> = HostArena::for_range(5, vec![1, 1]);
+                let _ = a.get(h);
+            });
+            assert!(get.is_err(), "get({h}) returned");
+            let get_mut = std::panic::catch_unwind(|| {
+                let mut a: HostArena<u8> = HostArena::for_range(5, vec![1, 1]);
+                let _ = a.get_mut(h);
+            });
+            assert!(get_mut.is_err(), "get_mut({h}) returned");
+        }
     }
 
     #[test]

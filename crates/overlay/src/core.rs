@@ -266,3 +266,55 @@ impl<A: OverlayAgent> ProtocolCore<A> {
         &self.stats
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use vdm_netsim::{LatencySpace, Underlay};
+
+    /// Counts `path_loss` calls into a two-host latency space.
+    struct Counting(LatencySpace, AtomicU64);
+
+    impl Underlay for Counting {
+        fn num_hosts(&self) -> usize {
+            self.0.num_hosts()
+        }
+        fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
+            self.0.rtt_ms(a, b)
+        }
+        fn path_loss(&self, a: HostId, b: HostId) -> f64 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.path_loss(a, b)
+        }
+        fn path_edges(&self, _: HostId, _: HostId) -> Option<Vec<vdm_topology::EdgeId>> {
+            None
+        }
+    }
+
+    /// VDM-L's `estimate_loss` probes scattered walk candidates; it
+    /// goes to the underlay every time and neither fills nor reads the
+    /// engine's per-sender data-path memo.
+    #[test]
+    fn engine_loss_probes_bypass_the_data_path_memo() {
+        let rtt = vec![vec![0.0, 10.0], vec![10.0, 0.0]];
+        let space = LatencySpace::from_rtt_matrix(&rtt).with_uniform_loss(0.2);
+        let u = Arc::new(Counting(space, AtomicU64::new(0)));
+        let mut eng: Engine<Msg> = Engine::new(u.clone(), 1);
+        let (a, b) = (HostId(0), HostId(1));
+        let calls = || u.1.load(Ordering::Relaxed);
+        for _ in 0..50 {
+            assert_eq!(CoreIo::path_loss(&mut eng, a, b), 0.2_f32 as f64);
+        }
+        assert_eq!(calls(), 50);
+        // The probes left no entry behind: the first chunk still asks,
+        // the second does not.
+        eng.send_msg(a, b, Msg::Data { seq: 0 }, SendClass::Data);
+        eng.send_msg(a, b, Msg::Data { seq: 1 }, SendClass::Data);
+        assert_eq!(calls(), 51);
+        // And a filled memo does not answer probes.
+        CoreIo::path_loss(&mut eng, a, b);
+        assert_eq!(calls(), 52);
+    }
+}
