@@ -15,15 +15,19 @@
 //!   read-only (`Arc`) across runner threads.
 //!
 //! Both implementations answer `dist_ms` and `next_hop` **bit-for-bit
-//! identically**: they run the same [`dijkstra`] (deterministic heap
-//! tie-breaks) and derive first hops by the same predecessor walk, so
-//! switching providers cannot perturb closest-child selection anywhere.
+//! identically**: an [`Apsp`] row and a [`RouteRow`] are the same
+//! kernel run (the one loop in [`crate::spath`]: deterministic heap
+//! tie-breaks, first hops written as nodes are relaxed) into different
+//! storage, so switching providers cannot perturb closest-child
+//! selection anywhere. Because both sides are that kernel, agreement
+//! between them proves nothing about it; `spath`'s reference tests
+//! check it against an independent textbook Dijkstra.
 //!
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
 use crate::cache::{self, codec, KeyHasher};
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spath::{dijkstra, Apsp};
+use crate::spath::{sssp, valid_row_dists, valid_row_links, Apsp, Csr, Heap};
 use crate::Millis;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,34 +116,30 @@ pub struct RouteRow {
 }
 
 impl RouteRow {
-    /// Run Dijkstra from `source` and derive first hops exactly as
-    /// [`Apsp::build`] does (walk `prev` back from each target).
+    /// Run Dijkstra from `source` — the same kernel, so the same bits,
+    /// as one row of [`Apsp::build`]. Builds the graph's CSR view for
+    /// this one row; [`OnDemandRouter`] keeps one for all of its rows.
     pub fn compute(g: &Graph, source: NodeId) -> Self {
-        let sp = dijkstra(g, source);
-        let n = g.num_nodes();
-        let mut prev = vec![u32::MAX; n];
-        let mut first = vec![u32::MAX; n];
-        for v in g.nodes() {
-            if let Some(p) = sp.prev[v.idx()] {
-                prev[v.idx()] = p.0;
-            }
-            if v != source && sp.dist[v.idx()].is_finite() {
-                let mut cur = v;
-                while let Some(p) = sp.prev[cur.idx()] {
-                    if p == source {
-                        break;
-                    }
-                    cur = p;
-                }
-                first[v.idx()] = cur.0;
-            }
-        }
-        Self {
+        Self::compute_csr(&Csr::new(g), source)
+    }
+
+    fn compute_csr(csr: &Csr, source: NodeId) -> Self {
+        let n = csr.num_nodes();
+        let mut row = Self {
             source,
-            dist: sp.dist,
-            prev,
-            first,
-        }
+            dist: vec![Millis::INFINITY; n],
+            prev: vec![u32::MAX; n],
+            first: vec![u32::MAX; n],
+        };
+        sssp(
+            csr,
+            source.0,
+            &mut row.dist,
+            &mut row.prev,
+            &mut row.first,
+            &mut Heap::new(),
+        );
+        row
     }
 
     /// Shortest delay (ms) from this row's source to `v`.
@@ -169,6 +169,11 @@ impl RouteRow {
         let mut path = vec![v];
         let mut cur = v;
         while self.prev[cur.idx()] != u32::MAX {
+            if path.len() >= self.dist.len() {
+                // More steps than nodes: a `prev` cycle in a decoded
+                // row, answered as unreachable instead of looping.
+                return Vec::new();
+            }
             cur = NodeId(self.prev[cur.idx()]);
             path.push(cur);
         }
@@ -201,6 +206,12 @@ impl RouteRow {
             || prev.len() != expect_nodes
             || first.len() != expect_nodes
             || source.idx() >= expect_nodes
+            // `path_nodes` indexes with `prev`: a flipped entry must not
+            // get past the decoder.
+            || dist[source.idx()] != 0.0
+            || !valid_row_dists(&dist)
+            || !valid_row_links(&prev, expect_nodes)
+            || !valid_row_links(&first, expect_nodes)
         {
             return None;
         }
@@ -273,6 +284,9 @@ struct RowLru {
 /// caller-supplied [`KeyHasher`] identifying the graph.
 pub struct OnDemandRouter {
     graph: Arc<Graph>,
+    /// `graph`'s adjacency, flattened once for every row this router
+    /// computes.
+    csr: Csr,
     capacity: usize,
     /// Pre-fed hasher identifying the underlay (generator params +
     /// seed); present iff rows should persist to the artifact cache.
@@ -303,6 +317,7 @@ impl OnDemandRouter {
             .unwrap_or_else(|| Self::default_capacity(graph.num_nodes()))
             .max(1);
         Self {
+            csr: Csr::new(&graph),
             graph,
             capacity,
             persist_key: None,
@@ -416,12 +431,12 @@ impl OnDemandRouter {
                 let n = self.graph.num_nodes();
                 cache::get_or_compute_global(
                     &key,
-                    || RouteRow::compute(&self.graph, source),
+                    || RouteRow::compute_csr(&self.csr, source),
                     RouteRow::to_bytes,
                     |bytes| RouteRow::from_bytes(bytes, n).filter(|r| r.source == source),
                 )
             }
-            None => RouteRow::compute(&self.graph, source),
+            None => RouteRow::compute_csr(&self.csr, source),
         }
     }
 }
@@ -568,6 +583,40 @@ mod tests {
         // Wrong dimension or truncation decodes as a miss.
         assert_eq!(RouteRow::from_bytes(&bytes, 11), None);
         assert_eq!(RouteRow::from_bytes(&bytes[..bytes.len() - 1], 10), None);
+    }
+
+    /// "A corrupt artifact is a miss": entries that are not node ids,
+    /// or distances that are not distances, must not get past the
+    /// decoder (`path_nodes` indexes with `prev`).
+    #[test]
+    fn corrupt_route_row_is_rejected() {
+        let good = RouteRow::compute(&random_graph(11, 10), NodeId(3));
+        let corrupt = |edit: fn(&mut RouteRow)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            RouteRow::from_bytes(&bad.to_bytes(), 10)
+        };
+        assert!(corrupt(|r| r.prev[5] = 10).is_none(), "entry == n");
+        assert!(corrupt(|r| r.prev[5] = u32::MAX - 1).is_none());
+        assert!(corrupt(|r| r.first[5] = 10).is_none(), "entry == n");
+        assert!(corrupt(|r| r.first[5] = u32::MAX - 1).is_none());
+        assert!(corrupt(|r| r.dist[5] = Millis::NAN).is_none());
+        assert!(corrupt(|r| r.dist[5] = -0.5).is_none());
+        assert!(corrupt(|r| r.dist[3] = 1.0).is_none(), "dist[source] != 0");
+        assert!(corrupt(|r| r.first[5] = u32::MAX).is_some(), "sentinel");
+    }
+
+    /// In-range `prev` entries can still close a cycle; the walk gives
+    /// up after `n` nodes and reports the target as unreachable.
+    #[test]
+    fn prev_cycle_terminates() {
+        let mut bad = RouteRow::compute(&random_graph(11, 10), NodeId(3));
+        bad.prev[5] = 6;
+        bad.prev[6] = 5;
+        let decoded = RouteRow::from_bytes(&bad.to_bytes(), 10).expect("every entry is a node id");
+        assert!(decoded.path_nodes(NodeId(5)).is_empty());
+        assert!(decoded.path_nodes(NodeId(6)).is_empty());
+        assert_eq!(decoded.path_nodes(NodeId(3)), vec![NodeId(3)]);
     }
 
     #[test]

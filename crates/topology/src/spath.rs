@@ -5,10 +5,39 @@
 //! needs the *edge sequence* of each route. [`Apsp`] therefore precomputes
 //! both a distance matrix and a next-hop matrix; [`Apsp::path_edges`] walks
 //! the next-hop table to enumerate physical links on a route.
+//!
+//! # One kernel
+//!
+//! Every shortest-path answer in this crate — [`Apsp::build`],
+//! [`crate::router::RouteRow::compute`], [`dijkstra`] — comes out of the
+//! one loop in `sssp`, run over a `Csr` view of the graph (one flat
+//! `(neighbour, delay)` array in [`Graph::neighbors`] order, so
+//! relaxation order, and with it every predecessor under ties, is the
+//! adjacency lists'). Three things in that loop are deliberate:
+//!
+//! * **The heap key is the distance's bit pattern.** Dijkstra only ever
+//!   produces non-negative finite distances, and for those the IEEE-754
+//!   bit pattern read as a `u64` orders exactly as the number does. The
+//!   heap is therefore a min-heap on plain `(u64, u32)` tuples —
+//!   distance, then node id for determinism — with no `partial_cmp`.
+//! * **First hops are written at relaxation time.** When `v` is popped
+//!   with a live entry its distance is final, and `dist`, `prev` and
+//!   `first` of a node only ever change together, so `first[v]` is final
+//!   too; every node relaxed from `v` inherits it (or becomes its own
+//!   first hop when `v` is the source). That is the same answer as
+//!   walking `prev` back from each target, without the `O(n · depth)`
+//!   walk.
+//! * **Degree-1 nodes are never pushed** (unless one is the source). A
+//!   leaf is reached from its only neighbour, which has just been
+//!   settled; popping the leaf could relax nothing but that neighbour,
+//!   and never strictly improves it. Its `dist`/`prev`/`first` are still
+//!   written, and because heap entries are totally ordered the pop order
+//!   of every other node is unchanged. Host access links make ~46 % of
+//!   the nodes on the join testbeds leaves.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::Millis;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Result of a single-source Dijkstra run.
@@ -43,28 +72,105 @@ impl ShortestPaths {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: Millis,
-    node: NodeId,
+/// Compressed-sparse-row view of a [`Graph`]'s adjacency: node `v`'s
+/// neighbours are `adj[off[v]..off[v + 1]]`, in [`Graph::neighbors`]
+/// order. `16 B × 2E + 4 B × (n + 1)`; built once per router / APSP
+/// build so a relaxation reads one flat array instead of chasing
+/// `Adj → EdgeId → Edge`.
+pub(crate) struct Csr {
+    off: Vec<u32>,
+    adj: Vec<(u32, Millis)>,
 }
 
-impl Eq for HeapEntry {}
+impl Csr {
+    pub(crate) fn new(g: &Graph) -> Self {
+        // Sized exactly, one allocation each: growing `adj` by doubling
+        // left half-size buffers behind and moved peak RSS (see the
+        // allocation note in `Apsp::build`).
+        let mut csr = Self::with_capacity(g.num_nodes(), 2 * g.num_edges());
+        for v in g.nodes() {
+            csr.push_node(
+                g.neighbors(v)
+                    .iter()
+                    .map(|a| (a.to.0, g.edge(a.edge).attrs.delay_ms)),
+            );
+        }
+        csr
+    }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; tie-break on node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
+    fn with_capacity(nodes: usize, entries: usize) -> Self {
+        let mut off = Vec::with_capacity(nodes + 1);
+        off.push(0);
+        Self {
+            off,
+            adj: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Append the next node (ids are assigned in call order) with its
+    /// `(neighbour, delay)` list.
+    fn push_node(&mut self, list: impl Iterator<Item = (u32, Millis)>) {
+        self.adj.extend(list);
+        self.off.push(
+            u32::try_from(self.adj.len()).expect("adjacency entries exceed the u32 offset space"),
+        );
+    }
+
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn neighbors(&self, v: u32) -> &[(u32, Millis)] {
+        &self.adj[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    }
+
+    fn degree(&self, v: u32) -> u32 {
+        self.off[v as usize + 1] - self.off[v as usize]
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// Min-heap of (distance bit pattern, node id); see the module docs.
+pub(crate) type Heap = BinaryHeap<Reverse<(u64, u32)>>;
+
+/// Delay-weighted Dijkstra from `source` into three `n`-long rows (the
+/// crate's one shortest-path loop; see the module docs). On return
+/// `dist[v]` is the shortest delay (`INFINITY` when unreachable),
+/// `prev[v]` the predecessor and `first[v]` the first hop from the
+/// source, both `u32::MAX` for the source and unreachable nodes.
+pub(crate) fn sssp(
+    csr: &Csr,
+    source: u32,
+    dist: &mut [Millis],
+    prev: &mut [u32],
+    first: &mut [u32],
+    heap: &mut Heap,
+) {
+    let n = csr.num_nodes();
+    assert!(dist.len() == n && prev.len() == n && first.len() == n);
+    dist.fill(Millis::INFINITY);
+    prev.fill(u32::MAX);
+    first.fill(u32::MAX);
+    heap.clear();
+    dist[source as usize] = 0.0;
+    heap.push(Reverse((0.0f64.to_bits(), source)));
+    while let Some(Reverse((key, v))) = heap.pop() {
+        let d = Millis::from_bits(key);
+        if d > dist[v as usize] {
+            continue; // stale entry
+        }
+        let via = first[v as usize];
+        for &(to, delay) in csr.neighbors(v) {
+            let t = to as usize;
+            let nd = d + delay;
+            if nd < dist[t] {
+                dist[t] = nd;
+                prev[t] = v;
+                first[t] = if v == source { to } else { via };
+                if csr.degree(to) > 1 {
+                    heap.push(Reverse((nd.to_bits(), to)));
+                }
+            }
+        }
     }
 }
 
@@ -72,30 +178,24 @@ impl PartialOrd for HeapEntry {
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
     let n = g.num_nodes();
     let mut dist = vec![Millis::INFINITY; n];
-    let mut prev = vec![None; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    dist[source.idx()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if d > dist[v.idx()] {
-            continue; // stale entry
-        }
-        for adj in g.neighbors(v) {
-            let nd = d + g.edge(adj.edge).attrs.delay_ms;
-            if nd < dist[adj.to.idx()] {
-                dist[adj.to.idx()] = nd;
-                prev[adj.to.idx()] = Some(v);
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: adj.to,
-                });
-            }
-        }
+    let mut prev = vec![u32::MAX; n];
+    let mut first = vec![u32::MAX; n];
+    sssp(
+        &Csr::new(g),
+        source.0,
+        &mut dist,
+        &mut prev,
+        &mut first,
+        &mut Heap::new(),
+    );
+    ShortestPaths {
+        source,
+        dist,
+        prev: prev
+            .into_iter()
+            .map(|p| (p != u32::MAX).then_some(NodeId(p)))
+            .collect(),
     }
-    ShortestPaths { source, dist, prev }
 }
 
 /// All-pairs shortest paths with next-hop routing tables.
@@ -120,28 +220,29 @@ pub struct Apsp {
 }
 
 impl Apsp {
-    /// Run Dijkstra from every node of `g`.
+    /// Run Dijkstra from every node of `g`, straight into the rows of
+    /// the two planes.
     pub fn build(g: &Graph) -> Self {
         let n = g.num_nodes();
+        // The two n² planes come first, before any scratch, and the
+        // scratch is a few exactly-sized allocations. When a process
+        // builds tables repeatedly, glibc serves the planes from the
+        // block the previous pair freed — and any other request that
+        // fits no smaller hole from the front of that same block, after
+        // which `next` no longer fits behind `dist` and the heap grows
+        // by a whole plane: +16 % peak RSS on the `soak_resilient`
+        // benchmark, seen both with scratch allocated first and with a
+        // CSR grown by doubling after the planes (DESIGN.md §8).
         let mut dist = vec![Millis::INFINITY; n * n];
         let mut next = vec![u32::MAX; n * n];
-        for s in g.nodes() {
-            let sp = dijkstra(g, s);
-            let row = s.idx() * n;
-            dist[row..row + n].copy_from_slice(&sp.dist);
-            for v in g.nodes() {
-                if v != s && sp.dist[v.idx()].is_finite() {
-                    // First hop from s toward v: walk prev[] back from v.
-                    let mut cur = v;
-                    while let Some(p) = sp.prev[cur.idx()] {
-                        if p == s {
-                            break;
-                        }
-                        cur = p;
-                    }
-                    next[row + v.idx()] = cur.0;
-                }
-            }
+        let csr = Csr::new(g);
+        let mut prev = vec![u32::MAX; n];
+        let mut heap = Heap::new();
+        let rows = dist
+            .chunks_exact_mut(n.max(1))
+            .zip(next.chunks_exact_mut(n.max(1)));
+        for (s, (dist_row, next_row)) in rows.enumerate() {
+            sssp(&csr, s as u32, dist_row, &mut prev, next_row, &mut heap);
         }
         Self { n, dist, next }
     }
@@ -172,7 +273,12 @@ impl Apsp {
         if !r.at_end() || dist.len() != n.checked_mul(n)? || next.len() != dist.len() {
             return None;
         }
-        Some(Self { n, dist, next })
+        // `path_nodes` indexes with these entries: a flipped one must
+        // not get past the decoder.
+        let valid = valid_row_dists(&dist)
+            && valid_row_links(&next, n)
+            && (0..n).all(|s| dist[s * n + s] == 0.0);
+        valid.then_some(Self { n, dist, next })
     }
 
     /// Shortest one-way delay (ms) from `a` to `b`, at full `f64`
@@ -192,19 +298,18 @@ impl Apsp {
     /// Node sequence of the route `a -> b` (inclusive). Empty when
     /// unreachable; `[a]` when `a == b`.
     pub fn path_nodes(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        if a == b {
-            return vec![a];
-        }
         let mut path = vec![a];
         let mut cur = a;
         while cur != b {
             match self.next_hop(cur, b) {
-                Some(h) => {
+                // A route visits each node at most once; a longer walk
+                // is a next-hop cycle in a decoded table, answered as
+                // unreachable instead of looping forever.
+                Some(h) if path.len() < self.n => {
                     cur = h;
                     path.push(cur);
-                    debug_assert!(path.len() <= self.n, "routing loop {a}->{b}");
                 }
-                None => return Vec::new(),
+                _ => return Vec::new(),
             }
         }
         path
@@ -227,6 +332,19 @@ impl Apsp {
     pub fn hop_count(&self, a: NodeId, b: NodeId) -> usize {
         self.path_nodes(a, b).len().saturating_sub(1)
     }
+}
+
+/// Decode check shared by [`Apsp::from_bytes`] and
+/// [`crate::router::RouteRow::from_bytes`]: every distance is a
+/// non-negative number (`INFINITY` = unreachable is one).
+pub(crate) fn valid_row_dists(dist: &[Millis]) -> bool {
+    dist.iter().all(|&d| d >= 0.0)
+}
+
+/// Decode check for a `next` / `prev` / `first` table over `n` nodes:
+/// every entry is a node id or the `u32::MAX` sentinel.
+pub(crate) fn valid_row_links(links: &[u32], n: usize) -> bool {
+    links.iter().all(|&l| l == u32::MAX || (l as usize) < n)
 }
 
 /// Reference Floyd–Warshall APSP distances, used to cross-check [`Apsp`]
@@ -260,6 +378,9 @@ pub fn floyd_warshall(g: &Graph) -> Vec<Vec<Millis>> {
     }
     d
 }
+
+#[cfg(test)]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {
@@ -316,6 +437,44 @@ mod tests {
         assert!(apsp.dist_ms(NodeId(0), iso).is_infinite());
         assert!(apsp.next_hop(NodeId(0), iso).is_none());
         assert!(apsp.path_nodes(NodeId(0), iso).is_empty());
+    }
+
+    /// "A corrupt artifact is a miss": a table entry that is not a node
+    /// id, or a distance that is not one, must not get past the decoder
+    /// (`path_nodes` indexes with the former).
+    #[test]
+    fn corrupt_apsp_artifact_is_rejected() {
+        let good = Apsp::build(&line_with_shortcut());
+        assert!(Apsp::from_bytes(&good.to_bytes()).is_some());
+        let corrupt = |edit: fn(&mut Apsp)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            Apsp::from_bytes(&bad.to_bytes())
+        };
+        assert!(corrupt(|a| a.next[2] = 3).is_none(), "entry == n");
+        assert!(corrupt(|a| a.next[2] = u32::MAX - 1).is_none());
+        assert!(corrupt(|a| a.dist[1] = Millis::NAN).is_none());
+        assert!(corrupt(|a| a.dist[1] = -1.0).is_none());
+        assert!(corrupt(|a| a.dist[4] = 1.0).is_none(), "diagonal != 0");
+        // The sentinel itself is a legal entry (unreachable).
+        assert!(corrupt(|a| a.next[2] = u32::MAX).is_some());
+    }
+
+    /// In-range entries can still close a cycle; the walk gives up after
+    /// `n` nodes and reports the pair as unreachable.
+    #[test]
+    fn next_hop_cycle_terminates() {
+        let mut bad = Apsp::build(&line_with_shortcut());
+        // 0 -> 2 goes via 1; point 1's hop toward 2 back at 0.
+        bad.next[3 + 2] = 0;
+        let decoded = Apsp::from_bytes(&bad.to_bytes()).expect("every entry is a node id");
+        assert!(decoded.path_nodes(NodeId(0), NodeId(2)).is_empty());
+        assert_eq!(decoded.hop_count(NodeId(0), NodeId(2)), 0);
+        // Routes that avoid the cycle are untouched.
+        assert_eq!(
+            decoded.path_nodes(NodeId(2), NodeId(0)),
+            vec![NodeId(2), NodeId(1), NodeId(0)]
+        );
     }
 
     /// Regression: delays that differ only below f32 resolution must stay

@@ -122,3 +122,32 @@ proptest! {
         );
     }
 }
+
+/// The shortest-path kernel's output is bit-identical to the loop it
+/// replaced, so artifacts written before it stay valid and `CODE_SALT`
+/// did not move. The constants are the FNV-1a hashes of the bytes the
+/// pre-kernel code (commit e7d2e51) produced for this graph — transit-stub
+/// plus hosts, so a third of the nodes are the leaves the kernel treats
+/// specially. If this fails, either restore the output or bump
+/// `CODE_SALT` and re-record.
+#[test]
+fn artifact_bytes_match_the_pre_kernel_build() {
+    use vdm_topology::transit_stub::{self, TransitStubConfig};
+    use vdm_topology::RouteRow;
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        KeyHasher::new().feed_bytes(bytes).key("pin").hash
+    }
+
+    assert_eq!(vdm_topology::cache::CODE_SALT, 0x7664_6d63_6163_6802);
+    let mut g = transit_stub::generate(&TransitStubConfig::sized(96), 42);
+    let hosts = transit_stub::attach_hosts(&mut g, 40, 42, 0.0);
+    assert_eq!((g.num_nodes(), g.num_edges()), (160, 186));
+    assert_eq!(g.nodes().filter(|&v| g.degree(v) == 1).count(), 56);
+
+    assert_eq!(fnv(&Apsp::build(&g).to_bytes()), 0x2103_3b9c_b21b_3243);
+    let from_leaf = RouteRow::compute(&g, hosts[0]);
+    assert_eq!(fnv(&from_leaf.to_bytes()), 0xaf6d_2dce_c9b0_3bde);
+    let from_router = RouteRow::compute(&g, NodeId(0));
+    assert_eq!(fnv(&from_router.to_bytes()), 0x1107_03c3_c0de_eb68);
+}

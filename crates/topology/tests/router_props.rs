@@ -2,6 +2,11 @@
 //! power-law underlays it must answer distance and next-hop queries
 //! bit-identically to the dense `Apsp` oracle, and LRU eviction must be
 //! invisible (an evicted, re-queried row equals a fresh computation).
+//!
+//! Both oracles are filled by the one kernel in `spath.rs`, so these
+//! properties cover the storage, the row orientation and the LRU — not
+//! the kernel, which `spath/reference_tests.rs` checks against an
+//! independent textbook Dijkstra.
 
 use proptest::prelude::*;
 use std::sync::Arc;
