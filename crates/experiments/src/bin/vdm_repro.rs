@@ -31,11 +31,12 @@
 //!   all           everything above
 //!
 //! `scale` (A9) is separate from `all` like `bench`: it joins N members
-//! (up to 20k with --paper) under VDM and HMTP over power-law underlays
-//! routed by the memory-bounded on-demand router — no O(n^2) matrix —
-//! and writes `BENCH_scale.json` (per-N wall-clock, walk contacts vs
-//! the n·log N prediction, resident-row peak). `--smoke` runs tiny
-//! sizes sequentially for CI gating. `--shards N` (A12) additionally
+//! (up to 20k with --paper) under VDM, coordinate-guided VDM and HMTP
+//! over power-law underlays routed by the memory-bounded on-demand
+//! router — no O(n^2) matrix — and writes `BENCH_scale.json` (per-N
+//! wall-clock, walk contacts vs the n·log N prediction, resident-row
+//! peak). `--smoke` runs tiny sizes sequentially for CI gating.
+//! `--shards N` (A12) additionally
 //! sweeps the sharded engine from 1 to N shards over one shard-aware
 //! power-law underlay — up to 100k members with `--paper` — and writes
 //! `BENCH_shard.json`; the run fails unless the S = 1 run is
@@ -265,8 +266,10 @@ fn run_bench(opts: &Opts, smoke: bool) -> io::Result<()> {
     Ok(())
 }
 
-/// `vdm-repro scale` (A9): join up to 20k members under VDM and HMTP
-/// over on-demand-routed power-law underlays, emit `BENCH_scale.json`.
+/// `vdm-repro scale` (A9): join up to 20k members under VDM,
+/// coordinate-guided VDM and HMTP over on-demand-routed power-law
+/// underlays, emit `BENCH_scale.json`; fails when the guided series
+/// regresses stretch or routing-row misses against plain VDM.
 /// With `--shards N` (A12), also sweep the sharded engine up to `N`
 /// shards over one shard-aware underlay and emit `BENCH_shard.json`;
 /// outside smoke mode `--shards` runs *only* the sharded bench (the
@@ -306,6 +309,16 @@ fn run_scale(opts: &Opts, smoke: bool, shards: Option<usize>) -> io::Result<()> 
                 return Err(io::Error::other(format!(
                     "guided stretch regression at N={}: {:.4} vs plain {:.4}",
                     vdm.n, guided.stretch_mean, vdm.stretch_mean
+                )));
+            }
+            // Both sweeps ask the oracle about the joining host only, so
+            // each builds one routing row per host at any LRU capacity; a
+            // guided sweep that needs more has gone back to reads that
+            // thrash the LRU (8x the wall at N=10k when it last did).
+            if guided.row_misses > vdm.row_misses {
+                return Err(io::Error::other(format!(
+                    "guided row-miss regression at N={}: {} vs plain {}",
+                    vdm.n, guided.row_misses, vdm.row_misses
                 )));
             }
         }

@@ -3,13 +3,13 @@
 //! The paper's own complexity claim (§3.2.3, Eq. 3.3: contacted peers
 //! per join ≈ `n·log_n N`) is only interesting if it holds *at scale* —
 //! overlay evaluations in the literature (Narada/ESM, NICE) routinely
-//! go to 10k+ members. This family joins N members under VDM and HMTP
-//! over power-law underlays routed by the memory-bounded
-//! [`OnDemandRouter`] (no `O(n^2)` matrix is ever materialized),
-//! recording per-N wall-clock, walk-contact counts against the
-//! prediction, and the router's resident-row high-water mark (the peak
-//! RSS proxy). `vdm-repro scale` renders the table and emits
-//! `results/BENCH_scale.json`.
+//! go to 10k+ members. This family joins N members under VDM,
+//! coordinate-guided VDM and HMTP over power-law underlays routed by
+//! the memory-bounded [`OnDemandRouter`] (no `O(n^2)` matrix is ever
+//! materialized), recording per-N wall-clock, walk-contact counts
+//! against the prediction, and the router's resident-row high-water
+//! mark (the peak RSS proxy). `vdm-repro scale` renders the table and
+//! emits `results/BENCH_scale.json`.
 //!
 //! [`OnDemandRouter`]: vdm_topology::OnDemandRouter
 
@@ -151,7 +151,7 @@ fn finish_point<D: Fn(HostId, HostId) -> VDist>(
 }
 
 /// Outcome of [`guided_join_sweep`]: the built overlay, per-join
-/// contact counts and the join loop's wall-clock.
+/// contact counts, the join loop's wall-clock and the embedding.
 pub struct GuidedSweep {
     /// The overlay after all joins. The distance closure is boxed so
     /// the concrete overlay type is nameable by callers holding any
@@ -160,8 +160,86 @@ pub struct GuidedSweep {
     pub ov: SyncOverlay<Box<dyn Fn(HostId, HostId) -> VDist>>,
     /// Contacts per join, in join order.
     pub contacts: Vec<f64>,
-    /// Wall-clock of the join loop, ms.
+    /// Wall-clock of the join loop (planning the background reads
+    /// included), ms.
     pub wall_ms: f64,
+    /// Every host's Vivaldi state after the last join.
+    pub coords: CoordTable,
+}
+
+/// Seeded member pairs observed per join as background Vivaldi
+/// maintenance (see [`guided_join_sweep`]).
+const BACKGROUND_PAIRS: u64 = 8;
+
+/// The `i`-th background pair of join `h`: two members drawn from
+/// `0..=h`, `None` when the draw lands on one host twice.
+fn background_pair(seed: u64, h: u32, i: u64) -> Option<(HostId, HostId)> {
+    let r = splitmix64(seed ^ 0xb16_c00d ^ ((h as u64) << 34) ^ i);
+    let a = HostId((r % (h as u64 + 1)) as u32);
+    let b = HostId(((r >> 32) % (h as u64 + 1)) as u32);
+    (a != b).then_some((a, b))
+}
+
+/// Where the RTT of join `h`'s `i`-th background pair is kept.
+fn background_slot(h: u32, i: u64) -> usize {
+    (h as usize - 1) * BACKGROUND_PAIRS as usize + i as usize
+}
+
+/// A whole sweep's background pairs filed under their first endpoint,
+/// so the sweep can ask for `rtt_ms(a, _)` only while `a` is the host
+/// joining — when an on-demand router has `a`'s row resident anyway —
+/// instead of at the pair's own join, where a uniformly random `a`
+/// costs a fresh Dijkstra row read once. `O(8 n)` memory in three flat
+/// arrays (a counting sort by `a`), dropped with the sweep.
+struct BackgroundReads {
+    /// Host `a`'s bucket is `entries[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<u32>,
+    /// `(b, slot)` of every pair `(a, b)`, grouped by `a`.
+    entries: Vec<(HostId, u32)>,
+    /// RTT per [`background_slot`]; NaN until [`Self::read_from`] its
+    /// first endpoint (and forever for a draw without a pair).
+    rtt: Vec<f64>,
+}
+
+impl BackgroundReads {
+    /// Enumerate and bucket the pairs of joins `1..=n`.
+    fn plan(seed: u64, n: usize) -> Self {
+        let slots = n * BACKGROUND_PAIRS as usize;
+        assert!(u32::try_from(slots).is_ok(), "{n} joins overflow a slot");
+        let pairs = || {
+            (1..=n as u32).flat_map(move |h| {
+                (0..BACKGROUND_PAIRS).filter_map(move |i| {
+                    background_pair(seed, h, i).map(|(a, b)| (a, b, background_slot(h, i) as u32))
+                })
+            })
+        };
+        let mut offsets = vec![0u32; n + 2];
+        for (a, _, _) in pairs() {
+            offsets[a.idx() + 1] += 1;
+        }
+        for a in 0..=n {
+            offsets[a + 1] += offsets[a];
+        }
+        let mut next = offsets.clone();
+        let mut entries = vec![(HostId(0), 0u32); offsets[n + 1] as usize];
+        for (a, b, slot) in pairs() {
+            entries[next[a.idx()] as usize] = (b, slot);
+            next[a.idx()] += 1;
+        }
+        Self {
+            offsets,
+            entries,
+            rtt: vec![f64::NAN; slots],
+        }
+    }
+
+    /// Answer every pair whose first endpoint is `a`.
+    fn read_from(&mut self, a: HostId, underlay: &dyn Underlay) {
+        let bucket = self.offsets[a.idx()] as usize..self.offsets[a.idx() + 1] as usize;
+        for &(b, slot) in &self.entries[bucket] {
+            self.rtt[slot as usize] = underlay.rtt_ms(a, b);
+        }
+    }
 }
 
 /// The coordinate-guided VDM sweep: every joiner draws a deterministic
@@ -202,6 +280,9 @@ pub fn guided_join_sweep(
     // Every member's root-path RTT as of its own attach (source = 0).
     let mut path_rtt = vec![0.0f64; n + 1];
     let t0 = Instant::now();
+    let mut background = BackgroundReads::plan(seed, n);
+    // The source's row is resident from the underlay's construction.
+    background.read_from(source, &*underlay);
     for h in 1..=n as u32 {
         let joiner = HostId(h);
         // In-tree hosts are exactly 0..h (source plus earlier joiners).
@@ -252,18 +333,22 @@ pub fn guided_join_sweep(
         let tr = ov.join_from(joiner, degree, policy, entry);
         path_rtt[joiner.idx()] = path_rtt[tr.parent.idx()] + underlay.rtt_ms(joiner, tr.parent);
         contacts.push(probed + tr.contacted as f64);
+        // The joiner's row is the most recently used: answer every
+        // background pair it is the first endpoint of, now.
+        background.read_from(joiner, &*underlay);
         // Background Vivaldi maintenance: the async protocol trains
         // the embedding piggyback on heartbeat/data traffic that flows
         // regardless of joins (DESIGN.md §11), so these observations
         // model messages the overlay already pays for and do NOT count
         // as join contacts. A handful of seeded member pairs per join
-        // keeps the embedding tracking the growing membership.
-        for i in 0..8u64 {
-            let r = splitmix64(seed ^ 0xb16_c00d ^ ((h as u64) << 34) ^ i);
-            let a = HostId((r % (h as u64 + 1)) as u32);
-            let b = HostId(((r >> 32) % (h as u64 + 1)) as u32);
-            if a != b {
-                table.observe(a, b, underlay.rtt_ms(a, b));
+        // keeps the embedding tracking the growing membership. Each
+        // pair's RTT was read at its first endpoint's join (`a <= h`)
+        // and is observed here, in the order an inline read would
+        // give — an underlay's answers do not depend on when they are
+        // asked, so coordinates, ranking and the tree are the same.
+        for i in 0..BACKGROUND_PAIRS {
+            if let Some((a, b)) = background_pair(seed, h, i) {
+                table.observe(a, b, background.rtt[background_slot(h, i)]);
             }
         }
     }
@@ -272,6 +357,7 @@ pub fn guided_join_sweep(
         ov,
         contacts,
         wall_ms,
+        coords: table,
     }
 }
 
@@ -304,10 +390,11 @@ pub fn scale_sizes(effort: Effort) -> Vec<usize> {
 /// The A9 report: the rendered table plus the per-point raw data for
 /// `BENCH_scale.json`.
 pub struct ScaleReport {
-    /// The "A9" figure table (VDM vs HMTP contacts, prediction,
-    /// wall-clock, rows at peak).
+    /// The "A9" figure table (VDM vs guided VDM vs HMTP contacts,
+    /// prediction, stretch, plain and guided wall-clock, rows at peak,
+    /// guided row misses).
     pub tables: Vec<Table>,
-    /// All measured points, VDM and HMTP interleaved per N.
+    /// All measured points: VDM, guided VDM, HMTP per N, in that order.
     pub points: Vec<ScalePoint>,
 }
 
@@ -326,7 +413,9 @@ pub fn scale_family_with_sizes(sizes: &[usize], seed: u64) -> ScaleReport {
             "vdm_stretch".into(),
             "guided_stretch".into(),
             "vdm_wall_ms".into(),
+            "guided_wall_ms".into(),
             "vdm_rows_peak".into(),
+            "guided_misses".into(),
         ],
     );
     let exact = |v: f64| CiStat {
@@ -348,7 +437,9 @@ pub fn scale_family_with_sizes(sizes: &[usize], seed: u64) -> ScaleReport {
                 exact(vdm.stretch_mean),
                 exact(guided.stretch_mean),
                 exact(vdm.wall_ms),
+                exact(guided.wall_ms),
                 exact(vdm.rows_peak as f64),
+                exact(guided.row_misses as f64),
             ],
         );
         points.push(vdm);
@@ -403,6 +494,10 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use vdm_netsim::RoutedUnderlay;
+    use vdm_topology::cache::KeyHasher;
+    use vdm_topology::EdgeId;
 
     #[test]
     fn smoke_sizes_produce_valid_points() {
@@ -431,6 +526,137 @@ mod tests {
         let b = run_guided(40, 11, &VdmPolicy::delay_based());
         assert_eq!(a.contacts_mean.to_bits(), b.contacts_mean.to_bits());
         assert_eq!(a.stretch_mean.to_bits(), b.stretch_mean.to_bits());
+    }
+
+    /// FNV-1a over everything a change to *when* the oracle is read
+    /// could perturb: the final parent vector, every join's contact
+    /// count and every member's Vivaldi coordinate and error, all by
+    /// bit pattern. (`perf`'s `sim_digest` covers the first two only.)
+    fn sweep_pin(sweep: &GuidedSweep) -> u64 {
+        let mut h = KeyHasher::new();
+        let parents = sweep.ov.snapshot().parent;
+        for p in &parents {
+            h.feed_u64(p.map_or(u64::MAX, |p| u64::from(p.0)));
+        }
+        for c in &sweep.contacts {
+            h.feed_u64(c.to_bits());
+        }
+        for i in 0..parents.len() as u32 {
+            let st = sweep.coords.state(HostId(i));
+            for x in st.coord.0 {
+                h.feed_u64(x.to_bits());
+            }
+            h.feed_u64(st.err.to_bits());
+        }
+        h.key("pin").hash
+    }
+
+    /// The A9 testbed's graph and hosts behind a hand-sized row LRU.
+    fn small_lru_underlay(n: usize, seed: u64, rows: usize) -> Arc<RoutedUnderlay> {
+        let s = setup::scale_setup(n, seed);
+        Arc::new(RoutedUnderlay::on_demand(
+            Arc::new(s.underlay.graph().clone()),
+            s.underlay.host_nodes().to_vec(),
+            Some(rows),
+            None,
+        ))
+    }
+
+    /// Recorded at c35efa8, where every background RTT was read inline
+    /// at its pair's own join: the reorder must leave tree, contacts
+    /// and the whole embedding bit-identical, at the default LRU and
+    /// through one far smaller than the membership.
+    #[test]
+    fn guided_sweep_matches_the_inline_read_build() {
+        let policy = VdmPolicy::delay_based();
+        for (n, seed, pin) in [
+            (256, 1, 0x06ca_6775_7b84_1f7f),
+            (256, 2, 0x71a1_a3ea_cf4b_6ed5),
+            (256, 42, 0x7674_c415_7ed8_41fa),
+            (512, 1, 0x81e5_6d42_66b7_2f50),
+            (512, 2, 0x44e3_ff47_1ea2_f377),
+            (512, 42, 0xf375_8113_14b4_90bb),
+        ] {
+            let u = setup::scale_setup(n, seed).underlay;
+            let sweep = guided_join_sweep(u, n, DEGREE, seed, &policy);
+            assert_eq!(sweep_pin(&sweep), pin, "n {n} seed {seed}");
+        }
+        let (n, seed) = (300, 42);
+        let u = small_lru_underlay(n, seed, 8);
+        let sweep = guided_join_sweep(u.clone(), n, DEGREE, seed, &policy);
+        assert_eq!(sweep_pin(&sweep), 0xf504_9b55_d36f_8525);
+        // One row per host plus the source's (inline reads: 2 377).
+        let misses = u.router().expect("on-demand").stats().misses;
+        assert_eq!(misses, n as u64 + 1);
+    }
+
+    /// Logs every `rtt_ms(a, b)` the sweep issues, in call order.
+    struct Recording {
+        inner: Arc<RoutedUnderlay>,
+        calls: Mutex<Vec<(HostId, HostId)>>,
+    }
+
+    impl Underlay for Recording {
+        fn num_hosts(&self) -> usize {
+            self.inner.num_hosts()
+        }
+        fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
+            self.calls.lock().expect("log poisoned").push((a, b));
+            self.inner.rtt_ms(a, b)
+        }
+        fn path_loss(&self, a: HostId, b: HostId) -> f64 {
+            self.inner.path_loss(a, b)
+        }
+        fn path_edges(&self, a: HostId, b: HostId) -> Option<Vec<EdgeId>> {
+            self.inner.path_edges(a, b)
+        }
+    }
+
+    /// The invariant behind "one row per join at any LRU capacity":
+    /// the source is asked before the loop, then every `rtt_ms(x, _)`
+    /// has `x` = the host joining, whose background reads follow its
+    /// own. And the reorder neither drops nor repeats a read.
+    #[test]
+    fn every_read_asks_the_host_that_is_joining() {
+        let (n, seed) = (300, 42);
+        let rec = Arc::new(Recording {
+            inner: setup::scale_setup(n, seed).underlay,
+            calls: Mutex::default(),
+        });
+        guided_join_sweep(rec.clone(), n, DEGREE, seed, &VdmPolicy::delay_based());
+        let mut calls = rec.calls.lock().expect("log poisoned").clone();
+
+        // What inline reads would ask, filed under the first endpoint.
+        let mut bucket = vec![Vec::new(); n + 1];
+        for h in 1..=n as u32 {
+            for (a, b) in (0..BACKGROUND_PAIRS).filter_map(|i| background_pair(seed, h, i)) {
+                bucket[a.idx()].push((a, b));
+            }
+        }
+        let turns: Vec<_> = calls.chunk_by(|x, y| x.0 == y.0).collect();
+        assert_eq!(turns.len(), n + 1, "a host was asked in two turns");
+        for (h, (turn, bucket)) in turns.iter().zip(&bucket).enumerate() {
+            assert_eq!(turn[0].0.idx(), h);
+            assert!(
+                turn.ends_with(bucket),
+                "turn {h} does not end with its bucket"
+            );
+            // Before them the joiner measures in-tree hosts only.
+            let own = &turn[..turn.len() - bucket.len()];
+            assert!(own.iter().all(|&(_, b)| b.idx() < h), "turn {h}: {own:?}");
+        }
+
+        // The same multiset of calls as with inline reads (recorded at
+        // c35efa8 through this wrapper, where they made 2 615 turns).
+        calls.sort();
+        let mut h = KeyHasher::new();
+        for (a, b) in &calls {
+            h.feed_u64(u64::from(a.0)).feed_u64(u64::from(b.0));
+        }
+        assert_eq!(
+            (calls.len(), h.key("pin").hash),
+            (6014, 0x7f01_472a_fc80_d186)
+        );
     }
 
     #[test]

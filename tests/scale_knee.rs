@@ -18,8 +18,10 @@ use vdm_overlay::coords::{pair_seed, CoordsConfig, VivaldiState};
 /// by default; CI runs it in release with `--include-ignored`). At the
 /// size where the unguided walk's contact count leaves the log curve
 /// (~14× the prediction at N=10k), the guided series must stay within
-/// 3× of `4·log₄N`, beat the unguided mean outright, and pay at most
-/// 2% stretch for it.
+/// 3× of `4·log₄N`, beat the unguided mean outright, pay at most 2%
+/// stretch for it — and build each host's routing row exactly once
+/// through the 197-row LRU, as the unguided sweep does (82 227 builds
+/// and 8× the wall while its background reads were issued inline).
 #[test]
 #[ignore = "10k-member sweep; run in release (CI passes --include-ignored)"]
 fn guided_joins_stay_on_the_log_curve_at_10k() {
@@ -43,6 +45,16 @@ fn guided_joins_stay_on_the_log_curve_at_10k() {
         "guided stretch {:.4} regressed past 2% of unguided {:.4}",
         guided.stretch_mean,
         vdm.stretch_mean
+    );
+    assert_eq!(
+        guided.row_misses, 10_001,
+        "one row per host plus the source's"
+    );
+    assert!(
+        guided.row_misses <= vdm.row_misses,
+        "guided sweep built {} rows, unguided {}",
+        guided.row_misses,
+        vdm.row_misses
     );
 }
 
