@@ -25,6 +25,7 @@
 
 use crate::ci::CiStat;
 use crate::figures::column;
+use crate::report::{Fields, Report};
 use crate::runner::{run_cells, Cell, CellKey};
 use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
 use crate::table::Table;
@@ -247,45 +248,19 @@ fn run_point(
     bs_metrics(&out)
 }
 
-/// One cell's published numbers (`BENCH_bootstrap.json` rows).
-#[derive(Clone, Debug)]
-pub struct BsPoint {
-    /// `"k"`, `"stale"` or `"churn"` — which sweep the point belongs to.
-    pub table: &'static str,
-    /// The swept x value.
-    pub x: f64,
-    /// `"VDM"` or `"HMTP"`.
-    pub proto: &'static str,
-    /// Replication index.
-    pub trial: usize,
-    /// Median seconds from join command to established connection.
-    pub startup_med_s: f64,
-    /// Median seconds from first probe to first live anchor (`NaN`
-    /// when the run produced no anchors).
-    pub anchor_med_s: f64,
-    /// Joins that exhausted the view and walked from the source.
-    pub fallbacks: u64,
-    /// Probes whose deadline fired (stale or crashed peer detected).
-    pub stale_hits: u64,
-    /// `PeerReq` probes sent.
-    pub contacts: u64,
-    /// Whole-run stream loss, percent.
-    pub loss_pct: f64,
-    /// Steady-state mean stretch (tail of the measurement series).
-    pub stretch: f64,
-    /// Structural invariant violations (must stay 0).
-    pub violations: u64,
-    /// Fraction of end-of-run members with an established parent.
-    pub connected_frac: f64,
-}
-
 /// The A11 report: rendered tables, raw per-cell points, and the two
-/// headline aggregates the CI gate reads.
+/// headline aggregates [`BootstrapReport::report`] gates on.
 pub struct BootstrapReport {
     /// A11a (k), A11b (staleness), A11c (seed churn) tables.
     pub tables: Vec<Table>,
-    /// One row per (sweep, x, proto, trial) cell.
-    pub points: Vec<BsPoint>,
+    /// One `BENCH_bootstrap.json` point per (sweep, x, proto, trial)
+    /// cell: `table` is `"k"`, `"stale"` or `"churn"` and `x` the swept
+    /// value; then the median join and first-anchor latencies (`NaN`
+    /// when nobody anchored), source-walk fallbacks, probes that timed
+    /// out on a stale peer, `PeerReq` probes sent, whole-run loss,
+    /// steady-state stretch, invariant violations (must stay 0) and the
+    /// fraction of end-of-run members with an established parent.
+    pub points: Vec<Fields>,
     /// Invariant violations summed over every cell — the gate number.
     pub total_violations: u64,
     /// Pooled median time-to-first-anchor across all cells, seconds.
@@ -389,6 +364,7 @@ fn family(
     );
 
     let mut points = Vec::new();
+    let mut total_violations = 0;
     let mut anchor_meds = Vec::new();
     for (row, &(tag, x, ..)) in specs.iter().enumerate() {
         let v = series_of(row, 0);
@@ -416,25 +392,26 @@ fn family(
                 if m.anchor_med_s.is_finite() {
                     anchor_meds.push(m.anchor_med_s);
                 }
-                points.push(BsPoint {
-                    table: tag,
-                    x,
-                    proto,
-                    trial,
-                    startup_med_s: m.startup_med_s,
-                    anchor_med_s: m.anchor_med_s,
-                    fallbacks: m.fallbacks as u64,
-                    stale_hits: m.stale_hits as u64,
-                    contacts: m.contacts as u64,
-                    loss_pct: m.loss_pct,
-                    stretch: m.stretch,
-                    violations: m.violations as u64,
-                    connected_frac: m.connected_frac,
-                });
+                total_violations += m.violations as u64;
+                points.push(
+                    Fields::default()
+                        .with("table", tag)
+                        .with("x", x)
+                        .with("proto", proto)
+                        .with("trial", trial)
+                        .with("startup_med_s", m.startup_med_s)
+                        .with("anchor_med_s", m.anchor_med_s)
+                        .with("fallbacks", m.fallbacks as u64)
+                        .with("stale_hits", m.stale_hits as u64)
+                        .with("contacts", m.contacts as u64)
+                        .with("loss_pct", m.loss_pct)
+                        .with("stretch", m.stretch)
+                        .with("violations", m.violations as u64)
+                        .with("connected_frac", m.connected_frac),
+                );
             }
         }
     }
-    let total_violations = points.iter().map(|p| p.violations).sum();
     let tables = [table_a, table_b, table_c]
         .into_iter()
         .filter(|t| !t.rows.is_empty())
@@ -452,11 +429,9 @@ pub fn bootstrap_family(effort: Effort, seed: u64) -> BootstrapReport {
     family(&scale(effort), &KS, &STALES, &CHURNS, seed)
 }
 
-/// The CI smoke variant: exactly the acceptance cell — `k = 3`, 30 %
-/// stale entries, half the live seeds crashed mid-crowd — one trial
-/// per protocol.
-pub fn bootstrap_family_smoke(seed: u64) -> BootstrapReport {
-    let sc = BsScale {
+/// The acceptance cell's session shape: 8 joiners, one trial.
+fn smoke_scale() -> BsScale {
+    BsScale {
         joiners: 8,
         warmup_s: 30.0,
         crowd_at_s: 60.0,
@@ -464,73 +439,53 @@ pub fn bootstrap_family_smoke(seed: u64) -> BootstrapReport {
         settle_s: 60.0,
         measure_every_s: 60.0,
         reps: 1,
-    };
-    family(&sc, &[3], &[], &[], seed)
-}
-
-/// Replace non-finite values (`NaN` medians of empty sample sets) with
-/// `-1` so the emitted JSON stays strictly standard.
-fn num(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        -1.0
     }
 }
 
+/// The CI smoke variant: exactly the acceptance cell — `k = 3`, 30 %
+/// stale entries, half the live seeds crashed mid-crowd — one trial
+/// per protocol.
+pub fn bootstrap_family_smoke(seed: u64) -> BootstrapReport {
+    family(&smoke_scale(), &[3], &[], &[], seed)
+}
+
 impl BootstrapReport {
-    /// Hand-formatted JSON (the workspace has no JSON crate; CI
-    /// validates with `python3 -m json.tool` and greps
-    /// `"total_violations": 0`).
-    pub fn to_json(&self, smoke: bool, seed: u64) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"bootstrap\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \
-             \"total_violations\": {},\n  \"anchor_median_s\": {:.4},\n  \"points\": [\n",
-            self.total_violations,
-            num(self.anchor_median_s),
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            let sep = if i + 1 < self.points.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"table\": \"{}\", \"x\": {:.4}, \"proto\": \"{}\", \"trial\": {}, \
-                 \"startup_med_s\": {:.4}, \"anchor_med_s\": {:.4}, \"fallbacks\": {}, \
-                 \"stale_hits\": {}, \"contacts\": {}, \"loss_pct\": {:.4}, \
-                 \"stretch\": {:.4}, \"violations\": {}, \"connected_frac\": {:.4}}}{sep}\n",
-                p.table,
-                p.x,
-                p.proto,
-                p.trial,
-                num(p.startup_med_s),
-                num(p.anchor_med_s),
-                p.fallbacks,
-                p.stale_hits,
-                p.contacts,
-                num(p.loss_pct),
-                num(p.stretch),
-                p.violations,
-                num(p.connected_frac),
+    /// The `BENCH_bootstrap.json` document and the A11 gates.
+    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+        let mut failures = Vec::new();
+        if self.total_violations > 0 {
+            failures.push(format!(
+                "{} structural invariant violations under the flash crowd — discovery broke the tree",
+                self.total_violations
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        if smoke && !self.anchor_median_s.is_finite() {
+            failures.push(
+                "no joiner anchored via discovery in the smoke cell — bootstrap path dead".into(),
+            );
+        }
+        Report {
+            name: "bootstrap",
+            tables: self.tables.clone(),
+            header: Fields::default()
+                .with("smoke", smoke)
+                .with("seed", seed)
+                .with("total_violations", self.total_violations)
+                .with("anchor_median_s", self.anchor_median_s),
+            points: self.points.clone(),
+            failures,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Field;
 
     #[test]
     fn point_is_deterministic_per_seed() {
-        let sc = BsScale {
-            joiners: 8,
-            warmup_s: 30.0,
-            crowd_at_s: 60.0,
-            spread_s: 4.0,
-            settle_s: 60.0,
-            measure_every_s: 60.0,
-            reps: 1,
-        };
+        let sc = smoke_scale();
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
         let a = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
         let b = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
@@ -541,15 +496,7 @@ mod tests {
 
     #[test]
     fn acceptance_cell_joins_succeed_without_violations() {
-        let sc = BsScale {
-            joiners: 8,
-            warmup_s: 30.0,
-            crowd_at_s: 60.0,
-            spread_s: 4.0,
-            settle_s: 60.0,
-            measure_every_s: 60.0,
-            reps: 1,
-        };
+        let sc = smoke_scale();
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
         let m = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
         assert_eq!(m.violations, 0.0, "structural invariants broke");
@@ -572,22 +519,40 @@ mod tests {
         assert!(r.anchor_median_s.is_finite());
         assert_eq!(r.tables.len(), 1, "smoke sweeps only the k table");
         assert_eq!(r.points.len(), 2, "one VDM and one HMTP point");
-        let json = r.to_json(true, 42);
-        assert!(json.contains("\"bench\": \"bootstrap\""));
-        assert!(json.contains("\"total_violations\": 0"));
-        assert!(json.contains("\"anchor_median_s\":"));
+        let doc = r.report(true, 42);
+        assert_eq!(doc.name, "bootstrap");
+        assert_eq!(doc.failures, Vec::<String>::new());
+        assert_eq!(doc.header.get("total_violations"), Some(&Field::U64(0)));
+        assert!(matches!(doc.header.get("anchor_median_s"), Some(Field::F64(m)) if m.is_finite()));
+        assert_eq!(doc.points[1].get("proto"), Some(&Field::Str("HMTP".into())));
+    }
+
+    /// Each A11 gate fires on a report doctored to break it; a run that
+    /// anchored nobody only fails the smoke cell.
+    #[test]
+    fn doctored_report_fails_its_gates() {
+        let r = BootstrapReport {
+            tables: Vec::new(),
+            points: Vec::new(),
+            total_violations: 1,
+            anchor_median_s: f64::NAN,
+        };
+        let failures = r.report(false, 42).failures;
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("1 structural invariant violations"));
+        let failures = r.report(true, 42).failures;
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[1].starts_with("no joiner anchored via discovery"));
     }
 
     #[test]
     fn metrics_accumulator_sees_discovery_counters() {
         let sc = BsScale {
             joiners: 6,
-            warmup_s: 30.0,
             crowd_at_s: 50.0,
             spread_s: 3.0,
             settle_s: 50.0,
-            measure_every_s: 60.0,
-            reps: 1,
+            ..smoke_scale()
         };
         let setup = ch3_setup(3 + sc.joiners, 0.0, 11);
         let before = {

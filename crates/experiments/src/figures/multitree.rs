@@ -21,11 +21,12 @@
 //! through [`Driver::new`] with unfolded limits and a raw fault plan
 //! and byte-compares the outputs — pinning that the `k`-tree plumbing
 //! around the world (limit striping, fault expansion) is the identity
-//! at `k = 1` — and the `--smoke` CI gate fails the `multitree`
-//! subcommand when they diverge.
+//! at `k = 1` — and [`MultiTreeReport::report`] fails the run when they
+//! diverge.
 
 use crate::ci::CiStat;
 use crate::figures::column;
+use crate::report::{Fields, Report};
 use crate::runner::{run_cells, Cell, CellKey};
 use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
 use crate::table::Table;
@@ -142,32 +143,6 @@ struct MtMetrics {
     cross_repaired: f64,
     stripe_violations: f64,
     reconnect_s: f64,
-}
-
-/// One cell's published numbers (BENCH_multitree.json rows).
-#[derive(Clone, Debug)]
-pub struct MtPoint {
-    /// Stripe count.
-    pub k: usize,
-    /// `"crash"` or `"chaos"`.
-    pub series: &'static str,
-    /// Replication index.
-    pub trial: usize,
-    /// Whole-run stream loss, percent.
-    pub loss_pct: f64,
-    /// Slot-loss jump across the interior crash, percent (0 for the
-    /// chaos series).
-    pub spike_pct: f64,
-    /// Mean pairwise Jaccard overlap of the trees' interior-node sets.
-    pub interior_overlap: f64,
-    /// Worst per-link stress observed at any slot.
-    pub stress_max: f64,
-    /// Cross-tree NACKs sent.
-    pub cross_nacks: u64,
-    /// Chunks recovered through a sibling tree.
-    pub cross_repaired: u64,
-    /// Off-stripe retransmissions received (must stay 0).
-    pub stripe_violations: u64,
 }
 
 fn metrics(out: &MultiTreeOutput, crash_s: Option<f64>, overlap: f64) -> MtMetrics {
@@ -329,8 +304,11 @@ fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
 pub struct MultiTreeReport {
     /// A10a (crash) and A10b (chaos) tables.
     pub tables: Vec<Table>,
-    /// One row per (k, series, trial) cell.
-    pub points: Vec<MtPoint>,
+    /// One `BENCH_multitree.json` point per (k, series, trial) cell:
+    /// whole-run loss, the slot-loss jump across the interior crash (0
+    /// for the chaos series), the trees' interior overlap, worst link
+    /// stress, and the cross-repair counters.
+    pub points: Vec<Fields>,
     /// Did the `k = 1` session reproduce the single-tree driver
     /// byte-for-byte?
     pub k1_identical: bool,
@@ -423,18 +401,19 @@ fn family(sc: &MtScale, ks: &[usize], seed: u64) -> MultiTreeReport {
         );
         for (series, ms) in [("crash", &c), ("chaos", &f)] {
             for (trial, m) in ms.iter().enumerate() {
-                points.push(MtPoint {
-                    k,
-                    series,
-                    trial,
-                    loss_pct: m.loss_pct,
-                    spike_pct: m.spike_pct,
-                    interior_overlap: m.overlap,
-                    stress_max: m.stress_max,
-                    cross_nacks: m.cross_nacks as u64,
-                    cross_repaired: m.cross_repaired as u64,
-                    stripe_violations: m.stripe_violations as u64,
-                });
+                points.push(
+                    Fields::default()
+                        .with("k", k)
+                        .with("series", series)
+                        .with("trial", trial)
+                        .with("loss_pct", m.loss_pct)
+                        .with("spike_pct", m.spike_pct)
+                        .with("interior_overlap", m.overlap)
+                        .with("stress_max", m.stress_max)
+                        .with("cross_nacks", m.cross_nacks as u64)
+                        .with("cross_repaired", m.cross_repaired as u64)
+                        .with("stripe_violations", m.stripe_violations as u64),
+                );
             }
         }
     }
@@ -465,40 +444,33 @@ pub fn multitree_family_smoke(seed: u64) -> MultiTreeReport {
 }
 
 impl MultiTreeReport {
-    /// Hand-formatted JSON (the workspace has no JSON crate; CI
-    /// validates with `python3 -m json.tool`).
-    pub fn to_json(&self, smoke: bool, seed: u64) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"multitree\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \
-             \"perturb_amp\": {PERTURB_AMP},\n  \"k1_identical\": {},\n  \"points\": [\n",
-            self.k1_identical
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            let sep = if i + 1 < self.points.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"k\": {}, \"series\": \"{}\", \"trial\": {}, \"loss_pct\": {:.4}, \
-                 \"spike_pct\": {:.4}, \"interior_overlap\": {:.4}, \"stress_max\": {:.3}, \
-                 \"cross_nacks\": {}, \"cross_repaired\": {}, \"stripe_violations\": {}}}{sep}\n",
-                p.k,
-                p.series,
-                p.trial,
-                p.loss_pct,
-                p.spike_pct,
-                p.interior_overlap,
-                p.stress_max,
-                p.cross_nacks,
-                p.cross_repaired,
-                p.stripe_violations,
-            ));
+    /// The `BENCH_multitree.json` document and the A10 gate.
+    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+        let mut failures = Vec::new();
+        if !self.k1_identical {
+            failures.push(
+                "k=1 multitree session diverged from the single-tree driver — delegation broken"
+                    .into(),
+            );
         }
-        out.push_str("  ]\n}\n");
-        out
+        Report {
+            name: "multitree",
+            tables: self.tables.clone(),
+            header: Fields::default()
+                .with("smoke", smoke)
+                .with("seed", seed)
+                .with("perturb_amp", PERTURB_AMP)
+                .with("k1_identical", self.k1_identical),
+            points: self.points.clone(),
+            failures,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Field;
 
     #[test]
     fn k1_session_is_byte_identical_to_driver() {
@@ -545,9 +517,24 @@ mod tests {
         assert_eq!(r.tables.len(), 2);
         assert_eq!(r.tables[0].rows.len(), 2);
         assert_eq!(r.points.len(), 4);
-        let json = r.to_json(true, 3);
-        assert!(json.contains("\"bench\": \"multitree\""));
-        assert!(json.contains("\"k1_identical\": true"));
-        assert_eq!(json.matches("{\"k\":").count(), 4);
+        let doc = r.report(true, 3);
+        assert_eq!(doc.name, "multitree");
+        assert_eq!(doc.failures, Vec::<String>::new());
+        assert_eq!(doc.header.get("k1_identical"), Some(&Field::Bool(true)));
+        assert_eq!(doc.points[3].get("k"), Some(&Field::U64(2)));
+        assert!(matches!(doc.points[3].get("series"), Some(Field::Str(s)) if s == "chaos"));
+    }
+
+    /// The A10 gate fires on a report doctored to break it.
+    #[test]
+    fn doctored_report_fails_its_gate() {
+        let r = MultiTreeReport {
+            tables: Vec::new(),
+            points: Vec::new(),
+            k1_identical: false,
+        };
+        let failures = r.report(true, 3).failures;
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("k=1 multitree session diverged"));
     }
 }

@@ -30,6 +30,7 @@
 //! table and emits `results/BENCH_shard.json`.
 
 use crate::ci::CiStat;
+use crate::report::{Fields, Report};
 use crate::table::Table;
 use crate::Effort;
 use std::sync::Arc;
@@ -395,57 +396,90 @@ pub fn shard_family_smoke(max_shards: usize, seed: u64) -> ShardReport {
 }
 
 impl ShardReport {
-    /// Render as the `BENCH_shard.json` document. `cores` is recorded
-    /// because the wall-clock columns only show parallel speedup when
-    /// the host actually has cores to run the shard threads on.
-    pub fn to_json(&self, smoke: bool, seed: u64) -> String {
+    /// The `BENCH_shard.json` document and the A12 gates. `cores` is
+    /// recorded because the wall-clock columns only show parallel
+    /// speedup when the host actually has cores to run the shard
+    /// threads on.
+    pub fn report(&self, smoke: bool, seed: u64) -> Report {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut out = format!(
-            "{{\n  \"bench\": \"shard\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \
-             \"cores\": {cores},\n  \
-             \"n\": {},\n  \"degree\": {DEGREE},\n  \"max_shards\": {},\n  \
-             \"lookahead_ms\": {:.3},\n  \"join_wall_ms\": {:.2},\n  \
-             \"join_contacts_tail\": {:.3},\n  \"s1_identical\": {},\n  \
-             \"fingerprints_match\": {},\n  \"points\": [\n",
-            self.n,
-            self.max_shards,
-            self.lookahead_ms,
-            self.join_wall_ms,
-            self.join_contacts_tail,
-            self.s1_identical,
-            self.fingerprints_match,
+        let points = self.points.iter().map(|p| {
+            Fields::default()
+                .with("shards", p.shards)
+                .with("wall_ms", p.wall_ms)
+                .with("events", p.events)
+                .with("events_per_sec", p.events_per_sec)
+                .with("cross_events", p.cross_events)
+                .with("windows", p.windows)
+                .with("speedup", p.speedup)
+                .with("delivered", p.delivered)
+        });
+        let mut failures = Vec::new();
+        if !self.s1_identical {
+            failures
+                .push("S=1 sharded run diverged from the plain engine — delegation broken".into());
+        }
+        if !self.fingerprints_match {
+            failures.push(
+                "delivery fingerprints diverged across shard counts — barrier merge broken".into(),
+            );
+        }
+        // The sweep's shape: one shard to `max_shards`, every multi-shard
+        // run crossing a boundary and delivering what `S = 1` delivered.
+        let swept = (
+            self.points[0].shards,
+            self.points[self.points.len() - 1].shards,
         );
-        for (i, p) in self.points.iter().enumerate() {
-            let sep = if i + 1 < self.points.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"shards\": {}, \"wall_ms\": {:.2}, \"events\": {}, \
-                 \"events_per_sec\": {:.1}, \"cross_events\": {}, \"windows\": {}, \
-                 \"speedup\": {:.3}, \"delivered\": {}}}{sep}\n",
-                p.shards,
-                p.wall_ms,
-                p.events,
-                p.events_per_sec,
-                p.cross_events,
-                p.windows,
-                p.speedup,
-                p.delivered,
+        if swept != (1, self.max_shards) {
+            failures.push(format!(
+                "shard sweep {swept:?} does not span 1..={}",
+                self.max_shards
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        for p in self.points.iter().filter(|p| p.shards > 1) {
+            if p.cross_events == 0 || p.windows == 0 {
+                failures.push(format!(
+                    "S={} never crossed a shard boundary ({} cross events, {} windows)",
+                    p.shards, p.cross_events, p.windows
+                ));
+            }
+            if p.delivered != self.points[0].delivered {
+                failures.push(format!(
+                    "S={} delivered {} chunks, S={} delivered {}",
+                    p.shards, p.delivered, self.points[0].shards, self.points[0].delivered
+                ));
+            }
+        }
+        Report {
+            name: "shard",
+            tables: self.tables.clone(),
+            header: Fields::default()
+                .with("smoke", smoke)
+                .with("seed", seed)
+                .with("cores", cores)
+                .with("n", self.n)
+                .with("degree", u64::from(DEGREE))
+                .with("max_shards", self.max_shards)
+                .with("lookahead_ms", self.lookahead_ms)
+                .with("join_wall_ms", self.join_wall_ms)
+                .with("join_contacts_tail", self.join_contacts_tail)
+                .with("s1_identical", self.s1_identical)
+                .with("fingerprints_match", self.fingerprints_match),
+            points: points.collect(),
+            failures,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Field;
 
     #[test]
     fn smoke_family_gates_hold() {
         let r = shard_family_smoke(4, 7);
         assert_eq!(r.n, 96);
-        assert!(r.s1_identical, "S=1 diverged from the plain engine");
-        assert!(r.fingerprints_match, "fingerprints diverged across S");
+        assert_eq!(r.report(true, 7).failures, Vec::<String>::new());
         assert_eq!(
             r.points.iter().map(|p| p.shards).collect::<Vec<_>>(),
             vec![1, 2, 4]
@@ -457,21 +491,11 @@ mod tests {
         );
         assert!(r.join_wall_ms >= 0.0 && r.join_contacts_tail > 0.0);
         let s1 = &r.points[0];
-        assert!(s1.events > 0 && s1.delivered > 0);
-        assert_eq!(s1.cross_events, 0);
-        assert_eq!(s1.windows, 0);
+        assert_eq!((s1.cross_events, s1.windows), (0, 0));
         assert!((s1.speedup - 1.0).abs() < 1e-9);
-        for p in &r.points[1..] {
-            assert!(
-                p.cross_events > 0,
-                "S={} never crossed a boundary",
-                p.shards
-            );
-            assert!(p.windows > 0);
-            assert_eq!(p.delivered, s1.delivered);
-        }
         // Every member sees every chunk: the tree spans all 96.
         assert_eq!(s1.delivered, 96 * 10);
+        assert!(s1.events > s1.delivered);
     }
 
     #[test]
@@ -487,14 +511,30 @@ mod tests {
 
     #[test]
     fn json_parses_shape() {
-        let r = shard_family_smoke(2, 3);
-        let json = r.to_json(true, 3);
-        // No JSON parser crate in the workspace; the CI job validates
-        // with `python3 -m json.tool`. Here: structural spot checks.
-        assert!(json.contains("\"bench\": \"shard\""));
-        assert!(json.contains("\"s1_identical\": true"));
-        assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(json.contains("\"events_per_sec\""));
-        assert_eq!(json.matches("{\"shards\":").count(), 2);
+        let r = shard_family_smoke(2, 3).report(true, 3);
+        assert_eq!((r.name, r.points.len()), ("shard", 2));
+        assert_eq!(r.failures, Vec::<String>::new());
+        assert_eq!(r.header.get("s1_identical"), Some(&Field::Bool(true)));
+        assert_eq!(r.header.get("max_shards"), Some(&Field::U64(2)));
+        assert_eq!(r.points[1].get("shards"), Some(&Field::U64(2)));
+        assert_eq!(r.points[1].get("delivered"), Some(&Field::U64(96 * 10)));
+    }
+
+    /// Each A12 gate fires on a report doctored to break it.
+    #[test]
+    fn doctored_reports_fail_their_gates() {
+        let mut r = shard_family_smoke(2, 3);
+        r.s1_identical = false;
+        r.fingerprints_match = false;
+        r.points[1].cross_events = 0;
+        r.points[1].delivered -= 1;
+        r.max_shards = 4;
+        let failures = r.report(true, 3).failures;
+        assert_eq!(failures.len(), 5, "{failures:?}");
+        assert!(failures[0].starts_with("S=1 sharded run diverged"));
+        assert!(failures[1].starts_with("delivery fingerprints diverged"));
+        assert!(failures[2].starts_with("shard sweep (1, 2) does not span 1..=4"));
+        assert!(failures[3].starts_with("S=2 never crossed a shard boundary"));
+        assert!(failures[4].starts_with("S=2 delivered 959 chunks"));
     }
 }

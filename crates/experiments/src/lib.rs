@@ -13,22 +13,25 @@ pub mod extract;
 pub mod figures;
 pub mod loopback;
 pub mod proto;
+pub mod report;
 pub mod runner;
 pub mod setup;
 pub mod table;
 
 pub use ci::CiStat;
 pub use proto::Protocol;
+pub use report::Report;
 pub use table::Table;
 
 /// Effort preset for the harness: `Quick` for CI smoke runs, `Default`
 /// for laptop-scale reproduction, `Paper` for the dissertation's full
 /// parameters (792-router topology, 32 repetitions, 10 000 s runs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Effort {
     /// Seconds per figure; coarse.
     Quick,
     /// Minutes per figure family; faithful shapes.
+    #[default]
     Default,
     /// The paper's full scale; hours.
     Paper,

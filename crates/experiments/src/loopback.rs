@@ -21,6 +21,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
+use crate::report::{Fields, Report};
 use vdm_core::VdmFactory;
 use vdm_netsim::{HostId, LatencySpace, SimTime};
 use vdm_overlay::driver::{Driver, DriverConfig};
@@ -57,8 +58,6 @@ pub struct LoopbackConfig {
     /// Path to the `vdm-node` binary; `None` = sibling of the current
     /// executable.
     pub node_bin: Option<String>,
-    /// Report directory.
-    pub out_dir: String,
 }
 
 impl LoopbackConfig {
@@ -74,7 +73,6 @@ impl LoopbackConfig {
             degree_limit: 4,
             seed: 42,
             node_bin: None,
-            out_dir: "results".into(),
         }
     }
 
@@ -92,6 +90,7 @@ impl LoopbackConfig {
 }
 
 /// Aggregated outcome of one harness run (daemon fleet vs simulator).
+#[derive(Default)]
 pub struct LoopbackReport {
     /// Fleet size.
     pub nodes: usize,
@@ -117,33 +116,79 @@ pub struct LoopbackReport {
     pub sim_reconnects: u64,
     /// Simulator reference violations.
     pub sim_violations: u64,
-    /// Every gate-failure message (empty = pass).
-    pub failures: Vec<String>,
+    /// Nodes that exited with a failure status, as messages.
+    pub node_failures: Vec<String>,
 }
 
 impl LoopbackReport {
-    /// Serialize for `BENCH_loopback.json`.
-    pub fn to_json(&self, smoke: bool, seed: u64) -> String {
-        let mut w = vdm_trace::json::ObjWriter::new();
-        w.str("experiment", "loopback")
-            .bool("smoke", smoke)
-            .u64("seed", seed)
-            .u64("nodes", self.nodes as u64)
-            .u64("daemon_chunks", self.daemon_chunks)
-            .f64("daemon_delivery", self.daemon_delivery)
-            .u64("daemon_joins", self.daemon_joins)
-            .u64("daemon_reconnects", self.daemon_reconnects)
-            .u64("daemon_violations", self.daemon_violations)
-            .u64("daemon_decode_errors", self.daemon_decode_errors)
-            .u64("daemon_detached", self.daemon_detached)
-            .f64("sim_delivery", self.sim_delivery)
-            .u64("sim_joins", self.sim_joins)
-            .u64("sim_reconnects", self.sim_reconnects)
-            .u64("sim_violations", self.sim_violations)
-            .f64("delivery_tolerance", DELIVERY_TOL)
-            .u64("failures", self.failures.len() as u64)
-            .str("failure_detail", &self.failures.join("; "));
-        w.finish()
+    /// The `BENCH_loopback.json` document and the equivalence gates.
+    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+        let receivers = (self.nodes - 1) as u64;
+        let mut failures = self.node_failures.clone();
+        if self.daemon_chunks == 0 {
+            failures.push("source emitted no chunks".into());
+        }
+        if self.daemon_detached > 0 {
+            failures.push(format!("{} nodes finished detached", self.daemon_detached));
+        }
+        if self.daemon_joins < receivers {
+            failures.push(format!(
+                "only {} of {receivers} joins completed",
+                self.daemon_joins
+            ));
+        }
+        if self.daemon_violations > 0 {
+            failures.push(format!(
+                "{} structural invariant violations",
+                self.daemon_violations
+            ));
+        }
+        if self.daemon_decode_errors > 0 {
+            failures.push(format!(
+                "{} wire/transport errors",
+                self.daemon_decode_errors
+            ));
+        }
+        if (self.daemon_delivery - self.sim_delivery).abs() > DELIVERY_TOL {
+            failures.push(format!(
+                "delivery gap: daemon {:.4} vs sim {:.4} (tol {DELIVERY_TOL})",
+                self.daemon_delivery, self.sim_delivery
+            ));
+        }
+        if self.daemon_reconnects > self.sim_reconnects + RECONNECT_SLACK {
+            failures.push(format!(
+                "reconnects: daemon {} vs sim {} (+{RECONNECT_SLACK} slack)",
+                self.daemon_reconnects, self.sim_reconnects
+            ));
+        }
+        if self.sim_violations > 0 {
+            failures.push(format!(
+                "{} violations in the sim reference",
+                self.sim_violations
+            ));
+        }
+        Report {
+            name: "loopback",
+            tables: Vec::new(),
+            header: Fields::default()
+                .with("smoke", smoke)
+                .with("seed", seed)
+                .with("nodes", self.nodes)
+                .with("daemon_chunks", self.daemon_chunks)
+                .with("daemon_delivery", self.daemon_delivery)
+                .with("daemon_joins", self.daemon_joins)
+                .with("daemon_reconnects", self.daemon_reconnects)
+                .with("daemon_violations", self.daemon_violations)
+                .with("daemon_decode_errors", self.daemon_decode_errors)
+                .with("daemon_detached", self.daemon_detached)
+                .with("sim_delivery", self.sim_delivery)
+                .with("sim_joins", self.sim_joins)
+                .with("sim_reconnects", self.sim_reconnects)
+                .with("sim_violations", self.sim_violations)
+                .with("delivery_tolerance", DELIVERY_TOL),
+            points: Vec::new(),
+            failures,
+        }
     }
 }
 
@@ -257,7 +302,8 @@ fn sim_reference(cfg: &LoopbackConfig) -> (f64, u64, u64, u64) {
     )
 }
 
-/// Run the full harness: fleet, reference, aggregation, gates.
+/// Run the full harness: fleet, reference, aggregation. The gates are
+/// [`LoopbackReport::report`]'s.
 pub fn run(cfg: &LoopbackConfig) -> io::Result<LoopbackReport> {
     assert!(cfg.nodes >= 2, "need a source and at least one receiver");
     let bin = node_binary(cfg)?;
@@ -309,11 +355,11 @@ pub fn run(cfg: &LoopbackConfig) -> io::Result<LoopbackReport> {
         children.push(child);
     }
 
-    let mut failures = Vec::new();
+    let mut node_failures = Vec::new();
     for (i, mut child) in children.into_iter().enumerate() {
         let status = child.wait()?;
         if !status.success() {
-            failures.push(format!("node {i} exited with {status}"));
+            node_failures.push(format!("node {i} exited with {status}"));
         }
     }
 
@@ -353,36 +399,6 @@ pub fn run(cfg: &LoopbackConfig) -> io::Result<LoopbackReport> {
     println!("  [loopback] running the simulator reference in-process");
     let (sim_delivery, sim_joins, sim_reconnects, sim_violations) = sim_reference(cfg);
 
-    // Gates.
-    if daemon_chunks == 0 {
-        failures.push("source emitted no chunks".into());
-    }
-    if detached > 0 {
-        failures.push(format!("{detached} nodes finished detached"));
-    }
-    if joins < receivers {
-        failures.push(format!("only {joins} of {receivers} joins completed"));
-    }
-    if violations > 0 {
-        failures.push(format!("{violations} structural invariant violations"));
-    }
-    if decode_errors > 0 {
-        failures.push(format!("{decode_errors} wire/transport errors"));
-    }
-    if (daemon_delivery - sim_delivery).abs() > DELIVERY_TOL {
-        failures.push(format!(
-            "delivery gap: daemon {daemon_delivery:.4} vs sim {sim_delivery:.4} (tol {DELIVERY_TOL})"
-        ));
-    }
-    if reconnects > sim_reconnects + RECONNECT_SLACK {
-        failures.push(format!(
-            "reconnects: daemon {reconnects} vs sim {sim_reconnects} (+{RECONNECT_SLACK} slack)"
-        ));
-    }
-    if sim_violations > 0 {
-        failures.push(format!("{sim_violations} violations in the sim reference"));
-    }
-
     Ok(LoopbackReport {
         nodes: cfg.nodes,
         daemon_chunks,
@@ -396,6 +412,53 @@ pub fn run(cfg: &LoopbackConfig) -> io::Result<LoopbackReport> {
         sim_joins,
         sim_reconnects,
         sim_violations,
-        failures,
+        node_failures,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every loopback gate fires on a report doctored to break it, in
+    /// the order the gates are listed.
+    #[test]
+    fn doctored_report_fails_its_gates() {
+        let clean = LoopbackReport {
+            nodes: 16,
+            daemon_chunks: 90,
+            daemon_joins: 15,
+            daemon_delivery: 1.0,
+            sim_delivery: 1.0,
+            ..LoopbackReport::default()
+        };
+        assert_eq!(clean.report(true, 42).failures, Vec::<String>::new());
+
+        let r = LoopbackReport {
+            daemon_chunks: 0,
+            daemon_delivery: 0.9,
+            daemon_joins: 14,
+            daemon_reconnects: 3,
+            daemon_violations: 1,
+            daemon_decode_errors: 2,
+            daemon_detached: 1,
+            sim_violations: 4,
+            node_failures: vec!["node 3 exited with signal 9".into()],
+            ..clean
+        };
+        assert_eq!(
+            r.report(true, 42).failures,
+            [
+                "node 3 exited with signal 9",
+                "source emitted no chunks",
+                "1 nodes finished detached",
+                "only 14 of 15 joins completed",
+                "1 structural invariant violations",
+                "2 wire/transport errors",
+                "delivery gap: daemon 0.9000 vs sim 1.0000 (tol 0.05)",
+                "reconnects: daemon 3 vs sim 0 (+2 slack)",
+                "4 violations in the sim reference",
+            ]
+        );
+    }
 }

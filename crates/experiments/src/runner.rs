@@ -12,7 +12,7 @@
 //!
 //! Execution mode resolves, in order: a [`with_mode`] scope on the
 //! calling thread (used by the equivalence test-suite and `vdm-repro
-//! bench`), the `VDM_SEQUENTIAL=1` environment variable, then the
+//! --sequential`), the `VDM_SEQUENTIAL=1` environment variable, then the
 //! default of [`ExecMode::Parallel`]. Thread count is rayon's
 //! (`RAYON_NUM_THREADS`, else available parallelism).
 

@@ -123,6 +123,15 @@ impl ObjWriter {
         self
     }
 
+    /// Add an array of finished objects, one element per line: the one
+    /// nested field a report document needs. Never part of a trace record.
+    pub fn objects(&mut self, k: &str, objs: impl IntoIterator<Item = String>) -> &mut Self {
+        self.key(k);
+        let objs: Vec<String> = objs.into_iter().collect();
+        let _ = write!(self.buf, "[\n{}\n]", objs.join(",\n"));
+        self
+    }
+
     /// Finish and return the `{...}` string.
     pub fn finish(mut self) -> String {
         self.buf.push('}');

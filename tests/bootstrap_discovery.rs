@@ -11,6 +11,7 @@ use common::{resilient_factory as factory, run_driver};
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use vdm_core::VdmFactory;
 use vdm_experiments::figures::bootstrap::bootstrap_family_smoke;
+use vdm_experiments::report::Field;
 use vdm_experiments::setup::ch3_setup;
 use vdm_overlay::coords::CoordsConfig;
 use vdm_overlay::driver::RunOutput;
@@ -47,16 +48,19 @@ fn bootstrap_smoke() {
     );
     for p in &report.points {
         assert!(
-            p.connected_frac >= 0.99,
-            "{} trial {}: only {} of the members connected",
-            p.proto,
-            p.trial,
-            p.connected_frac
+            matches!(p.get("connected_frac"), Some(Field::F64(f)) if *f >= 0.99),
+            "not every member connected: {p:?}"
         );
-        assert!(p.contacts > 0, "discovery never probed the seeds");
+        assert!(
+            matches!(p.get("contacts"), Some(Field::U64(c)) if *c > 0),
+            "discovery never probed the seeds: {p:?}"
+        );
     }
     let again = bootstrap_family_smoke(42);
-    assert_eq!(report.to_json(true, 42), again.to_json(true, 42));
+    assert_eq!(
+        report.report(true, 42).render(),
+        again.report(true, 42).render()
+    );
 }
 
 /// Discovery off means *off*: a run with `discovery: None` and a run

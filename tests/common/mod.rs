@@ -1,7 +1,7 @@
 //! Shared integration-test harness: the chaos-grade agent preset, the
 //! fixed-seed scenario builders the suites repeat, the golden-CSV diff
 //! helper (goldens live in `tests/goldens/`, regenerated with
-//! `UPDATE_GOLDENS=1`), and the smoke-gate JSON shape assertions.
+//! `UPDATE_GOLDENS=1`), and the smoke-report shape assertions.
 //!
 //! Every `[[test]]` target that declares `mod common;` compiles its own
 //! copy, so helpers unused by one target are expected dead code there.
@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use vdm_core::VdmFactory;
+use vdm_experiments::report::{Field, Report};
 use vdm_experiments::setup::Ch3Setup;
 use vdm_netsim::HostId;
 use vdm_netsim::SimTime;
@@ -124,26 +125,17 @@ pub fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-/// Structural assertions every `BENCH_*.json` smoke document must pass:
-/// right bench tag, smoke flag and seed stamped, at least one point,
-/// braces/brackets balanced (the workspace has no JSON parser crate;
-/// CI validates with `python3 -m json.tool` — this is the in-process
-/// approximation).
-pub fn assert_smoke_json(json: &str, bench: &str, seed: u64) {
+/// What every smoke [`Report`] must carry: the right bench tag, the
+/// smoke flag and seed stamped, at least one point, no failed gate, and
+/// a rendered document that ends with a newline.
+pub fn assert_smoke_report(report: &Report, bench: &str, seed: u64) {
+    assert_eq!(report.name, bench);
+    assert_eq!(report.header.get("smoke"), Some(&Field::Bool(true)));
+    assert_eq!(report.header.get("seed"), Some(&Field::U64(seed)));
+    assert!(!report.points.is_empty(), "no data points");
+    assert_eq!(report.failures, Vec::<String>::new());
     assert!(
-        json.contains(&format!("\"bench\": \"{bench}\"")),
-        "wrong bench tag in: {json}"
+        report.render().ends_with("]}\n"),
+        "document must end with a newline"
     );
-    assert!(json.contains("\"smoke\": true"), "smoke flag not stamped");
-    assert!(
-        json.contains(&format!("\"seed\": {seed}")),
-        "seed not stamped"
-    );
-    assert!(json.contains("{\"n\":"), "no data points");
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let o = json.matches(open).count();
-        let c = json.matches(close).count();
-        assert_eq!(o, c, "unbalanced {open}{close} in smoke JSON");
-    }
-    assert!(json.ends_with("}\n"), "document must end with a newline");
 }

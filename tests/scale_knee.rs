@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{assert_matches_golden, assert_smoke_json};
+use common::{assert_matches_golden, assert_smoke_report};
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use vdm_experiments::figures::{ablation, scale};
 use vdm_experiments::Effort;
@@ -18,64 +18,42 @@ use vdm_overlay::coords::{pair_seed, CoordsConfig, VivaldiState};
 /// by default; CI runs it in release with `--include-ignored`). At the
 /// size where the unguided walk's contact count leaves the log curve
 /// (~14× the prediction at N=10k), the guided series must stay within
-/// 3× of `4·log₄N`, beat the unguided mean outright, pay at most 2%
-/// stretch for it — and build each host's routing row exactly once
-/// through the 197-row LRU, as the unguided sweep does (82 227 builds
-/// and 8× the wall while its background reads were issued inline).
+/// 3× of `4·log₄N` and pass the family's own gates
+/// (`ScaleReport::report`: fewer contacts than unguided, at most 2%
+/// stretch for it, no more routing rows built) — in fact build each
+/// host's row exactly once through the 197-row LRU, as the unguided
+/// sweep does (82 227 builds and 8× the wall while its background reads
+/// were issued inline).
 #[test]
 #[ignore = "10k-member sweep; run in release (CI passes --include-ignored)"]
 fn guided_joins_stay_on_the_log_curve_at_10k() {
     let r = scale::scale_family_with_sizes(&[10_000], 42);
-    let (vdm, guided) = (&r.points[0], &r.points[1]);
-    assert_eq!((vdm.protocol, guided.protocol), ("vdm", "vdm_guided"));
+    let guided = &r.points[1];
+    assert_eq!(guided.protocol, "vdm_guided");
     assert!(
         guided.contacts_mean <= 3.0 * guided.predicted,
         "knee is back: guided mean contacts {:.1} vs 3x predicted {:.1}",
         guided.contacts_mean,
         3.0 * guided.predicted
     );
-    assert!(
-        guided.contacts_mean < vdm.contacts_mean,
-        "guided joins ({:.1}) cost more contacts than unguided ({:.1})",
-        guided.contacts_mean,
-        vdm.contacts_mean
-    );
-    assert!(
-        guided.stretch_mean <= vdm.stretch_mean * 1.02,
-        "guided stretch {:.4} regressed past 2% of unguided {:.4}",
-        guided.stretch_mean,
-        vdm.stretch_mean
-    );
     assert_eq!(
         guided.row_misses, 10_001,
         "one row per host plus the source's"
     );
-    assert!(
-        guided.row_misses <= vdm.row_misses,
-        "guided sweep built {} rows, unguided {}",
-        guided.row_misses,
-        vdm.row_misses
-    );
+    assert_eq!(r.report(false, 42).failures, Vec::<String>::new());
 }
 
 /// A fast shadow of the knee gate at a size the default test job can
 /// afford: guided entry must already undercut the unguided mean well
-/// before the knee, on the same seed the CI smoke gate uses. (The
-/// stretch bound is pinned only at the 10k knee above: at toy sizes
-/// guided deliberately trades a small stretch premium for its contact
-/// savings, and the async stack ships it default-off.)
+/// before the knee, on the same seed the CI smoke gate uses — the smoke
+/// report's own contacts gate. (The stretch bound is judged only from
+/// 5k up: at toy sizes guided deliberately trades a small stretch
+/// premium for its contact savings, and the async stack ships it
+/// default-off.)
 #[test]
 fn guided_joins_undercut_unguided_at_smoke_sizes() {
     let r = scale::scale_family_with_sizes(&[512], 42);
-    let (vdm, guided) = (&r.points[0], &r.points[1]);
-    assert_eq!((vdm.protocol, guided.protocol), ("vdm", "vdm_guided"));
-    assert!(
-        guided.contacts_mean < vdm.contacts_mean,
-        "guided {:.1} >= unguided {:.1} at N=512",
-        guided.contacts_mean,
-        vdm.contacts_mean
-    );
-    assert_smoke_json(&r.to_json(true, 42), "scale", 42);
+    assert_smoke_report(&r.report(true, 42), "scale", 42);
 }
 
 /// Byte-invisibility pin: with coordinates off (every default), the
