@@ -11,12 +11,18 @@
 //!   the source? We measure reconnection time both ways.
 
 use crate::ci::CiStat;
-use crate::extract::run_metrics;
+use crate::extract::{run_metrics, RunMetrics};
 use crate::figures::{column, replicate};
+use crate::proto::{Protocol, Session};
+use crate::setup::{ch3_setup, degree_limits_range, powerlaw_setup, waxman_setup, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
 use vdm_core::VdmFactory;
-use vdm_planetlab::{SessionConfig, SessionRunner};
+use vdm_netsim::{DataPlaneConfig, SimTime};
+use vdm_overlay::agent::{AgentConfig, HeartbeatConfig};
+use vdm_overlay::driver::DriverConfig;
+use vdm_overlay::scenario::{ChurnConfig, Scenario};
+use vdm_planetlab::{SessionConfig, SessionRunner, UplinkModel};
 
 fn base_cfg(effort: Effort) -> SessionConfig {
     let (nodes, warmup_s, slots) = effort.ch5_scale();
@@ -28,6 +34,17 @@ fn base_cfg(effort: Effort) -> SessionConfig {
         chunk_interval_ms: effort.ch5_chunk_ms(),
         ..SessionConfig::default()
     }
+}
+
+/// Every ablation table of `vdm-repro ablation`, A1–A6 in order.
+pub fn ablation_family(effort: Effort, seed: u64) -> Vec<Table> {
+    let mut t = slack_sweep(effort, seed);
+    t.extend(reconnect_anchor(effort, seed));
+    t.extend(crash_churn(effort, seed));
+    t.extend(topology_sensitivity(effort, seed));
+    t.extend(heterogeneity(effort, seed));
+    t.extend(congestion(effort, seed));
+    t
 }
 
 /// Sweep the directionality slack on the jittery PlanetLab-like space.
@@ -103,7 +120,6 @@ pub fn reconnect_anchor(effort: Effort, seed: u64) -> Vec<Table> {
 /// heartbeats, so recovery is slower and loss higher — this quantifies
 /// the cost of losing the paper's graceful-leave assumption.
 pub fn crash_churn(effort: Effort, seed: u64) -> Vec<Table> {
-    use vdm_experiments_crash::run_crash_point;
     let mut table = Table::new(
         "Ablation A3",
         "Graceful leaves vs silent crashes (VDM)",
@@ -143,13 +159,6 @@ pub fn crash_churn(effort: Effort, seed: u64) -> Vec<Table> {
 /// this checks it does not depend on the transit-stub hierarchy
 /// specifically.
 pub fn topology_sensitivity(effort: Effort, seed: u64) -> Vec<Table> {
-    use crate::extract::run_metrics;
-    use crate::proto::Protocol;
-    use crate::setup::{ch3_setup, degree_limits_range, powerlaw_setup, waxman_setup, Ch3Setup};
-    use vdm_netsim::SimTime;
-    use vdm_overlay::driver::DriverConfig;
-    use vdm_overlay::scenario::{ChurnConfig, Scenario};
-
     let members = effort.ch3_members().min(100);
     let mut table = Table::new(
         "Ablation A4",
@@ -182,7 +191,7 @@ pub fn topology_sensitivity(effort: Effort, seed: u64) -> Vec<Table> {
                     &setup.candidates,
                     s,
                 );
-                let out = proto.run(
+                let out = proto.run(Session::new(
                     setup.underlay.clone(),
                     Some(setup.underlay.clone()),
                     setup.source,
@@ -196,7 +205,7 @@ pub fn topology_sensitivity(effort: Effort, seed: u64) -> Vec<Table> {
                         data_plane: None,
                     },
                     s,
-                );
+                ));
                 run_metrics(&out, 2)
             })
         };
@@ -220,7 +229,6 @@ pub fn topology_sensitivity(effort: Effort, seed: u64) -> Vec<Table> {
 /// 2–5. Many degree-1 DSL nodes force deep chains; a few fat nodes
 /// compensate.
 pub fn heterogeneity(effort: Effort, seed: u64) -> Vec<Table> {
-    use vdm_planetlab::UplinkModel;
     let cfg = base_cfg(effort);
     let mut table = Table::new(
         "Ablation A5",
@@ -256,13 +264,6 @@ pub fn heterogeneity(effort: Effort, seed: u64) -> Vec<Table> {
 /// paper's core motivation ("a packet is transmitted many times on a
 /// link which overloads the network").
 pub fn congestion(effort: Effort, seed: u64) -> Vec<Table> {
-    use crate::extract::run_metrics;
-    use crate::proto::Protocol;
-    use crate::setup::{ch3_setup, degree_limits_range};
-    use vdm_netsim::{DataPlaneConfig, SimTime};
-    use vdm_overlay::driver::DriverConfig;
-    use vdm_overlay::scenario::{ChurnConfig, Scenario};
-
     let members = match effort {
         Effort::Quick => 20,
         _ => 60,
@@ -302,7 +303,7 @@ pub fn congestion(effort: Effort, seed: u64) -> Vec<Table> {
                     &setup.candidates,
                     s,
                 );
-                let out = proto.run(
+                let out = proto.run(Session::new(
                     setup.underlay.clone(),
                     Some(setup.underlay.clone()),
                     setup.source,
@@ -316,7 +317,7 @@ pub fn congestion(effort: Effort, seed: u64) -> Vec<Table> {
                         data_plane: Some(DataPlaneConfig::default()),
                     },
                     s,
-                );
+                ));
                 run_metrics(&out, 1)
             })
         };
@@ -333,43 +334,28 @@ pub fn congestion(effort: Effort, seed: u64) -> Vec<Table> {
     vec![table]
 }
 
-/// Helper module so the crash point stays testable.
-mod vdm_experiments_crash {
-    use super::*;
-    use crate::extract::RunMetrics;
-    use vdm_core::VdmFactory;
-    use vdm_netsim::SimTime;
-    use vdm_overlay::agent::{AgentConfig, HeartbeatConfig};
-    use vdm_overlay::driver::{Driver, DriverConfig};
-
-    pub fn run_crash_point(
-        effort: Effort,
-        churn_pct: f64,
-        crash_frac: f64,
-        seed: u64,
-    ) -> RunMetrics {
-        let cfg = SessionConfig {
-            churn_pct,
-            ..super::base_cfg(effort)
-        };
-        let runner = SessionRunner::prepare(&cfg, seed);
-        let scenario = runner.scenario(seed).with_crashes(crash_frac);
-        let factory = VdmFactory {
-            agent: AgentConfig {
-                data_timeout: Some(SimTime::from_secs(15)),
-                heartbeat: Some(HeartbeatConfig {
-                    period: SimTime::from_secs(10),
-                    timeout: SimTime::from_secs(30),
-                }),
-                ..AgentConfig::default()
-            },
-            ..VdmFactory::delay_based()
-        };
-        let driver = Driver::new(
+/// One A3 session: the A2 shape with `crash_frac` of its leaves
+/// turned into silent crashes, watchdog and heartbeats on.
+fn run_crash_point(effort: Effort, churn_pct: f64, crash_frac: f64, seed: u64) -> RunMetrics {
+    let cfg = SessionConfig {
+        churn_pct,
+        ..base_cfg(effort)
+    };
+    let runner = SessionRunner::prepare(&cfg, seed);
+    let scenario = runner.scenario(seed).with_crashes(crash_frac);
+    let out = Protocol::Vdm.run(Session {
+        agent: &|a| AgentConfig {
+            data_timeout: Some(SimTime::from_secs(15)),
+            heartbeat: Some(HeartbeatConfig {
+                period: SimTime::from_secs(10),
+                timeout: SimTime::from_secs(30),
+            }),
+            ..a
+        },
+        ..Session::new(
             runner.space.clone(),
             None,
             runner.source,
-            factory,
             &scenario,
             runner.limits.clone(),
             DriverConfig {
@@ -377,9 +363,9 @@ mod vdm_experiments_crash {
                 ..DriverConfig::default()
             },
             seed,
-        );
-        run_metrics(&driver.run(), 2)
-    }
+        )
+    });
+    run_metrics(&out, 2)
 }
 
 #[cfg(test)]

@@ -25,20 +25,17 @@
 
 use crate::ci::CiStat;
 use crate::figures::column;
+use crate::proto::{Protocol, Session};
 use crate::report::{Fields, Report};
-use crate::runner::{run_cells, Cell, CellKey};
-use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
+use crate::runner::two_series;
+use crate::setup::{ch3_setup, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
-use std::sync::{Arc, Mutex, OnceLock};
-use vdm_baselines::HmtpFactory;
-use vdm_core::VdmFactory;
-use vdm_netsim::SimTime;
-use vdm_overlay::agent::{AdmissionConfig, AgentConfig, HeartbeatConfig, ResilienceConfig};
-use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
+use std::sync::{Mutex, OnceLock};
+use vdm_overlay::agent::{AdmissionConfig, AgentConfig, ResilienceConfig};
+use vdm_overlay::driver::RunOutput;
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{FlashCrowdConfig, Scenario};
-use vdm_overlay::walk::WalkConfig;
 use vdm_overlay::DiscoveryConfig;
 use vdm_trace::MetricsRegistry;
 
@@ -86,33 +83,23 @@ fn scale(effort: Effort) -> BsScale {
     }
 }
 
-/// Hardened control plane (the A8 "all mechanisms" preset). Admission
-/// is deliberately on: a flash crowd is exactly the burst the token
-/// bucket exists to smooth, so the ablation measures discovery *under*
+/// The A11 control plane, shared with the resilience and bootstrap
+/// integration suites: [`AgentConfig::hardened`] with every
+/// proactive-resilience mechanism at its default. Admission is
+/// deliberately on: a flash crowd is exactly the burst the token bucket
+/// exists to smooth, so the ablation measures discovery *under*
 /// admission control, not instead of it.
-fn bs_agent(base: AgentConfig) -> AgentConfig {
+pub fn resilient(base: AgentConfig) -> AgentConfig {
     AgentConfig {
-        walk: WalkConfig::hardened(),
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
         resilience: Some(ResilienceConfig::default()),
         admission: Some(AdmissionConfig::default()),
         repair: Some(RepairConfig::default()),
-        ..base
+        ..base.hardened()
     }
 }
 
-/// The two series A11 compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BsProto {
-    Vdm,
-    Hmtp,
-}
+/// The two series A11 compares: VDM, then HMTP.
+const PROTOS: [Protocol; 2] = [Protocol::Vdm, Protocol::Hmtp(300)];
 
 /// Per-run metrics pulled from a [`RunOutput`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -186,7 +173,7 @@ pub fn export_metrics(m: &mut MetricsRegistry) {
 fn run_point(
     setup: &Ch3Setup,
     sc: &BsScale,
-    proto: BsProto,
+    proto: Protocol,
     k: usize,
     stale_frac: f64,
     churn_frac: f64,
@@ -206,43 +193,10 @@ fn run_point(
         discovery: DiscoveryConfig::default(),
     };
     let scenario = Scenario::flash_crowd(&fc, &setup.candidates, seed);
-    let limits = degree_limits_range(setup.candidates.len() + 1, 2, 5, seed);
-    let cfg = DriverConfig {
-        data_interval: Some(SimTime::from_secs(1)),
-        ..DriverConfig::default()
-    };
-    let out = match proto {
-        BsProto::Vdm => {
-            let mut factory = VdmFactory::delay_based();
-            factory.agent = bs_agent(factory.agent);
-            Driver::new(
-                setup.underlay.clone(),
-                None,
-                setup.source,
-                factory,
-                &scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run()
-        }
-        BsProto::Hmtp => {
-            let mut factory = HmtpFactory::with_refine_period(300);
-            factory.agent = bs_agent(factory.agent);
-            Driver::new(
-                setup.underlay.clone(),
-                None,
-                setup.source,
-                factory,
-                &scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run()
-        }
-    };
+    let out = proto.run(Session {
+        agent: &resilient,
+        ..setup.session(&scenario, seed)
+    });
     out.stats
         .export_metrics(&mut acc().lock().expect("bootstrap metrics lock"));
     bs_metrics(&out)
@@ -293,45 +247,12 @@ fn family(
     seed: u64,
 ) -> BootstrapReport {
     let max_k = ks.iter().copied().max().expect("at least one k");
-    let setup = Arc::new(ch3_setup(max_k + sc.joiners, 0.0, seed));
+    let setup = ch3_setup(max_k + sc.joiners, 0.0, seed);
     let specs = row_specs(ks, stales, churns);
-    // (row × series × trial) as one cell batch through the parallel
-    // runner; seeds follow the A7/A10 schedule so artifact-cache keys
-    // stay stable per (family, seed).
-    let mut cells = Vec::new();
-    for (row, &(_, _, k, stale, churn)) in specs.iter().enumerate() {
-        let base = seed ^ ((row as u64 + 1) << 8);
-        for series in [0u32, 1u32] {
-            let series_base = if series == 0 { base } else { base ^ 0x48 };
-            for r in 0..sc.reps as u64 {
-                let cell_seed = series_base.wrapping_add(1_000 * r).wrapping_add(17);
-                let key = CellKey {
-                    family: "A11".into(),
-                    row: row as u32,
-                    series,
-                    trial: r as u32,
-                    seed: cell_seed,
-                };
-                let setup = Arc::clone(&setup);
-                let proto = if series == 0 {
-                    BsProto::Vdm
-                } else {
-                    BsProto::Hmtp
-                };
-                cells.push(Cell::new(key, move || {
-                    run_point(&setup, sc, proto, k, stale, churn, cell_seed)
-                }));
-            }
-        }
-    }
-    let results = run_cells(cells);
-    let series_of = |row: usize, series: u32| -> Vec<BsMetrics> {
-        results
-            .iter()
-            .filter(|(key, _)| key.row == row as u32 && key.series == series)
-            .map(|(_, m)| *m)
-            .collect()
-    };
+    let grid = two_series("A11", specs.len(), sc.reps, seed, |row, series, s| {
+        let (_, _, k, stale, churn) = specs[row];
+        run_point(&setup, sc, PROTOS[series as usize], k, stale, churn, s)
+    });
 
     let columns = || -> Vec<String> {
         vec![
@@ -366,10 +287,8 @@ fn family(
     let mut points = Vec::new();
     let mut total_violations = 0;
     let mut anchor_meds = Vec::new();
-    for (row, &(tag, x, ..)) in specs.iter().enumerate() {
-        let v = series_of(row, 0);
-        let h = series_of(row, 1);
-        let both: Vec<BsMetrics> = v.iter().chain(&h).copied().collect();
+    for (&(tag, x, ..), [v, h]) in specs.iter().zip(&grid) {
+        let both: Vec<BsMetrics> = v.iter().chain(h).copied().collect();
         let table = match tag {
             "k" => &mut table_a,
             "stale" => &mut table_b,
@@ -378,16 +297,16 @@ fn family(
         table.push(
             x,
             vec![
-                CiStat::of(&column(&v, |m| m.startup_med_s)),
-                CiStat::of(&column(&h, |m| m.startup_med_s)),
-                CiStat::of(&column(&v, |m| m.anchor_med_s)),
-                CiStat::of(&column(&h, |m| m.anchor_med_s)),
-                CiStat::of(&column(&v, |m| m.fallbacks)),
-                CiStat::of(&column(&v, |m| m.stale_hits)),
+                CiStat::of(&column(v, |m| m.startup_med_s)),
+                CiStat::of(&column(h, |m| m.startup_med_s)),
+                CiStat::of(&column(v, |m| m.anchor_med_s)),
+                CiStat::of(&column(h, |m| m.anchor_med_s)),
+                CiStat::of(&column(v, |m| m.fallbacks)),
+                CiStat::of(&column(v, |m| m.stale_hits)),
                 CiStat::of(&column(&both, |m| m.violations)),
             ],
         );
-        for (proto, ms) in [("VDM", &v), ("HMTP", &h)] {
+        for (proto, ms) in [("VDM", v), ("HMTP", h)] {
             for (trial, m) in ms.iter().enumerate() {
                 if m.anchor_med_s.is_finite() {
                     anchor_meds.push(m.anchor_med_s);
@@ -487,8 +406,8 @@ mod tests {
     fn point_is_deterministic_per_seed() {
         let sc = smoke_scale();
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
-        let a = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
-        let b = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
+        let a = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
+        let b = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
         assert_eq!(a.startup_med_s, b.startup_med_s, "same seed, same run");
         assert_eq!(a.contacts, b.contacts);
         assert_eq!(a.loss_pct, b.loss_pct);
@@ -498,7 +417,7 @@ mod tests {
     fn acceptance_cell_joins_succeed_without_violations() {
         let sc = smoke_scale();
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
-        let m = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.5, 42);
+        let m = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
         assert_eq!(m.violations, 0.0, "structural invariants broke");
         assert!(
             m.connected_frac >= 0.99,
@@ -560,7 +479,7 @@ mod tests {
             export_metrics(&mut m);
             m.counter("discovery.bootstrap_contacts")
         };
-        let m0 = run_point(&setup, &sc, BsProto::Vdm, 3, 0.3, 0.0, 11);
+        let m0 = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.0, 11);
         let mut m = MetricsRegistry::new();
         export_metrics(&mut m);
         assert_eq!(

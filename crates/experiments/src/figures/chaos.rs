@@ -12,17 +12,15 @@
 
 use crate::ci::CiStat;
 use crate::figures::column;
-use crate::runner::{run_cells, Cell, CellKey};
-use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
+use crate::proto::{Protocol, Session};
+use crate::runner::two_series;
+use crate::setup::{ch3_setup, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
-use vdm_baselines::HmtpFactory;
-use vdm_core::VdmFactory;
 use vdm_netsim::{ChaosSpec, FaultPlan, HostId, SimTime};
-use vdm_overlay::agent::{AgentConfig, HeartbeatConfig};
-use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
+use vdm_overlay::agent::AgentConfig;
+use vdm_overlay::driver::RunOutput;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
-use vdm_overlay::walk::WalkConfig;
 
 /// The fault classes the ablation sweeps (one table row each).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,24 +93,25 @@ impl FaultClass {
             },
         }
     }
-}
 
-/// Hardened control-plane settings for chaos runs: exponential backoff
-/// with jitter on walks and retries, the stream watchdog, child
-/// heartbeats, and delivery-gap recording.
-fn hardened(base: AgentConfig) -> AgentConfig {
-    AgentConfig {
-        walk: WalkConfig::hardened(),
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
-        ..base
+    /// This class's seeded fault plan over `[start, end]` on every host
+    /// of `setup`, source included.
+    pub(crate) fn plan(
+        self,
+        setup: &Ch3Setup,
+        start: SimTime,
+        end: SimTime,
+        seed: u64,
+    ) -> FaultPlan {
+        let hosts: Vec<HostId> = std::iter::once(setup.source)
+            .chain(setup.candidates.iter().copied())
+            .collect();
+        FaultPlan::generate(&self.spec(start, end), &hosts, seed)
     }
 }
+
+/// The two series every row compares: VDM, then HMTP.
+const PROTOS: [Protocol; 2] = [Protocol::Vdm, Protocol::Hmtp(300)];
 
 /// Per-run recovery metrics pulled from [`RunOutput`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -135,91 +134,48 @@ fn chaos_metrics(out: &RunOutput) -> ChaosMetrics {
     }
 }
 
-/// Shape of one chaos session, derived from the effort preset.
-struct ChaosScale {
-    members: usize,
-    warmup_s: f64,
-    slot_s: f64,
-    slots: usize,
-}
-
-fn scale(effort: Effort) -> ChaosScale {
+/// Shape of one (churn-free) chaos session, from the effort preset.
+fn scale(effort: Effort) -> ChurnConfig {
     let (members, warmup_s, slots) = match effort {
         Effort::Quick => (15, 60.0, 3),
         Effort::Default => (40, 120.0, 5),
         Effort::Paper => (80, 200.0, 8),
     };
-    ChaosScale {
+    ChurnConfig {
         members,
         warmup_s,
         slot_s: 60.0,
         slots,
+        churn_pct: 0.0,
     }
 }
 
-/// Run one protocol through one fault class; `vdm` picks VDM over HMTP.
+/// When faults may strike a churn session: after the warmup settles,
+/// stopping one slot before the end, so the final measurement sees the
+/// recovered tree.
+pub(crate) fn fault_window(c: &ChurnConfig) -> (SimTime, SimTime) {
+    let start = SimTime::from_ms((c.warmup_s + 10.0) * 1000.0);
+    let end =
+        SimTime::from_ms((c.warmup_s + (c.slots.max(2) - 1) as f64 * c.slot_s - 10.0) * 1000.0);
+    (start, end)
+}
+
+/// Run one protocol through one fault class on the hardened control
+/// plane ([`AgentConfig::hardened`]).
 fn run_point(
     setup: &Ch3Setup,
-    sc: &ChaosScale,
+    sc: &ChurnConfig,
     class: FaultClass,
-    vdm: bool,
+    proto: Protocol,
     seed: u64,
 ) -> ChaosMetrics {
-    let scenario = Scenario::churn(
-        &ChurnConfig {
-            members: sc.members,
-            warmup_s: sc.warmup_s,
-            slot_s: sc.slot_s,
-            slots: sc.slots,
-            churn_pct: 0.0,
-        },
-        &setup.candidates,
-        seed,
-    );
-    // Faults start after the warmup settles and stop one slot before
-    // the end, so the final measurement sees the recovered tree.
-    let f_start = SimTime::from_ms((sc.warmup_s + 10.0) * 1000.0);
-    let f_end =
-        SimTime::from_ms((sc.warmup_s + (sc.slots.max(2) - 1) as f64 * sc.slot_s - 10.0) * 1000.0);
-    let mut hosts: Vec<HostId> = vec![setup.source];
-    hosts.extend(&setup.candidates);
-    let plan = FaultPlan::generate(&class.spec(f_start, f_end), &hosts, seed);
-    let limits = degree_limits_range(sc.members + 1, 2, 5, seed);
-    let cfg = DriverConfig {
-        data_interval: Some(SimTime::from_secs(1)),
-        ..DriverConfig::default()
-    };
-    let out = if vdm {
-        let mut factory = VdmFactory::delay_based();
-        factory.agent = hardened(factory.agent);
-        let mut driver = Driver::new(
-            setup.underlay.clone(),
-            None,
-            setup.source,
-            factory,
-            &scenario,
-            limits,
-            cfg,
-            seed,
-        );
-        driver.set_fault_plan(plan);
-        driver.run()
-    } else {
-        let mut factory = HmtpFactory::with_refine_period(300);
-        factory.agent = hardened(factory.agent);
-        let mut driver = Driver::new(
-            setup.underlay.clone(),
-            None,
-            setup.source,
-            factory,
-            &scenario,
-            limits,
-            cfg,
-            seed,
-        );
-        driver.set_fault_plan(plan);
-        driver.run()
-    };
+    let scenario = Scenario::churn(sc, &setup.candidates, seed);
+    let (start, end) = fault_window(sc);
+    let out = proto.run(Session {
+        agent: &AgentConfig::hardened,
+        faults: Some(class.plan(setup, start, end, seed)),
+        ..setup.session(&scenario, seed)
+    });
     chaos_metrics(&out)
 }
 
@@ -229,13 +185,8 @@ pub fn chaos_recovery(effort: Effort, seed: u64) -> Vec<Table> {
     let setup = ch3_setup(sc.members, 0.0, seed);
     let classes = FaultClass::ALL
         .iter()
-        .map(|c| {
-            format!(
-                "{}={}",
-                FaultClass::ALL.iter().position(|x| x == c).unwrap(),
-                c.name()
-            )
-        })
+        .enumerate()
+        .map(|(i, c)| format!("{i}={}", c.name()))
         .collect::<Vec<_>>()
         .join(",");
     let mut recovery = Table::new(
@@ -262,63 +213,35 @@ pub fn chaos_recovery(effort: Effort, seed: u64) -> Vec<Table> {
             "HMTP violations".into(),
         ],
     );
-    // The whole (fault class × protocol × trial) grid fans out as one
-    // cell batch, so parallelism crosses row boundaries instead of
-    // stalling on each row's slowest trial. Seeds reproduce the old
-    // per-row `replicate` schedule bit-for-bit: VDM trials derive from
-    // `seed ^ ((row+1) << 8)`, HMTP from the same base XOR 0x48, and
-    // each trial adds `1000·r + 17` exactly as `fan_out` does.
     let reps = effort.reps().clamp(2, 6);
-    let mut cells = Vec::new();
-    for (row, class) in FaultClass::ALL.into_iter().enumerate() {
-        let base = seed ^ ((row as u64 + 1) << 8);
-        for (series, vdm) in [(0u32, true), (1u32, false)] {
-            let series_base = if vdm { base } else { base ^ 0x48 };
-            for r in 0..reps as u64 {
-                let cell_seed = series_base.wrapping_add(1_000 * r).wrapping_add(17);
-                let key = CellKey {
-                    family: "A7".into(),
-                    row: row as u32,
-                    series,
-                    trial: r as u32,
-                    seed: cell_seed,
-                };
-                let (setup, sc) = (&setup, &sc);
-                cells.push(Cell::new(key, move || {
-                    run_point(setup, sc, class, vdm, cell_seed)
-                }));
-            }
-        }
-    }
-    let results = run_cells(cells);
-    let series_of = |row: usize, series: u32| -> Vec<ChaosMetrics> {
-        results
-            .iter()
-            .filter(|(k, _)| k.row == row as u32 && k.series == series)
-            .map(|(_, m)| *m)
-            .collect()
-    };
-    for row in 0..FaultClass::ALL.len() {
-        let v = series_of(row, 0);
-        let h = series_of(row, 1);
+    let grid = two_series("A7", FaultClass::ALL.len(), reps, seed, |row, series, s| {
+        run_point(
+            &setup,
+            &sc,
+            FaultClass::ALL[row],
+            PROTOS[series as usize],
+            s,
+        )
+    });
+    for (row, [v, h]) in grid.iter().enumerate() {
         recovery.push(
             row as f64,
             vec![
-                CiStat::of(&column(&v, |m| m.reconnect_s)),
-                CiStat::of(&column(&h, |m| m.reconnect_s)),
-                CiStat::of(&column(&v, |m| m.orphans)),
-                CiStat::of(&column(&h, |m| m.orphans)),
+                CiStat::of(&column(v, |m| m.reconnect_s)),
+                CiStat::of(&column(h, |m| m.reconnect_s)),
+                CiStat::of(&column(v, |m| m.orphans)),
+                CiStat::of(&column(h, |m| m.orphans)),
             ],
         );
         stream.push(
             row as f64,
             vec![
-                CiStat::of(&column(&v, |m| m.gap_s)),
-                CiStat::of(&column(&h, |m| m.gap_s)),
-                CiStat::of(&column(&v, |m| m.loss_pct)),
-                CiStat::of(&column(&h, |m| m.loss_pct)),
-                CiStat::of(&column(&v, |m| m.violations)),
-                CiStat::of(&column(&h, |m| m.violations)),
+                CiStat::of(&column(v, |m| m.gap_s)),
+                CiStat::of(&column(h, |m| m.gap_s)),
+                CiStat::of(&column(v, |m| m.loss_pct)),
+                CiStat::of(&column(h, |m| m.loss_pct)),
+                CiStat::of(&column(v, |m| m.violations)),
+                CiStat::of(&column(h, |m| m.violations)),
             ],
         );
     }
@@ -333,10 +256,10 @@ mod tests {
     fn single_chaos_point_recovers() {
         let sc = scale(Effort::Quick);
         let setup = ch3_setup(sc.members, 0.0, 11);
-        let m = run_point(&setup, &sc, FaultClass::Partition, true, 11);
+        let m = run_point(&setup, &sc, FaultClass::Partition, Protocol::Vdm, 11);
         // The partition orphaned someone, and they got back.
         assert!(m.orphans >= 1.0, "partition produced no orphans");
-        let m2 = run_point(&setup, &sc, FaultClass::Partition, true, 11);
+        let m2 = run_point(&setup, &sc, FaultClass::Partition, Protocol::Vdm, 11);
         assert_eq!(m.reconnect_s, m2.reconnect_s, "same seed, same run");
         assert_eq!(m.loss_pct, m2.loss_pct);
     }

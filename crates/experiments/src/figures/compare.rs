@@ -5,7 +5,7 @@
 use crate::ci::CiStat;
 use crate::extract::{run_metrics, RunMetrics};
 use crate::figures::{column, replicate};
-use crate::proto::Protocol;
+use crate::proto::{Protocol, Session};
 use crate::setup::{ch3_setup, degree_limits_range};
 use crate::table::Table;
 use crate::Effort;
@@ -55,7 +55,7 @@ pub fn ch3_compare(effort: Effort, churn_pct: f64, seed: u64) -> Vec<Table> {
                         &setup.candidates,
                         s,
                     );
-                    let out = p.run(
+                    let out = p.run(Session::new(
                         setup.underlay.clone(),
                         Some(setup.underlay.clone()),
                         setup.source,
@@ -69,7 +69,7 @@ pub fn ch3_compare(effort: Effort, churn_pct: f64, seed: u64) -> Vec<Table> {
                             data_plane: None,
                         },
                         s,
-                    );
+                    ));
                     run_metrics(&out, slots.div_ceil(2))
                 },
             )

@@ -10,7 +10,7 @@
 use crate::ci::CiStat;
 use crate::extract::{run_metrics, RunMetrics};
 use crate::figures::{column, replicate};
-use crate::proto::Protocol;
+use crate::proto::{Protocol, Session};
 use crate::setup::{ch3_setup, degree_limits_avg, degree_limits_range, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
@@ -69,7 +69,7 @@ fn run_point(
             &setup.candidates,
             s,
         );
-        let out = proto.run(
+        let out = proto.run(Session::new(
             setup.underlay.clone(),
             Some(setup.underlay.clone()),
             setup.source,
@@ -77,7 +77,7 @@ fn run_point(
             limits.to_vec(),
             driver_cfg(effort),
             s,
-        );
+        ));
         run_metrics(&out, tail)
     })
 }

@@ -8,7 +8,7 @@
 
 use crate::ci::CiStat;
 use crate::figures::replicate;
-use crate::proto::Protocol;
+use crate::proto::{Protocol, Session};
 use crate::setup::{ch3_setup, degree_limits_range};
 use crate::table::Table;
 use crate::Effort;
@@ -36,7 +36,7 @@ pub fn metric_family(effort: Effort, seed: u64) -> Vec<Table> {
         .map(|&p| {
             replicate(effort.reps(), seed ^ p.name().len() as u64, |s| {
                 let scenario = Scenario::growth(batch, batches, interval_s, &setup.candidates, s);
-                let out = p.run(
+                let out = p.run(Session::new(
                     setup.underlay.clone(),
                     Some(setup.underlay.clone()),
                     setup.source,
@@ -50,7 +50,7 @@ pub fn metric_family(effort: Effort, seed: u64) -> Vec<Table> {
                         data_plane: None,
                     },
                     s,
-                );
+                ));
                 out.stats.measurements
             })
         })

@@ -14,9 +14,10 @@
 use crate::ci::CiStat;
 use crate::extract::{run_metrics, RunMetrics};
 use crate::figures::{column, replicate};
-use crate::proto::Protocol;
+use crate::proto::{Protocol, Session};
 use crate::table::Table;
 use crate::Effort;
+use vdm_overlay::driver::RunOutput;
 use vdm_planetlab::{PoolConfig, SessionConfig, SessionRunner};
 
 fn base_cfg(effort: Effort) -> SessionConfig {
@@ -42,27 +43,22 @@ fn run_sessions(
         // PlanetLab experiments re-select nodes from the pool each run
         // ("Each time we select 100 nodes from this pool", §5.4.2).
         let runner = SessionRunner::prepare(cfg, s);
-        let out = run_session_protocol(&runner, proto, s);
-        run_metrics(&out, tail)
+        run_metrics(&run_on(&runner, proto, s), tail)
     })
 }
 
-/// Dispatch a [`Protocol`] over a prepared session.
-pub fn run_session_protocol(
-    r: &SessionRunner,
-    proto: Protocol,
-    seed: u64,
-) -> vdm_overlay::driver::RunOutput {
-    use vdm_baselines::{BtpFactory, HmtpFactory, StarFactory};
-    use vdm_core::VdmFactory;
-    match proto {
-        Protocol::Vdm => r.run(VdmFactory::delay_based(), seed),
-        Protocol::VdmL => r.run(VdmFactory::loss_based(), seed),
-        Protocol::VdmR(p) => r.run(VdmFactory::with_refinement(p), seed),
-        Protocol::Hmtp(p) => r.run(HmtpFactory::with_refine_period(p), seed),
-        Protocol::Btp(p) => r.run(BtpFactory::with_refine_period(p), seed),
-        Protocol::Star => r.run(StarFactory::default(), seed),
-    }
+/// One session of `proto` over a prepared testbed.
+fn run_on(runner: &SessionRunner, proto: Protocol, seed: u64) -> RunOutput {
+    let scenario = runner.scenario(seed);
+    proto.run(Session::new(
+        runner.space.clone(),
+        None,
+        runner.source,
+        &scenario,
+        runner.limits.clone(),
+        runner.driver_config(),
+        seed,
+    ))
 }
 
 /// The seven per-session tables of §5.4.2.
@@ -332,7 +328,7 @@ pub fn sample_trees(seed: u64) -> String {
             ..SessionConfig::default()
         };
         let runner = SessionRunner::prepare(&cfg, seed);
-        let run_out = run_session_protocol(&runner, Protocol::Vdm, seed);
+        let run_out = run_on(&runner, Protocol::Vdm, seed);
         let snap = &run_out.final_snapshot;
         out.push_str(&format!("== {fig} ==\n"));
         out.push_str(&snap.to_ascii(|h| runner.label(h)));

@@ -25,16 +25,16 @@
 //! diverge.
 
 use crate::ci::CiStat;
+use crate::figures::chaos::{fault_window, FaultClass};
 use crate::figures::column;
 use crate::report::{Fields, Report};
-use crate::runner::{run_cells, Cell, CellKey};
+use crate::runner::two_series;
 use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
-use std::sync::Arc;
 use vdm_core::VdmFactory;
-use vdm_netsim::{ChaosSpec, FaultPlan, HostId, SimTime};
-use vdm_overlay::agent::{AdmissionConfig, AgentConfig, HeartbeatConfig};
+use vdm_netsim::{FaultPlan, SimTime};
+use vdm_overlay::agent::{AdmissionConfig, AgentConfig};
 use vdm_overlay::driver::{Driver, DriverConfig};
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
@@ -57,6 +57,19 @@ struct MtScale {
     reps: usize,
 }
 
+impl MtScale {
+    /// The session shape at `churn_pct`.
+    fn churn(&self, churn_pct: f64) -> ChurnConfig {
+        ChurnConfig {
+            members: self.members,
+            warmup_s: self.warmup_s,
+            slot_s: self.slot_s,
+            slots: self.slots,
+            churn_pct,
+        }
+    }
+}
+
 fn scale(effort: Effort) -> MtScale {
     let (members, warmup_s, slots, reps) = match effort {
         Effort::Quick => (14, 60.0, 4, 2),
@@ -72,22 +85,16 @@ fn scale(effort: Effort) -> MtScale {
     }
 }
 
-/// Hardened control plane for fault runs (mirrors the A7 settings) plus
-/// the multi-tree extras: restart anchoring, a deep NACK budget, and
-/// token-bucket-admitted cross-tree repair.
+/// The chaos-grade control plane ([`AgentConfig::hardened`]) plus the
+/// multi-tree extras: restart anchoring, a bounded NACK budget on this
+/// tree's stripe, and token-bucket-admitted cross-tree repair.
 fn mt_agent(base: AgentConfig, k: usize, tree: usize) -> AgentConfig {
+    let base = base.hardened();
     AgentConfig {
         walk: WalkConfig {
             restart_anchor: true,
-            ..WalkConfig::hardened()
+            ..base.walk
         },
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
         // A *bounded* repair budget: 8 stripe chunks of lookback, 3
         // NACKs each. Deep enough for reordering and short stalls,
         // shallow enough that a 15 s orphan outage at k = 1 shows up as
@@ -117,19 +124,6 @@ fn build_factories(k: usize, seed: u64) -> Vec<VdmFactory> {
             f
         })
         .collect()
-}
-
-/// The A7 "combined" fault cocktail over `[start, end]`.
-fn combined_spec(start: SimTime, end: SimTime) -> ChaosSpec {
-    ChaosSpec {
-        start,
-        end,
-        link_flaps: 4,
-        partitions: 1,
-        msg_windows: 2,
-        slowdowns: 2,
-        ..ChaosSpec::default()
-    }
 }
 
 /// Per-run metrics pulled from a [`MultiTreeOutput`].
@@ -188,17 +182,7 @@ fn build_session(
     churn_pct: f64,
     seed: u64,
 ) -> Driver<VdmFactory> {
-    let scenario = Scenario::churn(
-        &ChurnConfig {
-            members: sc.members,
-            warmup_s: sc.warmup_s,
-            slot_s: sc.slot_s,
-            slots: sc.slots,
-            churn_pct,
-        },
-        &setup.candidates,
-        seed,
-    );
+    let scenario = Scenario::churn(&sc.churn(churn_pct), &setup.candidates, seed);
     let base_limits = degree_limits_range(sc.members + 1, 2, 5, seed);
     let limits = striped_limits(&base_limits, k, setup.source, 1);
     Driver::striped(
@@ -238,12 +222,8 @@ fn run_crash_point(setup: &Ch3Setup, sc: &MtScale, k: usize, seed: u64) -> MtMet
 /// across the virtual id space.
 fn run_chaos_point(setup: &Ch3Setup, sc: &MtScale, k: usize, seed: u64) -> MtMetrics {
     let mut session = build_session(setup, sc, k, 5.0, seed);
-    let f_start = SimTime::from_ms((sc.warmup_s + 10.0) * 1000.0);
-    let f_end =
-        SimTime::from_ms((sc.warmup_s + (sc.slots.max(2) - 1) as f64 * sc.slot_s - 10.0) * 1000.0);
-    let mut hosts: Vec<HostId> = vec![setup.source];
-    hosts.extend(&setup.candidates);
-    let plan = FaultPlan::generate(&combined_spec(f_start, f_end), &hosts, seed);
+    let (start, end) = fault_window(&sc.churn(5.0));
+    let plan = FaultClass::Combined.plan(setup, start, end, seed);
     session.set_fault_events(seed, plan.events().to_vec());
     let out = session.run_trees();
     let overlap = interior_overlap(&out.snapshots);
@@ -258,25 +238,13 @@ fn run_chaos_point(setup: &Ch3Setup, sc: &MtScale, k: usize, seed: u64) -> MtMet
 fn k1_matches_single_tree(setup: &Ch3Setup, sc: &MtScale, seed: u64) -> bool {
     let f_start = SimTime::from_ms((sc.warmup_s + 10.0) * 1000.0);
     let f_end = SimTime::from_ms((sc.warmup_s + sc.slot_s) * 1000.0);
-    let mut hosts: Vec<HostId> = vec![setup.source];
-    hosts.extend(&setup.candidates);
-    let plan = FaultPlan::generate(&combined_spec(f_start, f_end), &hosts, seed);
+    let plan = FaultClass::Combined.plan(setup, f_start, f_end, seed);
 
     let mut session = build_session(setup, sc, 1, 5.0, seed);
     session.set_fault_events(seed, plan.events().to_vec());
     let mt = session.run_trees();
 
-    let scenario = Scenario::churn(
-        &ChurnConfig {
-            members: sc.members,
-            warmup_s: sc.warmup_s,
-            slot_s: sc.slot_s,
-            slots: sc.slots,
-            churn_pct: 5.0,
-        },
-        &setup.candidates,
-        seed,
-    );
+    let scenario = Scenario::churn(&sc.churn(5.0), &setup.candidates, seed);
     let limits = degree_limits_range(sc.members + 1, 2, 5, seed);
     let mut factories = build_factories(1, seed);
     let mut driver = Driver::new(
@@ -315,42 +283,15 @@ pub struct MultiTreeReport {
 }
 
 fn family(sc: &MtScale, ks: &[usize], seed: u64) -> MultiTreeReport {
-    let setup = Arc::new(ch3_setup(sc.members, 0.0, seed));
-    // (k row × series × trial) as one cell batch; seeds follow the A7
-    // schedule so artifact-cache keys stay stable per (family, seed).
-    let mut cells = Vec::new();
-    for (row, &k) in ks.iter().enumerate() {
-        let base = seed ^ ((row as u64 + 1) << 8);
-        for series in [0u32, 1u32] {
-            let series_base = if series == 0 { base } else { base ^ 0x48 };
-            for r in 0..sc.reps as u64 {
-                let cell_seed = series_base.wrapping_add(1_000 * r).wrapping_add(17);
-                let key = CellKey {
-                    family: "A10".into(),
-                    row: row as u32,
-                    series,
-                    trial: r as u32,
-                    seed: cell_seed,
-                };
-                let setup = Arc::clone(&setup);
-                cells.push(Cell::new(key, move || {
-                    if series == 0 {
-                        run_crash_point(&setup, sc, k, cell_seed)
-                    } else {
-                        run_chaos_point(&setup, sc, k, cell_seed)
-                    }
-                }));
-            }
+    let setup = ch3_setup(sc.members, 0.0, seed);
+    // Series 0 is the interior crash, series 1 the fault cocktail.
+    let grid = two_series("A10", ks.len(), sc.reps, seed, |row, series, s| {
+        if series == 0 {
+            run_crash_point(&setup, sc, ks[row], s)
+        } else {
+            run_chaos_point(&setup, sc, ks[row], s)
         }
-    }
-    let results = run_cells(cells);
-    let series_of = |row: usize, series: u32| -> Vec<MtMetrics> {
-        results
-            .iter()
-            .filter(|(key, _)| key.row == row as u32 && key.series == series)
-            .map(|(_, m)| *m)
-            .collect()
-    };
+    });
     let mut crash = Table::new(
         "Ablation A10a",
         "Interior crash under k-tree striping",
@@ -376,30 +317,28 @@ fn family(sc: &MtScale, ks: &[usize], seed: u64) -> MultiTreeReport {
         ],
     );
     let mut points = Vec::new();
-    for (row, &k) in ks.iter().enumerate() {
-        let c = series_of(row, 0);
-        let f = series_of(row, 1);
+    for (&k, [c, f]) in ks.iter().zip(&grid) {
         crash.push(
             k as f64,
             vec![
-                CiStat::of(&column(&c, |m| m.spike_pct)),
-                CiStat::of(&column(&c, |m| m.loss_pct)),
-                CiStat::of(&column(&c, |m| m.overlap)),
-                CiStat::of(&column(&c, |m| m.stress_max)),
+                CiStat::of(&column(c, |m| m.spike_pct)),
+                CiStat::of(&column(c, |m| m.loss_pct)),
+                CiStat::of(&column(c, |m| m.overlap)),
+                CiStat::of(&column(c, |m| m.stress_max)),
             ],
         );
         chaos.push(
             k as f64,
             vec![
-                CiStat::of(&column(&f, |m| m.loss_pct)),
-                CiStat::of(&column(&f, |m| m.overlap)),
-                CiStat::of(&column(&f, |m| m.reconnect_s)),
-                CiStat::of(&column(&f, |m| m.cross_nacks)),
-                CiStat::of(&column(&f, |m| m.cross_repaired)),
-                CiStat::of(&column(&f, |m| m.stripe_violations)),
+                CiStat::of(&column(f, |m| m.loss_pct)),
+                CiStat::of(&column(f, |m| m.overlap)),
+                CiStat::of(&column(f, |m| m.reconnect_s)),
+                CiStat::of(&column(f, |m| m.cross_nacks)),
+                CiStat::of(&column(f, |m| m.cross_repaired)),
+                CiStat::of(&column(f, |m| m.stripe_violations)),
             ],
         );
-        for (series, ms) in [("crash", &c), ("chaos", &f)] {
+        for (series, ms) in [("crash", c), ("chaos", f)] {
             for (trial, m) in ms.iter().enumerate() {
                 points.push(
                     Fields::default()

@@ -15,17 +15,14 @@
 
 use crate::ci::CiStat;
 use crate::figures::{column, replicate};
-use crate::setup::{ch3_setup, degree_limits_range, Ch3Setup};
+use crate::proto::{Protocol, Session};
+use crate::setup::{ch3_setup, Ch3Setup};
 use crate::table::Table;
 use crate::Effort;
-use vdm_baselines::{BtpFactory, HmtpFactory};
-use vdm_core::VdmFactory;
-use vdm_netsim::SimTime;
-use vdm_overlay::agent::{AdmissionConfig, AgentConfig, HeartbeatConfig, ResilienceConfig};
-use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
+use vdm_overlay::agent::{AdmissionConfig, AgentConfig, ResilienceConfig};
+use vdm_overlay::driver::RunOutput;
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{Scenario, SoakConfig};
-use vdm_overlay::walk::WalkConfig;
 
 /// Which proactive-resilience mechanisms a run enables.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,18 +56,10 @@ impl Mechanisms {
     }
 }
 
-/// Hardened chaos-grade control plane (same knobs as ablation A7) plus
-/// the selected proactive-resilience mechanisms.
+/// The chaos-grade control plane ([`AgentConfig::hardened`]) plus the
+/// selected proactive-resilience mechanisms.
 fn resilient(base: AgentConfig, m: Mechanisms) -> AgentConfig {
     AgentConfig {
-        walk: WalkConfig::hardened(),
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
         resilience: m.failover.then(ResilienceConfig::default),
         // Stricter than the protocol default so the token bucket is
         // observable at the small soak scales too: rejoin bursts of even
@@ -81,7 +70,7 @@ fn resilient(base: AgentConfig, m: Mechanisms) -> AgentConfig {
             ..AdmissionConfig::default()
         }),
         repair: m.repair.then(RepairConfig::default),
-        ..base
+        ..base.hardened()
     }
 }
 
@@ -139,24 +128,7 @@ fn members(effort: Effort) -> usize {
 }
 
 /// The protocols A8a compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SoakProto {
-    Vdm,
-    Hmtp,
-    Btp,
-}
-
-impl SoakProto {
-    const ALL: [SoakProto; 3] = [SoakProto::Vdm, SoakProto::Hmtp, SoakProto::Btp];
-
-    fn name(self) -> &'static str {
-        match self {
-            SoakProto::Vdm => "VDM",
-            SoakProto::Hmtp => "HMTP",
-            SoakProto::Btp => "BTP",
-        }
-    }
-}
+const PROTOS: [Protocol; 3] = [Protocol::Vdm, Protocol::Hmtp(300), Protocol::Btp(300)];
 
 /// Run one protocol through one soak schedule with the given mechanism
 /// set. Same scenario + seed across mechanism sets, so differences are
@@ -164,63 +136,15 @@ impl SoakProto {
 fn run_point(
     setup: &Ch3Setup,
     shape: &SoakConfig,
-    proto: SoakProto,
+    proto: Protocol,
     m: Mechanisms,
     seed: u64,
 ) -> SoakMetrics {
     let scenario = Scenario::soak(shape, &setup.candidates, seed);
-    let limits = degree_limits_range(shape.members + 1, 2, 5, seed);
-    let cfg = DriverConfig {
-        data_interval: Some(SimTime::from_secs(1)),
-        ..DriverConfig::default()
-    };
-    let out = match proto {
-        SoakProto::Vdm => {
-            let mut factory = VdmFactory::delay_based();
-            factory.agent = resilient(factory.agent, m);
-            Driver::new(
-                setup.underlay.clone(),
-                None,
-                setup.source,
-                factory,
-                &scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run()
-        }
-        SoakProto::Hmtp => {
-            let mut factory = HmtpFactory::with_refine_period(300);
-            factory.agent = resilient(factory.agent, m);
-            Driver::new(
-                setup.underlay.clone(),
-                None,
-                setup.source,
-                factory,
-                &scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run()
-        }
-        SoakProto::Btp => {
-            let mut factory = BtpFactory::with_refine_period(300);
-            factory.agent = resilient(factory.agent, m);
-            Driver::new(
-                setup.underlay.clone(),
-                None,
-                setup.source,
-                factory,
-                &scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run()
-        }
-    };
+    let out = proto.run(Session {
+        agent: &|a| resilient(a, m),
+        ..setup.session(&scenario, seed)
+    });
     soak_metrics(&out)
 }
 
@@ -232,7 +156,7 @@ pub fn soak_resilience(effort: Effort, seed: u64) -> Vec<Table> {
     let setup = ch3_setup(n, 0.0, seed);
     let reps = effort.reps().clamp(2, 6);
 
-    let protos = SoakProto::ALL
+    let protos = PROTOS
         .iter()
         .enumerate()
         .map(|(i, p)| format!("{i}={}", p.name()))
@@ -252,7 +176,7 @@ pub fn soak_resilience(effort: Effort, seed: u64) -> Vec<Table> {
             "on violations".into(),
         ],
     );
-    for (row, proto) in SoakProto::ALL.into_iter().enumerate() {
+    for (row, proto) in PROTOS.into_iter().enumerate() {
         let base = seed ^ ((row as u64 + 1) << 8);
         let off = replicate(reps, base, |s| {
             run_point(&setup, &shape, proto, Mechanisms::default(), s)
@@ -321,7 +245,7 @@ pub fn soak_resilience(effort: Effort, seed: u64) -> Vec<Table> {
         // Same seed base across rows: each mechanism set sees the same
         // churn schedules, so the rows differ by the mechanisms alone.
         let v = replicate(reps, seed ^ 0xa8b, |s| {
-            run_point(&setup, &shape, SoakProto::Vdm, m, s)
+            run_point(&setup, &shape, Protocol::Vdm, m, s)
         });
         b.push(
             row as f64,
@@ -348,8 +272,8 @@ mod tests {
         let n = members(Effort::Quick);
         let shape = soak_shape(Effort::Quick, n);
         let setup = ch3_setup(n, 0.0, 21);
-        let a = run_point(&setup, &shape, SoakProto::Vdm, Mechanisms::ALL, 21);
-        let b = run_point(&setup, &shape, SoakProto::Vdm, Mechanisms::ALL, 21);
+        let a = run_point(&setup, &shape, Protocol::Vdm, Mechanisms::ALL, 21);
+        let b = run_point(&setup, &shape, Protocol::Vdm, Mechanisms::ALL, 21);
         assert_eq!(a.reconnect_med_s, b.reconnect_med_s);
         assert_eq!(a.loss_pct, b.loss_pct);
         assert_eq!(a.repaired, b.repaired);
@@ -366,10 +290,10 @@ mod tests {
         let setup = ch3_setup(n, 0.0, 77);
         let reps = 3;
         let off = replicate(reps, 77, |s| {
-            run_point(&setup, &shape, SoakProto::Vdm, Mechanisms::default(), s)
+            run_point(&setup, &shape, Protocol::Vdm, Mechanisms::default(), s)
         });
         let on = replicate(reps, 77, |s| {
-            run_point(&setup, &shape, SoakProto::Vdm, Mechanisms::ALL, s)
+            run_point(&setup, &shape, Protocol::Vdm, Mechanisms::ALL, s)
         });
         let med = |xs: &[SoakMetrics], f: fn(&SoakMetrics) -> f64| {
             let mut v: Vec<f64> = xs.iter().map(f).collect();
@@ -403,7 +327,7 @@ mod tests {
         let a = soak_resilience(Effort::Quick, 9);
         let b = soak_resilience(Effort::Quick, 9);
         assert_eq!(a.len(), 2);
-        assert_eq!(a[0].rows.len(), SoakProto::ALL.len());
+        assert_eq!(a[0].rows.len(), PROTOS.len());
         assert_eq!(a[1].rows.len(), 5);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_csv(), y.to_csv(), "{} not reproducible", x.figure);

@@ -19,7 +19,7 @@ pub mod setup;
 pub mod table;
 
 pub use ci::CiStat;
-pub use proto::Protocol;
+pub use proto::{Protocol, Session};
 pub use report::Report;
 pub use table::Table;
 

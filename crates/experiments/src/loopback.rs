@@ -21,10 +21,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
+use crate::proto::{Protocol, Session};
 use crate::report::{Fields, Report};
-use vdm_core::VdmFactory;
 use vdm_netsim::{HostId, LatencySpace, SimTime};
-use vdm_overlay::driver::{Driver, DriverConfig};
+use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{Action, Scenario};
 
 /// Absolute delivery-ratio gap allowed between the daemon fleet and the
@@ -273,11 +273,10 @@ fn sim_reference(cfg: &LoopbackConfig) -> (f64, u64, u64, u64) {
         .collect();
     let end = SimTime::from_ms(cfg.run_s * 1_000.0);
     let scenario = Scenario::from_actions(actions, end);
-    let out = Driver::new(
+    let out = Protocol::Vdm.run(Session::new(
         Arc::new(LatencySpace::from_rtt_matrix(&rtt)),
         None,
         HostId(0),
-        VdmFactory::delay_based(),
         &scenario,
         vec![cfg.degree_limit; n],
         DriverConfig {
@@ -285,8 +284,7 @@ fn sim_reference(cfg: &LoopbackConfig) -> (f64, u64, u64, u64) {
             ..DriverConfig::default()
         },
         cfg.seed,
-    )
-    .run();
+    ));
     let expected: u64 = out.stats.expected.iter().sum();
     let received: u64 = out.stats.received.iter().sum();
     let delivery = if expected > 0 {

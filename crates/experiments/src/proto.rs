@@ -1,9 +1,11 @@
-//! Protocol selection for the harness.
+//! Protocol selection for the harness: the one place a [`Protocol`]
+//! becomes a concrete agent factory and a driver run.
 
 use std::sync::Arc;
 use vdm_baselines::{BtpFactory, HmtpFactory, StarFactory};
 use vdm_core::VdmFactory;
-use vdm_netsim::{HostId, RoutedUnderlay, Underlay};
+use vdm_netsim::{FaultPlan, HostId, RoutedUnderlay, Underlay};
+use vdm_overlay::agent::{AgentConfig, AgentFactory};
 use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
 use vdm_overlay::scenario::Scenario;
 
@@ -12,7 +14,8 @@ use vdm_overlay::scenario::Scenario;
 pub enum Protocol {
     /// VDM with delay virtual distances (the paper's default).
     Vdm,
-    /// VDM with loss virtual distances (Chapter 4).
+    /// VDM with loss virtual distances (Chapter 4); the probe noise
+    /// comes from [`DriverConfig::loss_probe_noise`].
     VdmL,
     /// VDM-D plus periodic refinement (§5.4.5), period in seconds.
     VdmR(u64),
@@ -22,6 +25,78 @@ pub enum Protocol {
     Btp(u64),
     /// Unicast star.
     Star,
+}
+
+/// One simulated session, everything but the protocol: what
+/// [`Protocol::run`] hands the driver.
+pub struct Session<'a> {
+    /// Latency/loss model the agents measure.
+    pub underlay: Arc<dyn Underlay + Send + Sync>,
+    /// The same underlay's routed view, when link stress is measurable.
+    pub routed: Option<Arc<RoutedUnderlay>>,
+    /// The streaming source.
+    pub source: HostId,
+    /// Joins, leaves, crashes and measurement points.
+    pub scenario: &'a Scenario,
+    /// Out-degree limit per host.
+    pub limits: Vec<u32>,
+    /// Stream and measurement settings.
+    pub cfg: DriverConfig,
+    /// Seeds every RNG stream of the run.
+    pub seed: u64,
+    /// Applied to the protocol's own agent config (identity unless a
+    /// family hardens the control plane, e.g. [`AgentConfig::hardened`]).
+    pub agent: &'a dyn Fn(AgentConfig) -> AgentConfig,
+    /// Faults injected into the simulator before the run.
+    pub faults: Option<FaultPlan>,
+}
+
+impl<'a> Session<'a> {
+    /// A session with the protocol's own agent config and no faults.
+    pub fn new(
+        underlay: Arc<dyn Underlay + Send + Sync>,
+        routed: Option<Arc<RoutedUnderlay>>,
+        source: HostId,
+        scenario: &'a Scenario,
+        limits: Vec<u32>,
+        cfg: DriverConfig,
+        seed: u64,
+    ) -> Self {
+        Self {
+            underlay,
+            routed,
+            source,
+            scenario,
+            limits,
+            cfg,
+            seed,
+            agent: &std::convert::identity,
+            faults: None,
+        }
+    }
+
+    fn drive<F: AgentFactory>(
+        self,
+        mut factory: F,
+        agent: fn(&mut F) -> &mut AgentConfig,
+    ) -> RunOutput {
+        let a = agent(&mut factory);
+        *a = (self.agent)(*a);
+        let mut driver = Driver::new(
+            self.underlay,
+            self.routed,
+            self.source,
+            factory,
+            self.scenario,
+            self.limits,
+            self.cfg,
+            self.seed,
+        );
+        if let Some(plan) = self.faults {
+            driver.set_fault_plan(plan);
+        }
+        driver.run()
+    }
 }
 
 impl Protocol {
@@ -38,85 +113,17 @@ impl Protocol {
         }
     }
 
-    /// Run one simulation with this protocol (dispatches to the right
-    /// concrete agent factory).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        self,
-        underlay: Arc<dyn Underlay + Send + Sync>,
-        routed: Option<Arc<RoutedUnderlay>>,
-        source: HostId,
-        scenario: &Scenario,
-        limits: Vec<u32>,
-        mut cfg: DriverConfig,
-        seed: u64,
-    ) -> RunOutput {
+    /// Run `session` with this protocol's agent factory.
+    pub fn run(self, session: Session<'_>) -> RunOutput {
         match self {
-            Protocol::Vdm => Driver::new(
-                underlay,
-                routed,
-                source,
-                VdmFactory::delay_based(),
-                scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run(),
-            Protocol::VdmL => {
-                // Loss probing needs an estimation-noise model; the
-                // paper takes loss statistics from a measurement
-                // service in simulation (§4.1).
-                if cfg.loss_probe_noise == 0.0 {
-                    cfg.loss_probe_noise = 0.002;
-                }
-                let f = VdmFactory::loss_based();
-                Driver::new(underlay, routed, source, f, scenario, limits, cfg, seed).run()
+            Protocol::Vdm => session.drive(VdmFactory::delay_based(), |f| &mut f.agent),
+            Protocol::VdmL => session.drive(VdmFactory::loss_based(), |f| &mut f.agent),
+            Protocol::VdmR(p) => session.drive(VdmFactory::with_refinement(p), |f| &mut f.agent),
+            Protocol::Hmtp(p) => {
+                session.drive(HmtpFactory::with_refine_period(p), |f| &mut f.agent)
             }
-            Protocol::VdmR(period) => Driver::new(
-                underlay,
-                routed,
-                source,
-                VdmFactory::with_refinement(period),
-                scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run(),
-            Protocol::Hmtp(period) => Driver::new(
-                underlay,
-                routed,
-                source,
-                HmtpFactory::with_refine_period(period),
-                scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run(),
-            Protocol::Btp(period) => Driver::new(
-                underlay,
-                routed,
-                source,
-                BtpFactory::with_refine_period(period),
-                scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run(),
-            Protocol::Star => Driver::new(
-                underlay,
-                routed,
-                source,
-                StarFactory::default(),
-                scenario,
-                limits,
-                cfg,
-                seed,
-            )
-            .run(),
+            Protocol::Btp(p) => session.drive(BtpFactory::with_refine_period(p), |f| &mut f.agent),
+            Protocol::Star => session.drive(StarFactory::default(), |f| &mut f.agent),
         }
     }
 }
@@ -151,7 +158,7 @@ mod tests {
             Protocol::Btp(60),
             Protocol::Star,
         ] {
-            let out = proto.run(
+            let out = proto.run(Session::new(
                 s.underlay.clone(),
                 Some(s.underlay.clone()),
                 s.source,
@@ -162,7 +169,7 @@ mod tests {
                     ..DriverConfig::default()
                 },
                 7,
-            );
+            ));
             let last = out.stats.measurements.last().unwrap();
             assert_eq!(last.connected, 12, "{proto:?} left members dark");
             assert_eq!(last.tree_errors, 0, "{proto:?} broke the tree");

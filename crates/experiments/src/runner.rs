@@ -184,20 +184,65 @@ pub fn run_cells<T: Send>(cells: Vec<Cell<'_, T>>) -> Vec<(CellKey, T)> {
     out
 }
 
-/// Trial-level fan-out: run `f` for `reps` derived seeds and collect
-/// results in seed order. This is the engine behind
-/// [`crate::figures::replicate`], which every figure family calls; the
-/// seed schedule (`base + 1000·r + 17`) predates the parallel runner
-/// and is kept bit-for-bit so historical CSVs stay reproducible.
+/// The seed of trial `r` off `base`: `base + 1000·r + 17`. The schedule
+/// predates the parallel runner and is kept bit-for-bit so historical
+/// CSVs stay reproducible.
+fn trial_seed(base: u64, r: u64) -> u64 {
+    base.wrapping_add(1_000 * r).wrapping_add(17)
+}
+
+/// Trial-level fan-out: run `f` for `reps` [`trial_seed`]s off
+/// `base_seed` and collect results in seed order. This is the engine
+/// behind [`crate::figures::replicate`], which every figure family
+/// calls.
 pub fn fan_out<T: Send>(reps: usize, base_seed: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let jobs: Vec<Box<dyn FnOnce() -> T + Send + '_>> = (0..reps as u64)
         .map(|r| {
-            let seed = base_seed.wrapping_add(1_000 * r).wrapping_add(17);
+            let seed = trial_seed(base_seed, r);
             let f = &f;
             Box::new(move || f(seed)) as Box<dyn FnOnce() -> T + Send + '_>
         })
         .collect();
     execute(jobs)
+}
+
+/// A (row × two series × trial) sweep as one cell batch, so parallelism
+/// crosses row boundaries instead of stalling on each row's slowest
+/// trial. Row `row` bases its seeds on `seed ^ ((row+1) << 8)`, series 1
+/// on that XOR `0x48`, and each series runs `trials` [`trial_seed`]s off
+/// its base — the per-row `replicate` schedule A7, A10 and A11 were first
+/// recorded with. `cell(row, series, seed)` runs one cell; the result is
+/// one `[series 0, series 1]` pair of trial-ordered samples per row.
+pub(crate) fn two_series<T: Send>(
+    family: &str,
+    rows: usize,
+    trials: usize,
+    seed: u64,
+    cell: impl Fn(usize, u32, u64) -> T + Sync,
+) -> Vec<[Vec<T>; 2]> {
+    let cell = &cell;
+    let mut cells = Vec::new();
+    for row in 0..rows {
+        let base = seed ^ ((row as u64 + 1) << 8);
+        for (series, series_base) in [(0u32, base), (1, base ^ 0x48)] {
+            for trial in 0..trials as u32 {
+                let cell_seed = trial_seed(series_base, trial as u64);
+                let key = CellKey {
+                    family: family.into(),
+                    row: row as u32,
+                    series,
+                    trial,
+                    seed: cell_seed,
+                };
+                cells.push(Cell::new(key, move || cell(row, series, cell_seed)));
+            }
+        }
+    }
+    let mut out: Vec<[Vec<T>; 2]> = (0..rows).map(|_| [Vec::new(), Vec::new()]).collect();
+    for (key, t) in run_cells(cells) {
+        out[key.row as usize][key.series as usize].push(t);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -273,6 +318,22 @@ mod tests {
         }
         let seq = with_mode(ExecMode::Sequential, || fan_out(8, 100, |seed| seed));
         assert_eq!(out, seq);
+    }
+
+    #[test]
+    fn two_series_keeps_the_historical_cell_seeds() {
+        let out = two_series("T", 2, 3, 42, |row, series, seed| (row, series, seed));
+        assert_eq!(out.len(), 2);
+        for (row, pair) in out.iter().enumerate() {
+            let base = 42 ^ ((row as u64 + 1) << 8);
+            for (series, samples) in pair.iter().enumerate() {
+                let series_base = if series == 0 { base } else { base ^ 0x48 };
+                let want: Vec<_> = (0..3)
+                    .map(|r| (row, series as u32, series_base + 1_000 * r + 17))
+                    .collect();
+                assert_eq!(*samples, want);
+            }
+        }
     }
 
     #[test]

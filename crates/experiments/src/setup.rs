@@ -8,10 +8,13 @@
 //! bit-identical to a fresh build and CSV output does not depend on
 //! cache state.
 
+use crate::proto::Session;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::Cell;
 use std::sync::Arc;
-use vdm_netsim::{HostId, RoutedUnderlay};
+use vdm_netsim::{HostId, RoutedUnderlay, SimTime};
+use vdm_overlay::driver::DriverConfig;
+use vdm_overlay::scenario::Scenario;
 use vdm_topology::cache::{self, codec, KeyHasher};
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::{attach_hosts, generate, randomize_losses, TransitStubConfig};
@@ -25,19 +28,16 @@ use vdm_topology::{Apsp, Graph, NodeId};
 /// dense is `O(n^2)` once, on-demand is `O(capacity · n)` resident.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RouterChoice {
-    /// Follow the `VDM_ROUTER` environment variable (`dense` or
-    /// `on-demand`); dense when unset — the historical behaviour, and
-    /// the one whose whole-matrix artifacts are already cached.
+    /// Dense [`Apsp`] matrix (exact oracle, whole-matrix artifact
+    /// cache) — the default, and the one whose artifacts are cached.
     #[default]
-    Auto,
-    /// Dense [`Apsp`] matrix (exact oracle, whole-matrix artifact cache).
     Dense,
     /// Memory-bounded on-demand rows (no `O(n^2)` materialization).
     OnDemand,
 }
 
 thread_local! {
-    static ROUTER_CHOICE: Cell<RouterChoice> = const { Cell::new(RouterChoice::Auto) };
+    static ROUTER_CHOICE: Cell<RouterChoice> = const { Cell::new(RouterChoice::Dense) };
 }
 
 /// Run `f` with every setup builder on this thread using `choice`
@@ -53,17 +53,6 @@ pub fn with_router_choice<T>(choice: RouterChoice, f: impl FnOnce() -> T) -> T {
     }
     let _restore = Restore(ROUTER_CHOICE.with(|c| c.replace(choice)));
     f()
-}
-
-/// The effective router choice for this thread.
-fn resolved_router_choice() -> RouterChoice {
-    match ROUTER_CHOICE.with(|c| c.get()) {
-        RouterChoice::Auto => match std::env::var("VDM_ROUTER").ok().as_deref() {
-            Some("on-demand") | Some("ondemand") => RouterChoice::OnDemand,
-            _ => RouterChoice::Dense,
-        },
-        c => c,
-    }
 }
 
 /// Largest underlay (nodes) whose on-demand routing rows are persisted
@@ -111,10 +100,9 @@ fn decode_underlay(bytes: &[u8]) -> Option<RoutedUnderlay> {
 /// Build (or load) a routed underlay. Dense (the default): through the
 /// global artifact cache, whole graph + APSP matrix as one artifact —
 /// bit-identical keys and bytes to every prior release. On-demand
-/// (opted in via [`with_router_choice`] / `VDM_ROUTER`): the graph is
-/// built fresh (generation is cheap next to APSP) and routing rows are
-/// computed lazily, persisted per-row only below
-/// [`ROW_PERSIST_MAX_NODES`].
+/// (opted in via [`with_router_choice`]): the graph is built fresh
+/// (generation is cheap next to APSP) and routing rows are computed
+/// lazily, persisted per-row only below [`ROW_PERSIST_MAX_NODES`].
 fn cached_underlay(
     domain: &'static str,
     feed_key: impl FnOnce(&mut KeyHasher),
@@ -122,7 +110,7 @@ fn cached_underlay(
 ) -> Arc<RoutedUnderlay> {
     let mut h = KeyHasher::new();
     feed_key(&mut h);
-    match resolved_router_choice() {
+    match ROUTER_CHOICE.with(|c| c.get()) {
         RouterChoice::OnDemand => {
             let (g, hosts) = build_graph();
             let persist = (g.num_nodes() <= ROW_PERSIST_MAX_NODES).then(|| {
@@ -132,7 +120,7 @@ fn cached_underlay(
             });
             Arc::new(RoutedUnderlay::on_demand(Arc::new(g), hosts, None, persist))
         }
-        _ => Arc::new(cache::get_or_compute_global(
+        RouterChoice::Dense => Arc::new(cache::get_or_compute_global(
             &h.key(domain),
             || {
                 let (g, hosts) = build_graph();
@@ -154,6 +142,26 @@ pub struct Ch3Setup {
     pub source: HostId,
     /// Overlay candidates (everyone but the source).
     pub candidates: Vec<HostId>,
+}
+
+impl Ch3Setup {
+    /// A streamed session on this testbed: the paper's 2–5 degree
+    /// limits drawn from `seed`, one chunk per second, no link stress,
+    /// the protocol's own agent config.
+    pub fn session<'a>(&self, scenario: &'a Scenario, seed: u64) -> Session<'a> {
+        Session::new(
+            self.underlay.clone(),
+            None,
+            self.source,
+            scenario,
+            degree_limits_range(self.candidates.len() + 1, 2, 5, seed),
+            DriverConfig {
+                data_interval: Some(SimTime::from_secs(1)),
+                ..DriverConfig::default()
+            },
+            seed,
+        )
+    }
 }
 
 /// Build the §3.6.2 testbed for `members` overlay nodes.

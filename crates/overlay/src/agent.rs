@@ -9,6 +9,7 @@
 //! overlays need; the paper's simulator sidesteps it by making leaves
 //! atomic).
 
+use crate::bucket::TokenBucket;
 use crate::coords::{CoordSample, CoordsConfig, VivaldiState};
 use crate::core::CoreIo;
 use crate::msg::{ChildEntry, ConnKind, ConnResult, Msg};
@@ -39,6 +40,10 @@ pub const REPAIR_TOKEN: u64 = 1 << 55;
 /// (the low bits carry the probe nonce, which stays far below this
 /// bit).
 pub const DISCOVERY_TOKEN_BIT: u64 = 1 << 54;
+
+/// Delay before retrying after a completely failed walk, scaled by
+/// [`AgentConfig::retry_backoff`] per consecutive failure.
+pub const RETRY_DELAY: SimTime = SimTime(5_000_000);
 
 /// Heartbeat settings for the ungraceful-failure extension: children
 /// beacon their parent every `period`; parents prune children silent
@@ -133,9 +138,7 @@ pub struct AgentConfig {
     /// this long while connected. `None` disables the watchdog (for
     /// runs without a stream).
     pub data_timeout: Option<SimTime>,
-    /// Delay before retrying after a completely failed walk.
-    pub retry_delay: SimTime,
-    /// Exponential multiplier on `retry_delay` per consecutive failed
+    /// Exponential multiplier on [`RETRY_DELAY`] per consecutive failed
     /// walk (`1.0` keeps the fixed delay; chaos runs back off so a
     /// partitioned node doesn't flood the cut). Jitter follows
     /// `walk.jitter_frac`.
@@ -144,9 +147,6 @@ pub struct AgentConfig {
     /// accepted stream chunks reaches this threshold (recovery
     /// observability for chaos runs); `None` disables recording.
     pub gap_threshold: Option<SimTime>,
-    /// Amplitude of the uniform noise on loss-probe estimates
-    /// (loss-based virtual distances only).
-    pub loss_probe_noise: f64,
     /// Child-liveness heartbeats (ungraceful-failure extension);
     /// `None` matches the paper's graceful-leave model.
     pub heartbeat: Option<HeartbeatConfig>,
@@ -181,16 +181,36 @@ impl Default for AgentConfig {
             refine_period: None,
             maintain_root_path: false,
             data_timeout: Some(SimTime::from_secs(30)),
-            retry_delay: SimTime::from_secs(5),
             retry_backoff: 1.0,
             gap_threshold: None,
-            loss_probe_noise: 0.0,
             heartbeat: None,
             resilience: None,
             admission: None,
             repair: None,
             cross_repair: None,
             coords: None,
+        }
+    }
+}
+
+impl AgentConfig {
+    /// The chaos-grade control plane over this (the protocol's own)
+    /// config: the hardened walk, retry backoff 2, a 15 s data
+    /// watchdog, 10 s / 30 s child heartbeats and delivery gaps recorded
+    /// from 5 s. Every fault ablation (A7, A8, A10, A11) starts here and
+    /// adds only its own mechanisms on top; HMTP keeps its root paths
+    /// and refinement.
+    pub fn hardened(self) -> Self {
+        Self {
+            walk: WalkConfig::hardened(),
+            retry_backoff: 2.0,
+            data_timeout: Some(SimTime::from_secs(15)),
+            heartbeat: Some(HeartbeatConfig {
+                period: SimTime::from_secs(10),
+                timeout: SimTime::from_secs(30),
+            }),
+            gap_threshold: Some(SimTime::from_secs(5)),
+            ..self
         }
     }
 }
@@ -205,8 +225,8 @@ pub struct Ctx<'a> {
     pub io: &'a mut dyn CoreIo,
     /// Shared run statistics.
     pub stats: &'a mut RunStats,
-    /// Noise amplitude for loss estimates (copied from the agent
-    /// config by the driver).
+    /// Noise amplitude for loss estimates (the driver copies
+    /// [`crate::driver::DriverConfig::loss_probe_noise`] here).
     pub loss_probe_noise: f64,
 }
 
@@ -386,9 +406,8 @@ pub struct ProtocolAgent<P: WalkPolicy> {
     candidates: Vec<Candidate>,
     /// In-progress direct failover (mutually exclusive with a walk).
     failover: Option<Failover>,
-    /// Admission token bucket: current tokens and last refill time.
-    admit_tokens: f64,
-    admit_refilled_at: SimTime,
+    /// Admission token bucket.
+    admit: TokenBucket,
     /// Joiners awaiting an admission token.
     admit_queue: VecDeque<QueuedJoin>,
     /// Whether an [`ADMIT_TOKEN`] timer is in flight.
@@ -407,10 +426,9 @@ pub struct ProtocolAgent<P: WalkPolicy> {
     /// `gaps.lost + cross_gaps.lost` already pushed into the shared run
     /// stats.
     lost_reported: u64,
-    /// Cross-tree serving bucket: current tokens and last refill time
-    /// (multi-tree extension; inert without `cfg.cross_repair`).
-    cross_tokens: f64,
-    cross_refilled_at: SimTime,
+    /// Cross-tree serving bucket (multi-tree extension; inert without
+    /// `cfg.cross_repair`).
+    cross: TokenBucket,
     /// Bootstrap-discovery state (`None` keeps the omniscient
     /// source-anchored join byte-identical to pre-discovery runs).
     discovery: Option<crate::discovery::DiscoveryState>,
@@ -457,8 +475,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             ancestors: Vec::new(),
             candidates: Vec::new(),
             failover: None,
-            admit_tokens: cfg.admission.map_or(0.0, |a| a.burst),
-            admit_refilled_at: SimTime::ZERO,
+            admit: TokenBucket::full(cfg.admission.map_or(0.0, |a| a.burst), SimTime::ZERO),
             admit_queue: VecDeque::new(),
             admit_armed: false,
             ring: RetransmitRing::new(cfg.repair.map_or(1, |r| r.ring)),
@@ -466,8 +483,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             cross_gaps: GapTracker::default(),
             repair_armed: false,
             lost_reported: 0,
-            cross_tokens: cfg.cross_repair.map_or(0.0, |a| a.burst),
-            cross_refilled_at: SimTime::ZERO,
+            cross: TokenBucket::full(cfg.cross_repair.map_or(0.0, |a| a.burst), SimTime::ZERO),
             discovery: None,
             vivaldi: cfg.coords.map(|c| VivaldiState::new(&c)),
             peer_coords: Vec::new(),
@@ -487,7 +503,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
     /// streak and optional jitter.
     fn schedule_retry(&mut self, ctx: &mut Ctx<'_>) {
         let d = crate::walk::scaled_delay(
-            self.cfg.retry_delay,
+            RETRY_DELAY,
             self.cfg.retry_backoff,
             self.fail_streak,
             self.cfg.walk.jitter_frac,
@@ -806,20 +822,13 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         }
     }
 
-    /// Refill the admission token bucket up to `now`.
-    fn admit_refill(&mut self, now: SimTime, a: &AdmissionConfig) {
-        let dt = now.saturating_sub(self.admit_refilled_at).as_secs();
-        self.admit_tokens = (self.admit_tokens + dt * a.rate_per_s).min(a.burst);
-        self.admit_refilled_at = now;
-    }
-
     /// Arm the queue-drain timer for roughly when the next token lands.
     fn arm_admit_timer(&mut self, ctx: &mut Ctx<'_>, a: &AdmissionConfig) {
         if self.admit_armed {
             return;
         }
         self.admit_armed = true;
-        let deficit = (1.0 - self.admit_tokens).max(0.0);
+        let deficit = (1.0 - self.admit.tokens()).max(0.0);
         let secs = if a.rate_per_s > 0.0 {
             deficit / a.rate_per_s
         } else {
@@ -832,7 +841,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
     /// no-longer-valid entries.
     fn drain_admit_queue(&mut self, ctx: &mut Ctx<'_>, a: &AdmissionConfig) {
         let now = ctx.now();
-        self.admit_refill(now, a);
+        self.admit.refill(now, a.rate_per_s, a.burst);
         while let Some(&q) = self.admit_queue.front() {
             if now.saturating_sub(q.at) > a.max_wait {
                 // The walker has long timed out and restarted; shed it
@@ -867,11 +876,10 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
                 );
                 continue;
             }
-            if self.admit_tokens < 1.0 {
+            if !self.admit.take() {
                 break;
             }
             self.admit_queue.pop_front();
-            self.admit_tokens -= 1.0;
             self.accept_new_child(ctx, q.from, q.nonce, q.vdist);
         }
         if !self.admit_queue.is_empty() {
@@ -1484,9 +1492,8 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
                 // Rejoin-storm control: plain new-child admissions pay
                 // a token; a dry bucket parks the joiner in a bounded
                 // queue, and overflow is shed to a sibling.
-                self.admit_refill(ctx.now(), &a);
-                if self.admit_tokens >= 1.0 {
-                    self.admit_tokens -= 1.0;
+                self.admit.refill(ctx.now(), a.rate_per_s, a.burst);
+                if self.admit.take() {
                     self.accept_new_child(ctx, from, nonce, vdist);
                 } else if self.admit_queue.len() < a.queue {
                     ctx.stats.recovery.joins_throttled += 1;
@@ -1804,16 +1811,12 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
                 if self.cfg.repair.is_none() || !self.state.connected() {
                     return;
                 }
-                let now = ctx.now();
-                let dt = now.saturating_sub(self.cross_refilled_at).as_secs();
-                self.cross_tokens = (self.cross_tokens + dt * a.rate_per_s).min(a.burst);
-                self.cross_refilled_at = now;
+                self.cross.refill(ctx.now(), a.rate_per_s, a.burst);
                 for seq in seqs {
-                    if self.cross_tokens < 1.0 {
-                        break;
-                    }
                     if self.ring.contains(seq) {
-                        self.cross_tokens -= 1.0;
+                        if !self.cross.take() {
+                            break;
+                        }
                         ctx.send(from, Msg::CrossData { seq });
                     }
                 }

@@ -22,6 +22,7 @@
 //! no RNG draws, timers, or messages happen otherwise, so runs without
 //! discovery stay byte-identical per seed.
 
+use crate::bucket::TokenBucket;
 use crate::coords::{Coord, CoordSample};
 use vdm_netsim::{HostId, SimTime};
 
@@ -119,8 +120,7 @@ pub struct DiscoveryState {
     /// the view.
     finished: bool,
     /// Responder serving bucket.
-    serve_tokens: f64,
-    serve_refilled_at: SimTime,
+    serve: TokenBucket,
 }
 
 impl DiscoveryState {
@@ -133,8 +133,7 @@ impl DiscoveryState {
             round: 0,
             started_at: None,
             finished: false,
-            serve_tokens: cfg.serve_burst,
-            serve_refilled_at: now,
+            serve: TokenBucket::full(cfg.serve_burst, now),
         };
         for &h in &cfg.seeds {
             s.observe_at(h, me, now);
@@ -337,15 +336,9 @@ impl DiscoveryState {
     /// Take one serving token (refilled at `serve_rate_per_s` up to
     /// `serve_burst`); `false` means the request should be dropped.
     pub fn serve_take(&mut self, now: SimTime) -> bool {
-        let dt = now.saturating_sub(self.serve_refilled_at).as_secs();
-        self.serve_tokens =
-            (self.serve_tokens + dt * self.cfg.serve_rate_per_s).min(self.cfg.serve_burst);
-        self.serve_refilled_at = now;
-        if self.serve_tokens < 1.0 {
-            return false;
-        }
-        self.serve_tokens -= 1.0;
-        true
+        self.serve
+            .refill(now, self.cfg.serve_rate_per_s, self.cfg.serve_burst);
+        self.serve.take()
     }
 
     /// Sample peers to share with `asker`: tree neighbours first (our

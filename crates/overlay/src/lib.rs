@@ -43,6 +43,7 @@
 
 pub mod agent;
 pub mod arena;
+mod bucket;
 pub mod coords;
 pub mod core;
 pub mod discovery;

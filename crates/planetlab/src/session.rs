@@ -259,6 +259,18 @@ impl SessionRunner {
         )
     }
 
+    /// The driver settings of this testbed's sessions: the configured
+    /// chunk interval and MST ratio, no physical links to stress.
+    pub fn driver_config(&self) -> DriverConfig {
+        DriverConfig {
+            data_interval: Some(SimTime::from_ms(self.cfg.chunk_interval_ms)),
+            compute_stress: false,
+            compute_mst_ratio: self.cfg.compute_mst_ratio,
+            loss_probe_noise: 0.0,
+            data_plane: None,
+        }
+    }
+
     /// Run one session with the given protocol factory.
     pub fn run<F: AgentFactory>(&self, factory: F, seed: u64) -> RunOutput {
         let scenario = self.scenario(seed);
@@ -269,13 +281,7 @@ impl SessionRunner {
             factory,
             &scenario,
             self.limits.clone(),
-            DriverConfig {
-                data_interval: Some(SimTime::from_ms(self.cfg.chunk_interval_ms)),
-                compute_stress: false,
-                compute_mst_ratio: self.cfg.compute_mst_ratio,
-                loss_probe_noise: 0.0,
-                data_plane: None,
-            },
+            self.driver_config(),
             seed,
         );
         driver.run()

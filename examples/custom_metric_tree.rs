@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example custom_metric_tree`
 
 use vdm_experiments::setup::{ch3_setup, degree_limits_range};
-use vdm_experiments::Protocol;
+use vdm_experiments::{Protocol, Session};
 use vdm_netsim::SimTime;
 use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
@@ -40,7 +40,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for proto in [Protocol::Vdm, Protocol::VdmL] {
-        let out = proto.run(
+        let out = proto.run(Session::new(
             setup.underlay.clone(),
             Some(setup.underlay.clone()),
             setup.source,
@@ -54,7 +54,7 @@ fn main() {
                 data_plane: None,
             },
             seed,
-        );
+        ));
         let m = out.stats.measurements.last().expect("measured").clone();
         println!(
             "{:>8} {:>9.3} {:>9.3} {:>9.3} {:>11}",

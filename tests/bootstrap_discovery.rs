@@ -7,31 +7,31 @@
 
 mod common;
 
-use common::{resilient_factory as factory, run_driver};
+use common::run_driver;
 use proptest::{prop_assert, prop_assert_eq, proptest};
-use vdm_core::VdmFactory;
-use vdm_experiments::figures::bootstrap::bootstrap_family_smoke;
+use vdm_experiments::figures::bootstrap::{bootstrap_family_smoke, resilient};
 use vdm_experiments::report::Field;
 use vdm_experiments::setup::ch3_setup;
+use vdm_overlay::agent::AgentConfig;
 use vdm_overlay::coords::CoordsConfig;
 use vdm_overlay::driver::RunOutput;
 use vdm_overlay::scenario::{ChurnConfig, FlashCrowdConfig, Scenario};
 use vdm_overlay::DiscoveryConfig;
 
 fn run_flash_crowd(topo_seed: u64, fc: &FlashCrowdConfig, plan_seed: u64) -> RunOutput {
-    run_flash_crowd_with(topo_seed, fc, plan_seed, factory())
+    run_flash_crowd_with(topo_seed, fc, plan_seed, &resilient)
 }
 
 fn run_flash_crowd_with(
     topo_seed: u64,
     fc: &FlashCrowdConfig,
     plan_seed: u64,
-    factory: VdmFactory,
+    agent: &dyn Fn(AgentConfig) -> AgentConfig,
 ) -> RunOutput {
     let setup = ch3_setup(fc.seeds + fc.joiners, 0.0, topo_seed);
     let scenario = Scenario::flash_crowd(fc, &setup.candidates, plan_seed);
     let members = setup.candidates.len();
-    run_driver(&setup, factory, &scenario, vec![4; members + 1], plan_seed)
+    run_driver(&setup, agent, &scenario, vec![4; members + 1], plan_seed)
 }
 
 /// The fixed-seed CI gate: the acceptance cell (k = 3, 30 % stale
@@ -81,7 +81,7 @@ fn empty_discovery_config_is_byte_identical_to_none() {
     let run = |discovery: Option<DiscoveryConfig>| -> RunOutput {
         let mut scenario = Scenario::churn(&churn, &setup.candidates, 42);
         scenario.discovery = discovery;
-        run_driver(&setup, factory(), &scenario, vec![4; members + 1], 42)
+        run_driver(&setup, &resilient, &scenario, vec![4; members + 1], 42)
     };
     let off = run(None);
     let empty = run(Some(DiscoveryConfig::default()));
@@ -124,13 +124,16 @@ fn guided_entry_composes_with_discovery() {
             ..DiscoveryConfig::default()
         },
     };
-    let mut guided_factory = factory();
-    guided_factory.agent.coords = Some(CoordsConfig::default());
-    if let Some(r) = guided_factory.agent.resilience.as_mut() {
-        r.coord_ranked = true;
-    }
+    let guided_agent = |a| {
+        let mut a = resilient(a);
+        a.coords = Some(CoordsConfig::default());
+        if let Some(r) = a.resilience.as_mut() {
+            r.coord_ranked = true;
+        }
+        a
+    };
     let plain = run_flash_crowd(42, &fc(false), 42);
-    let guided = run_flash_crowd_with(42, &fc(true), 42, guided_factory);
+    let guided = run_flash_crowd_with(42, &fc(true), 42, &guided_agent);
     assert_eq!(plain.stats.recovery.total_violations(), 0);
     assert!(
         guided.stats.recovery.total_violations() <= plain.stats.recovery.total_violations(),

@@ -5,35 +5,34 @@
 
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use std::sync::Arc;
-use vdm_core::VdmFactory;
 use vdm_experiments::setup::ch3_setup;
-use vdm_netsim::{ChaosSpec, FaultEvent, FaultPlan, HostId, LatencySpace, SimTime};
-use vdm_overlay::agent::{AgentConfig, HeartbeatConfig};
-use vdm_overlay::driver::{Driver, DriverConfig};
+use vdm_experiments::{Protocol, Session};
+use vdm_netsim::{ChaosSpec, FaultEvent, FaultPlan, HostId, LatencySpace, SimTime, Underlay};
+use vdm_overlay::agent::AgentConfig;
+use vdm_overlay::driver::{DriverConfig, RunOutput};
 use vdm_overlay::scenario::{Action, ChurnConfig, Scenario};
-use vdm_overlay::walk::WalkConfig;
 
-/// Chaos-grade agent settings: walk/retry backoff with jitter, stream
-/// watchdog, child heartbeats, delivery-gap recording.
-fn hardened() -> AgentConfig {
-    AgentConfig {
-        walk: WalkConfig::hardened(),
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
-        ..AgentConfig::default()
-    }
-}
-
-fn factory() -> VdmFactory {
-    VdmFactory {
-        agent: hardened(),
-        ..VdmFactory::delay_based()
-    }
+/// One VDM-D session from host 0 on the chaos-grade control plane.
+fn run_hardened(
+    underlay: Arc<dyn Underlay + Send + Sync>,
+    scenario: &Scenario,
+    limits: Vec<u32>,
+    faults: Option<FaultPlan>,
+    seed: u64,
+) -> RunOutput {
+    Protocol::Vdm.run(Session {
+        agent: &AgentConfig::hardened,
+        faults,
+        ..Session::new(
+            underlay,
+            None,
+            HostId(0),
+            scenario,
+            limits,
+            DriverConfig::default(),
+            seed,
+        )
+    })
 }
 
 /// Under heavy duplication and bounded reordering of every message —
@@ -69,18 +68,13 @@ fn dup_and_reorder_never_violate_tree_invariants() {
             spike: SimTime::ZERO,
         }],
     );
-    let mut driver = Driver::new(
+    let out = run_hardened(
         setup.underlay.clone(),
-        None,
-        setup.source,
-        factory(),
         &scenario,
         vec![4; members + 1],
-        DriverConfig::default(),
+        Some(plan),
         77,
     );
-    driver.set_fault_plan(plan);
-    let out = driver.run();
     for m in &out.stats.measurements {
         assert_eq!(m.tree_errors, 0, "invariant violation at t={}", m.time_s);
     }
@@ -121,18 +115,13 @@ fn partition_heals_within_watchdog_bound() {
             until: SimTime::from_secs(150),
         }],
     );
-    let mut driver = Driver::new(
+    let out = run_hardened(
         setup.underlay.clone(),
-        None,
-        setup.source,
-        factory(),
         &scenario,
         vec![4; members + 1],
-        DriverConfig::default(),
+        Some(plan),
         31,
     );
-    driver.set_fault_plan(plan);
-    let out = driver.run();
     // The partition actually bit: peers were orphaned and messages died.
     assert!(
         out.stats.recovery.orphan_events >= 1,
@@ -182,17 +171,7 @@ fn parent_and_grandparent_crash_in_same_slot() {
     actions.push((t_kill, Action::Crash(setup.candidates[2])));
     actions.push((SimTime::from_secs(150), Action::Measure));
     let scenario = Scenario::from_actions(actions, SimTime::from_secs(155));
-    let driver = Driver::new(
-        setup.underlay.clone(),
-        None,
-        setup.source,
-        factory(),
-        &scenario,
-        limits,
-        DriverConfig::default(),
-        21,
-    );
-    let out = driver.run();
+    let out = run_hardened(setup.underlay.clone(), &scenario, limits, None, 21);
     let last = out.stats.measurements.last().unwrap();
     assert_eq!(last.members, 4); // 6 joined, 2 crashed
     assert_eq!(
@@ -257,18 +236,7 @@ proptest! {
         };
         let plan = FaultPlan::generate(&spec, &hosts, plan_seed);
         prop_assert!(plan.horizon() <= SimTime::from_secs(160));
-        let mut driver = Driver::new(
-            space,
-            None,
-            HostId(0),
-            factory(),
-            &scenario,
-            vec![3; members + 1],
-            DriverConfig::default(),
-            plan_seed,
-        );
-        driver.set_fault_plan(plan);
-        let out = driver.run();
+        let out = run_hardened(space, &scenario, vec![3; members + 1], Some(plan), plan_seed);
         let last = out.stats.measurements.last().unwrap();
         prop_assert_eq!(last.tree_errors, 0, "errors after quiet tail (seed {})", plan_seed);
         prop_assert_eq!(

@@ -1,5 +1,5 @@
-//! Shared integration-test harness: the chaos-grade agent preset, the
-//! fixed-seed scenario builders the suites repeat, the golden-CSV diff
+//! Shared integration-test harness: the fixed-seed session runner and
+//! scenario builders the suites repeat, the golden-CSV diff
 //! helper (goldens live in `tests/goldens/`, regenerated with
 //! `UPDATE_GOLDENS=1`), and the smoke-report shape assertions.
 //!
@@ -8,65 +8,37 @@
 #![allow(dead_code)]
 
 use std::path::PathBuf;
-use vdm_core::VdmFactory;
 use vdm_experiments::report::{Field, Report};
 use vdm_experiments::setup::Ch3Setup;
+use vdm_experiments::{Protocol, Session};
 use vdm_netsim::HostId;
 use vdm_netsim::SimTime;
-use vdm_overlay::agent::{AdmissionConfig, AgentConfig, HeartbeatConfig, ResilienceConfig};
-use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
-use vdm_overlay::repair::RepairConfig;
+use vdm_overlay::agent::AgentConfig;
+use vdm_overlay::driver::{DriverConfig, RunOutput};
 use vdm_overlay::scenario::{Action, Scenario};
-use vdm_overlay::walk::WalkConfig;
 
-/// Chaos-grade control plane with every proactive-resilience mechanism
-/// enabled (the A11 preset shared by the resilience and bootstrap
-/// suites).
-pub fn resilient() -> AgentConfig {
-    AgentConfig {
-        walk: WalkConfig::hardened(),
-        retry_backoff: 2.0,
-        data_timeout: Some(SimTime::from_secs(15)),
-        heartbeat: Some(HeartbeatConfig {
-            period: SimTime::from_secs(10),
-            timeout: SimTime::from_secs(30),
-        }),
-        gap_threshold: Some(SimTime::from_secs(5)),
-        resilience: Some(ResilienceConfig::default()),
-        admission: Some(AdmissionConfig::default()),
-        repair: Some(RepairConfig::default()),
-        ..AgentConfig::default()
-    }
-}
-
-/// VDM-D with the chaos-grade agent preset.
-pub fn resilient_factory() -> VdmFactory {
-    VdmFactory {
-        agent: resilient(),
-        ..VdmFactory::delay_based()
-    }
-}
-
-/// One driver run over `setup` with uniform degree limits and the
-/// default driver config — the shape every fixed-seed gate repeats.
+/// One VDM-D run over `setup` on the `agent` control plane (e.g.
+/// `bootstrap::resilient`) with the default driver config — the shape
+/// every fixed-seed gate repeats.
 pub fn run_driver(
     setup: &Ch3Setup,
-    factory: VdmFactory,
+    agent: &dyn Fn(AgentConfig) -> AgentConfig,
     scenario: &Scenario,
     limits: Vec<u32>,
     seed: u64,
 ) -> RunOutput {
-    Driver::new(
-        setup.underlay.clone(),
-        None,
-        setup.source,
-        factory,
-        scenario,
-        limits,
-        DriverConfig::default(),
-        seed,
-    )
-    .run()
+    Protocol::Vdm.run(Session {
+        agent,
+        ..Session::new(
+            setup.underlay.clone(),
+            None,
+            setup.source,
+            scenario,
+            limits,
+            DriverConfig::default(),
+            seed,
+        )
+    })
 }
 
 /// Staggered joins: `candidates[i]` joins at `first_s + i * every_s`.

@@ -2,10 +2,10 @@
 
 use vdm_core::VdmFactory;
 use vdm_experiments::setup::{ch3_setup, degree_limits_range};
-use vdm_experiments::Protocol;
+use vdm_experiments::{Protocol, Session};
 use vdm_netsim::SimTime;
 use vdm_overlay::agent::AgentConfig;
-use vdm_overlay::driver::{Driver, DriverConfig};
+use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{Action, ChurnConfig, Scenario};
 use vdm_planetlab::{SessionConfig, SessionRunner};
 
@@ -25,7 +25,7 @@ fn identical_seeds_reproduce_full_runs_bit_for_bit() {
             &setup.candidates,
             seed,
         );
-        let out = Protocol::Vdm.run(
+        let out = Protocol::Vdm.run(Session::new(
             setup.underlay.clone(),
             Some(setup.underlay.clone()),
             setup.source,
@@ -36,7 +36,7 @@ fn identical_seeds_reproduce_full_runs_bit_for_bit() {
                 ..DriverConfig::default()
             },
             seed,
-        );
+        ));
         (
             out.stats.startup_s,
             out.stats.reconnection_s,
@@ -91,17 +91,15 @@ fn orphan_recovers_when_grandparent_died_too() {
     actions.push((t_kill, Action::Leave(setup.candidates[2])));
     actions.push((SimTime::from_secs(120), Action::Measure));
     let scenario = Scenario::from_actions(actions, SimTime::from_secs(125));
-    let driver = Driver::new(
+    let out = Protocol::Vdm.run(Session::new(
         setup.underlay.clone(),
         None,
         setup.source,
-        VdmFactory::delay_based(),
         &scenario,
         limits,
         DriverConfig::default(),
         21,
-    );
-    let out = driver.run();
+    ));
     let last = out.stats.measurements.last().unwrap();
     assert_eq!(last.members, 4); // 6 joined, 2 left
     assert_eq!(
@@ -134,27 +132,24 @@ fn data_watchdog_keeps_the_session_alive_under_heavy_churn() {
         &setup.candidates,
         31,
     );
-    let factory = VdmFactory {
-        agent: AgentConfig {
+    let out = Protocol::Vdm.run(Session {
+        agent: &|a| AgentConfig {
             data_timeout: Some(SimTime::from_secs(10)),
-            ..AgentConfig::default()
+            ..a
         },
-        ..VdmFactory::delay_based()
-    };
-    let driver = Driver::new(
-        setup.underlay.clone(),
-        None,
-        setup.source,
-        factory,
-        &scenario,
-        limits,
-        DriverConfig {
-            data_interval: Some(SimTime::from_secs(1)),
-            ..DriverConfig::default()
-        },
-        31,
-    );
-    let out = driver.run();
+        ..Session::new(
+            setup.underlay.clone(),
+            None,
+            setup.source,
+            &scenario,
+            limits,
+            DriverConfig {
+                data_interval: Some(SimTime::from_secs(1)),
+                ..DriverConfig::default()
+            },
+            31,
+        )
+    });
     for m in &out.stats.measurements {
         assert_eq!(m.tree_errors, 0, "at t={}", m.time_s);
     }
@@ -191,7 +186,7 @@ fn graceful_leaves_reconnect_quickly() {
         &setup.candidates,
         44,
     );
-    let out = Protocol::Vdm.run(
+    let out = Protocol::Vdm.run(Session::new(
         setup.underlay.clone(),
         None,
         setup.source,
@@ -199,7 +194,7 @@ fn graceful_leaves_reconnect_quickly() {
         limits,
         DriverConfig::default(),
         44,
-    );
+    ));
     assert!(!out.stats.reconnection_s.is_empty());
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let startup = avg(&out.stats.startup_s);

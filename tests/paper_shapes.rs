@@ -3,7 +3,7 @@
 
 use vdm_experiments::figures::{complexity, fig3, fig5};
 use vdm_experiments::setup::{ch3_setup, degree_limits_range};
-use vdm_experiments::{Effort, Protocol};
+use vdm_experiments::{Effort, Protocol, Session};
 use vdm_netsim::SimTime;
 use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
@@ -23,7 +23,7 @@ fn ch3_metrics(proto: Protocol, seed: u64) -> vdm_experiments::extract::RunMetri
         &setup.candidates,
         seed,
     );
-    let out = proto.run(
+    let out = proto.run(Session::new(
         setup.underlay.clone(),
         Some(setup.underlay.clone()),
         setup.source,
@@ -37,7 +37,7 @@ fn ch3_metrics(proto: Protocol, seed: u64) -> vdm_experiments::extract::RunMetri
             data_plane: None,
         },
         seed,
-    );
+    ));
     vdm_experiments::extract::run_metrics(&out, 2)
 }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use vdm_experiments::setup::{ch3_setup, degree_limits_range};
-use vdm_experiments::Protocol;
+use vdm_experiments::{Protocol, Session};
 use vdm_netsim::Underlay;
 use vdm_netsim::{HostId, SimTime};
 use vdm_overlay::driver::{DriverConfig, RunOutput};
@@ -34,7 +34,7 @@ fn ch3_run(proto: Protocol, members: usize, churn: f64, seed: u64) -> RunOutput 
         &setup.candidates,
         seed,
     );
-    proto.run(
+    proto.run(Session::new(
         setup.underlay.clone(),
         Some(setup.underlay.clone()),
         setup.source,
@@ -48,7 +48,7 @@ fn ch3_run(proto: Protocol, members: usize, churn: f64, seed: u64) -> RunOutput 
             data_plane: None,
         },
         seed,
-    )
+    ))
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn every_protocol_survives_churn_on_the_latency_space() {
     for proto in ALL_PROTOCOLS {
         let runner = SessionRunner::prepare(&cfg, 5);
         let scenario = runner.scenario(5);
-        let out = proto.run(
+        let out = proto.run(Session::new(
             runner.space.clone(),
             None,
             runner.source,
@@ -100,7 +100,7 @@ fn every_protocol_survives_churn_on_the_latency_space() {
                 ..DriverConfig::default()
             },
             5,
-        );
+        ));
         let last = out.stats.measurements.last().expect("measurements");
         assert_eq!(last.connected, last.members, "{proto:?}");
         assert_eq!(last.tree_errors, 0, "{proto:?}");
@@ -164,7 +164,7 @@ fn underlay_sharing_is_thread_safe() {
             &setup.candidates,
             seed,
         );
-        let out = Protocol::Vdm.run(
+        let out = Protocol::Vdm.run(Session::new(
             underlay.clone(),
             Some(setup.underlay.clone()),
             HostId(0),
@@ -172,7 +172,7 @@ fn underlay_sharing_is_thread_safe() {
             vec![4; 13],
             DriverConfig::default(),
             seed,
-        );
+        ));
         assert_eq!(out.final_snapshot.connected_members().len(), 12);
     }
 }

@@ -6,11 +6,13 @@
 
 mod common;
 
-use common::{resilient_factory as factory, run_driver, staggered_joins};
+use common::{run_driver, staggered_joins};
 use proptest::{prop_assert, prop_assert_eq, proptest};
+use vdm_experiments::figures::bootstrap::resilient;
 use vdm_experiments::setup::ch3_setup;
+use vdm_experiments::{Protocol, Session};
 use vdm_netsim::SimTime;
-use vdm_overlay::driver::{Driver, DriverConfig};
+use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{Action, Scenario, SoakConfig};
 
 /// Regression: a newcomer whose join walk is in flight *through* a node
@@ -34,7 +36,7 @@ fn newcomer_joins_through_a_crashing_node() {
         ));
         actions.push((SimTime::from_secs(200), Action::Measure));
         let scenario = Scenario::from_actions(actions, SimTime::from_secs(205));
-        let out = run_driver(&setup, factory(), &scenario, limits, 33);
+        let out = run_driver(&setup, &resilient, &scenario, limits, 33);
         let last = out.stats.measurements.last().unwrap();
         assert_eq!(last.members, 4, "case {case}: 5 joined, 1 crashed");
         assert_eq!(
@@ -69,20 +71,21 @@ fn soak_smoke() {
         4242,
     );
     let run = || {
-        Driver::new(
-            setup.underlay.clone(),
-            None,
-            setup.source,
-            factory(),
-            &scenario,
-            vec![4; members + 1],
-            DriverConfig {
-                data_interval: Some(SimTime::from_secs(1)),
-                ..DriverConfig::default()
-            },
-            4242,
-        )
-        .run()
+        Protocol::Vdm.run(Session {
+            agent: &resilient,
+            ..Session::new(
+                setup.underlay.clone(),
+                None,
+                setup.source,
+                &scenario,
+                vec![4; members + 1],
+                DriverConfig {
+                    data_interval: Some(SimTime::from_secs(1)),
+                    ..DriverConfig::default()
+                },
+                4242,
+            )
+        })
     };
     let out = run();
     for m in &out.stats.measurements {
@@ -141,7 +144,7 @@ proptest! {
             &setup.candidates,
             plan_seed,
         );
-        let out = run_driver(&setup, factory(), &scenario, vec![3; members + 1], plan_seed);
+        let out = run_driver(&setup, &resilient, &scenario, vec![3; members + 1], plan_seed);
         let last = out.stats.measurements.last().unwrap();
         prop_assert_eq!(last.tree_errors, 0, "errors after quiet tail (seed {})", plan_seed);
         prop_assert_eq!(
