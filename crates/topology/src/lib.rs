@@ -16,8 +16,9 @@
 //!   oracle the sharded engine synchronizes on;
 //! * [`geo`] — geographic site pools (continent clusters, great-circle
 //!   latency) that back the emulated-PlanetLab substrate;
-//! * [`spath`] — Dijkstra single-source and all-pairs shortest paths with
-//!   next-hop tables (the simulator routes packets over these, as NS-2 does);
+//! * [`spath`] — Dijkstra single-source, host-to-host ([`HostRoutes`], the
+//!   table the simulator routes packets over, as NS-2 does) and all-pairs
+//!   shortest paths;
 //! * [`router`] — the [`RouteProvider`] abstraction over routing oracles,
 //!   plus the memory-bounded [`OnDemandRouter`] (LRU-cached per-source
 //!   rows) that scales past the dense matrix's `O(n^2)` ceiling;
@@ -42,7 +43,7 @@ pub mod waxman;
 
 pub use graph::{EdgeId, Graph, LinkAttrs, NodeId, NodeKind};
 pub use router::{OnDemandRouter, RouteProvider, RouteRow, RouterStats};
-pub use spath::{Apsp, ShortestPaths};
+pub use spath::{Apsp, HostRoutes, ShortestPaths};
 
 /// SplitMix64's finalizer: the one cheap 64-bit avalanche every seeded
 /// derivation in the workspace uses (per-shard RNG streams, per-tree

@@ -5,10 +5,12 @@
 //! loop this crate ran before the kernel existed — adjacency lists, a
 //! heap ordered by `f64::partial_cmp` then node id, every node pushed,
 //! first hops found by walking `prev` back from each target — and
-//! `sssp`, [`RouteRow::compute`], [`Apsp::build`] and [`dijkstra`] must
-//! match it bit for bit on every (source, target), including on the
-//! graphs where the leaf skip, the relaxation-time first hop and the
-//! (distance, id) pop order each decide the answer.
+//! `sssp`, [`RouteRow::compute`], [`Apsp::build`], [`HostRoutes::build`]
+//! and [`dijkstra`] must match it bit for bit on every (source, target),
+//! including on the graphs where the leaf skip, the relaxation-time
+//! first hop and the (distance, id) pop order each decide the answer.
+//! Every graph here also holds host rows (every node a host) to the
+//! dense table's hop-by-hop route.
 //!
 //! It lives inside the crate because two of the cases — parallel links
 //! and a zero-delay link — are not expressible as a [`Graph`]
@@ -161,11 +163,12 @@ fn check_kernel(lists: &Lists) -> Vec<RefRow> {
         .collect()
 }
 
-/// The kernel and the three public entry points against the reference,
-/// every (source, target).
+/// The kernel and the four public entry points against the reference,
+/// every (source, target); [`HostRoutes`] with every node a host.
 fn check_graph(g: &Graph) {
     let rows = check_kernel(&lists_of(g));
     let apsp = Apsp::build(g);
+    let hosts = HostRoutes::build(g, g.nodes().collect());
     for s in g.nodes() {
         let want = &rows[s.idx()];
         let row = RouteRow::compute(g, s);
@@ -203,6 +206,12 @@ fn check_graph(g: &Graph) {
                 hops.clear();
             }
             assert_eq!(apsp.path_nodes(s, t), hops, "apsp path {s}->{t}");
+
+            // Host rows: `s`'s own tree, which must be the dense route.
+            let (a, b) = (s.idx(), t.idx());
+            assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
+            assert_eq!(hosts.path_nodes(a, b), path, "host path {s}->{t}");
+            assert_eq!(hosts.path_nodes(a, b), hops, "host vs apsp path {s}->{t}");
         }
     }
 }
@@ -314,26 +323,29 @@ fn zero_delay_access_link() {
 /// pairs, so which one `prev` records is decided by the (distance, id)
 /// pop order alone. Edges are inserted column-first and right-to-left so
 /// adjacency order is not id order, and a leaf hangs off two corners.
+/// Once with vertical links of 1 or 2 ms, once as a unit grid.
 #[test]
 fn tie_rich_integer_grid() {
     const W: u32 = 5;
-    let mut edges = Vec::new();
-    for x in (0..W).rev() {
-        for y in 0..W {
-            let v = y * W + x;
-            if y + 1 < W {
-                edges.push((v, v + W, 1.0 + f64::from((x + y) % 2)));
-            }
-            if x + 1 < W {
-                edges.push((v + 1, v, 1.0));
+    for alternate in [1.0, 0.0] {
+        let mut edges = Vec::new();
+        for x in (0..W).rev() {
+            for y in 0..W {
+                let v = y * W + x;
+                if y + 1 < W {
+                    edges.push((v, v + W, 1.0 + alternate * f64::from((x + y) % 2)));
+                }
+                if x + 1 < W {
+                    edges.push((v + 1, v, 1.0));
+                }
             }
         }
+        edges.push((W * W, 0, 1.0));
+        edges.push((W * W - 1, W * W + 1, 2.0));
+        let g = graph_of((W * W + 2) as usize, &edges);
+        assert_eq!(leaves(&g), 2);
+        check_graph(&g);
     }
-    edges.push((W * W, 0, 1.0));
-    edges.push((W * W - 1, W * W + 1, 2.0));
-    let g = graph_of((W * W + 2) as usize, &edges);
-    assert_eq!(leaves(&g), 2);
-    check_graph(&g);
 }
 
 /// The kernel's answers do not depend on the order of a node's

@@ -87,6 +87,25 @@ impl TransitStubConfig {
         cfg
     }
 
+    /// The Chapter 3 testbed's topology for `hosts` attached hosts: the
+    /// paper's 792 routers while its 768 stub routers can take one host
+    /// each, else [`Self::sized`] grown until the stub routers can.
+    pub fn for_hosts(hosts: usize) -> Self {
+        let mut cfg = Self::paper_792();
+        if hosts > 768 {
+            let mut target = hosts + hosts / 8 + 24;
+            loop {
+                cfg = Self::sized(target);
+                let stubs = cfg.total_routers() - cfg.transit_domains * cfg.transit_nodes;
+                if stubs >= hosts {
+                    break;
+                }
+                target += target / 5;
+            }
+        }
+        cfg
+    }
+
     /// Total router count this config will generate.
     pub fn total_routers(&self) -> usize {
         let transit = self.transit_domains * self.transit_nodes;

@@ -1,7 +1,8 @@
 //! Property tests for the on-demand router: for arbitrary Waxman and
 //! power-law underlays it must answer distance and next-hop queries
-//! bit-identically to the dense `Apsp` oracle, and LRU eviction must be
-//! invisible (an evicted, re-queried row equals a fresh computation).
+//! bit-identically to the dense `Apsp` oracle and host queries as
+//! `HostRoutes` does, and LRU eviction must be invisible (an evicted,
+//! re-queried row equals a fresh computation).
 //!
 //! Both oracles are filled by the one kernel in `spath.rs`, so these
 //! properties cover the storage, the row orientation and the LRU — not
@@ -11,8 +12,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vdm_topology::powerlaw::{self, PowerLawConfig};
+use vdm_topology::transit_stub::attach_hosts;
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Apsp, Graph, NodeId, OnDemandRouter, RouteProvider, RouteRow};
+use vdm_topology::{Apsp, Graph, HostRoutes, NodeId, OnDemandRouter, RouteProvider, RouteRow};
 
 /// The two fixed seeds every graph family is checked on (plus the
 /// proptest-driven parameter space around them).
@@ -90,6 +92,48 @@ proptest! {
         let g = powerlaw_graph(nodes, seed);
         check(&g, None)?;
         check(&g, Some(2))?;
+    }
+
+    /// Host rows answer every host pair as the on-demand rows do:
+    /// distance bits, node path and link sequence. Hosts are leaves
+    /// attached to the routers, as on every experiment testbed.
+    #[test]
+    fn host_routes_match_on_demand(
+        nodes in 8usize..40,
+        hosts in 1usize..12,
+        family in 0usize..2,
+        seed_ix in 0usize..SEEDS.len(),
+        extra_seed in 0u64..500,
+    ) {
+        let seed = SEEDS[seed_ix] ^ extra_seed;
+        let mut g = if family == 1 {
+            powerlaw_graph(nodes, seed)
+        } else {
+            waxman_graph(nodes, 0.3, seed)
+        };
+        let host_nodes = attach_hosts(&mut g, hosts, seed, 0.0);
+        let routes = HostRoutes::build(&g, host_nodes.clone());
+        let router = OnDemandRouter::new(Arc::new(g.clone()), Some(2));
+        for (a, &na) in host_nodes.iter().enumerate() {
+            for (b, &nb) in host_nodes.iter().enumerate() {
+                let (d1, d2) = (routes.dist_ms(a, b), RouteProvider::dist_ms(&router, na, nb));
+                prop_assert_eq!(d1.to_bits(), d2.to_bits(), "dist h{}->h{}", a, b);
+                prop_assert_eq!(
+                    routes.path_nodes(a, b),
+                    RouteProvider::path_nodes(&router, na, nb),
+                    "path h{}->h{}",
+                    a,
+                    b
+                );
+                prop_assert_eq!(
+                    routes.path_edges(&g, a, b),
+                    RouteProvider::path_edges(&router, &g, na, nb),
+                    "links h{}->h{}",
+                    a,
+                    b
+                );
+            }
+        }
     }
 
     /// Evict + re-query == fresh: after arbitrary interleaved queries
