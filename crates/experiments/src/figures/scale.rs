@@ -565,7 +565,7 @@ mod tests {
     /// count and every member's Vivaldi coordinate and error, all by
     /// bit pattern. (`perf`'s `sim_digest` covers the first two only.)
     fn sweep_pin(sweep: &GuidedSweep) -> u64 {
-        let mut h = KeyHasher::new();
+        let mut h = KeyHasher::for_pins();
         let parents = sweep.ov.snapshot().parent;
         for p in &parents {
             h.feed_u64(p.map_or(u64::MAX, |p| u64::from(p.0)));
@@ -681,7 +681,7 @@ mod tests {
         // The same multiset of calls as with inline reads (recorded at
         // c35efa8 through this wrapper, where they made 2 615 turns).
         calls.sort();
-        let mut h = KeyHasher::new();
+        let mut h = KeyHasher::for_pins();
         for (a, b) in &calls {
             h.feed_u64(u64::from(a.0)).feed_u64(u64::from(b.0));
         }

@@ -1,6 +1,6 @@
 //! Content-addressed artifact cache for expensive pure inputs.
 //!
-//! Experiment grids recompute the same topologies, all-pairs
+//! Experiment grids recompute the same topologies, host-to-host
 //! shortest-path tables, and PlanetLab-like latency extracts for every
 //! ablation cell. All of these are *pure* functions of (generator
 //! parameters, seed), so they can be cached on disk keyed by a hash of
@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Version salt mixed into every cache key. Bump when any cached
-/// generator (topology synthesis, APSP, latency-space extract) changes
-/// its output for identical parameters.
-pub const CODE_SALT: u64 = 0x7664_6d63_6163_6802; // "vdmcach" + version 2 (APSP stores f64 distances)
+/// generator (topology synthesis, routing tables, latency-space extract)
+/// changes its output or its artifact format for identical parameters.
+pub const CODE_SALT: u64 = 0x7664_6d63_6163_6803; // "vdmcach" + version 3 (underlay artifacts hold host routes)
 
 /// FNV-1a 64-bit hasher over typed fields; the order and type of `feed`
 /// calls is part of the key.
@@ -44,10 +44,21 @@ impl Default for KeyHasher {
 impl KeyHasher {
     /// Fresh hasher already salted with [`CODE_SALT`].
     pub fn new() -> Self {
+        Self::salted(CODE_SALT)
+    }
+
+    /// Fresh hasher for content pins in tests, which hash outputs rather
+    /// than key artifacts: salted with version 2 of [`CODE_SALT`], the
+    /// one they were recorded under, so they do not move with it.
+    pub fn for_pins() -> Self {
+        Self::salted(0x7664_6d63_6163_6802)
+    }
+
+    fn salted(salt: u64) -> Self {
         let mut h = Self {
             state: 0xcbf2_9ce4_8422_2325,
         };
-        h.feed_u64(CODE_SALT);
+        h.feed_u64(salt);
         h
     }
 
