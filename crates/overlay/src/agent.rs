@@ -858,11 +858,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             // Re-validate against current state: we may have filled up,
             // started a walk, or adopted the joiner as an ancestor
             // since it was queued.
-            let ok = self.state.connected()
-                && self.walk.is_none()
-                && self.failover.is_none()
-                && Some(q.from) != self.state.parent
-                && !self.ancestors.contains(&q.from)
+            let ok = self.admissible(q.from)
                 && !self.state.has_child(q.from)
                 && self.state.free_degree() > 0;
             if !ok {
@@ -1413,6 +1409,24 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         }
     }
 
+    /// May `from` become our child right now? Dark or detached peers
+    /// must not accept newcomers; a node mid-walk or mid-failover must
+    /// not either (two refining siblings would accept each other
+    /// concurrently and close a 2-cycle — protocols without root paths
+    /// have no ancestor check to catch it); our own parent as a child
+    /// is a cycle outright; and a root-path or ancestor-list hit means
+    /// the requester is our ancestor — accepting would loop the tree.
+    /// Root paths and ancestor lists stay empty unless their mechanism
+    /// is on.
+    fn admissible(&self, from: HostId) -> bool {
+        self.state.connected()
+            && self.walk.is_none()
+            && self.failover.is_none()
+            && Some(from) != self.state.parent
+            && !self.state.root_path.contains(&from)
+            && !self.ancestors.contains(&from)
+    }
+
     fn handle_conn_req(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1421,20 +1435,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         kind: ConnKind,
         vdist: crate::VDist,
     ) {
-        // Dark or detached peers must not accept newcomers; a node
-        // mid-walk must not either (two refining siblings would accept
-        // each other concurrently and close a 2-cycle — protocols
-        // without root paths have no ancestor check to catch it); our
-        // own parent as a child is a cycle outright; and a root-path
-        // hit means the requester is our ancestor — accepting would
-        // loop the tree.
-        if !self.state.connected()
-            || self.walk.is_some()
-            || self.failover.is_some()
-            || Some(from) == self.state.parent
-            || (self.cfg.maintain_root_path && self.state.root_path.contains(&from))
-            || (self.cfg.resilience.is_some() && self.ancestors.contains(&from))
-        {
+        if !self.admissible(from) {
             ctx.send(
                 from,
                 Msg::ConnResp {
@@ -3019,6 +3020,57 @@ mod tests {
         );
         assert_eq!(stats2.recovery.cross_stripe_violations, 1);
         assert_eq!(w.agent.state.last_seq, Some(3));
+    }
+
+    /// A queued joiner that became our ancestor while it waited (a
+    /// root path naming it arrived) is rejected when the queue drains,
+    /// exactly as a fresh request from it would be.
+    #[test]
+    fn queued_joiner_on_the_root_path_is_rejected_at_drain() {
+        let cfg = AgentConfig {
+            maintain_root_path: true,
+            admission: Some(AdmissionConfig {
+                rate_per_s: 1.0,
+                burst: 1.0,
+                queue: 2,
+                max_wait: SimTime::from_secs(10),
+            }),
+            ..AgentConfig::default()
+        };
+        let (mut eng, mut w) = harness(cfg, false);
+        w.agent.state.parent = Some(HostId(1));
+        for (from, nonce) in [(HostId(4), 1), (HostId(5), 2)] {
+            inject(
+                &mut eng,
+                &mut w,
+                from,
+                Msg::ConnReq {
+                    nonce,
+                    kind: ConnKind::Child,
+                    vdist: 5.0,
+                    coord: None,
+                },
+            );
+        }
+        assert_eq!(w.agent.admit_queue.len(), 1, "host 5 is parked");
+        inject(
+            &mut eng,
+            &mut w,
+            HostId(1),
+            Msg::RootPath {
+                path: vec![HostId(7), HostId(5), HostId(1)],
+            },
+        );
+        let until = eng.now() + SimTime::from_secs(2);
+        eng.run(&mut w, until);
+        assert!(!w.agent.state.has_child(HostId(5)));
+        assert_eq!(
+            take_to(&mut w, HostId(5)),
+            vec![Msg::ConnResp {
+                nonce: 2,
+                result: ConnResult::Rejected
+            }]
+        );
     }
 
     #[test]
