@@ -17,7 +17,7 @@
 //!
 //! Every cell is one [`Driver`] built with [`Driver::striped`]: the
 //! same session world for every `k`, with `k = 1` simply running its
-//! per-tree loops once. [`k1_matches_single_tree`] replays one cell
+//! per-tree loops once. `k1_matches_single_tree` replays one cell
 //! through [`Driver::new`] with unfolded limits and a raw fault plan
 //! and byte-compares the outputs — pinning that the `k`-tree plumbing
 //! around the world (limit striping, fault expansion) is the identity

@@ -191,7 +191,7 @@ fn trial_seed(base: u64, r: u64) -> u64 {
     base.wrapping_add(1_000 * r).wrapping_add(17)
 }
 
-/// Trial-level fan-out: run `f` for `reps` [`trial_seed`]s off
+/// Trial-level fan-out: run `f` for `reps` trial seeds (`trial_seed`) off
 /// `base_seed` and collect results in seed order. This is the engine
 /// behind [`crate::figures::replicate`], which every figure family
 /// calls.

@@ -14,7 +14,7 @@
 //!   send classification, and the shared run-RNG stream are exactly
 //!   what they were before the seam, so every golden byte sequence is
 //!   preserved (CI pins this).
-//! * [`BufIo`] inside [`ProtocolCore`]: a buffered facade for real
+//! * `BufIo` inside [`ProtocolCore`]: a buffered facade for real
 //!   runtimes (the `vdm-node` daemon). Inputs go in as [`Input`]
 //!   values, effects come back out as [`Output`] values; the caller
 //!   owns sockets, clocks, and timer wheels. No engine, no sockets,
@@ -37,7 +37,8 @@ use vdm_netsim::{Engine, HostId, SendClass, SimTime};
 
 /// Every effect an agent callback may perform, as a trait object the
 /// [`Ctx`] methods forward to. Implemented by the deterministic
-/// [`Engine`] (simulation) and by [`BufIo`] (real runtimes).
+/// [`Engine`] (simulation) and by the buffered io inside
+/// [`ProtocolCore`] (real runtimes).
 pub trait CoreIo {
     /// Current protocol time.
     fn now(&self) -> SimTime;

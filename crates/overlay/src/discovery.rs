@@ -13,7 +13,7 @@
 //! Unanswered probes retire their view entry (stale/dead peers are
 //! detected by age and timeout, never trusted forever), per-request
 //! deadlines grow exponentially across rounds (the PR 1 retry
-//! machinery, [`crate::walk::scaled_delay`]), and when the whole view
+//! machinery, `walk::scaled_delay`), and when the whole view
 //! is exhausted the join falls back to the plain source walk — from
 //! where the existing candidate → ancestor → source recovery hierarchy
 //! applies unchanged.
