@@ -88,7 +88,9 @@ impl CoreIo for Engine<Msg> {
 pub enum Input {
     /// The operator told this node to join the session.
     Join,
-    /// The operator told this node to leave gracefully.
+    /// The operator told this node to leave gracefully. Leave is the
+    /// node's last input: drop the core afterwards, and build a fresh
+    /// one (with a fresh agent) to rejoin.
     Leave,
     /// A protocol message arrived from `from`.
     Packet {
@@ -179,7 +181,6 @@ pub struct ProtocolCore<A: OverlayAgent> {
     agent: A,
     io: BufIo,
     stats: RunStats,
-    loss_probe_noise: f64,
 }
 
 impl<A: OverlayAgent> ProtocolCore<A> {
@@ -199,18 +200,12 @@ impl<A: OverlayAgent> ProtocolCore<A> {
                 tracer: vdm_trace::Tracer::disabled(),
             },
             stats: RunStats::new(num_hosts),
-            loss_probe_noise: 0.0,
         }
     }
 
     /// Install an enabled tracer (events are stamped with core time).
     pub fn set_tracer(&mut self, tracer: vdm_trace::Tracer) {
         self.io.tracer = tracer;
-    }
-
-    /// Set the loss-probe noise amplitude (loss-based metrics only).
-    pub fn set_loss_probe_noise(&mut self, noise: f64) {
-        self.loss_probe_noise = noise;
     }
 
     /// Install bootstrap-discovery state before the first
@@ -229,7 +224,8 @@ impl<A: OverlayAgent> ProtocolCore<A> {
             me: self.me,
             io: &mut self.io,
             stats: &mut self.stats,
-            loss_probe_noise: self.loss_probe_noise,
+            // Real runtimes measure real paths: no synthetic noise.
+            loss_probe_noise: 0.0,
         };
         match input {
             Input::Join => self.agent.on_join_cmd(&mut ctx),

@@ -22,9 +22,17 @@
 //! no RNG draws, timers, or messages happen otherwise, so runs without
 //! discovery stay byte-identical per seed.
 
+use crate::agent::{next_stamp, Ctx};
 use crate::bucket::TokenBucket;
 use crate::coords::{Coord, CoordSample};
+use crate::msg::{Msg, PeerEntry};
+use crate::peer::PeerState;
 use vdm_netsim::{HostId, SimTime};
+
+/// Timer-token namespace bit for bootstrap-discovery probe deadlines
+/// (the low bits carry the probe nonce, which stays far below this
+/// bit).
+pub const DISCOVERY_TOKEN_BIT: u64 = 1 << 54;
 
 /// Bootstrap-discovery tunables plus the seed peer set. Carried by
 /// [`crate::scenario::Scenario`] and distributed to every agent by the
@@ -104,8 +112,9 @@ struct ViewEntry {
 }
 
 /// Per-agent discovery state: the gossiped partial view, the in-flight
-/// probe set, and the responder serving bucket. Pure bookkeeping — the
-/// agent owns all message/timer side effects.
+/// probe set, and the responder serving bucket. The agent holds one
+/// once a [`DiscoveryConfig`] is installed and hands it probe answers,
+/// probe requests and probe deadlines.
 #[derive(Clone, Debug)]
 pub struct DiscoveryState {
     cfg: DiscoveryConfig,
@@ -139,36 +148,6 @@ impl DiscoveryState {
             s.observe_at(h, me, now);
         }
         s
-    }
-
-    /// The installed tunables.
-    pub fn cfg(&self) -> &DiscoveryConfig {
-        &self.cfg
-    }
-
-    /// Rounds fired so far.
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// When the first probe round fired.
-    pub fn started_at(&self) -> Option<SimTime> {
-        self.started_at
-    }
-
-    /// Anchor chosen or fallback taken.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Mark the episode done (anchor found or fallback taken).
-    pub fn finish(&mut self) {
-        self.finished = true;
-    }
-
-    /// No probes awaiting an answer or deadline.
-    pub fn idle(&self) -> bool {
-        self.inflight.is_empty()
     }
 
     /// Whether a cold join has anyone to ask at all (after age
@@ -240,29 +219,18 @@ impl DiscoveryState {
             .retain(|e| now.saturating_sub(e.seen_at) <= max_age);
     }
 
-    /// Remove a dead/stale peer outright (probe deadline expired).
-    pub fn retire(&mut self, host: HostId) {
-        self.view.retain(|e| e.host != host);
-    }
-
     /// Begin a probe round: evict stale entries and pick up to `fanout`
     /// untried entries, freshest first (host id breaks ties). When
     /// every live entry has been tried and rounds remain, the tried
     /// flags reset — a later pass re-probes seeds that shed us under
     /// load, after the backoff gave their budget time to refill.
+    /// With `coord_ranked` set and a joiner coordinate supplied,
+    /// untried entries go nearest-first instead (entries without a
+    /// sample last, freshest-first among equals), so the first live
+    /// responder is already near the joiner's predicted region.
     /// Returns the empty vector when the round budget or the view is
     /// exhausted: the caller falls back to the source walk.
-    pub fn begin_round(&mut self, now: SimTime) -> Vec<HostId> {
-        self.begin_round_from(now, None)
-    }
-
-    /// [`DiscoveryState::begin_round`] with an optional joiner
-    /// coordinate: when `coord_ranked` is set and a coordinate is
-    /// supplied, untried entries are probed nearest-first (entries
-    /// without a sample last, freshest-first among equals) instead of
-    /// purely freshest-first, so the first live responder is already
-    /// near the joiner's predicted region.
-    pub fn begin_round_from(&mut self, now: SimTime, self_coord: Option<Coord>) -> Vec<HostId> {
+    pub fn begin_round(&mut self, now: SimTime, self_coord: Option<Coord>) -> Vec<HostId> {
         if self.round >= self.cfg.max_rounds {
             return Vec::new();
         }
@@ -278,23 +246,14 @@ impl DiscoveryState {
         let mut order: Vec<usize> = (0..self.view.len())
             .filter(|&i| !self.view[i].tried)
             .collect();
-        let ranked = if self.cfg.coord_ranked {
-            self_coord
-        } else {
-            None
+        let ranked = self_coord.filter(|_| self.cfg.coord_ranked);
+        let dist = |e: &ViewEntry| match (ranked, e.coord) {
+            (Some(c), Some(s)) => c.dist(s.coord),
+            _ => f64::INFINITY,
         };
         order.sort_by(|&a, &b| {
             let (ea, eb) = (&self.view[a], &self.view[b]);
-            if let Some(c) = ranked {
-                let da = ea.coord.map_or(f64::INFINITY, |s| c.dist(s.coord));
-                let db = eb.coord.map_or(f64::INFINITY, |s| c.dist(s.coord));
-                if let o @ (std::cmp::Ordering::Less | std::cmp::Ordering::Greater) =
-                    da.total_cmp(&db)
-                {
-                    return o;
-                }
-            }
-            (eb.seen_at, ea.host.0).cmp(&(ea.seen_at, eb.host.0))
+            dist(ea).total_cmp(&dist(eb)).then(freshest_first(ea, eb))
         });
         order.truncate(self.cfg.fanout.max(1));
         let targets: Vec<HostId> = order
@@ -309,11 +268,6 @@ impl DiscoveryState {
             self.started_at = Some(now);
         }
         targets
-    }
-
-    /// Track an in-flight probe.
-    pub fn note_inflight(&mut self, nonce: u64, target: HostId) {
-        self.inflight.push((nonce, target));
     }
 
     /// A `PeerList` arrived: true iff `(nonce, from)` matched an
@@ -366,31 +320,188 @@ impl DiscoveryState {
             push(c, 0.0, &mut out);
         }
         let mut by_age: Vec<&ViewEntry> = self.view.iter().collect();
-        by_age.sort_by(|a, b| (b.seen_at, a.host.0).cmp(&(a.seen_at, b.host.0)));
+        by_age.sort_by(|a, b| freshest_first(a, b));
         for e in by_age {
             push(e.host, now.saturating_sub(e.seen_at).as_secs(), &mut out);
         }
         out.truncate(self.cfg.gossip_fanout.max(1));
         out
     }
+}
 
-    /// Clear the per-join episode (a graceful leave keeps the warm
-    /// view as membership knowledge for the next incarnation).
-    pub fn reset_episode(&mut self) {
-        self.inflight.clear();
-        self.round = 0;
-        self.started_at = None;
-        self.finished = false;
-        for e in &mut self.view {
-            e.tried = false;
+/// Freshest first, host id breaking ties.
+fn freshest_first(a: &ViewEntry, b: &ViewEntry) -> std::cmp::Ordering {
+    (b.seen_at, a.host.0).cmp(&(a.seen_at, b.host.0))
+}
+
+/// The agent-facing half: probe rounds, probe deadlines and both
+/// message handlers. Nonces come from the agent's stamp counter `gen`;
+/// every send, timer and counter goes through `ctx`.
+impl DiscoveryState {
+    /// Begin discovery on a join command. Returns whether the join walk
+    /// should start from the source right away: discovery already
+    /// ended, the bootstrap set is empty (then nothing is counted or
+    /// traced, so an empty-seed config stays byte-identical to
+    /// discovery off), or the first round found nobody to ask.
+    pub(crate) fn begin(&mut self, ctx: &mut Ctx<'_>, coord: Option<Coord>, gen: &mut u64) -> bool {
+        if self.finished || (self.cfg.seeds.is_empty() && !self.has_candidates(ctx.now())) {
+            return true;
         }
+        self.fire(ctx, coord, gen)
     }
 
-    /// Current view hosts, freshest first (diagnostics/tests).
-    pub fn view_hosts(&self) -> Vec<HostId> {
-        let mut by_age: Vec<&ViewEntry> = self.view.iter().collect();
-        by_age.sort_by(|a, b| (b.seen_at, a.host.0).cmp(&(a.seen_at, b.host.0)));
-        by_age.iter().map(|e| e.host).collect()
+    /// Fire one probe round at the freshest (or, coordinate-ranked,
+    /// nearest) untried view entries. When the view or the round budget
+    /// is exhausted, record the fallback and return `true`: the caller
+    /// starts the plain source-anchored walk, from where the candidate
+    /// → ancestor → source recovery hierarchy applies unchanged.
+    fn fire(&mut self, ctx: &mut Ctx<'_>, coord: Option<Coord>, gen: &mut u64) -> bool {
+        let targets = self.begin_round(ctx.now(), coord);
+        if targets.is_empty() {
+            self.finished = true;
+            ctx.stats.recovery.discovery_fallbacks += 1;
+            ctx.trace(|| vdm_trace::TraceEvent::DiscoveryFallback { host: ctx.me.0 });
+            return true;
+        }
+        let (round, fanout) = (self.round, targets.len() as u32);
+        ctx.trace(|| vdm_trace::TraceEvent::DiscoveryRound {
+            host: ctx.me.0,
+            round,
+            fanout,
+        });
+        for t in targets {
+            let nonce = next_stamp(gen);
+            self.inflight.push((nonce, t));
+            ctx.stats.recovery.bootstrap_contacts += 1;
+            ctx.send(t, Msg::PeerReq { nonce });
+            // Deadlines stretch exponentially across rounds — the same
+            // retry machinery as failed walks — which is what lets a
+            // shedding seed's serving bucket refill between re-probes.
+            let c = &self.cfg;
+            let d = crate::walk::scaled_delay(
+                c.request_timeout,
+                c.backoff,
+                round.saturating_sub(1),
+                c.jitter_frac,
+                ctx,
+            );
+            ctx.timer(d, DISCOVERY_TOKEN_BIT | nonce);
+        }
+        false
+    }
+
+    /// A probe deadline fired. An unanswered probe marks its target
+    /// stale: retire it so later rounds (and gossip we forward) stop
+    /// pointing at a departed host, and fire the next round once the
+    /// current one is settled. Returns `true` when this ended discovery
+    /// in the source fallback.
+    pub(crate) fn on_timeout(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nonce: u64,
+        coord: Option<Coord>,
+        gen: &mut u64,
+    ) -> bool {
+        let Some(dead) = self.timeout_inflight(nonce) else {
+            return false;
+        };
+        ctx.stats.recovery.stale_peer_hits += 1;
+        self.view.retain(|e| e.host != dead);
+        !self.finished && self.inflight.is_empty() && self.fire(ctx, coord, gen)
+    }
+
+    /// Answer a bootstrap probe out of the serving budget. Nodes that
+    /// are not yet attached to the tree (or whose budget is dry) drop
+    /// the request silently — the prober's timeout+backoff spreads the
+    /// flash crowd out instead of amplifying it. `coords` is the
+    /// responder's own sample cache when its embedding runs; only then
+    /// are samples attached, so a coords-off responder gossips
+    /// byte-identical entries.
+    pub(crate) fn serve_probe(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: HostId,
+        nonce: u64,
+        state: &PeerState,
+        coords: Option<&[(HostId, CoordSample)]>,
+    ) {
+        let (now, me) = (ctx.now(), ctx.me);
+        // The prober is demonstrably alive: gossip it onward.
+        self.observe_at(from, me, now);
+        if !state.connected() || !self.serve_take(now) {
+            ctx.stats.recovery.peer_reqs_dropped += 1;
+            return;
+        }
+        ctx.stats.recovery.peer_reqs_served += 1;
+        let children: Vec<HostId> = state.children.iter().map(|&(c, _)| c).collect();
+        let peers = self
+            .share(me, from, state.parent, &children, now)
+            .into_iter()
+            .map(|(host, age_s)| PeerEntry {
+                host,
+                age_s,
+                coord: coords.and_then(|cache| {
+                    cache
+                        .iter()
+                        .find(|(p, _)| *p == host)
+                        .map(|&(_, s)| s)
+                        .or_else(|| self.coord_of(host))
+                }),
+            })
+            .collect();
+        ctx.send(from, Msg::PeerList { nonce, peers });
+    }
+
+    /// A probe answer arrived: fold the gossip into the view and, the
+    /// first time, record the responder as the anchor — an answered
+    /// probe proves it alive, which is exactly what makes it a safe
+    /// entry point. Returns `true` when the waiting join (`joining`)
+    /// should now start its walk at `from`. `guided_ok` says whether
+    /// our embedding runs, so coordinate-ranked probing was in force.
+    pub(crate) fn on_peer_list(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: HostId,
+        nonce: u64,
+        peers: Vec<PeerEntry>,
+        guided_ok: bool,
+        joining: bool,
+    ) -> bool {
+        let (now, me) = (ctx.now(), ctx.me);
+        if !self.resolve_inflight(nonce, from) {
+            return false; // stale reply from an earlier round or incarnation
+        }
+        self.observe_at(from, me, now);
+        for p in peers {
+            self.observe_aged(p.host, me, p.age_s, now);
+            if let Some(s) = p.coord {
+                self.note_coord(p.host, s);
+            }
+        }
+        if self.finished {
+            return false; // late answer: keep the gossip, anchor already chosen
+        }
+        self.finished = true;
+        let took = now.saturating_sub(self.started_at.unwrap_or(now)).as_secs();
+        ctx.stats
+            .recovery
+            .discovery_anchors
+            .push((now.as_secs(), took));
+        ctx.trace(|| vdm_trace::TraceEvent::DiscoveryAnchor {
+            host: ctx.me.0,
+            anchor: from.0,
+            took_s: took,
+        });
+        if joining && self.cfg.coord_ranked && guided_ok {
+            // The probe order was coordinate-ranked, so the first live
+            // responder is the nearest anchor the view offers.
+            ctx.stats.recovery.guided_entries += 1;
+            ctx.trace(|| vdm_trace::TraceEvent::GuidedEntry {
+                host: ctx.me.0,
+                anchor: from.0,
+            });
+        }
+        joining
     }
 }
 
@@ -407,26 +518,33 @@ mod tests {
 
     const ME: HostId = HostId(99);
 
+    /// The view's hosts, freshest first.
+    fn view_hosts(d: &DiscoveryState) -> Vec<HostId> {
+        let mut view = d.view.clone();
+        view.sort_by(freshest_first);
+        view.iter().map(|e| e.host).collect()
+    }
+
     #[test]
     fn seeds_populate_the_view_excluding_self() {
         let d = DiscoveryState::new(&cfg(&[1, 2, 99]), ME, SimTime::from_secs(5));
-        assert_eq!(d.view_hosts(), vec![HostId(1), HostId(2)]);
+        assert_eq!(view_hosts(&d), vec![HostId(1), HostId(2)]);
     }
 
     #[test]
     fn rounds_walk_the_view_then_exhaust() {
         let mut d = DiscoveryState::new(&cfg(&[1, 2, 3]), ME, SimTime::ZERO);
         let t = SimTime::from_secs(1);
-        let r1 = d.begin_round(t);
+        let r1 = d.begin_round(t, None);
         assert_eq!(r1.len(), 2, "fanout-bounded");
-        let r2 = d.begin_round(t);
+        let r2 = d.begin_round(t, None);
         assert_eq!(r2.len(), 1, "remaining untried entry");
         // A third pass re-probes (tried flags reset) until max_rounds.
-        let r3 = d.begin_round(t);
+        let r3 = d.begin_round(t, None);
         assert_eq!(r3.len(), 2);
-        let r4 = d.begin_round(t);
+        let r4 = d.begin_round(t, None);
         assert_eq!(r4.len(), 1);
-        assert_eq!(d.begin_round(t), Vec::new(), "round budget exhausted");
+        assert_eq!(d.begin_round(t, None), Vec::new(), "round budget exhausted");
     }
 
     #[test]
@@ -436,7 +554,7 @@ mod tests {
         assert!(d.has_candidates(SimTime::from_secs(130)));
         // Seeds stamped at 0 are now older than max_age (120 s); only
         // the fresh gossip survives.
-        assert_eq!(d.view_hosts(), vec![HostId(7)]);
+        assert_eq!(view_hosts(&d), vec![HostId(7)]);
         assert!(!d.has_candidates(SimTime::from_secs(500)));
     }
 
@@ -447,7 +565,7 @@ mod tests {
         d.observe_aged(HostId(5), ME, 30.0, now);
         d.observe_aged(HostId(6), ME, 500.0, now);
         assert!(d.has_candidates(now));
-        assert_eq!(d.view_hosts(), vec![HostId(5)], "too-old gossip evicted");
+        assert_eq!(view_hosts(&d), vec![HostId(5)], "too-old gossip evicted");
     }
 
     #[test]
@@ -458,20 +576,20 @@ mod tests {
         for i in 1..=5u32 {
             d.observe_at(HostId(i), ME, SimTime::from_secs(i as u64));
         }
-        assert_eq!(d.view_hosts(), vec![HostId(5), HostId(4), HostId(3)]);
+        assert_eq!(view_hosts(&d), vec![HostId(5), HostId(4), HostId(3)]);
     }
 
     #[test]
     fn inflight_resolution_and_timeout_race() {
         let mut d = DiscoveryState::new(&cfg(&[1]), ME, SimTime::ZERO);
-        d.note_inflight(10, HostId(1));
-        d.note_inflight(11, HostId(2));
+        d.inflight.push((10, HostId(1)));
+        d.inflight.push((11, HostId(2)));
         assert!(d.resolve_inflight(10, HostId(1)));
         assert!(!d.resolve_inflight(10, HostId(1)), "already resolved");
         assert!(!d.resolve_inflight(11, HostId(3)), "wrong responder");
         assert_eq!(d.timeout_inflight(11), Some(HostId(2)));
         assert_eq!(d.timeout_inflight(11), None, "already timed out");
-        assert!(d.idle());
+        assert!(d.inflight.is_empty());
     }
 
     #[test]
@@ -521,28 +639,14 @@ mod tests {
         d.note_coord(HostId(3), at(5.0));
         // Host 1 has no sample and must sort last despite equal age.
         let t = SimTime::from_secs(1);
-        let r = d.begin_round_from(t, Some(Coord::ZERO));
+        let r = d.begin_round(t, Some(Coord::ZERO));
         assert_eq!(r, vec![HostId(2), HostId(3)]);
-        assert_eq!(d.begin_round_from(t, Some(Coord::ZERO)), vec![HostId(1)]);
+        assert_eq!(d.begin_round(t, Some(Coord::ZERO)), vec![HostId(1)]);
         // Without a joiner coordinate the freshest-first order stands.
         let mut d2 = DiscoveryState::new(&c, ME, SimTime::ZERO);
         d2.note_coord(HostId(3), at(0.1));
-        assert_eq!(d2.begin_round(t), vec![HostId(1), HostId(2)]);
+        assert_eq!(d2.begin_round(t, None), vec![HostId(1), HostId(2)]);
         assert_eq!(d2.coord_of(HostId(3)), Some(at(0.1)));
         assert_eq!(d2.coord_of(HostId(1)), None);
-    }
-
-    #[test]
-    fn reset_episode_keeps_the_view_warm() {
-        let mut d = DiscoveryState::new(&cfg(&[1, 2]), ME, SimTime::ZERO);
-        let t = SimTime::from_secs(1);
-        d.begin_round(t);
-        d.note_inflight(7, HostId(1));
-        d.finish();
-        d.reset_episode();
-        assert!(!d.finished());
-        assert!(d.idle());
-        assert_eq!(d.round(), 0);
-        assert_eq!(d.begin_round(t).len(), 2, "view survived the reset");
     }
 }

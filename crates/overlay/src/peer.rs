@@ -122,17 +122,6 @@ impl PeerState {
             }
         }
     }
-
-    /// Reset to the unconnected state (used when a peer leaves and later
-    /// re-joins as a fresh incarnation).
-    pub fn reset(&mut self) {
-        self.parent = None;
-        self.parent_dist = None;
-        self.grandparent = None;
-        self.children.clear();
-        self.root_path.clear();
-        self.last_seq = None;
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +169,6 @@ mod tests {
         assert!(!p.accept_seq(5));
         assert!(!p.accept_seq(3));
         assert!(p.accept_seq(6));
-        p.reset();
-        assert!(p.accept_seq(1));
     }
 
     #[test]

@@ -117,21 +117,6 @@ impl RetransmitRing {
     pub fn contains(&self, seq: u64) -> bool {
         self.seqs.binary_search(&seq).is_ok()
     }
-
-    /// Number of retained sequence numbers.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Whether the ring holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
-    }
-
-    /// Drop everything (peer left the session).
-    pub fn clear(&mut self) {
-        self.seqs.clear();
-    }
 }
 
 /// One chunk the receiver knows it skipped.
@@ -180,7 +165,7 @@ impl GapTracker {
             None => {
                 // A chunk pre-registered by `note_absent` arriving as
                 // the very first delivery is no longer missing.
-                self.missing.retain(|m| m.seq != seq);
+                self.resolve(seq);
                 ChunkClass::Fresh
             }
             Some(last) if seq > last => {
@@ -213,21 +198,14 @@ impl GapTracker {
                 }
                 // `note_absent` may have registered this chunk (or ones
                 // above it) before it arrived through the tree.
-                self.missing.retain(|m| m.seq != seq);
+                self.resolve(seq);
                 // The window also bounds the backlog as the watermark
                 // advances past older holes.
                 self.expire_below(seq.saturating_sub(span));
                 ChunkClass::Fresh
             }
-            Some(_) => {
-                let before = self.missing.len();
-                self.missing.retain(|m| m.seq != seq);
-                if self.missing.len() != before {
-                    ChunkClass::Repaired
-                } else {
-                    ChunkClass::Duplicate
-                }
-            }
+            Some(_) if self.resolve(seq) => ChunkClass::Repaired,
+            Some(_) => ChunkClass::Duplicate,
         }
     }
 
@@ -324,19 +302,9 @@ impl GapTracker {
         self.missing.iter().map(|m| m.due_at).min()
     }
 
-    /// Anything still outstanding?
-    pub fn has_pending(&self) -> bool {
-        !self.missing.is_empty()
-    }
-
     /// Outstanding hole count.
     pub fn pending(&self) -> usize {
         self.missing.len()
-    }
-
-    /// Drop all state (peer left the session).
-    pub fn clear(&mut self) {
-        self.missing.clear();
     }
 }
 
@@ -351,11 +319,11 @@ mod tests {
     #[test]
     fn ring_records_evicts_lowest_and_finds() {
         let mut r = RetransmitRing::new(4);
-        assert!(r.is_empty());
+        assert!(r.seqs.is_empty());
         for s in [1, 2, 3, 4] {
             r.record(s);
         }
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.seqs.len(), 4);
         r.record(5); // evicts 1
         assert!(!r.contains(1));
         assert!(r.contains(2) && r.contains(5));
@@ -365,10 +333,8 @@ mod tests {
         r.record(12);
         r.record(11);
         r.record(11);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.seqs.len(), 3);
         assert!(r.contains(11));
-        r.clear();
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -419,7 +385,7 @@ mod tests {
         assert_eq!(g.due_nacks(t2, &c), vec![2]);
         let t3 = t2 + c.nack_period;
         assert!(g.due_nacks(t3, &c).is_empty());
-        assert!(!g.has_pending());
+        assert_eq!(g.pending(), 0);
         assert_eq!(g.lost, 1);
         assert_eq!(g.next_due(), None);
     }
@@ -430,17 +396,17 @@ mod tests {
         for s in [u64::MAX - 2, u64::MAX - 1, u64::MAX] {
             r.record(s);
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.seqs.len(), 3);
         assert!(r.contains(u64::MAX - 2) && r.contains(u64::MAX));
         // Duplicate of the top sequence is a no-op, not an eviction.
         r.record(u64::MAX);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.seqs.len(), 3);
         assert!(r.contains(u64::MAX - 2));
         // An out-of-order record into a full ring sorts in, then the
         // lowest-first eviction drops it again: the ring never holds
         // more than `cap`, and never trades new content for old.
         r.record(5);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.seqs.len(), 3);
         assert!(!r.contains(5), "the lowest sequence must be the evictee");
         assert!(r.contains(u64::MAX - 2) && r.contains(u64::MAX - 1) && r.contains(u64::MAX));
     }

@@ -432,14 +432,9 @@ impl Scenario {
     /// Crash selection draws from the scenario's own RNG stream
     /// ([`Scenario::crash_seed`]), so the seed that generated the
     /// schedule fully determines the result. `frac` in `[0, 1]`.
-    pub fn with_crashes(self, frac: f64) -> Self {
-        let seed = self.crash_seed;
-        self.convert_crashes(frac, seed)
-    }
-
-    fn convert_crashes(mut self, frac: f64, seed: u64) -> Self {
+    pub fn with_crashes(mut self, frac: f64) -> Self {
         assert!((0.0..=1.0).contains(&frac));
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0063_7261_7368);
+        let mut rng = StdRng::seed_from_u64(self.crash_seed ^ 0x0063_7261_7368);
         for (_, a) in self.actions.iter_mut() {
             if let Action::Leave(h) = *a {
                 if rng.gen::<f64>() < frac {

@@ -214,11 +214,6 @@ impl RecoveryStats {
         median(self.delivery_gaps.iter().map(|&(_, d)| d).collect())
     }
 
-    /// Summary of time-to-first-anchor durations (discovery extension).
-    pub fn anchor_summary(&self) -> Summary {
-        Summary::of(self.discovery_anchors.iter().map(|&(_, d)| d))
-    }
-
     /// Median time-to-first-anchor (NaN when discovery never chose an
     /// anchor; see [`RecoveryStats::reconnect_median`]).
     pub fn anchor_median(&self) -> f64 {
@@ -474,7 +469,6 @@ mod tests {
             discovery_anchors: vec![(10.0, 1.0), (11.0, 3.0)],
             ..RecoveryStats::default()
         };
-        assert_eq!(r.anchor_summary().mean, 2.0);
         assert_eq!(r.anchor_median(), 2.0);
         assert_eq!(r.reconnect_summary().mean, 3.0);
         assert_eq!(r.reconnect_summary().count, 2);

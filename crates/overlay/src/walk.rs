@@ -281,31 +281,54 @@ pub(crate) fn scaled_delay(
     SimTime::from_ms(ms)
 }
 
-/// Fold one measured RTT plus the piggybacked remote sample into the
-/// walker's embedding. A free function over disjoint [`Walk`] fields so
-/// it can run while the phase state is still borrowed. No-op — no
-/// events, counters, or RNG — unless an embedding runs *and* the reply
-/// carried a sample.
-fn observe_coord_sample(
-    coords: &mut Option<(VivaldiState, CoordsConfig)>,
-    coord_harvest: &mut Vec<(HostId, CoordSample)>,
-    ctx: &mut Ctx<'_>,
-    from: HostId,
-    remote: Option<CoordSample>,
-    rtt_ms: f64,
-) {
-    let (Some((state, cfg)), Some(sample)) = (coords.as_mut(), remote) else {
-        return;
-    };
-    let step = state.update(sample, rtt_ms, cfg, pair_seed(ctx.me, from));
-    let err = state.err;
-    coord_harvest.push((from, sample));
-    ctx.stats.recovery.coord_updates += 1;
-    ctx.trace(|| vdm_trace::TraceEvent::CoordUpdate {
-        host: ctx.me.0,
-        err,
-        step,
-    });
+/// What a walk learns from the replies it measures; the agent reads it
+/// back when the walk finishes.
+pub(crate) struct Measured {
+    /// Every peer measured (examined nodes and probed children alike,
+    /// duplicates possible). Pure bookkeeping with no events of its
+    /// own; the resilience extension harvests it as backup-parent
+    /// candidates.
+    pub(crate) harvest: Vec<(HostId, VDist)>,
+    /// The walker's own embedding state, updated from every measured
+    /// RTT whose reply piggybacked a remote sample. `None` (coords off)
+    /// makes every coordinate branch in this walk a no-op.
+    pub(crate) coords: Option<(VivaldiState, CoordsConfig)>,
+    /// Remote samples learned this walk, for the agent's peer-coord
+    /// cache (dedup is the agent's job).
+    pub(crate) coord_harvest: Vec<(HostId, CoordSample)>,
+}
+
+impl Measured {
+    /// Turn `from`'s reply to a request sent at `sent_at` into a virtual
+    /// distance (probing loss only when the policy needs it), record it,
+    /// and fold the piggybacked `remote` sample into the embedding. The
+    /// embedding step draws no events, counters or RNG unless an
+    /// embedding runs *and* the reply carried a sample.
+    fn measure(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        policy: &dyn WalkPolicy,
+        from: HostId,
+        sent_at: SimTime,
+        remote: Option<CoordSample>,
+    ) -> VDist {
+        let rtt_ms = (ctx.now() - sent_at).as_ms();
+        let loss = policy.needs_loss().then(|| ctx.estimate_loss(from));
+        let d = policy.vdist(rtt_ms, loss.unwrap_or(0.0));
+        self.harvest.push((from, d));
+        if let (Some((state, cfg)), Some(sample)) = (self.coords.as_mut(), remote) {
+            let step = state.update(sample, rtt_ms, cfg, pair_seed(ctx.me, from));
+            let err = state.err;
+            self.coord_harvest.push((from, sample));
+            ctx.stats.recovery.coord_updates += 1;
+            ctx.trace(|| vdm_trace::TraceEvent::CoordUpdate {
+                host: ctx.me.0,
+                err,
+                step,
+            });
+        }
+        d
+    }
 }
 
 /// The walk state machine. One instance per in-progress (re)join or
@@ -325,11 +348,7 @@ pub struct Walk {
     iteration: usize,
     /// Distance to the current parent (refinement baseline), if known.
     refine_baseline: Option<VDist>,
-    /// Every peer this walk measured a virtual distance to (examined
-    /// nodes and probed children alike, duplicates possible). Pure
-    /// bookkeeping with no events of its own; the resilience extension
-    /// harvests it as backup-parent candidates.
-    harvest: Vec<(HostId, VDist)>,
+    pub(crate) seen: Measured,
     /// Responsive descent chain, shallowest-first: every node that
     /// answered an info request on the way down (the same bookkeeping
     /// the backup-candidate harvest draws from). Restart-anchor damping
@@ -340,13 +359,6 @@ pub struct Walk {
     /// `None` where the info response carried no sample). Feeds the
     /// [`WalkPolicy::restart_anchor`] coordinate ranking.
     visited_coords: Vec<Option<CoordSample>>,
-    /// The walker's own embedding state, updated from every measured
-    /// RTT whose reply piggybacked a remote sample. `None` (coords off)
-    /// makes every coordinate branch in this walk a no-op.
-    coords: Option<(VivaldiState, CoordsConfig)>,
-    /// Remote samples learned this walk, for the agent's peer-coord
-    /// cache (parallel to nothing; dedup is the agent's job).
-    coord_harvest: Vec<(HostId, CoordSample)>,
     phase: Phase,
 }
 
@@ -375,11 +387,13 @@ impl Walk {
             generation: gen_base,
             iteration: 0,
             refine_baseline,
-            harvest: Vec::new(),
+            seen: Measured {
+                harvest: Vec::new(),
+                coords,
+                coord_harvest: Vec::new(),
+            },
             visited: Vec::new(),
             visited_coords: Vec::new(),
-            coords,
-            coord_harvest: Vec::new(),
             phase: Phase::AwaitInfo {
                 sent_at: SimTime::ZERO,
                 retries: 0,
@@ -390,18 +404,8 @@ impl Walk {
             purpose: purpose_label(purpose),
             start: start.0,
         });
-        w.begin_info(ctx);
+        w.begin_info(ctx, 0);
         w
-    }
-
-    /// The node currently being examined.
-    pub fn current(&self) -> HostId {
-        self.current
-    }
-
-    /// Number of restarts so far.
-    pub fn restarts(&self) -> u32 {
-        self.restarts
     }
 
     fn bump(&mut self) -> u64 {
@@ -414,25 +418,9 @@ impl Walk {
         self.generation
     }
 
-    /// Peers this walk measured, in probe order (duplicates possible).
-    pub fn harvest(&self) -> &[(HostId, VDist)] {
-        &self.harvest
-    }
-
-    /// The walker's embedding state after this walk's updates (`None`
-    /// when coords are off); the agent copies it back on walk finish.
-    pub fn coord_state(&self) -> Option<VivaldiState> {
-        self.coords.map(|(s, _)| s)
-    }
-
-    /// Remote coordinate samples piggybacked on this walk's replies.
-    pub fn coord_harvest(&self) -> &[(HostId, CoordSample)] {
-        &self.coord_harvest
-    }
-
     /// The walker's sample for outgoing piggyback fields.
     fn coord_sample(&self) -> Option<CoordSample> {
-        self.coords.map(|(s, _)| s.sample())
+        self.seen.coords.map(|(s, _)| s.sample())
     }
 
     fn arm_deadline(&self, ctx: &mut Ctx<'_>) {
@@ -446,13 +434,13 @@ impl Walk {
         ctx.timer(t, WALK_TOKEN_BIT | self.generation);
     }
 
-    fn begin_info(&mut self, ctx: &mut Ctx<'_>) {
+    /// Send an info request to the current node; `retries` counts the
+    /// earlier unanswered ones (0 for a node we just moved to).
+    fn begin_info(&mut self, ctx: &mut Ctx<'_>, retries: u32) {
         let nonce = self.bump();
-        // A fresh node always starts with a fresh retry budget (the
-        // timer path manages its own count).
         self.phase = Phase::AwaitInfo {
             sent_at: ctx.now(),
-            retries: 0,
+            retries,
         };
         if self.current == ctx.me {
             // Degenerate: walking to ourselves (e.g. stale grandparent
@@ -478,7 +466,7 @@ impl Walk {
                 self.visited.pop();
                 self.visited_coords.pop();
             }
-            let coord_dist: Option<Vec<VDist>> = self.coords.as_ref().map(|(state, _)| {
+            let coord_dist: Option<Vec<VDist>> = self.seen.coords.as_ref().map(|(state, _)| {
                 self.visited_coords
                     .iter()
                     .map(|c| c.map_or(VDist::INFINITY, |s| state.coord.dist(s.coord)))
@@ -498,11 +486,7 @@ impl Walk {
         }
         self.current = anchor;
         self.iteration = 0;
-        self.phase = Phase::AwaitInfo {
-            sent_at: ctx.now(),
-            retries: 0,
-        };
-        self.begin_info(ctx);
+        self.begin_info(ctx, 0);
         None
     }
 
@@ -525,23 +509,8 @@ impl Walk {
                     ..
                 },
             ) if *nonce == self.generation && from == self.current => {
-                let rtt = (ctx.now() - *sent_at).as_ms();
                 let coord = *coord;
-                let loss = if policy.needs_loss() {
-                    ctx.estimate_loss(self.current)
-                } else {
-                    0.0
-                };
-                let d_current = policy.vdist(rtt, loss);
-                self.harvest.push((self.current, d_current));
-                observe_coord_sample(
-                    &mut self.coords,
-                    &mut self.coord_harvest,
-                    ctx,
-                    from,
-                    coord,
-                    rtt,
-                );
+                let d_current = self.seen.measure(ctx, policy, from, *sent_at, coord);
                 if self.cfg.restart_anchor && self.visited.last() != Some(&self.current) {
                     self.visited.push(self.current);
                     self.visited_coords.push(coord);
@@ -579,35 +548,16 @@ impl Walk {
                 },
                 Msg::Pong { nonce, coord },
             ) => {
-                let Some(pos) = pending
+                // A stale pong matches no outstanding ping.
+                let pos = pending
                     .iter()
-                    .position(|(n, c, _)| *n == *nonce && *c == from)
-                else {
-                    return None; // stale pong
-                };
+                    .position(|(n, c, _)| *n == *nonce && *c == from)?;
                 let (_, child, sent_at) = pending.swap_remove(pos);
-                let rtt = (ctx.now() - sent_at).as_ms();
-                let coord = *coord;
-                let loss = if policy.needs_loss() {
-                    ctx.estimate_loss(child)
-                } else {
-                    0.0
-                };
                 let d_parent_child = reported
                     .iter()
                     .find(|e| e.child == child)
-                    .map(|e| e.vdist)
-                    .unwrap_or(VDist::INFINITY);
-                let d_new_child = policy.vdist(rtt, loss);
-                self.harvest.push((child, d_new_child));
-                observe_coord_sample(
-                    &mut self.coords,
-                    &mut self.coord_harvest,
-                    ctx,
-                    child,
-                    coord,
-                    rtt,
-                );
+                    .map_or(VDist::INFINITY, |e| e.vdist);
+                let d_new_child = self.seen.measure(ctx, policy, child, sent_at, *coord);
                 results.push(ChildProbe {
                     child,
                     d_parent_child,
@@ -620,24 +570,24 @@ impl Walk {
                 }
                 None
             }
-            (Phase::AwaitConn { target, probed, .. }, Msg::ConnResp { nonce, result })
-                if *nonce == self.generation && from == *target =>
-            {
+            (
+                Phase::AwaitConn {
+                    target,
+                    vdist,
+                    splice,
+                    probed,
+                },
+                Msg::ConnResp { nonce, result },
+            ) if *nonce == self.generation && from == *target => {
                 match result {
                     ConnResult::Accepted {
                         grandparent,
                         adopted,
                         root_path,
                     } => {
-                        let (vdist, splice) = match &self.phase {
-                            Phase::AwaitConn { vdist, splice, .. } => (*vdist, splice.clone()),
-                            _ => unreachable!(),
-                        };
                         let adopted_with_dist = adopted
                             .iter()
-                            .filter_map(|&c| {
-                                splice.iter().find(|(h, _)| *h == c).map(|&(h, d)| (h, d))
-                            })
+                            .filter_map(|&c| splice.iter().find(|(h, _)| *h == c).copied())
                             .collect();
                         ctx.stats.join_completions += 1;
                         ctx.trace(|| vdm_trace::TraceEvent::WalkConnected {
@@ -650,7 +600,7 @@ impl Walk {
                             grandparent: *grandparent,
                             root_path: root_path.clone(),
                             adopted: adopted_with_dist,
-                            vdist_to_parent: vdist,
+                            vdist_to_parent: *vdist,
                         })
                     }
                     ConnResult::Redirect { next } => {
@@ -661,26 +611,10 @@ impl Walk {
                         // Connect directly if we probed the redirect
                         // target this round; otherwise walk from it.
                         if let Some(&(_, d)) = probed.iter().find(|(h, _)| *h == next) {
-                            let nonce = self.bump();
-                            self.phase = Phase::AwaitConn {
-                                target: next,
-                                vdist: d,
-                                splice: Vec::new(),
-                                probed: Vec::new(),
-                            };
-                            ctx.send(
-                                next,
-                                Msg::ConnReq {
-                                    nonce,
-                                    kind: ConnKind::Child,
-                                    vdist: d,
-                                    coord: self.coord_sample(),
-                                },
-                            );
-                            self.arm_deadline(ctx);
+                            self.request_conn(ctx, next, d, Vec::new(), Vec::new());
                         } else {
                             self.current = next;
-                            self.begin_info(ctx);
+                            self.begin_info(ctx, 0);
                         }
                         None
                     }
@@ -706,20 +640,10 @@ impl Walk {
             return None; // stale deadline from an earlier phase
         }
         match &mut self.phase {
-            Phase::AwaitInfo { retries, .. } => {
-                if *retries < self.cfg.info_retries {
-                    let r = *retries + 1;
-                    let nonce = self.bump();
-                    self.phase = Phase::AwaitInfo {
-                        sent_at: ctx.now(),
-                        retries: r,
-                    };
-                    ctx.send(self.current, Msg::InfoReq { nonce });
-                    self.arm_deadline(ctx);
-                    None
-                } else {
-                    self.restart(ctx, policy)
-                }
+            Phase::AwaitInfo { retries, .. } if *retries < self.cfg.info_retries => {
+                let retries = *retries + 1;
+                self.begin_info(ctx, retries);
+                None
             }
             Phase::AwaitProbes {
                 d_current, results, ..
@@ -730,7 +654,7 @@ impl Walk {
                 let res = std::mem::take(results);
                 self.decide(ctx, d, res, policy, free_degree)
             }
-            Phase::AwaitConn { .. } => self.restart(ctx, policy),
+            Phase::AwaitInfo { .. } | Phase::AwaitConn { .. } => self.restart(ctx, policy),
         }
     }
 
@@ -777,7 +701,7 @@ impl Walk {
             WalkStep::Descend(next) => {
                 debug_assert!(probe.children.iter().any(|c| c.child == next));
                 self.current = next;
-                self.begin_info(ctx);
+                self.begin_info(ctx, 0);
                 None
             }
             WalkStep::Attach { mut splice } => {
@@ -809,33 +733,48 @@ impl Walk {
                     .iter()
                     .map(|p| (p.child, p.d_new_child))
                     .collect();
-                let kind = if splice_with_dist.is_empty() {
-                    ConnKind::Child
-                } else {
-                    ConnKind::Splice {
-                        displace: splice_with_dist.iter().map(|&(h, _)| h).collect(),
-                    }
-                };
-                let nonce = self.bump();
-                self.phase = Phase::AwaitConn {
-                    target: self.current,
-                    vdist: d_current,
-                    splice: splice_with_dist,
-                    probed,
-                };
-                ctx.send(
-                    self.current,
-                    Msg::ConnReq {
-                        nonce,
-                        kind,
-                        vdist: d_current,
-                        coord: self.coord_sample(),
-                    },
-                );
-                self.arm_deadline(ctx);
+                self.request_conn(ctx, self.current, d_current, splice_with_dist, probed);
                 None
             }
         }
+    }
+
+    /// Ask `target` to take us as its child at distance `vdist` — a
+    /// Case II splice when `splice` names children to displace — and
+    /// await the answer.
+    fn request_conn(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        target: HostId,
+        vdist: VDist,
+        splice: Vec<(HostId, VDist)>,
+        probed: Vec<(HostId, VDist)>,
+    ) {
+        let kind = if splice.is_empty() {
+            ConnKind::Child
+        } else {
+            ConnKind::Splice {
+                displace: splice.iter().map(|&(h, _)| h).collect(),
+            }
+        };
+        let nonce = self.bump();
+        self.phase = Phase::AwaitConn {
+            target,
+            vdist,
+            splice,
+            probed,
+        };
+        let coord = self.coord_sample();
+        ctx.send(
+            target,
+            Msg::ConnReq {
+                nonce,
+                kind,
+                vdist,
+                coord,
+            },
+        );
+        self.arm_deadline(ctx);
     }
 }
 
@@ -966,16 +905,16 @@ mod tests {
         step_info(&mut walk, &mut eng, &mut stats, 1, &[2]);
         step_info(&mut walk, &mut eng, &mut stats, 2, &[]);
         reject(&mut walk, &mut eng, &mut stats, 2);
-        assert_eq!(walk.restarts(), 1);
-        assert_eq!(walk.current(), HostId(1), "resume below the source");
-        let mut depths = vec![depth(walk.current())];
+        assert_eq!(walk.restarts, 1);
+        assert_eq!(walk.current, HostId(1), "resume below the source");
+        let mut depths = vec![depth(walk.current)];
         // Second attempt: 1 -> 3; 3 rejects too.
         step_info(&mut walk, &mut eng, &mut stats, 1, &[3]);
         step_info(&mut walk, &mut eng, &mut stats, 3, &[]);
         reject(&mut walk, &mut eng, &mut stats, 3);
-        assert_eq!(walk.restarts(), 2);
-        assert_eq!(walk.current(), HostId(1));
-        depths.push(depth(walk.current()));
+        assert_eq!(walk.restarts, 2);
+        assert_eq!(walk.current, HostId(1));
+        depths.push(depth(walk.current));
         assert!(
             depths.windows(2).all(|w| w[1] >= w[0]),
             "restart depth must be monotone non-decreasing, got {depths:?}"
@@ -1033,9 +972,9 @@ mod tests {
         step_info(&mut walk, &mut eng, &mut stats, 1, &[2]);
         step_info(&mut walk, &mut eng, &mut stats, 2, &[]);
         reject(&mut walk, &mut eng, &mut stats, 2);
-        assert_eq!(walk.restarts(), 1);
+        assert_eq!(walk.restarts, 1);
         assert_eq!(
-            walk.current(),
+            walk.current,
             HostId(7),
             "undamped walks restart at the fallback"
         );
