@@ -267,7 +267,6 @@ fn trace_run(family: &Family, opts: &Opts) -> io::Result<()> {
     let mut m = vdm_trace::MetricsRegistry::new();
     runner::export_metrics(&mut m);
     cache::export_metrics(&mut m);
-    vdm_topology::router::export_metrics(&mut m);
     // Per-run overlay counters (discovery probes, anchors, fallbacks)
     // accumulated by the A11 cells; empty for other families.
     bootstrap::export_metrics(&mut m);

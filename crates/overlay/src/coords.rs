@@ -276,18 +276,6 @@ impl CoordTable {
     }
 }
 
-/// Rank `(host, sample)` candidates by coordinate distance from `me`,
-/// nearest first; hosts without a sample keep their relative order
-/// after every ranked one. Shared by the agent's discovery anchor
-/// ranking and failover target ordering.
-pub fn rank_candidates(me: Coord, candidates: &mut [(HostId, Option<CoordSample>)]) {
-    candidates.sort_by(|a, b| {
-        let da = a.1.map_or(f64::INFINITY, |s| me.dist(s.coord));
-        let db = b.1.map_or(f64::INFINITY, |s| me.dist(s.coord));
-        da.total_cmp(&db).then(a.0.cmp(&b.0))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,28 +355,6 @@ mod tests {
         t.rank_from(HostId(0), &mut cands);
         assert_eq!(cands[0], HostId(1), "ranked order: {cands:?}");
         assert_eq!(cands[3], HostId(4));
-    }
-
-    #[test]
-    fn rank_candidates_puts_unknowns_last() {
-        let near = CoordSample {
-            coord: Coord([1.0, 0.0, 0.0, 0.0]),
-            err: 0.2,
-        };
-        let far = CoordSample {
-            coord: Coord([9.0, 0.0, 0.0, 0.0]),
-            err: 0.2,
-        };
-        let mut cands = vec![
-            (HostId(7), None),
-            (HostId(3), Some(far)),
-            (HostId(5), Some(near)),
-        ];
-        rank_candidates(Coord::ZERO, &mut cands);
-        assert_eq!(
-            cands.iter().map(|c| c.0).collect::<Vec<_>>(),
-            vec![HostId(5), HostId(3), HostId(7)]
-        );
     }
 
     #[test]

@@ -20,23 +20,22 @@
 //!
 //! Both implementations answer `dist_ms` and `next_hop` **bit-for-bit
 //! identically**: an [`Apsp`] row and a [`RouteRow`] are the same
-//! kernel run (the one loop in [`crate::spath`]: deterministic heap
-//! tie-breaks, first hops written as nodes are relaxed) into different
-//! storage, so switching providers cannot perturb closest-child
-//! selection anywhere. Because both sides are that kernel, agreement
-//! between them proves nothing about it; `spath`'s reference tests
-//! check it against an independent textbook Dijkstra.
+//! kernel run (the one loop in [`crate::spath`]: a deterministic
+//! `(distance, id)` pop order, first hops written as nodes are relaxed)
+//! into different storage, so switching providers cannot perturb
+//! closest-child selection anywhere. Because both sides are that
+//! kernel, agreement between them proves nothing about it; `spath`'s
+//! reference tests check it against an independent textbook Dijkstra.
 //!
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
 use crate::cache::{self, codec, KeyHasher};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::spath::{
-    route_edges, sssp, valid_row_dists, valid_row_links, walk_prev, Apsp, Csr, Heap,
+    route_edges, sssp, valid_row_dists, valid_row_links, walk_prev, Apsp, BucketQueue, Csr,
 };
 use crate::Millis;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Answer routing queries over an underlay graph.
@@ -112,10 +111,10 @@ impl RouteRow {
     /// as one row of [`Apsp::build`]. Builds the graph's CSR view for
     /// this one row; [`OnDemandRouter`] keeps one for all of its rows.
     pub fn compute(g: &Graph, source: NodeId) -> Self {
-        Self::compute_csr(&Csr::new(g), source)
+        Self::compute_csr(&Csr::new(g), source, &QueuePool::default())
     }
 
-    fn compute_csr(csr: &Csr, source: NodeId) -> Self {
+    fn compute_csr(csr: &Csr, source: NodeId, pool: &QueuePool) -> Self {
         let n = csr.num_nodes();
         let mut row = Self {
             source,
@@ -123,14 +122,17 @@ impl RouteRow {
             prev: vec![u32::MAX; n],
             first: vec![u32::MAX; n],
         };
+        // The queue after the row, as in `HostRoutes::build`.
+        let mut queue = pool.take();
         sssp(
             csr,
             source.0,
             &mut row.dist,
             &mut row.prev,
             &mut row.first,
-            &mut Heap::new(),
+            &mut queue,
         );
+        pool.give_back(queue);
         row
     }
 
@@ -218,20 +220,25 @@ pub struct RouterStats {
     pub capacity: usize,
 }
 
-static ROW_HITS: AtomicU64 = AtomicU64::new(0);
-static ROW_MISSES: AtomicU64 = AtomicU64::new(0);
-static ROW_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+/// Idle kernel queues, so a row reuses an earlier row's queue arrays.
+/// Rows are computed outside the LRU lock, several at once when runner
+/// threads miss together, so each computation takes a queue of its own
+/// and gives it back.
+#[derive(Default)]
+struct QueuePool(Mutex<Vec<BucketQueue>>);
 
-/// Export the process-global router counters into the unified metrics
-/// registry under the `router.*` namespace (mirrors
-/// [`cache::export_metrics`]).
-pub fn export_metrics(m: &mut vdm_trace::MetricsRegistry) {
-    m.counter_add("router.row_hits", ROW_HITS.load(Ordering::Relaxed));
-    m.counter_add("router.row_misses", ROW_MISSES.load(Ordering::Relaxed));
-    m.counter_add(
-        "router.row_evictions",
-        ROW_EVICTIONS.load(Ordering::Relaxed),
-    );
+impl QueuePool {
+    fn take(&self) -> BucketQueue {
+        self.0
+            .lock()
+            .expect("queue pool lock")
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn give_back(&self, queue: BucketQueue) {
+        self.0.lock().expect("queue pool lock").push(queue);
+    }
 }
 
 struct LruEntry {
@@ -268,6 +275,7 @@ pub struct OnDemandRouter {
     /// seed); present iff rows should persist to the artifact cache.
     persist_key: Option<KeyHasher>,
     lru: Mutex<RowLru>,
+    queues: QueuePool,
 }
 
 impl std::fmt::Debug for OnDemandRouter {
@@ -298,6 +306,7 @@ impl OnDemandRouter {
             capacity,
             persist_key: None,
             lru: Mutex::new(RowLru::default()),
+            queues: QueuePool::default(),
         }
     }
 
@@ -356,11 +365,9 @@ impl OnDemandRouter {
                 e.last_used = tick;
                 let row = Arc::clone(&e.row);
                 lru.hits += 1;
-                ROW_HITS.fetch_add(1, Ordering::Relaxed);
                 return row;
             }
             lru.misses += 1;
-            ROW_MISSES.fetch_add(1, Ordering::Relaxed);
         }
         // Compute (or load) without holding the lock: other threads can
         // keep hitting resident rows during this Dijkstra.
@@ -384,7 +391,6 @@ impl OnDemandRouter {
             {
                 lru.rows.remove(&victim);
                 lru.evictions += 1;
-                ROW_EVICTIONS.fetch_add(1, Ordering::Relaxed);
             }
         }
         lru.rows.insert(
@@ -407,12 +413,12 @@ impl OnDemandRouter {
                 let n = self.graph.num_nodes();
                 cache::get_or_compute_global(
                     &key,
-                    || RouteRow::compute_csr(&self.csr, source),
+                    || RouteRow::compute_csr(&self.csr, source, &self.queues),
                     RouteRow::to_bytes,
                     |bytes| RouteRow::from_bytes(bytes, n).filter(|r| r.source == source),
                 )
             }
-            None => RouteRow::compute_csr(&self.csr, source),
+            None => RouteRow::compute_csr(&self.csr, source, &self.queues),
         }
     }
 }

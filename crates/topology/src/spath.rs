@@ -18,11 +18,31 @@
 //! order, so relaxation order, and with it every predecessor under ties,
 //! is the adjacency lists'). Three things in that loop are deliberate:
 //!
-//! * **The heap key is the distance's bit pattern.** Dijkstra only ever
+//! * **The queue is exact distance buckets.** Dijkstra only ever
 //!   produces non-negative finite distances, and for those the IEEE-754
-//!   bit pattern read as a `u64` orders exactly as the number does. The
-//!   heap is therefore a min-heap on plain `(u64, u32)` tuples —
-//!   distance, then node id for determinism — with no `partial_cmp`.
+//!   bit pattern read as a `u64` orders exactly as the number does. A
+//!   key is therefore one `u128`, `(distance bits << 32) | id`, which
+//!   orders exactly as the `(distance, id)` tuple does, with no
+//!   `partial_cmp`. `BucketQueue` files an entry at distance `d` under
+//!   bucket `⌊d · (1/w)⌋`. The bucket being drained is kept sorted: an
+//!   entry whose bucket is at or before it joins it by ordered insert.
+//!   Every later bucket waits unsorted in a ring slot and is sorted once,
+//!   when its turn comes.
+//!
+//!   This is exact, not approximate. `fl(d · (1/w))` and the floor are
+//!   both monotone in `d`, so an entry in a later bucket is farther than
+//!   every entry in the current one. Pops therefore leave in exactly the
+//!   `(distance, id)` order a binary heap gives, and `dist`, `prev` and
+//!   `first` keep their bits for any `w > 0`. The width only changes the
+//!   speed. It is the smallest positive link delay, so a settled node's
+//!   links mostly land in later buckets and the current one is rarely
+//!   inserted into. It is raised where needed so that half the 256-slot
+//!   ring spans the largest link delay. A push is at most one link past
+//!   the last pop, so every queued bucket is less than a ring ahead of
+//!   the current one and no two share a slot, on any delay range. The
+//!   half-ring margin absorbs the rounding of `d · (1/w)`. The slots are
+//!   lists threaded through one array of the row's pushes, so memory is
+//!   the ring plus those pushes whatever the delays.
 //! * **First hops are written at relaxation time.** When `v` is popped
 //!   with a live entry its distance is final, and `dist`, `prev` and
 //!   `first` of a node only ever change together, so `first[v]` is final
@@ -34,14 +54,12 @@
 //!   leaf is reached from its only neighbour, which has just been
 //!   settled; popping the leaf could relax nothing but that neighbour,
 //!   and never strictly improves it. Its `dist`/`prev`/`first` are still
-//!   written, and because heap entries are totally ordered the pop order
+//!   written, and because queue keys are totally ordered the pop order
 //!   of every other node is unchanged. Host access links make ~46 % of
 //!   the nodes on the join testbeds leaves.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::Millis;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Result of a single-source Dijkstra run.
 #[derive(Clone, Debug)]
@@ -83,6 +101,10 @@ impl ShortestPaths {
 pub(crate) struct Csr {
     off: Vec<u32>,
     adj: Vec<(u32, Millis)>,
+    /// Smallest positive link delay (`INFINITY` when none is positive).
+    min_delay: Millis,
+    /// Largest link delay.
+    max_delay: Millis,
 }
 
 impl Csr {
@@ -107,16 +129,38 @@ impl Csr {
         Self {
             off,
             adj: Vec::with_capacity(entries),
+            min_delay: Millis::INFINITY,
+            max_delay: 0.0,
         }
     }
 
     /// Append the next node (ids are assigned in call order) with its
     /// `(neighbour, delay)` list.
     fn push_node(&mut self, list: impl Iterator<Item = (u32, Millis)>) {
+        let start = self.adj.len();
         self.adj.extend(list);
+        for &(_, d) in &self.adj[start..] {
+            if d > 0.0 {
+                self.min_delay = self.min_delay.min(d);
+            }
+            self.max_delay = self.max_delay.max(d);
+        }
         self.off.push(
             u32::try_from(self.adj.len()).expect("adjacency entries exceed the u32 offset space"),
         );
+    }
+
+    /// The kernel queue's bucket width `w` on this graph: the smallest
+    /// positive link delay, raised where needed so that half the ring
+    /// spans the largest one, and never below the smallest normal
+    /// `f64` (so `1 / w` is finite). 1 ms when no delay is positive.
+    fn bucket_width(&self) -> Millis {
+        if self.max_delay > 0.0 {
+            let span = self.max_delay / (RING / 2) as Millis;
+            self.min_delay.max(span).max(Millis::MIN_POSITIVE)
+        } else {
+            1.0
+        }
     }
 
     pub(crate) fn num_nodes(&self) -> usize {
@@ -132,8 +176,113 @@ impl Csr {
     }
 }
 
-/// Min-heap of (distance bit pattern, node id); see the module docs.
-pub(crate) type Heap = BinaryHeap<Reverse<(u64, u32)>>;
+/// Slots in a [`BucketQueue`]'s ring.
+const RING: usize = 256;
+
+/// An empty ring slot, and the end of a slot's list.
+const NIL: u32 = u32::MAX;
+
+/// The kernel's priority queue: exact, monotone, bucketed by distance
+/// (see the module docs). A key is `(distance bits << 32) | node`, so
+/// keys order as `(distance, node)` tuples do. An entry at distance `d`
+/// belongs to bucket `⌊d · (1/w)⌋`. The bucket being drained is held
+/// sorted in `cur`; every later bucket `b` waits unsorted in ring slot
+/// `b % RING`, a list threaded through one array of the keys pushed
+/// since the last reset. Memory is the ring plus one row's pushes, on
+/// any delay range, and is kept from row to row.
+pub(crate) struct BucketQueue {
+    /// `1 / w`.
+    inv_width: f64,
+    /// Index of the bucket `cur` holds.
+    bucket: u64,
+    /// That bucket's keys, sorted descending: the least is popped off
+    /// the end.
+    cur: Vec<u128>,
+    /// Every key pushed into the ring since the last reset.
+    keys: Vec<u128>,
+    /// `next[i]`: the key pushed into the same slot before `keys[i]`.
+    next: Vec<u32>,
+    /// Per ring slot, its last-pushed key.
+    heads: Vec<u32>,
+    /// Keys waiting in the ring.
+    queued: usize,
+}
+
+impl Default for BucketQueue {
+    fn default() -> Self {
+        Self {
+            inv_width: 1.0,
+            bucket: 0,
+            cur: Vec::new(),
+            keys: Vec::new(),
+            next: Vec::new(),
+            heads: vec![NIL; RING],
+            queued: 0,
+        }
+    }
+}
+
+impl BucketQueue {
+    /// Empty the queue and set its bucket width to `width` ms.
+    pub(crate) fn reset(&mut self, width: Millis) {
+        self.inv_width = 1.0 / width;
+        self.bucket = 0;
+        self.cur.clear();
+        self.keys.clear();
+        self.next.clear();
+        if self.queued > 0 {
+            self.heads.fill(NIL);
+            self.queued = 0;
+        }
+    }
+
+    /// Queue node `v` at distance `d`. `d` must be no less than the
+    /// last popped distance and within half a ring of it.
+    #[inline]
+    pub(crate) fn push(&mut self, d: Millis, v: u32) {
+        let key = (u128::from(d.to_bits()) << 32) | u128::from(v);
+        let b = (d * self.inv_width) as u64;
+        if b <= self.bucket {
+            let at = self.cur.partition_point(|&k| k > key);
+            self.cur.insert(at, key);
+        } else {
+            debug_assert!(b - self.bucket < RING as u64, "push beyond the ring");
+            let head = &mut self.heads[(b % RING as u64) as usize];
+            self.next.push(*head);
+            // A row pushes at most once per CSR entry, and the CSR's
+            // entries fit below `u32::MAX`.
+            *head = self.keys.len() as u32;
+            self.keys.push(key);
+            self.queued += 1;
+        }
+    }
+
+    /// The least `(distance, node)` queued, or `None` when empty.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(Millis, u32)> {
+        if self.cur.is_empty() {
+            if self.queued == 0 {
+                return None;
+            }
+            // Every queued bucket is less than a ring ahead, so the
+            // first non-empty slot holds exactly the next bucket.
+            let mut i = NIL;
+            while i == NIL {
+                self.bucket += 1;
+                let slot = (self.bucket % RING as u64) as usize;
+                i = std::mem::replace(&mut self.heads[slot], NIL);
+            }
+            while i != NIL {
+                self.cur.push(self.keys[i as usize]);
+                i = self.next[i as usize];
+            }
+            self.queued -= self.cur.len();
+            self.cur.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let key = self.cur.pop()?;
+        Some((Millis::from_bits((key >> 32) as u64), key as u32))
+    }
+}
 
 /// Delay-weighted Dijkstra from `source` into three `n`-long rows (the
 /// crate's one shortest-path loop; see the module docs). On return
@@ -146,18 +295,17 @@ pub(crate) fn sssp(
     dist: &mut [Millis],
     prev: &mut [u32],
     first: &mut [u32],
-    heap: &mut Heap,
+    queue: &mut BucketQueue,
 ) {
     let n = csr.num_nodes();
     assert!(dist.len() == n && prev.len() == n && first.len() == n);
     dist.fill(Millis::INFINITY);
     prev.fill(u32::MAX);
     first.fill(u32::MAX);
-    heap.clear();
+    queue.reset(csr.bucket_width());
     dist[source as usize] = 0.0;
-    heap.push(Reverse((0.0f64.to_bits(), source)));
-    while let Some(Reverse((key, v))) = heap.pop() {
-        let d = Millis::from_bits(key);
+    queue.push(0.0, source);
+    while let Some((d, v)) = queue.pop() {
         if d > dist[v as usize] {
             continue; // stale entry
         }
@@ -170,7 +318,7 @@ pub(crate) fn sssp(
                 prev[t] = v;
                 first[t] = if v == source { to } else { via };
                 if csr.degree(to) > 1 {
-                    heap.push(Reverse((nd.to_bits(), to)));
+                    queue.push(nd, to);
                 }
             }
         }
@@ -189,7 +337,7 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
         &mut dist,
         &mut prev,
         &mut first,
-        &mut Heap::new(),
+        &mut BucketQueue::default(),
     );
     ShortestPaths {
         source,
@@ -233,12 +381,12 @@ impl Apsp {
         let mut next = vec![u32::MAX; n * n];
         let csr = Csr::new(g);
         let mut prev = vec![u32::MAX; n];
-        let mut heap = Heap::new();
+        let mut queue = BucketQueue::default();
         let rows = dist
             .chunks_exact_mut(n.max(1))
             .zip(next.chunks_exact_mut(n.max(1)));
         for (s, (dist_row, next_row)) in rows.enumerate() {
-            sssp(&csr, s as u32, dist_row, &mut prev, next_row, &mut heap);
+            sssp(&csr, s as u32, dist_row, &mut prev, next_row, &mut queue);
         }
         Self { n, dist, next }
     }
@@ -356,8 +504,9 @@ impl HostRoutes {
         let h = hosts.len();
         assert!(hosts.iter().all(|v| v.idx() < n), "host out of range");
         // The two tables come first, before any scratch, and the scratch
-        // is a few exactly-sized allocations. When a process builds
-        // tables repeatedly (every benchmark iteration does), glibc
+        // is a few exactly-sized allocations plus the queue, which holds
+        // one row's pushes at most. When a process builds tables
+        // repeatedly (every benchmark iteration does), glibc
         // serves them from the block the previous pair freed — and any
         // other request that fits no smaller hole from the front of that
         // same block, after which `prev` no longer fits behind `dist`
@@ -369,12 +518,12 @@ impl HostRoutes {
         let csr = Csr::new(g);
         let mut row = vec![Millis::INFINITY; n];
         let mut first = vec![u32::MAX; n];
-        let mut heap = Heap::new();
+        let mut queue = BucketQueue::default();
         let rows = dist
             .chunks_exact_mut(h.max(1))
             .zip(prev.chunks_exact_mut(n.max(1)));
         for (s, (dist_row, prev_row)) in hosts.iter().zip(rows) {
-            sssp(&csr, s.0, &mut row, prev_row, &mut first, &mut heap);
+            sssp(&csr, s.0, &mut row, prev_row, &mut first, &mut queue);
             for (d, t) in dist_row.iter_mut().zip(&hosts) {
                 *d = row[t.idx()];
             }

@@ -22,7 +22,9 @@ use crate::graph::{LinkAttrs, NodeKind};
 use crate::powerlaw::{self, PowerLawConfig};
 use crate::router::RouteRow;
 use crate::transit_stub::attach_hosts;
-use std::cmp::Ordering;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 type Lists = Vec<Vec<(u32, Millis)>>;
 
@@ -132,21 +134,34 @@ fn sentinel(x: Option<u32>) -> u32 {
     x.unwrap_or(u32::MAX)
 }
 
+fn csr_of(lists: &Lists) -> Csr {
+    let mut csr = Csr::with_capacity(lists.len(), 0);
+    for list in lists {
+        csr.push_node(list.iter().copied());
+    }
+    csr
+}
+
+/// The largest finite distance over the reference rows.
+fn farthest(rows: &[RefRow]) -> Millis {
+    rows.iter()
+        .flat_map(|r| r.dist.iter().copied())
+        .filter(|d| d.is_finite())
+        .fold(0.0, Millis::max)
+}
+
 /// The kernel against the reference on raw adjacency lists, every
 /// source; returns the reference rows for the callers that go on to
 /// check the public entry points.
 fn check_kernel(lists: &Lists) -> Vec<RefRow> {
     let n = lists.len();
-    let mut csr = Csr::with_capacity(n, 0);
-    for list in lists {
-        csr.push_node(list.iter().copied());
-    }
+    let csr = csr_of(lists);
     let (mut dist, mut prev, mut first) = (vec![0.0; n], vec![0; n], vec![0; n]);
-    let mut heap = Heap::new();
+    let mut queue = BucketQueue::default();
     (0..n as u32)
         .map(|s| {
             let want = reference(lists, s);
-            sssp(&csr, s, &mut dist, &mut prev, &mut first, &mut heap);
+            sssp(&csr, s, &mut dist, &mut prev, &mut first, &mut queue);
             for t in 0..n {
                 assert_eq!(
                     dist[t].to_bits(),
@@ -165,7 +180,8 @@ fn check_kernel(lists: &Lists) -> Vec<RefRow> {
 
 /// The kernel and the four public entry points against the reference,
 /// every (source, target); [`HostRoutes`] with every node a host.
-fn check_graph(g: &Graph) {
+/// Returns the reference rows.
+fn check_graph(g: &Graph) -> Vec<RefRow> {
     let rows = check_kernel(&lists_of(g));
     let apsp = Apsp::build(g);
     let hosts = HostRoutes::build(g, g.nodes().collect());
@@ -214,6 +230,7 @@ fn check_graph(g: &Graph) {
             assert_eq!(hosts.path_nodes(a, b), hops, "host vs apsp path {s}->{t}");
         }
     }
+    rows
 }
 
 fn graph_of(n: usize, edges: &[(u32, u32, Millis)]) -> Graph {
@@ -317,6 +334,17 @@ fn zero_delay_access_link() {
     let rows = check_kernel(&lists);
     assert_eq!(rows[0].dist[4], 0.0);
     assert_eq!(rows[0].first[4], Some(2));
+
+    // Zero-delay entries land in the bucket being drained, so they go
+    // through its ordered insert. With no positive delay at all the
+    // width is the 1 ms constant and every entry shares bucket 0.
+    let zeros: Lists = lists
+        .iter()
+        .map(|l| l.iter().map(|&(to, _)| (to, 0.0)).collect())
+        .collect();
+    assert_eq!(csr_of(&zeros).bucket_width(), 1.0);
+    let rows = check_kernel(&zeros);
+    assert!(rows.iter().all(|r| r.dist.iter().all(|&d| d == 0.0)));
 }
 
 /// Integer weights on a grid: many routes of equal length between most
@@ -348,9 +376,148 @@ fn tie_rich_integer_grid() {
     }
 }
 
+/// Link delays from 1 µs to 1 s, log-uniform. Half a ring at the
+/// smallest delay would span 0.128 ms, so the width is raised to
+/// 1000/128 ms and most links are shorter than a bucket: their entries
+/// go through the drained bucket's ordered insert. Blocks strung
+/// together by 1 s bridges push distances past two revolutions of the
+/// ring.
+#[test]
+fn wide_delay_range_wraps_the_ring() {
+    const BLOCKS: u32 = 6;
+    const SIZE: u32 = 8;
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut g = Graph::with_nodes((BLOCKS * SIZE) as usize, NodeKind::Stub);
+    let link = |g: &mut Graph, a: u32, b: u32, delay: Millis| {
+        if a != b && g.find_edge(NodeId(a), NodeId(b)).is_none() {
+            g.add_edge(NodeId(a), NodeId(b), LinkAttrs::delay(delay));
+        }
+    };
+    link(&mut g, 0, 1, 1e-3);
+    for base in (0..BLOCKS).map(|b| b * SIZE) {
+        for v in 1..SIZE {
+            let u = rng.gen_range(0..v);
+            let delay = 10f64.powf(rng.gen_range(-3.0..3.0));
+            link(&mut g, base + u, base + v, delay);
+        }
+        for _ in 0..SIZE {
+            let (a, b) = (rng.gen_range(0..SIZE), rng.gen_range(0..SIZE));
+            let delay = 10f64.powf(rng.gen_range(-3.0..3.0));
+            link(&mut g, base + a, base + b, delay);
+        }
+        if base > 0 {
+            link(&mut g, base - 1, base, 1e3);
+        }
+    }
+    let w = Csr::new(&g).bucket_width();
+    assert_eq!(w, 1e3 / (RING / 2) as Millis);
+    let rows = check_graph(&g);
+    assert!(
+        farthest(&rows) > 2.0 * RING as Millis * w,
+        "ring never wraps twice"
+    );
+}
+
+/// One 10 s link, far longer than half a ring at the 1 ms links: the
+/// width is raised to 10⁴/128 ms, so each unit grid on either side of
+/// the link fits in one bucket, and its ties are ordered by the drained
+/// bucket's ordered insert alone.
+#[test]
+fn one_long_link_raises_the_width() {
+    const W: u32 = 4;
+    let mut edges = Vec::new();
+    for base in [0, W * W] {
+        for x in (0..W).rev() {
+            for y in 0..W {
+                let v = base + y * W + x;
+                if y + 1 < W {
+                    edges.push((v, v + W, 1.0));
+                }
+                if x + 1 < W {
+                    edges.push((v + 1, v, 1.0));
+                }
+            }
+        }
+    }
+    edges.push((W * W - 1, W * W, 1e4));
+    let g = graph_of((2 * W * W) as usize, &edges);
+    assert_eq!(Csr::new(&g).bucket_width(), 1e4 / (RING / 2) as Millis);
+    check_graph(&g);
+}
+
+/// Every link 3 ms: the width is the link delay, each bucket holds one
+/// hop count's tied nodes, and a 300-rung ladder (inserted back to
+/// front, so adjacency order is not id order) is long enough to wrap
+/// the ring. Too large for `check_graph`'s pair walks, so the kernel
+/// alone is held to the reference, from every source.
+#[test]
+fn all_equal_delays_fill_every_bucket_with_ties() {
+    const L: u32 = 300;
+    let mut edges = Vec::new();
+    for i in (0..L).rev() {
+        edges.push((L + i, i, 3.0));
+        if i + 1 < L {
+            edges.push((i + 1, i, 3.0));
+            edges.push((L + i + 1, L + i, 3.0));
+        }
+    }
+    let lists = lists_of(&graph_of(2 * L as usize, &edges));
+    assert_eq!(csr_of(&lists).bucket_width(), 3.0);
+    let rows = check_kernel(&lists);
+    assert!(farthest(&rows) / 3.0 > RING as Millis, "ring never wraps");
+}
+
+/// Random monotone push/pop sequences, as Dijkstra makes them: each
+/// push at or after the last popped distance and less than half a ring
+/// ahead of it, with ties on distance, on bucket boundaries and on
+/// whole keys. The queue must pop exactly what a binary min-heap of the
+/// same `u128` keys pops. One queue serves every seed, and odd seeds
+/// leave it non-empty, so `reset` is checked too.
+#[test]
+fn queue_pops_in_heap_order() {
+    let key = |d: Millis, v: u32| (u128::from(d.to_bits()) << 32) | u128::from(v);
+    let mut queue = BucketQueue::default();
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = [1e-3, 0.5, 1.0, 7.8125][seed as usize % 4];
+        let reach = width * (RING / 2) as Millis;
+        queue.reset(width);
+        let mut heap = BinaryHeap::new();
+        let mut last = 0.0;
+        for step in 0..4000 {
+            if heap.is_empty() || rng.gen_bool(0.5) {
+                let d = match rng.gen_range(0..4) {
+                    0 => last,
+                    1 => last + width * f64::from(rng.gen_range(0..4u32)),
+                    _ => last + rng.gen_range(0.0..reach),
+                };
+                let v = rng.gen_range(0..32);
+                queue.push(d, v);
+                heap.push(Reverse(key(d, v)));
+            } else {
+                let Reverse(want) = heap.pop().expect("heap is non-empty");
+                let (d, v) = queue.pop().expect("queue ran dry before the heap");
+                assert_eq!(key(d, v), want, "seed {seed}, step {step}");
+                last = d;
+            }
+        }
+        assert!(
+            last > 2.0 * RING as Millis * width,
+            "seed {seed}: ring never wraps twice"
+        );
+        if seed % 2 == 0 {
+            while let Some(Reverse(want)) = heap.pop() {
+                let (d, v) = queue.pop().expect("queue ran dry before the heap");
+                assert_eq!(key(d, v), want, "seed {seed}, drain");
+            }
+            assert_eq!(queue.pop(), None);
+        }
+    }
+}
+
 /// The kernel's answers do not depend on the order of a node's
-/// neighbours (relaxations out of one node are independent and heap
-/// entries are totally ordered), so no comparison against the reference
+/// neighbours (relaxations out of one node are independent and queue
+/// keys are totally ordered), so no comparison against the reference
 /// can see a reordering; the CSR's order is pinned directly instead.
 #[test]
 fn csr_keeps_neighbor_order() {
