@@ -38,11 +38,6 @@
 //! (`RAYON_NUM_THREADS` controls the width; `--sequential` or
 //! `VDM_SEQUENTIAL=1` forces the reference in-order path) and merge
 //! results in cell-key order, so output is byte-identical either way.
-//! Expensive pure inputs — generated topologies with their routing
-//! tables, PlanetLab session extracts — are memoized in a
-//! content-addressed artifact cache (default `results/cache`, `--cache
-//! DIR` to move it, `--no-cache` to disable); identical seeds produce
-//! byte-identical output whether artifacts hit or miss.
 //!
 //! `trace <family>` re-runs a family with the structured tracer and
 //! wall-clock profiler on (sequentially, so the event log is in
@@ -62,7 +57,6 @@ use std::time::Instant;
 use vdm_experiments::figures::{self, bootstrap, multitree, scale, shard, Family, Render};
 use vdm_experiments::loopback::{self, LoopbackConfig};
 use vdm_experiments::{runner, Effort, Report, Table};
-use vdm_topology::cache;
 use vdm_trace::json::Value;
 use vdm_trace::{EventSink, JsonlSink, Tracer};
 
@@ -72,8 +66,6 @@ struct Opts {
     effort: Effort,
     seed: u64,
     csv_dir: Option<String>,
-    cache_dir: Option<String>,
-    no_cache: bool,
     sequential: bool,
     smoke: bool,
     shards: Option<NonZeroUsize>,
@@ -105,7 +97,7 @@ fn takes(cmd: &str, flag: &str) -> bool {
         "--nodes" | "--node-bin" => cmd == "loopback",
         "--out" => cmd == "trace",
         "--sequential" => !matches!(cmd, "trace" | "loopback"),
-        // --quick, --paper, --cache, --no-cache
+        // --quick, --paper
         _ => cmd != "loopback",
     }
 }
@@ -124,13 +116,11 @@ fn parse_args(args: &[String]) -> (Vec<&str>, Opts, Vec<&str>) {
             "--quick" => opts.effort = Effort::Quick,
             "--paper" => opts.effort = Effort::Paper,
             "--sequential" => opts.sequential = true,
-            "--no-cache" => opts.no_cache = true,
             "--smoke" => opts.smoke = true,
             "--seed" => opts.seed = value(&mut it, a, "an integer"),
             "--shards" => opts.shards = Some(value(&mut it, a, "a positive integer")),
             "--nodes" => opts.nodes = Some(value(&mut it, a, "an integer >= 2")),
             "--csv" => opts.csv_dir = Some(value(&mut it, a, "a directory")),
-            "--cache" => opts.cache_dir = Some(value(&mut it, a, "a directory")),
             "--out" => opts.out_dir = Some(value(&mut it, a, "a directory")),
             "--node-bin" => opts.node_bin = Some(value(&mut it, a, "a path")),
             "--help" | "-h" => {
@@ -147,9 +137,6 @@ fn parse_args(args: &[String]) -> (Vec<&str>, Opts, Vec<&str>) {
     }
     if opts.nodes.is_some_and(|n| n < 2) {
         usage_error("--nodes needs an integer >= 2");
-    }
-    if opts.no_cache && opts.cache_dir.is_some() {
-        usage_error("--cache and --no-cache are mutually exclusive");
     }
     (words, opts, flags)
 }
@@ -176,28 +163,24 @@ fn emit(tables: &[Table], opts: &Opts) -> io::Result<()> {
     Ok(())
 }
 
-/// Print the runner/cache counter deltas accumulated since `r0`/`c0`.
-fn print_counters(r0: runner::RunnerStats, c0: cache::CacheStats) {
+/// Print the runner counter deltas accumulated since `r0`.
+fn print_counters(r0: runner::RunnerStats) {
     let r = runner::stats();
-    let c = cache::stats();
     println!(
-        "[runner] cells={} batches={} busy={:.1?}  [cache] hits={} misses={} write_errors={}",
+        "[runner] cells={} batches={} busy={:.1?}",
         r.cells - r0.cells,
         r.batches - r0.batches,
         r.busy.saturating_sub(r0.busy),
-        c.hits - c0.hits,
-        c.misses - c0.misses,
-        c.write_errors - c0.write_errors,
     );
 }
 
 fn run_family(family: &Family, opts: &Opts) -> io::Result<()> {
     let t0 = Instant::now();
-    let (r0, c0) = (runner::stats(), cache::stats());
+    let r0 = runner::stats();
     match family.render {
         Render::Tables(f) => {
             emit(&f(opts.effort, opts.seed), opts)?;
-            print_counters(r0, c0);
+            print_counters(r0);
         }
         Render::Text(f) => println!("{}", f(opts.seed)),
     }
@@ -266,7 +249,6 @@ fn trace_run(family: &Family, opts: &Opts) -> io::Result<()> {
         .map_err(io_ctx(format!("writing profile `{prof_path}`")))?;
     let mut m = vdm_trace::MetricsRegistry::new();
     runner::export_metrics(&mut m);
-    cache::export_metrics(&mut m);
     // Per-run overlay counters (discovery probes, anchors, fallbacks)
     // accumulated by the A11 cells; empty for other families.
     bootstrap::export_metrics(&mut m);
@@ -535,12 +517,6 @@ fn run(args: &[String]) -> io::Result<()> {
     if matches!(cmd, "chaos" | "soak") && opts.csv_dir.is_none() {
         opts.csv_dir = Some("results".into());
     }
-    // A9 sizes its own underlays; small ones persist routing rows
-    // through the cache, large ones stay in-memory.
-    if !opts.no_cache && cmd != "loopback" {
-        let dir = opts.cache_dir.as_deref().unwrap_or("results/cache");
-        cache::set_global(Some(cache::CacheStore::at(dir)));
-    }
     let go = || dispatch(cmd, family, &opts);
     // Sequential mode runs every cell — and so every nested fan-out —
     // on this thread, which is all the thread-local override covers.
@@ -554,13 +530,11 @@ fn run(args: &[String]) -> io::Result<()> {
 fn print_usage() {
     let families: Vec<&str> = figures::ALL.iter().map(|f| f.name).collect();
     println!(
-        "usage: vdm-repro <family> [--quick|--paper] [--seed N] [--csv DIR]\n\
-         \x20                  [--cache DIR|--no-cache] [--sequential]\n\
+        "usage: vdm-repro <family> [--quick|--paper] [--seed N] [--csv DIR] [--sequential]\n\
          \x20      vdm-repro scale [--quick|--paper] [--smoke] [--shards N] [--seed N] [--csv DIR]\n\
          \x20      vdm-repro multitree|bootstrap [--quick|--paper] [--smoke] [--seed N] [--csv DIR]\n\
          \x20      vdm-repro loopback [--smoke] [--nodes N] [--seed N] [--node-bin PATH] [--csv DIR]\n\
-         \x20      vdm-repro trace <family> [--quick|--paper] [--seed N] [--out DIR]\n\
-         \x20                  [--csv DIR] [--cache DIR|--no-cache]\n\
+         \x20      vdm-repro trace <family> [--quick|--paper] [--seed N] [--out DIR] [--csv DIR]\n\
          \x20      vdm-repro trace filter|summarize|dump --input FILE\n\
          \x20                  [--host N] [--kind K] [--t0 S] [--t1 S] [--limit N]\n\n\
          families: {}  all",

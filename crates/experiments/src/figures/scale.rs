@@ -528,7 +528,6 @@ mod tests {
     use crate::report::Field;
     use std::sync::Mutex;
     use vdm_netsim::RoutedUnderlay;
-    use vdm_topology::cache::KeyHasher;
     use vdm_topology::EdgeId;
 
     #[test]
@@ -560,27 +559,36 @@ mod tests {
         assert_eq!(a.stretch_mean.to_bits(), b.stretch_mean.to_bits());
     }
 
+    /// FNV-1a over `words`, each as eight little-endian bytes, started
+    /// as the retired artifact cache's pin hasher was (offset basis,
+    /// then its version-2 salt), so the pins below keep their recorded
+    /// values.
+    fn fnv_pin(words: impl IntoIterator<Item = u64>) -> u64 {
+        std::iter::once(0x7664_6d63_6163_6802)
+            .chain(words)
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     /// FNV-1a over everything a change to *when* the oracle is read
     /// could perturb: the final parent vector, every join's contact
     /// count and every member's Vivaldi coordinate and error, all by
     /// bit pattern. (`perf`'s `sim_digest` covers the first two only.)
     fn sweep_pin(sweep: &GuidedSweep) -> u64 {
-        let mut h = KeyHasher::for_pins();
         let parents = sweep.ov.snapshot().parent;
-        for p in &parents {
-            h.feed_u64(p.map_or(u64::MAX, |p| u64::from(p.0)));
-        }
-        for c in &sweep.contacts {
-            h.feed_u64(c.to_bits());
-        }
+        let mut words: Vec<u64> = parents
+            .iter()
+            .map(|p| p.map_or(u64::MAX, |p| u64::from(p.0)))
+            .collect();
+        words.extend(sweep.contacts.iter().map(|c| c.to_bits()));
         for i in 0..parents.len() as u32 {
             let st = sweep.coords.state(HostId(i));
-            for x in st.coord.0 {
-                h.feed_u64(x.to_bits());
-            }
-            h.feed_u64(st.err.to_bits());
+            words.extend(st.coord.0.iter().map(|x| x.to_bits()));
+            words.push(st.err.to_bits());
         }
-        h.key("pin").hash
+        fnv_pin(words)
     }
 
     /// The A9 testbed's graph and hosts behind a hand-sized row LRU.
@@ -681,14 +689,12 @@ mod tests {
         // The same multiset of calls as with inline reads (recorded at
         // c35efa8 through this wrapper, where they made 2 615 turns).
         calls.sort();
-        let mut h = KeyHasher::for_pins();
-        for (a, b) in &calls {
-            h.feed_u64(u64::from(a.0)).feed_u64(u64::from(b.0));
-        }
-        assert_eq!(
-            (calls.len(), h.key("pin").hash),
-            (6014, 0x7f01_472a_fc80_d186)
+        let pin = fnv_pin(
+            calls
+                .iter()
+                .flat_map(|(a, b)| [u64::from(a.0), u64::from(b.0)]),
         );
+        assert_eq!((calls.len(), pin), (6014, 0x7f01_472a_fc80_d186));
     }
 
     #[test]

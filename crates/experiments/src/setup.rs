@@ -1,12 +1,8 @@
 //! Experiment setup builders: Chapter 3 underlays and degree limits.
 //!
-//! Underlay construction is the expensive pure input of every cell —
-//! topology synthesis plus one shortest-path row per host
-//! (`vdm_topology::HostRoutes`) — so the builders here route through the
-//! content-addressed artifact cache (`vdm_topology::cache`) when the
-//! process has one installed. Cache keys cover every generator parameter
-//! plus the seed, so a hit is bit-identical to a fresh build and CSV
-//! output does not depend on cache state.
+//! Every underlay is a pure function of its generator parameters and
+//! seed — topology synthesis plus one shortest-path row per host
+//! (`vdm_topology::HostRoutes`) — and is built where it is used.
 
 use crate::proto::Session;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -15,11 +11,10 @@ use std::sync::Arc;
 use vdm_netsim::{HostId, RoutedUnderlay, SimTime};
 use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::Scenario;
-use vdm_topology::cache::{self, codec, KeyHasher};
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::{attach_hosts, generate, randomize_losses, TransitStubConfig};
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Graph, HostRoutes, NodeId};
+use vdm_topology::{Graph, NodeId};
 
 /// Which routing oracle setup builders put behind `RoutedUnderlay`.
 ///
@@ -29,8 +24,8 @@ use vdm_topology::{Graph, HostRoutes, NodeId};
 /// `O(capacity · n)` resident.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RouterChoice {
-    /// Eager host rows ([`HostRoutes`]: one Dijkstra per host, built up
-    /// front) — the default, and the one whose artifacts are cached.
+    /// Eager host rows (`vdm_topology::HostRoutes`: one Dijkstra per
+    /// host, built up front) — the default.
     #[default]
     Dense,
     /// Memory-bounded on-demand rows (no `O(n^2)` materialization).
@@ -56,75 +51,13 @@ pub fn with_router_choice<T>(choice: RouterChoice, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Largest underlay (nodes) whose on-demand routing rows are persisted
-/// to the artifact cache. A row is 16 bytes/node, so a full row set is
-/// `16·n^2` bytes — ~67 MB at this bound, but multiple GB at A9's 10k+
-/// nodes, where rows are recomputed instead.
-pub const ROW_PERSIST_MAX_NODES: usize = 2048;
-
-/// Serialize a routed underlay as one cache artifact: the graph, then
-/// the host routes (host attachment points included).
-fn encode_underlay(u: &RoutedUnderlay) -> Vec<u8> {
-    let graph = u.graph().to_bytes();
-    let routes = u
-        .host_routes()
-        .expect("underlay artifacts exist only for eager host rows")
-        .to_bytes();
-    let mut w = codec::ByteWriter::with_capacity(graph.len() + routes.len() + 32);
-    w.put_blob(&graph);
-    w.put_blob(&routes);
-    w.into_bytes()
-}
-
-/// Decode [`encode_underlay`] output; `None` (a cache miss) on any
-/// corruption, so a bad artifact falls back to a fresh build.
-fn decode_underlay(bytes: &[u8]) -> Option<RoutedUnderlay> {
-    let mut r = codec::ByteReader::new(bytes);
-    let graph = Graph::from_bytes(r.get_blob()?)?;
-    let routes = HostRoutes::from_bytes(r.get_blob()?)?;
-    let hosts = routes.hosts().len();
-    if !r.at_end()
-        || routes.num_nodes() != graph.num_nodes()
-        || hosts == 0
-        || (0..hosts).any(|b| routes.dist_ms(0, b).is_infinite())
-    {
-        return None;
-    }
-    Some(RoutedUnderlay::from_parts(graph, routes))
-}
-
-/// Build (or load) a routed underlay. Eager host rows (the default,
-/// `Dense`): through the global artifact cache, graph + host routes as
-/// one artifact. On-demand (opted in via [`with_router_choice`]): the
-/// graph is built fresh and routing rows are computed lazily, persisted
-/// per-row only below [`ROW_PERSIST_MAX_NODES`].
-fn cached_underlay(
-    domain: &'static str,
-    feed_key: impl FnOnce(&mut KeyHasher),
-    build_graph: impl FnOnce() -> (Graph, Vec<NodeId>),
-) -> Arc<RoutedUnderlay> {
-    let mut h = KeyHasher::new();
-    feed_key(&mut h);
-    match ROUTER_CHOICE.with(|c| c.get()) {
-        RouterChoice::OnDemand => {
-            let (g, hosts) = build_graph();
-            let persist = (g.num_nodes() <= ROW_PERSIST_MAX_NODES).then(|| {
-                let mut hk = h.clone();
-                hk.feed_str(domain);
-                hk
-            });
-            Arc::new(RoutedUnderlay::on_demand(Arc::new(g), hosts, None, persist))
-        }
-        RouterChoice::Dense => Arc::new(cache::get_or_compute_global(
-            &h.key(domain),
-            || {
-                let (g, hosts) = build_graph();
-                RoutedUnderlay::new(g, hosts)
-            },
-            encode_underlay,
-            decode_underlay,
-        )),
-    }
+/// Route `g` with the oracle [`with_router_choice`] selected on this
+/// thread.
+fn routed(g: Graph, hosts: Vec<NodeId>) -> Arc<RoutedUnderlay> {
+    Arc::new(match ROUTER_CHOICE.with(|c| c.get()) {
+        RouterChoice::Dense => RoutedUnderlay::new(g, hosts),
+        RouterChoice::OnDemand => RoutedUnderlay::on_demand(Arc::new(g), hosts, None, None),
+    })
 }
 
 /// A ready Chapter 3 testbed: transit-stub routers with attached hosts,
@@ -168,26 +101,13 @@ impl Ch3Setup {
 pub fn ch3_setup(members: usize, link_loss: f64, topo_seed: u64) -> Ch3Setup {
     let needed = members + 1;
     let cfg = TransitStubConfig::for_hosts(needed);
-    let underlay = cached_underlay(
-        "ch3-underlay",
-        |h| {
-            h.feed_str("transit-stub")
-                .feed_usize(needed)
-                .feed_f64(link_loss)
-                .feed_u64(topo_seed)
-                .feed_usize(cfg.total_routers());
-        },
-        || {
-            let mut g = generate(&cfg, topo_seed);
-            if link_loss > 0.0 {
-                randomize_losses(&mut g, link_loss, topo_seed);
-            }
-            let hosts = attach_hosts(&mut g, needed, topo_seed, 0.0);
-            (g, hosts)
-        },
-    );
+    let mut g = generate(&cfg, topo_seed);
+    if link_loss > 0.0 {
+        randomize_losses(&mut g, link_loss, topo_seed);
+    }
+    let hosts = attach_hosts(&mut g, needed, topo_seed, 0.0);
     Ch3Setup {
-        underlay,
+        underlay: routed(g, hosts),
         source: HostId(0),
         candidates: (1..needed as u32).map(HostId).collect(),
     }
@@ -198,29 +118,17 @@ pub fn ch3_setup(members: usize, link_loss: f64, topo_seed: u64) -> Ch3Setup {
 /// graphs have no domain structure at all).
 pub fn waxman_setup(members: usize, routers: usize, seed: u64) -> Ch3Setup {
     assert!(routers > members);
-    let underlay = cached_underlay(
-        "waxman-underlay",
-        |h| {
-            h.feed_str("waxman")
-                .feed_usize(members)
-                .feed_usize(routers)
-                .feed_u64(seed);
+    let mut g = waxman::generate(
+        &WaxmanConfig {
+            nodes: routers,
+            ..WaxmanConfig::default()
         },
-        || {
-            let wg = waxman::generate(
-                &WaxmanConfig {
-                    nodes: routers,
-                    ..WaxmanConfig::default()
-                },
-                seed,
-            );
-            let mut g = wg.graph;
-            let hosts = attach_hosts(&mut g, members + 1, seed, 0.0);
-            (g, hosts)
-        },
-    );
+        seed,
+    )
+    .graph;
+    let hosts = attach_hosts(&mut g, members + 1, seed, 0.0);
     Ch3Setup {
-        underlay,
+        underlay: routed(g, hosts),
         source: HostId(0),
         candidates: (1..=members as u32).map(HostId).collect(),
     }
@@ -231,28 +139,16 @@ pub fn waxman_setup(members: usize, routers: usize, seed: u64) -> Ch3Setup {
 /// for sensitivity studies.
 pub fn powerlaw_setup(members: usize, routers: usize, seed: u64) -> Ch3Setup {
     assert!(routers > members);
-    let underlay = cached_underlay(
-        "powerlaw-underlay",
-        |h| {
-            h.feed_str("powerlaw")
-                .feed_usize(members)
-                .feed_usize(routers)
-                .feed_u64(seed);
+    let mut g = powerlaw::generate(
+        &PowerLawConfig {
+            nodes: routers,
+            ..PowerLawConfig::default()
         },
-        || {
-            let mut g = powerlaw::generate(
-                &PowerLawConfig {
-                    nodes: routers,
-                    ..PowerLawConfig::default()
-                },
-                seed,
-            );
-            let hosts = attach_hosts(&mut g, members + 1, seed, 0.0);
-            (g, hosts)
-        },
+        seed,
     );
+    let hosts = attach_hosts(&mut g, members + 1, seed, 0.0);
     Ch3Setup {
-        underlay,
+        underlay: routed(g, hosts),
         source: HostId(0),
         candidates: (1..=members as u32).map(HostId).collect(),
     }
@@ -261,10 +157,6 @@ pub fn powerlaw_setup(members: usize, routers: usize, seed: u64) -> Ch3Setup {
 /// The A9 scaling testbed: a power-law underlay sized for `members`
 /// overlay hosts, always routed on demand — no `O(n^2)` structure is
 /// ever materialized, which is what lets A9 run 10k–20k members.
-///
-/// Routing rows persist to the artifact cache only below
-/// [`ROW_PERSIST_MAX_NODES`]; big underlays recompute rows (bounded by
-/// the LRU) instead of writing gigabytes of artifacts.
 pub fn scale_setup(members: usize, seed: u64) -> Ch3Setup {
     let routers = members + members / 8 + 32;
     let mut g = powerlaw::generate(
@@ -275,14 +167,7 @@ pub fn scale_setup(members: usize, seed: u64) -> Ch3Setup {
         seed,
     );
     let hosts = attach_hosts(&mut g, members + 1, seed, 0.0);
-    let persist = (g.num_nodes() <= ROW_PERSIST_MAX_NODES).then(|| {
-        let mut h = KeyHasher::new();
-        h.feed_str("scale-powerlaw")
-            .feed_usize(members)
-            .feed_u64(seed);
-        h
-    });
-    let underlay = Arc::new(RoutedUnderlay::on_demand(Arc::new(g), hosts, None, persist));
+    let underlay = Arc::new(RoutedUnderlay::on_demand(Arc::new(g), hosts, None, None));
     Ch3Setup {
         underlay,
         source: HostId(0),
@@ -372,7 +257,7 @@ mod tests {
     fn on_demand_override_matches_dense() {
         let dense = waxman_setup(12, 40, 7);
         let od = with_router_choice(RouterChoice::OnDemand, || waxman_setup(12, 40, 7));
-        assert!(od.underlay.host_routes().is_none());
+        assert!(dense.underlay.router().is_none());
         assert!(od.underlay.router().is_some());
         for a in 0..13u32 {
             for b in 0..13u32 {
@@ -392,13 +277,13 @@ mod tests {
         let s = scale_setup(40, 9);
         assert_eq!(s.underlay.num_hosts(), 41);
         assert_eq!(s.candidates.len(), 40);
-        assert!(
-            s.underlay.host_routes().is_none(),
-            "scale must never build eager rows"
-        );
         let r = s.underlay.rtt_ms(HostId(0), HostId(40));
         assert!(r > 0.0 && r.is_finite());
-        let stats = s.underlay.router().unwrap().stats();
+        let stats = s
+            .underlay
+            .router()
+            .expect("scale must never build eager rows")
+            .stats();
         assert!(stats.resident <= stats.capacity);
     }
 

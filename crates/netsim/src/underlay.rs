@@ -16,8 +16,8 @@
 //!   exactly as §5.3 does.
 
 use rand::{Rng, RngCore};
+use std::convert::Infallible;
 use std::sync::Arc;
-use vdm_topology::cache::KeyHasher;
 use vdm_topology::{EdgeId, Graph, HostRoutes, Millis, NodeId, OnDemandRouter, RouteProvider};
 
 /// Index of a simulation host (dense, `0..num_hosts`).
@@ -104,29 +104,14 @@ impl RoutedUnderlay {
     /// Runs one Dijkstra per host; `O(H · E log V)` time and
     /// `O(H² + H · V)` memory — use [`RoutedUnderlay::on_demand`] when
     /// `H · V` is too large to hold.
-    pub fn new(graph: Graph, host_nodes: Vec<NodeId>) -> Self {
-        let routes = HostRoutes::build(&graph, host_nodes);
-        Self::from_parts(graph, routes)
-    }
-
-    /// Rebuild from a cached graph + host routes (see
-    /// `vdm_topology::cache`), skipping the row build. The parts must
-    /// belong together: dimensions are validated, host reachability is
-    /// re-checked.
     ///
     /// # Panics
-    /// Panics when `routes` was built for a different node count than
-    /// `graph`, when it has no host, or when hosts are mutually
-    /// unreachable — the same invariants [`RoutedUnderlay::new`]
-    /// establishes.
-    pub fn from_parts(graph: Graph, routes: HostRoutes) -> Self {
+    /// Panics when there is no host, a host is not a node of `graph`,
+    /// or hosts are mutually unreachable.
+    pub fn new(graph: Graph, host_nodes: Vec<NodeId>) -> Self {
+        let routes = HostRoutes::build(&graph, host_nodes);
         let host_nodes = routes.hosts().to_vec();
         assert!(!host_nodes.is_empty(), "need at least one host");
-        assert_eq!(
-            routes.num_nodes(),
-            graph.num_nodes(),
-            "host routes do not match the graph"
-        );
         for (b, h) in host_nodes.iter().enumerate() {
             assert!(routes.dist_ms(0, b).is_finite(), "host {h} unreachable");
         }
@@ -140,9 +125,8 @@ impl RoutedUnderlay {
     /// Build with a memory-bounded [`OnDemandRouter`] instead of eager
     /// host rows: per-source Dijkstra rows computed lazily and kept
     /// in an LRU of at most `capacity` rows (`None` for the default
-    /// ~64 MiB budget). With `persist_key`, rows round-trip through the
-    /// global artifact cache — only sensible for graphs small enough
-    /// that a full row set on disk is acceptable.
+    /// ~64 MiB budget). The last argument can only be `None`; it
+    /// keeps the four-argument call the benchmark's join workloads make.
     ///
     /// Memory is `O(capacity · V)`; no `O(V^2)` structure is ever
     /// materialized.
@@ -155,16 +139,13 @@ impl RoutedUnderlay {
         graph: Arc<Graph>,
         host_nodes: Vec<NodeId>,
         capacity: Option<usize>,
-        persist_key: Option<KeyHasher>,
+        _never: Option<Infallible>,
     ) -> Self {
         assert!(!host_nodes.is_empty(), "need at least one host");
         for &h in &host_nodes {
             assert!(h.idx() < graph.num_nodes());
         }
-        let mut router = OnDemandRouter::new(Arc::clone(&graph), capacity);
-        if let Some(key) = persist_key {
-            router = router.with_row_persistence(key);
-        }
+        let router = OnDemandRouter::new(Arc::clone(&graph), capacity);
         let row0 = router.row(host_nodes[0]);
         for &h in &host_nodes[1..] {
             assert!(row0.dist_ms(h).is_finite(), "host {h} unreachable");
@@ -189,15 +170,6 @@ impl RoutedUnderlay {
     /// Always `None`: no routed underlay builds the dense table any more.
     pub fn apsp(&self) -> Option<&vdm_topology::Apsp> {
         None
-    }
-
-    /// The eager host rows, when this underlay was built with them
-    /// (for the artifact cache).
-    pub fn host_routes(&self) -> Option<&HostRoutes> {
-        match &self.routes {
-            Routes::Hosts(r) => Some(r),
-            Routes::OnDemand(_) => None,
-        }
     }
 
     /// The on-demand router, when this underlay was built with one
@@ -482,58 +454,6 @@ impl LatencySpace {
     pub fn set_lazy(&mut self, h: HostId, profile: LazyProfile) {
         self.lazy[h.idx()] = profile;
     }
-
-    /// Serialize for the artifact cache (see `vdm_topology::cache`):
-    /// the full RTT/loss matrices, jitter amplitude, and lazy profiles.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use vdm_topology::cache::codec::ByteWriter;
-        let mut w = ByteWriter::with_capacity(32 + self.rtt.len() * 8 + self.lazy.len() * 16);
-        w.put_u64(self.n as u64);
-        w.put_f32s(&self.rtt);
-        w.put_f32s(&self.loss);
-        w.put_f64(self.jitter_frac);
-        w.put_u64(self.lazy.len() as u64);
-        for l in &self.lazy {
-            w.put_f64(l.prob);
-            w.put_f64(l.extra_ms);
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a [`LatencySpace::to_bytes`] artifact; `None` on any
-    /// corruption or dimension mismatch (treated as a cache miss).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use vdm_topology::cache::codec::ByteReader;
-        let mut r = ByteReader::new(bytes);
-        let n = usize::try_from(r.get_u64()?).ok()?;
-        let rtt = r.get_f32s()?;
-        let loss = r.get_f32s()?;
-        if rtt.len() != n.checked_mul(n)? || loss.len() != rtt.len() {
-            return None;
-        }
-        let jitter_frac = r.get_f64()?;
-        if !(0.0..1.0).contains(&jitter_frac) {
-            return None;
-        }
-        let m = usize::try_from(r.get_u64()?).ok()?;
-        if m != n {
-            return None;
-        }
-        let mut lazy = Vec::with_capacity(m);
-        for _ in 0..m {
-            lazy.push(LazyProfile {
-                prob: r.get_f64()?,
-                extra_ms: r.get_f64()?,
-            });
-        }
-        r.at_end().then_some(Self {
-            n,
-            rtt,
-            loss,
-            jitter_frac,
-            lazy,
-        })
-    }
 }
 
 impl Underlay for LatencySpace {
@@ -626,8 +546,7 @@ mod tests {
         let hosts = attach_hosts(&mut g, 9, 4, 0.01);
         let eager = RoutedUnderlay::new(g.clone(), hosts.clone());
         let od = RoutedUnderlay::on_demand(Arc::new(g), hosts, Some(2), None);
-        assert!(eager.router().is_none() && eager.host_routes().is_some());
-        assert!(od.host_routes().is_none());
+        assert!(eager.router().is_none() && od.router().is_some());
         assert!(eager.apsp().is_none() && od.apsp().is_none());
         assert_eq!(od.num_hosts(), eager.num_hosts());
         assert_eq!(od.num_links(), eager.num_links());

@@ -308,7 +308,7 @@ struct RetagSink {
 
 impl EventSink for RetagSink {
     fn record(&mut self, t_us: u64, ev: &TraceEvent) {
-        let tree = ev.primary_host().map_or(0, |v| v / self.n);
+        let tree = ev.primary_host() / self.n;
         let n = self.n;
         self.inner.emit(t_us, || TraceEvent::Tagged {
             tree,

@@ -16,8 +16,7 @@ use vdm_netsim::{HostId, LatencySpace, SimTime, Underlay};
 use vdm_overlay::agent::AgentFactory;
 use vdm_overlay::driver::{Driver, DriverConfig, RunOutput};
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
-use vdm_topology::cache::{self, codec, KeyHasher};
-use vdm_topology::geo::{GeoPoint, Site};
+use vdm_topology::geo::Site;
 
 /// Session parameters (defaults = the paper's §5.4.2 setup).
 #[derive(Clone, Debug)]
@@ -66,103 +65,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// The expensive pure extract of a session: working sites (post
-/// filtering), their lazy flags, and the synthesized latency space.
-/// Everything downstream (node selection, degree limits, scenarios) is
-/// cheap and derived from independent RNG streams, so this is the unit
-/// the artifact cache stores.
-type SessionExtract = (Vec<Site>, Vec<bool>, LatencySpace);
-
-fn encode_extract((sites, lazy, space): &SessionExtract) -> Vec<u8> {
-    let space_bytes = space.to_bytes();
-    let mut w = codec::ByteWriter::with_capacity(sites.len() * 32 + space_bytes.len() + 64);
-    w.put_u32(sites.len() as u32);
-    for s in sites {
-        w.put_f64(s.point.lat);
-        w.put_f64(s.point.lon);
-        w.put_u32(s.region as u32);
-        w.put_f64(s.access_ms);
-    }
-    for &l in lazy {
-        w.put_u8(l as u8);
-    }
-    w.put_blob(&space_bytes);
-    w.into_bytes()
-}
-
-/// Decode [`encode_extract`] output; `None` (a cache miss, triggering a
-/// fresh build) on any corruption or dimension mismatch.
-fn decode_extract(bytes: &[u8], num_regions: usize) -> Option<SessionExtract> {
-    let mut r = codec::ByteReader::new(bytes);
-    let n = r.get_u32()? as usize;
-    let mut sites = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lat = r.get_f64()?;
-        let lon = r.get_f64()?;
-        let region = r.get_u32()? as usize;
-        let access_ms = r.get_f64()?;
-        if region >= num_regions || !lat.is_finite() || !lon.is_finite() || !access_ms.is_finite() {
-            return None;
-        }
-        sites.push(Site {
-            point: GeoPoint { lat, lon },
-            region,
-            access_ms,
-        });
-    }
-    let mut lazy = Vec::with_capacity(n);
-    for _ in 0..n {
-        lazy.push(r.get_u8()? != 0);
-    }
-    let space = LatencySpace::from_bytes(r.get_blob()?)?;
-    if !r.at_end() || space.num_hosts() != n {
-        return None;
-    }
-    Some((sites, lazy, space))
-}
-
-/// Pool + space synthesis through the global artifact cache. The key
-/// covers every pool and space parameter plus the seed, so a hit is
-/// bit-identical to a fresh extract.
-fn cached_extract(cfg: &SessionConfig, seed: u64) -> SessionExtract {
-    let mut h = KeyHasher::new();
-    h.feed_usize(cfg.pool.regions.len());
-    for r in &cfg.pool.regions {
-        h.feed_str(r.name)
-            .feed_f64(r.lat.0)
-            .feed_f64(r.lat.1)
-            .feed_f64(r.lon.0)
-            .feed_f64(r.lon.1)
-            .feed_f64(r.weight);
-    }
-    h.feed_usize(cfg.pool.raw_nodes)
-        .feed_f64(cfg.pool.dead_frac)
-        .feed_f64(cfg.pool.blocks_ping_frac)
-        .feed_f64(cfg.pool.agent_broken_frac)
-        .feed_f64(cfg.pool.lazy_frac);
-    h.feed_f64(cfg.space.inflation_mu)
-        .feed_f64(cfg.space.inflation_sigma)
-        .feed_f64(cfg.space.jitter_frac)
-        .feed_f64(cfg.space.base_loss)
-        .feed_f64(cfg.space.lossy_path_frac)
-        .feed_f64(cfg.space.lossy_path_extra)
-        .feed_f64(cfg.space.lazy_extra_ms)
-        .feed_f64(cfg.space.lazy_prob);
-    h.feed_u64(seed);
-    let num_regions = cfg.pool.regions.len();
-    cache::get_or_compute_global(
-        &h.key("planetlab-extract"),
-        || {
-            let pool = NodePool::generate(&cfg.pool, seed);
-            let (sites, lazy) = pool.working_sites();
-            let space = build_latency_space(&sites, &lazy, &cfg.space, seed);
-            (sites, lazy, space)
-        },
-        encode_extract,
-        |bytes| decode_extract(bytes, num_regions),
-    )
-}
-
 /// A prepared testbed: filtered pool, latency space, selected nodes.
 pub struct SessionRunner {
     /// The synthesized network.
@@ -185,7 +87,8 @@ impl SessionRunner {
     /// Generate the pool, filter it (Fig. 5.2), synthesize the latency
     /// space, and select `cfg.nodes` experiment nodes.
     pub fn prepare(cfg: &SessionConfig, seed: u64) -> Self {
-        let (sites, _lazy, space) = cached_extract(cfg, seed);
+        let (sites, lazy) = NodePool::generate(&cfg.pool, seed).working_sites();
+        let space = build_latency_space(&sites, &lazy, &cfg.space, seed);
         assert!(
             sites.len() > cfg.nodes,
             "working pool ({}) must exceed the experiment size ({})",
@@ -198,7 +101,7 @@ impl SessionRunner {
         };
         let space = Arc::new(space);
         // Selection and degree draws use an RNG stream independent of
-        // pool/space synthesis, so cache hits change nothing downstream.
+        // pool/space synthesis.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7365_7373);
 
         // Select nodes+1 hosts; the most central becomes the source.
@@ -357,52 +260,6 @@ mod tests {
         let last = out.stats.measurements.last().unwrap();
         assert_eq!(last.connected, last.members);
         assert_eq!(last.tree_errors, 0);
-    }
-
-    #[test]
-    fn extract_roundtrips_and_rejects_corruption() {
-        let cfg = tiny_cfg();
-        let pool = NodePool::generate(&cfg.pool, 7);
-        let (sites, lazy) = pool.working_sites();
-        let space = build_latency_space(&sites, &lazy, &cfg.space, 7);
-        let fresh = (sites, lazy, space);
-        let bytes = encode_extract(&fresh);
-        let back = decode_extract(&bytes, cfg.pool.regions.len()).expect("roundtrip");
-        assert_eq!(back.0, fresh.0);
-        assert_eq!(back.1, fresh.1);
-        assert_eq!(back.2.to_bytes(), fresh.2.to_bytes());
-        // Truncation and trailing garbage are both misses, not panics.
-        assert!(decode_extract(&bytes[..bytes.len() - 1], cfg.pool.regions.len()).is_none());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(decode_extract(&longer, cfg.pool.regions.len()).is_none());
-        // A region index beyond the configured regions is corruption.
-        assert!(decode_extract(&bytes, 1).is_none());
-    }
-
-    #[test]
-    fn extract_cache_hit_is_bit_identical() {
-        let dir = std::env::temp_dir().join(format!("vdm-extract-cache-{}", std::process::id()));
-        let store = cache::CacheStore::at(&dir);
-        let cfg = tiny_cfg();
-        let build = || {
-            let pool = NodePool::generate(&cfg.pool, 9);
-            let (sites, lazy) = pool.working_sites();
-            let space = build_latency_space(&sites, &lazy, &cfg.space, 9);
-            (sites, lazy, space)
-        };
-        let key = KeyHasher::new().feed_u64(9).key("test-extract");
-        let cold = store.get_or_compute(&key, build, encode_extract, |b| {
-            decode_extract(b, cfg.pool.regions.len())
-        });
-        let warm = store.get_or_compute(
-            &key,
-            || unreachable!("second lookup must hit the cache"),
-            encode_extract,
-            |b| decode_extract(b, cfg.pool.regions.len()),
-        );
-        assert_eq!(encode_extract(&cold), encode_extract(&warm));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

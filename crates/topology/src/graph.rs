@@ -280,80 +280,6 @@ impl Graph {
     pub fn total_delay_ms(&self) -> Millis {
         self.edges.iter().map(|e| e.attrs.delay_ms).sum()
     }
-
-    /// Serialize for the artifact cache (see [`crate::cache`]). Node and
-    /// edge ids are insertion-ordered, so a round trip preserves every
-    /// `NodeId`/`EdgeId`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::cache::codec::ByteWriter;
-        let mut w = ByteWriter::with_capacity(16 + self.kinds.len() + self.edges.len() * 28);
-        w.put_u64(self.kinds.len() as u64);
-        for &k in &self.kinds {
-            w.put_u8(match k {
-                NodeKind::Transit => 0,
-                NodeKind::Stub => 1,
-                NodeKind::Host => 2,
-            });
-        }
-        w.put_u64(self.edges.len() as u64);
-        for e in &self.edges {
-            w.put_u32(e.a.0);
-            w.put_u32(e.b.0);
-            w.put_f64(e.attrs.delay_ms);
-            w.put_f64(e.attrs.loss);
-            w.put_f64(e.attrs.bandwidth_mbps);
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a [`Graph::to_bytes`] artifact; `None` on any corruption
-    /// (treated as a cache miss). Edges are re-added through
-    /// [`Graph::add_edge`], so a decoded graph passes the same
-    /// invariants as a generated one.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use crate::cache::codec::ByteReader;
-        let mut r = ByteReader::new(bytes);
-        let n = usize::try_from(r.get_u64()?).ok()?;
-        if n > r.remaining() {
-            return None;
-        }
-        let mut g = Graph::new();
-        for _ in 0..n {
-            g.add_node(match r.get_u8()? {
-                0 => NodeKind::Transit,
-                1 => NodeKind::Stub,
-                2 => NodeKind::Host,
-                _ => return None,
-            });
-        }
-        let m = usize::try_from(r.get_u64()?).ok()?;
-        if m > r.remaining() / 28 + 1 {
-            return None;
-        }
-        for _ in 0..m {
-            let a = NodeId(r.get_u32()?);
-            let b = NodeId(r.get_u32()?);
-            let attrs = LinkAttrs {
-                delay_ms: r.get_f64()?,
-                loss: r.get_f64()?,
-                bandwidth_mbps: r.get_f64()?,
-            };
-            if a == b
-                || a.idx() >= n
-                || b.idx() >= n
-                || !attrs.delay_ms.is_finite()
-                || attrs.delay_ms <= 0.0
-                || !(0.0..1.0).contains(&attrs.loss)
-            {
-                return None;
-            }
-            if g.find_edge(a, b).is_some() {
-                return None;
-            }
-            g.add_edge(a, b, attrs);
-        }
-        r.at_end().then_some(g)
-    }
 }
 
 #[cfg(test)]

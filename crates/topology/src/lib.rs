@@ -23,14 +23,11 @@
 //!   plus the memory-bounded [`OnDemandRouter`] (LRU-cached per-source
 //!   rows) that scales past the dense matrix's `O(n^2)` ceiling;
 //! * [`mst`] — Prim minimum spanning trees over arbitrary metrics (the
-//!   paper's §5.4.6 MST-ratio comparison);
-//! * [`cache`] — a content-addressed on-disk artifact cache for the
-//!   expensive pure outputs above (generated graphs, APSP tables),
-//!   keyed by generator parameters + seed + code-version salt.
+//!   paper's §5.4.6 MST-ratio comparison).
 //!
-//! All generators are deterministic given a seed.
+//! All generators are deterministic given a seed, so every testbed is
+//! rebuilt where it is used rather than stored.
 
-pub mod cache;
 pub mod geo;
 pub mod graph;
 pub mod mst;

@@ -29,11 +29,8 @@
 //!
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
-use crate::cache::{self, codec, KeyHasher};
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spath::{
-    route_edges, sssp, valid_row_dists, valid_row_links, walk_prev, Apsp, BucketQueue, Csr,
-};
+use crate::spath::{route_edges, sssp, walk_prev, Apsp, BucketQueue, Csr};
 use crate::Millis;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -90,20 +87,20 @@ impl RouteProvider for Apsp {
 
 /// One source's routing row: distances, predecessors, and first hops
 /// toward every node — `O(n)` memory (16 bytes/node), the unit the
-/// [`OnDemandRouter`] caches and (optionally) persists.
+/// [`OnDemandRouter`] caches.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RouteRow {
     /// Source node this row was computed from.
     pub source: NodeId,
     /// `dist[v]` = shortest delay (ms) source → `v`; `INFINITY` when
     /// unreachable.
-    dist: Vec<Millis>,
+    pub(crate) dist: Vec<Millis>,
     /// `prev[v]` = predecessor of `v` on the shortest path from the
     /// source; `u32::MAX` for the source itself and unreachable nodes.
-    prev: Vec<u32>,
+    pub(crate) prev: Vec<u32>,
     /// `first[v]` = first hop from the source toward `v`; `u32::MAX`
     /// sentinel as in [`Apsp`].
-    first: Vec<u32>,
+    pub(crate) first: Vec<u32>,
 }
 
 impl RouteRow {
@@ -159,47 +156,6 @@ impl RouteRow {
         }
         walk_prev(&self.prev, self.source, v)
     }
-
-    /// Serialize for the artifact cache (domain `route-row`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = codec::ByteWriter::with_capacity(32 + self.dist.len() * 16);
-        w.put_u32(self.source.0);
-        w.put_f64s(&self.dist);
-        w.put_u32s(&self.prev);
-        w.put_u32s(&self.first);
-        w.into_bytes()
-    }
-
-    /// Decode a [`RouteRow::to_bytes`] artifact; `None` on corruption or
-    /// a dimension mismatch with `expect_nodes` (treated as a cache
-    /// miss).
-    pub fn from_bytes(bytes: &[u8], expect_nodes: usize) -> Option<Self> {
-        let mut r = codec::ByteReader::new(bytes);
-        let source = NodeId(r.get_u32()?);
-        let dist = r.get_f64s()?;
-        let prev = r.get_u32s()?;
-        let first = r.get_u32s()?;
-        if !r.at_end()
-            || dist.len() != expect_nodes
-            || prev.len() != expect_nodes
-            || first.len() != expect_nodes
-            || source.idx() >= expect_nodes
-            // `path_nodes` indexes with `prev`: a flipped entry must not
-            // get past the decoder.
-            || dist[source.idx()] != 0.0
-            || !valid_row_dists(&dist)
-            || !valid_row_links(&prev, expect_nodes)
-            || !valid_row_links(&first, expect_nodes)
-        {
-            return None;
-        }
-        Some(Self {
-            source,
-            dist,
-            prev,
-            first,
-        })
-    }
 }
 
 /// Per-instance counters for one [`OnDemandRouter`].
@@ -207,7 +163,7 @@ impl RouteRow {
 pub struct RouterStats {
     /// Row lookups served from the LRU.
     pub hits: u64,
-    /// Row lookups that ran (or loaded) a fresh Dijkstra.
+    /// Row lookups that ran a fresh Dijkstra.
     pub misses: u64,
     /// Rows dropped to stay within `capacity`.
     pub evictions: u64,
@@ -261,19 +217,13 @@ struct RowLru {
 ///
 /// Rows are handed out as `Arc<RouteRow>`, so concurrent runner threads
 /// share them read-only; the internal lock is held only for the LRU
-/// bookkeeping, never across a Dijkstra run. With `persist` enabled,
-/// rows additionally round-trip through the global artifact cache
-/// ([`cache::get_or_compute_global`], domain `route-row`) keyed by a
-/// caller-supplied [`KeyHasher`] identifying the graph.
+/// bookkeeping, never across a Dijkstra run.
 pub struct OnDemandRouter {
     graph: Arc<Graph>,
     /// `graph`'s adjacency, flattened once for every row this router
     /// computes.
     csr: Csr,
     capacity: usize,
-    /// Pre-fed hasher identifying the underlay (generator params +
-    /// seed); present iff rows should persist to the artifact cache.
-    persist_key: Option<KeyHasher>,
     lru: Mutex<RowLru>,
     queues: QueuePool,
 }
@@ -285,7 +235,6 @@ impl std::fmt::Debug for OnDemandRouter {
             .field("nodes", &self.graph.num_nodes())
             .field("capacity", &self.capacity)
             .field("resident", &s.resident)
-            .field("persist", &self.persist_key.is_some())
             .finish()
     }
 }
@@ -295,7 +244,7 @@ const ROW_BUDGET_BYTES: usize = 64 << 20;
 
 impl OnDemandRouter {
     /// Router over `graph` holding at most `capacity` rows; pass `None`
-    /// for [`Self::default_capacity`]. Rows are not persisted to disk.
+    /// for [`Self::default_capacity`].
     pub fn new(graph: Arc<Graph>, capacity: Option<usize>) -> Self {
         let capacity = capacity
             .unwrap_or_else(|| Self::default_capacity(graph.num_nodes()))
@@ -304,7 +253,6 @@ impl OnDemandRouter {
             csr: Csr::new(&graph),
             graph,
             capacity,
-            persist_key: None,
             lru: Mutex::new(RowLru::default()),
             queues: QueuePool::default(),
         }
@@ -318,16 +266,6 @@ impl OnDemandRouter {
     pub fn default_capacity(n: usize) -> usize {
         let row_bytes = n.max(1) * 16;
         (ROW_BUDGET_BYTES / row_bytes).clamp(8, n.max(8))
-    }
-
-    /// Enable row persistence through the global artifact cache. `key`
-    /// must uniquely identify the graph (generator parameters + seed);
-    /// per-row keys additionally mix the source id. Only worth it for
-    /// graphs small enough that a row set on disk is acceptable —
-    /// callers gate this on node count.
-    pub fn with_row_persistence(mut self, key: KeyHasher) -> Self {
-        self.persist_key = Some(key);
-        self
     }
 
     /// The underlay graph this router answers for.
@@ -354,8 +292,7 @@ impl OnDemandRouter {
     }
 
     /// The routing row for `source`: from the LRU when resident, else
-    /// computed (and optionally loaded from / stored to the artifact
-    /// cache) outside the lock.
+    /// computed outside the lock.
     pub fn row(&self, source: NodeId) -> Arc<RouteRow> {
         {
             let mut lru = self.lru.lock().expect("router lru lock");
@@ -369,9 +306,9 @@ impl OnDemandRouter {
             }
             lru.misses += 1;
         }
-        // Compute (or load) without holding the lock: other threads can
-        // keep hitting resident rows during this Dijkstra.
-        let row = Arc::new(self.compute_row(source));
+        // Compute without holding the lock: other threads can keep
+        // hitting resident rows during this Dijkstra.
+        let row = Arc::new(RouteRow::compute_csr(&self.csr, source, &self.queues));
         let mut lru = self.lru.lock().expect("router lru lock");
         lru.tick += 1;
         let tick = lru.tick;
@@ -402,24 +339,6 @@ impl OnDemandRouter {
         );
         lru.peak = lru.peak.max(lru.rows.len());
         row
-    }
-
-    fn compute_row(&self, source: NodeId) -> RouteRow {
-        match &self.persist_key {
-            Some(base) => {
-                let mut h = base.clone();
-                h.feed_u64(u64::from(source.0));
-                let key = h.key("route-row");
-                let n = self.graph.num_nodes();
-                cache::get_or_compute_global(
-                    &key,
-                    || RouteRow::compute_csr(&self.csr, source, &self.queues),
-                    RouteRow::to_bytes,
-                    |bytes| RouteRow::from_bytes(bytes, n).filter(|r| r.source == source),
-                )
-            }
-            None => RouteRow::compute_csr(&self.csr, source, &self.queues),
-        }
     }
 }
 
@@ -554,51 +473,6 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
         router.row(NodeId(0)); // still resident
         assert_eq!(router.stats().hits, 2);
-    }
-
-    #[test]
-    fn route_row_codec_roundtrip() {
-        let g = random_graph(11, 10);
-        let row = RouteRow::compute(&g, NodeId(3));
-        let bytes = row.to_bytes();
-        assert_eq!(RouteRow::from_bytes(&bytes, 10), Some(row.clone()));
-        // Wrong dimension or truncation decodes as a miss.
-        assert_eq!(RouteRow::from_bytes(&bytes, 11), None);
-        assert_eq!(RouteRow::from_bytes(&bytes[..bytes.len() - 1], 10), None);
-    }
-
-    /// "A corrupt artifact is a miss": entries that are not node ids,
-    /// or distances that are not distances, must not get past the
-    /// decoder (`path_nodes` indexes with `prev`).
-    #[test]
-    fn corrupt_route_row_is_rejected() {
-        let good = RouteRow::compute(&random_graph(11, 10), NodeId(3));
-        let corrupt = |edit: fn(&mut RouteRow)| {
-            let mut bad = good.clone();
-            edit(&mut bad);
-            RouteRow::from_bytes(&bad.to_bytes(), 10)
-        };
-        assert!(corrupt(|r| r.prev[5] = 10).is_none(), "entry == n");
-        assert!(corrupt(|r| r.prev[5] = u32::MAX - 1).is_none());
-        assert!(corrupt(|r| r.first[5] = 10).is_none(), "entry == n");
-        assert!(corrupt(|r| r.first[5] = u32::MAX - 1).is_none());
-        assert!(corrupt(|r| r.dist[5] = Millis::NAN).is_none());
-        assert!(corrupt(|r| r.dist[5] = -0.5).is_none());
-        assert!(corrupt(|r| r.dist[3] = 1.0).is_none(), "dist[source] != 0");
-        assert!(corrupt(|r| r.first[5] = u32::MAX).is_some(), "sentinel");
-    }
-
-    /// In-range `prev` entries can still close a cycle; the walk gives
-    /// up after `n` nodes and reports the target as unreachable.
-    #[test]
-    fn prev_cycle_terminates() {
-        let mut bad = RouteRow::compute(&random_graph(11, 10), NodeId(3));
-        bad.prev[5] = 6;
-        bad.prev[6] = 5;
-        let decoded = RouteRow::from_bytes(&bad.to_bytes(), 10).expect("every entry is a node id");
-        assert!(decoded.path_nodes(NodeId(5)).is_empty());
-        assert!(decoded.path_nodes(NodeId(6)).is_empty());
-        assert_eq!(decoded.path_nodes(NodeId(3)), vec![NodeId(3)]);
     }
 
     #[test]

@@ -396,35 +396,6 @@ impl Apsp {
         self.n
     }
 
-    /// Serialize for the artifact cache (see [`crate::cache`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::cache::codec::ByteWriter;
-        let mut w = ByteWriter::with_capacity(24 + self.dist.len() * 8 + self.next.len() * 4);
-        w.put_u64(self.n as u64);
-        w.put_f64s(&self.dist);
-        w.put_u32s(&self.next);
-        w.into_bytes()
-    }
-
-    /// Decode an [`Apsp::to_bytes`] artifact; `None` on any corruption
-    /// or dimension mismatch (treated as a cache miss).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use crate::cache::codec::ByteReader;
-        let mut r = ByteReader::new(bytes);
-        let n = usize::try_from(r.get_u64()?).ok()?;
-        let dist = r.get_f64s()?;
-        let next = r.get_u32s()?;
-        if !r.at_end() || dist.len() != n.checked_mul(n)? || next.len() != dist.len() {
-            return None;
-        }
-        // `path_nodes` indexes with these entries: a flipped one must
-        // not get past the decoder.
-        let valid = valid_row_dists(&dist)
-            && valid_row_links(&next, n)
-            && (0..n).all(|s| dist[s * n + s] == 0.0);
-        valid.then_some(Self { n, dist, next })
-    }
-
     /// Shortest one-way delay (ms) from `a` to `b`, at full `f64`
     /// precision (bit-identical to a fresh [`dijkstra`] run from `a`).
     #[inline]
@@ -445,16 +416,11 @@ impl Apsp {
         let mut path = vec![a];
         let mut cur = a;
         while cur != b {
-            match self.next_hop(cur, b) {
-                // A route visits each node at most once; a longer walk
-                // is a next-hop cycle in a decoded table, answered as
-                // unreachable instead of looping forever.
-                Some(h) if path.len() < self.n => {
-                    cur = h;
-                    path.push(cur);
-                }
-                _ => return Vec::new(),
-            }
+            let Some(h) = self.next_hop(cur, b) else {
+                return Vec::new();
+            };
+            cur = h;
+            path.push(cur);
         }
         path
     }
@@ -536,11 +502,6 @@ impl HostRoutes {
         }
     }
 
-    /// Node count of the graph the rows were built over.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Graph node of each host, in host-id order.
     pub fn hosts(&self) -> &[NodeId] {
         &self.hosts
@@ -586,52 +547,10 @@ impl HostRoutes {
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
         route_edges(g, &self.path_nodes(a, b))
     }
-
-    /// Serialize for the artifact cache (see [`crate::cache`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::cache::codec::ByteWriter;
-        let mut w = ByteWriter::with_capacity(
-            32 + self.hosts.len() * 4 + self.dist.len() * 8 + self.prev.len() * 4,
-        );
-        w.put_u64(self.n as u64);
-        w.put_u32s(&self.hosts.iter().map(|v| v.0).collect::<Vec<_>>());
-        w.put_f64s(&self.dist);
-        w.put_u32s(&self.prev);
-        w.into_bytes()
-    }
-
-    /// Decode a [`HostRoutes::to_bytes`] artifact; `None` on any
-    /// corruption or dimension mismatch (treated as a cache miss).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use crate::cache::codec::ByteReader;
-        let mut r = ByteReader::new(bytes);
-        let n = usize::try_from(r.get_u64()?).ok()?;
-        let hosts = r.get_u32s()?;
-        let dist = r.get_f64s()?;
-        let prev = r.get_u32s()?;
-        let h = hosts.len();
-        if !r.at_end() || dist.len() != h.checked_mul(h)? || prev.len() != h.checked_mul(n)? {
-            return None;
-        }
-        // `path_nodes` indexes with the host nodes and the `prev`
-        // entries: a flipped one must not get past the decoder.
-        let valid = hosts.iter().all(|&v| (v as usize) < n)
-            && valid_row_dists(&dist)
-            && valid_row_links(&prev, n)
-            && (0..h).all(|s| dist[s * h + s] == 0.0);
-        valid.then(|| Self {
-            n,
-            hosts: hosts.into_iter().map(NodeId).collect(),
-            dist,
-            prev,
-        })
-    }
 }
 
 /// Node sequence `source → to` (inclusive) along a predecessor row,
-/// for a `to` the row reaches. A walk longer than the row is a `prev`
-/// cycle in a decoded row, answered as unreachable (empty) instead of
-/// looping.
+/// for a `to` the row reaches.
 pub(crate) fn walk_prev(prev: &[u32], source: NodeId, to: NodeId) -> Vec<NodeId> {
     if to == source {
         return vec![to];
@@ -639,9 +558,6 @@ pub(crate) fn walk_prev(prev: &[u32], source: NodeId, to: NodeId) -> Vec<NodeId>
     let mut path = vec![to];
     let mut cur = to;
     while prev[cur.idx()] != u32::MAX {
-        if path.len() >= prev.len() {
-            return Vec::new();
-        }
         cur = NodeId(prev[cur.idx()]);
         path.push(cur);
     }
@@ -659,19 +575,6 @@ pub(crate) fn route_edges(g: &Graph, nodes: &[NodeId]) -> Vec<EdgeId> {
                 .expect("route references a missing edge")
         })
         .collect()
-}
-
-/// Decode check shared by [`Apsp::from_bytes`] and
-/// [`crate::router::RouteRow::from_bytes`]: every distance is a
-/// non-negative number (`INFINITY` = unreachable is one).
-pub(crate) fn valid_row_dists(dist: &[Millis]) -> bool {
-    dist.iter().all(|&d| d >= 0.0)
-}
-
-/// Decode check for a `next` / `prev` / `first` table over `n` nodes:
-/// every entry is a node id or the `u32::MAX` sentinel.
-pub(crate) fn valid_row_links(links: &[u32], n: usize) -> bool {
-    links.iter().all(|&l| l == u32::MAX || (l as usize) < n)
 }
 
 /// Reference Floyd–Warshall APSP distances, used to cross-check [`Apsp`]
@@ -766,44 +669,6 @@ mod tests {
         assert!(apsp.path_nodes(NodeId(0), iso).is_empty());
     }
 
-    /// "A corrupt artifact is a miss": a table entry that is not a node
-    /// id, or a distance that is not one, must not get past the decoder
-    /// (`path_nodes` indexes with the former).
-    #[test]
-    fn corrupt_apsp_artifact_is_rejected() {
-        let good = Apsp::build(&line_with_shortcut());
-        assert!(Apsp::from_bytes(&good.to_bytes()).is_some());
-        let corrupt = |edit: fn(&mut Apsp)| {
-            let mut bad = good.clone();
-            edit(&mut bad);
-            Apsp::from_bytes(&bad.to_bytes())
-        };
-        assert!(corrupt(|a| a.next[2] = 3).is_none(), "entry == n");
-        assert!(corrupt(|a| a.next[2] = u32::MAX - 1).is_none());
-        assert!(corrupt(|a| a.dist[1] = Millis::NAN).is_none());
-        assert!(corrupt(|a| a.dist[1] = -1.0).is_none());
-        assert!(corrupt(|a| a.dist[4] = 1.0).is_none(), "diagonal != 0");
-        // The sentinel itself is a legal entry (unreachable).
-        assert!(corrupt(|a| a.next[2] = u32::MAX).is_some());
-    }
-
-    /// In-range entries can still close a cycle; the walk gives up after
-    /// `n` nodes and reports the pair as unreachable.
-    #[test]
-    fn next_hop_cycle_terminates() {
-        let mut bad = Apsp::build(&line_with_shortcut());
-        // 0 -> 2 goes via 1; point 1's hop toward 2 back at 0.
-        bad.next[3 + 2] = 0;
-        let decoded = Apsp::from_bytes(&bad.to_bytes()).expect("every entry is a node id");
-        assert!(decoded.path_nodes(NodeId(0), NodeId(2)).is_empty());
-        assert_eq!(decoded.hop_count(NodeId(0), NodeId(2)), 0);
-        // Routes that avoid the cycle are untouched.
-        assert_eq!(
-            decoded.path_nodes(NodeId(2), NodeId(0)),
-            vec![NodeId(2), NodeId(1), NodeId(0)]
-        );
-    }
-
     /// Hosts 0 and 2 of [`line_with_shortcut`] plus a leaf host 3 hanging
     /// off router 1.
     fn host_routes() -> (Graph, HostRoutes) {
@@ -820,7 +685,7 @@ mod tests {
     fn host_routes_hold_host_rows_only() {
         let (g, routes) = host_routes();
         assert_eq!((routes.dist.len(), routes.prev.len()), (3 * 3, 3 * 4));
-        assert_eq!(routes.num_nodes(), g.num_nodes());
+        assert_eq!(routes.n, g.num_nodes());
         assert_eq!(routes.dist_ms(0, 1), 2.0);
         assert_eq!(routes.dist_ms(2, 0), 1.5);
         assert_eq!(routes.dist_ms(1, 1), 0.0);
@@ -834,51 +699,6 @@ mod tests {
         let single = HostRoutes::build(&g, vec![NodeId(1)]);
         assert_eq!((single.dist.len(), single.prev.len()), (1, 4));
         assert_eq!(single.path_nodes(0, 0), vec![NodeId(1)]);
-    }
-
-    /// "A corrupt artifact is a miss", as for [`Apsp`]: host nodes and
-    /// `prev` entries that are not node ids, distances that are not
-    /// distances and a non-zero host diagonal must not get past the
-    /// decoder.
-    #[test]
-    fn corrupt_host_routes_artifact_is_rejected() {
-        let (_, good) = host_routes();
-        let decoded = HostRoutes::from_bytes(&good.to_bytes()).expect("round trip");
-        assert_eq!(decoded.to_bytes(), good.to_bytes());
-        let corrupt = |edit: fn(&mut HostRoutes)| {
-            let mut bad = good.clone();
-            edit(&mut bad);
-            HostRoutes::from_bytes(&bad.to_bytes())
-        };
-        assert!(corrupt(|r| r.prev[5] = 4).is_none(), "entry == n");
-        assert!(corrupt(|r| r.prev[5] = u32::MAX - 1).is_none());
-        assert!(corrupt(|r| r.hosts[1] = NodeId(4)).is_none(), "host == n");
-        assert!(corrupt(|r| r.dist[1] = Millis::NAN).is_none());
-        assert!(corrupt(|r| r.dist[1] = -1.0).is_none());
-        assert!(corrupt(|r| r.dist[4] = 1.0).is_none(), "diagonal != 0");
-        assert!(corrupt(|r| r.n = 5).is_none(), "prev is not H × n");
-        assert!(corrupt(|r| r.dist.truncate(8)).is_none(), "dist is not H²");
-        let bytes = good.to_bytes();
-        assert!(HostRoutes::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        // The sentinel itself is a legal entry (unreachable).
-        assert!(corrupt(|r| r.prev[5] = u32::MAX).is_some());
-    }
-
-    /// In-range `prev` entries can still close a cycle; the walk gives
-    /// up after `n` nodes and reports the pair as unreachable.
-    #[test]
-    fn host_prev_cycle_terminates() {
-        let (_, mut bad) = host_routes();
-        // Host 0's row: 2 is reached via 1; point 1 back at 2.
-        bad.prev[1] = 2;
-        let decoded = HostRoutes::from_bytes(&bad.to_bytes()).expect("every entry is a node id");
-        assert!(decoded.path_nodes(0, 1).is_empty());
-        assert!(decoded.path_nodes(0, 2).is_empty());
-        // Routes from the other hosts' rows are untouched.
-        assert_eq!(
-            decoded.path_nodes(1, 0),
-            vec![NodeId(2), NodeId(1), NodeId(0)]
-        );
     }
 
     #[test]

@@ -530,3 +530,56 @@ fn csr_keeps_neighbor_order() {
         assert_eq!(csr.degree(v as u32) as usize, g.degree(NodeId(v as u32)));
     }
 }
+
+/// FNV-1a of `bytes`, started as the retired artifact cache's pin
+/// hasher was (offset basis, then its version-2 salt as eight
+/// little-endian bytes), so the pins below keep their recorded values.
+fn fnv_pin(bytes: &[u8]) -> u64 {
+    let salt = 0x7664_6d63_6163_6802u64.to_le_bytes();
+    salt.iter()
+        .chain(bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Little-endian `u64` length prefix, then the items.
+fn put_prefixed<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], le: fn(T) -> [u8; N]) {
+    out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+    for &x in xs {
+        out.extend_from_slice(&le(x));
+    }
+}
+
+/// The shortest-path kernel's output is bit-identical to the loop it
+/// replaced. The constants hash the tables in the byte layout the
+/// artifact cache stored them in, as the pre-kernel code (commit
+/// e7d2e51) produced them for this graph — transit-stub plus hosts, so
+/// a third of the nodes are the leaves the kernel treats specially.
+#[test]
+fn artifact_bytes_match_the_pre_kernel_build() {
+    use crate::transit_stub::{self, TransitStubConfig};
+
+    let mut g = transit_stub::generate(&TransitStubConfig::sized(96), 42);
+    let hosts = attach_hosts(&mut g, 40, 42, 0.0);
+    assert_eq!((g.num_nodes(), g.num_edges()), (160, 186));
+    assert_eq!(leaves(&g), 56);
+
+    let apsp = Apsp::build(&g);
+    let mut bytes = (apsp.n as u64).to_le_bytes().to_vec();
+    put_prefixed(&mut bytes, &apsp.dist, f64::to_le_bytes);
+    put_prefixed(&mut bytes, &apsp.next, u32::to_le_bytes);
+    assert_eq!(fnv_pin(&bytes), 0x2103_3b9c_b21b_3243);
+
+    let row_bytes = |row: &RouteRow| {
+        let mut bytes = row.source.0.to_le_bytes().to_vec();
+        put_prefixed(&mut bytes, &row.dist, f64::to_le_bytes);
+        put_prefixed(&mut bytes, &row.prev, u32::to_le_bytes);
+        put_prefixed(&mut bytes, &row.first, u32::to_le_bytes);
+        bytes
+    };
+    let from_leaf = RouteRow::compute(&g, hosts[0]);
+    assert_eq!(fnv_pin(&row_bytes(&from_leaf)), 0xaf6d_2dce_c9b0_3bde);
+    let from_router = RouteRow::compute(&g, NodeId(0));
+    assert_eq!(fnv_pin(&row_bytes(&from_router)), 0x1107_03c3_c0de_eb68);
+}

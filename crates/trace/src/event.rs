@@ -175,13 +175,6 @@ pub enum TraceEvent {
         /// Extra latency injected, for `delay`/`slowdown` (µs).
         extra_us: u64,
     },
-    /// An artifact-cache lookup completed.
-    CacheLookup {
-        /// Cache domain, e.g. `topology/ch3`.
-        domain: String,
-        /// Hit (`true`) or miss (`false`).
-        hit: bool,
-    },
     /// A bootstrap-discovery round fired `PeerReq` probes at view
     /// entries.
     DiscoveryRound {
@@ -255,7 +248,6 @@ impl TraceEvent {
             TraceEvent::AdmissionThrottled { .. } => "admission_throttled",
             TraceEvent::AdmissionShed { .. } => "admission_shed",
             TraceEvent::FaultApplied { .. } => "fault_applied",
-            TraceEvent::CacheLookup { .. } => "cache_lookup",
             TraceEvent::DiscoveryRound { .. } => "discovery_round",
             TraceEvent::DiscoveryAnchor { .. } => "discovery_anchor",
             TraceEvent::DiscoveryFallback { .. } => "discovery_fallback",
@@ -266,10 +258,10 @@ impl TraceEvent {
     }
 
     /// The acting host of an event — the field a multi-tree session
-    /// keys tree attribution on (`tree = vid / n`); `None` for
-    /// host-free events. Kept beside [`TraceEvent::map_hosts`] so one
-    /// module knows every variant's host fields.
-    pub fn primary_host(&self) -> Option<u32> {
+    /// keys tree attribution on (`tree = vid / n`). Kept beside
+    /// [`TraceEvent::map_hosts`] so one module knows every variant's
+    /// host fields.
+    pub fn primary_host(&self) -> u32 {
         match self {
             TraceEvent::WalkStart { host, .. }
             | TraceEvent::WalkDecision { host, .. }
@@ -287,9 +279,8 @@ impl TraceEvent {
             | TraceEvent::DiscoveryAnchor { host, .. }
             | TraceEvent::DiscoveryFallback { host, .. }
             | TraceEvent::CoordUpdate { host, .. }
-            | TraceEvent::GuidedEntry { host, .. } => Some(*host),
-            TraceEvent::FaultApplied { from, .. } => Some(*from),
-            TraceEvent::CacheLookup { .. } => None,
+            | TraceEvent::GuidedEntry { host, .. } => *host,
+            TraceEvent::FaultApplied { from, .. } => *from,
             TraceEvent::Tagged { inner, .. } => inner.primary_host(),
         }
     }
@@ -399,7 +390,6 @@ impl TraceEvent {
                 to: f(to),
                 extra_us,
             },
-            ev @ TraceEvent::CacheLookup { .. } => ev,
             TraceEvent::DiscoveryRound {
                 host,
                 round,
@@ -553,9 +543,6 @@ impl TraceEvent {
                 if *extra_us > 0 {
                     w.u64("extra_us", *extra_us);
                 }
-            }
-            TraceEvent::CacheLookup { domain, hit } => {
-                w.str("domain", domain).bool("hit", *hit);
             }
             TraceEvent::DiscoveryRound {
                 host,
@@ -711,10 +698,6 @@ mod tests {
                 to: 1,
                 extra_us: 1500,
             },
-            TraceEvent::CacheLookup {
-                domain: "topology/ch3".into(),
-                hit: true,
-            },
             TraceEvent::DiscoveryRound {
                 host: 1,
                 round: 2,
@@ -818,17 +801,17 @@ mod tests {
             }
             other => panic!("variant changed: {other:?}"),
         }
-        let hostless = TraceEvent::CacheLookup {
-            domain: "x".into(),
-            hit: false,
-        };
-        assert_eq!(hostless.clone().map_hosts(&f), hostless);
-        assert_eq!(hostless.primary_host(), None);
+        let single = TraceEvent::DiscoveryFallback { host: 6 };
+        assert_eq!(single.primary_host(), 6);
+        assert_eq!(
+            single.map_hosts(&f),
+            TraceEvent::DiscoveryFallback { host: 2 }
+        );
 
-        // Every variant: `map_hosts` moves each serialized host field,
-        // `primary_host` reads one of them, and only host-free events
-        // have none — so a variant wired into one function but not the
-        // other (or left out of both) fails here.
+        // Every variant: `map_hosts` moves each serialized host field
+        // and `primary_host` reads one of them — so a variant wired into
+        // one function but not the other (or left out of both) fails
+        // here.
         let hosts_of = |ev: &TraceEvent| -> Vec<(String, f64)> {
             parse_flat_object(&ev.to_jsonl(0))
                 .unwrap()
@@ -842,15 +825,9 @@ mod tests {
             let shifted = ev.clone().map_hosts(&|h| h + 100);
             let moved: Vec<_> = before.iter().map(|(k, v)| (k.clone(), v + 100.0)).collect();
             assert_eq!(hosts_of(&shifted), moved, "{ev:?}");
-            assert_eq!(
-                shifted.primary_host(),
-                ev.primary_host().map(|h| h + 100),
-                "{ev:?}"
-            );
-            assert_eq!(ev.primary_host().is_some(), !before.is_empty(), "{ev:?}");
-            if let Some(h) = ev.primary_host() {
-                assert!(before.iter().any(|(_, v)| *v == h as f64), "{ev:?}");
-            }
+            assert_eq!(shifted.primary_host(), ev.primary_host() + 100, "{ev:?}");
+            let h = ev.primary_host() as f64;
+            assert!(before.iter().any(|(_, v)| *v == h), "{ev:?}");
         }
     }
 

@@ -373,8 +373,8 @@ mod tests {
                 prop_assert_eq!(m["k"].as_num(), Some(7.0));
             }
 
-            /// Adversarial *keys* round-trip too (host names and file
-            /// paths land in keys in cache events).
+            /// Adversarial *keys* round-trip too (metric names land in
+            /// keys).
             #[test]
             fn keys_round_trip(codes in proptest::collection::vec(0u32..0x11_0000, 1..16)) {
                 let k = chars_of(&codes);

@@ -6,7 +6,7 @@
 //!   what the protocol machinery *did*: walk steps and Case I/II/III
 //!   decisions, parent changes, orphanings, failover attempts, NACK
 //!   send/repair, admission throttle/shed, fault-plan activations,
-//!   artifact-cache hits/misses. Emission sites pass a closure, so a
+//!   discovery and coordinate steps. Emission sites pass a closure, so a
 //!   disabled tracer (the default) costs one `Option` branch and never
 //!   constructs the event. Tracing is pure observation: it consumes no
 //!   RNG and perturbs no simulation state, so golden outputs are

@@ -2,9 +2,9 @@
 //! histograms with one deterministic snapshot/serialize path.
 //!
 //! The registry *absorbs* the scattered counters that grew across the
-//! repo (overlay `RecoveryStats`, the `vdm-topology` artifact cache,
-//! the experiment runner): each subsystem exports its counters into a
-//! registry under a stable dotted namespace, and everything serializes
+//! repo (overlay `RecoveryStats`, the experiment runner): each
+//! subsystem exports its counters into a registry under a stable
+//! dotted namespace, and everything serializes
 //! through [`MetricsRegistry::to_json`] — sorted keys, so output is
 //! byte-stable for a given set of observations.
 

@@ -166,8 +166,7 @@ fn global_slot() -> &'static RwLock<Tracer> {
 }
 
 /// Install `tracer` as the process-global tracer, picked up by every
-/// `Engine` constructed afterwards (and by process-level emitters like
-/// the artifact cache). Returns the previous tracer.
+/// `Engine` constructed afterwards. Returns the previous tracer.
 pub fn set_global(tracer: Tracer) -> Tracer {
     let mut slot = global_slot().write().expect("global tracer lock");
     std::mem::replace(&mut slot, tracer)
@@ -220,15 +219,12 @@ mod tests {
         let buf: Vec<u8> = Vec::new();
         let sink = Arc::new(Mutex::new(JsonlSink::new(buf)));
         let t = Tracer::with_sink(sink.clone() as Arc<Mutex<dyn EventSink>>);
-        t.emit(7, || TraceEvent::CacheLookup {
-            domain: "x".into(),
-            hit: true,
-        });
+        t.emit(7, || TraceEvent::ChunkRepaired { host: 3, seq: 11 });
         t.flush();
         let guard = sink.lock().unwrap();
         let text = String::from_utf8(guard.w.clone()).unwrap();
         let rec = crate::json::parse_flat_object(text.trim()).expect("parseable");
-        assert_eq!(rec["kind"].as_str(), Some("cache_lookup"));
+        assert_eq!(rec["kind"].as_str(), Some("chunk_repaired"));
     }
 
     #[test]

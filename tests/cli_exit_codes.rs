@@ -46,7 +46,7 @@ fn usage_errors_exit_2() {
     assert_usage_error(&["soak", "--seed"]); // missing value
     assert_usage_error(&["soak", "--seed", "not-a-number"]);
     assert_usage_error(&["soak", "--csv"]); // missing value
-    assert_usage_error(&["soak", "--cache", "/tmp/x", "--no-cache"]);
+    assert_usage_error(&["soak", "--no-cache"]);
     assert_usage_error(&["soak", "--smoke"]); // report families only
     assert_usage_error(&["bench"]); // retired: perf/ measures, the tests gate
     assert_usage_error(&["loopback", "--bogus"]);
@@ -82,13 +82,7 @@ fn unwritable_csv_dir_exits_1() {
     let blocker = scratch("csvblock");
     std::fs::write(&blocker, b"not a directory").unwrap();
     let csv = blocker.join("sub");
-    let out = run(&[
-        "soak",
-        "--quick",
-        "--no-cache",
-        "--csv",
-        csv.to_str().unwrap(),
-    ]);
+    let out = run(&["soak", "--quick", "--csv", csv.to_str().unwrap()]);
     let _ = std::fs::remove_file(&blocker);
     assert_eq!(
         out.status.code(),
@@ -113,7 +107,6 @@ fn unwritable_trace_out_dir_exits_1() {
         "trace",
         "soak",
         "--quick",
-        "--no-cache",
         "--out",
         out_dir.to_str().unwrap(),
     ]);
@@ -200,7 +193,6 @@ fn scale_smoke_writes_both_reports_with_the_pinned_schema() {
         "2",
         "--seed",
         "42",
-        "--no-cache",
         "--csv",
         dir.to_str().unwrap(),
     ]);

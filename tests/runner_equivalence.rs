@@ -1,7 +1,6 @@
 //! Golden-output equivalence: every ablation family must produce
 //! byte-identical CSVs whether its cells run sequentially or fanned
-//! across the thread pool, and whether underlay artifacts come from the
-//! content-addressed cache or a fresh build.
+//! across the thread pool.
 //!
 //! Each family runs at `Effort::Quick` on two fixed seeds; the
 //! sequential path is the reference (it matches the pre-runner code's
@@ -13,7 +12,6 @@
 use vdm_experiments::figures::{ablation, chaos, soak};
 use vdm_experiments::runner::{with_mode, ExecMode};
 use vdm_experiments::{Effort, Table};
-use vdm_topology::cache;
 
 const SEEDS: [u64; 2] = [11, 42];
 
@@ -78,30 +76,4 @@ fn a7_chaos_parallel_matches_sequential() {
 #[test]
 fn a8_soak_parallel_matches_sequential() {
     assert_equivalent("A8 soak", |s| soak::soak_resilience(Effort::Quick, s));
-}
-
-/// Artifact-cache transparency: the same family produces the same CSVs
-/// with no cache, a cold cache (computing and storing artifacts), and a
-/// warm cache (decoding them back).
-#[test]
-fn csvs_identical_with_and_without_artifact_cache() {
-    let fresh = chaos::chaos_recovery(Effort::Quick, 11);
-    let dir = std::env::temp_dir().join(format!("vdm-equiv-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    cache::set_global(Some(cache::CacheStore::at(&dir)));
-    let cold = chaos::chaos_recovery(Effort::Quick, 11);
-    let warm = chaos::chaos_recovery(Effort::Quick, 11);
-    cache::set_global(None);
-    let _ = std::fs::remove_dir_all(&dir);
-    for (label, run) in [("cold", &cold), ("warm", &warm)] {
-        assert_eq!(fresh.len(), run.len());
-        for (a, b) in fresh.iter().zip(run) {
-            assert_eq!(
-                a.to_csv(),
-                b.to_csv(),
-                "`{}` differs between fresh and {label}-cache runs",
-                a.figure
-            );
-        }
-    }
 }
