@@ -129,21 +129,21 @@ pub fn export_metrics(m: &mut vdm_trace::MetricsRegistry) {
 }
 
 fn execute<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-    BATCHES_RUN.fetch_add(1, Ordering::Relaxed);
-    let batch = BATCHES_RUN.load(Ordering::Relaxed);
-    let run_one = |job: Box<dyn FnOnce() -> T + Send + '_>| {
+    let batch = BATCHES_RUN.fetch_add(1, Ordering::Relaxed) + 1;
+    let run_one = |(cell, job): (usize, Box<dyn FnOnce() -> T + Send + '_>)| {
         let t0 = std::time::Instant::now();
-        let cell = CELLS_RUN.load(Ordering::Relaxed);
         // Wall-clock profiling scope around each cell (chrome trace
-        // export); ~free unless `vdm_trace::start_profiling` ran.
+        // export), labelled by the cell's index in its batch; ~free
+        // unless `vdm_trace::start_profiling` ran.
         let _scope = vdm_trace::ProfScope::new("runner", || format!("batch{batch}/cell{cell}"));
         let out = job();
         CELLS_RUN.fetch_add(1, Ordering::Relaxed);
         BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
     };
+    let jobs = jobs.into_iter().enumerate();
     match exec_mode() {
-        ExecMode::Sequential => jobs.into_iter().map(run_one).collect(),
+        ExecMode::Sequential => jobs.map(run_one).collect(),
         ExecMode::Parallel => jobs.into_par_iter().map(run_one).collect(),
     }
 }
@@ -347,6 +347,31 @@ mod tests {
             assert_eq!(exec_mode(), ExecMode::Sequential);
         });
         assert_eq!(exec_mode(), before);
+    }
+
+    /// Regression: every cell of a parallel batch used to be labelled
+    /// with the cells-finished count read when it started, so cells
+    /// started together shared one `runner` span name.
+    #[test]
+    fn runner_spans_are_named_once_each() {
+        vdm_trace::start_profiling();
+        let _ = with_mode(ExecMode::Parallel, || {
+            fan_out(8, 1, |seed| {
+                std::thread::sleep(Duration::from_millis(3));
+                seed
+            })
+        });
+        let spans = vdm_trace::stop_profiling();
+        let mut names: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.cat == "runner")
+            .map(|s| s.name.as_str())
+            .collect();
+        assert!(names.len() >= 8, "{names:?}");
+        names.sort_unstable();
+        let before = names.len();
+        names.dedup();
+        assert_eq!(names.len(), before, "duplicate runner span names");
     }
 
     #[test]

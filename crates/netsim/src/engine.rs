@@ -20,12 +20,11 @@
 
 use crate::dataplane::{DataPlane, DataPlaneConfig};
 use crate::faults::FaultPlan;
+use crate::queue::EventQueue;
 use crate::shard::{OutboundEvent, ShardCtx};
 use crate::time::SimTime;
 use crate::underlay::{HostId, Underlay};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use vdm_trace::{TraceEvent, Tracer};
 
@@ -78,11 +77,6 @@ enum EventKind<M> {
     },
 }
 
-/// Heap entry: the `(at, seq)` total order plus the slab slot holding the
-/// event's payload. `seq` is unique, so the slot never decides a
-/// comparison — sifts move 24 bytes instead of a whole message.
-type QueueKey = (SimTime, u64, u32);
-
 /// Destinations remembered per sender by the path-loss memo: a host's
 /// children (and the odd repair target) fit with room to spare.
 const LOSS_MEMO_WAYS: usize = 16;
@@ -114,12 +108,8 @@ pub struct Counters {
 /// The event engine. Generic over the message type `M`.
 pub struct Engine<M> {
     now: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<QueueKey>>,
-    /// Payloads of the pending events, indexed by [`QueueKey`] slot;
-    /// `None` slots are vacant and listed in `free_slots`.
-    slab: Vec<Option<EventKind<M>>>,
-    free_slots: Vec<u32>,
+    /// Pending events, popped in `(at, scheduling order)`.
+    queue: EventQueue<EventKind<M>>,
     underlay: Arc<dyn Underlay + Send + Sync>,
     /// Per sender, `(to, underlay.path_loss(sender, to))` for the last
     /// few destinations it sent data to, oldest first. The underlay is a
@@ -137,7 +127,7 @@ pub struct Engine<M> {
     /// Present only when this engine is one shard of a
     /// [`crate::shard::ShardedEngine`] with `S > 1`: sends to hosts
     /// owned by other shards are diverted into per-destination outboxes
-    /// instead of the local heap.
+    /// instead of the local queue.
     shard: Option<ShardCtx<M>>,
 }
 
@@ -148,10 +138,7 @@ impl<M> Engine<M> {
     pub fn new(underlay: Arc<dyn Underlay + Send + Sync>, seed: u64) -> Self {
         Self {
             now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free_slots: Vec::new(),
+            queue: EventQueue::new(),
             underlay,
             loss_memo: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x656e_6769_6e65),
@@ -251,22 +238,7 @@ impl<M> Engine<M> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                let vacant = self.slab[slot as usize].replace(kind).is_none();
-                assert!(vacant, "free list handed out live slot {slot}");
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
-                self.slab.push(Some(kind));
-                slot
-            }
-        };
-        self.heap.push(Reverse((at, seq, slot)));
+        self.queue.push(at.max(self.now), kind);
     }
 
     /// `underlay.path_loss(from, to)` for a data packet, through the
@@ -312,7 +284,7 @@ impl<M> Engine<M> {
     /// `crate::shard`). Must happen before any event is scheduled.
     pub(crate) fn install_shard_ctx(&mut self, ctx: ShardCtx<M>) {
         assert!(
-            self.heap.is_empty() && self.seq == 0,
+            self.queue.is_empty() && self.events_processed == 0,
             "install shards first"
         );
         assert!(
@@ -344,9 +316,10 @@ impl<M> Engine<M> {
         self.push(at, EventKind::Deliver { to, from, msg });
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((at, ..))| at)
+    /// Time of the earliest pending event, if any. Takes `&mut self`
+    /// because the queue loads that event's time bucket to answer.
+    pub fn next_event_at(&mut self) -> Option<SimTime> {
+        self.queue.peek()
     }
 
     /// Send `msg` from `from` to `to`. Control messages are reliable;
@@ -587,17 +560,8 @@ impl<M> Engine<M> {
     /// number of events processed by this call.
     pub fn run<W: World<Msg = M>>(&mut self, world: &mut W, until: SimTime) -> u64 {
         let mut n = 0;
-        loop {
-            match self.heap.peek() {
-                Some(&Reverse((at, ..))) if at <= until => {}
-                _ => break,
-            }
-            let Reverse((at, _, slot)) = self.heap.pop().expect("peeked");
-            let kind = self.slab[slot as usize]
-                .take()
-                .expect("queued event lost its payload");
-            self.free_slots.push(slot);
-            debug_assert!(at >= self.now, "time went backwards");
+        while let Some((at, kind)) = self.queue.pop(until) {
+            assert!(at >= self.now, "time went backwards");
             self.now = at;
             self.events_processed += 1;
             n += 1;
@@ -634,7 +598,7 @@ impl<M> Engine<M> {
 
     /// True if no events are pending.
     pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -1244,7 +1208,7 @@ mod tests {
             prop_assert_eq!(eng.run(&mut w, horizon), due as u64);
             prop_assert_eq!(&w.0[..], &expected[..due]);
             prop_assert_eq!(eng.next_event_at(), expected.get(due).map(|e| e.0));
-            prop_assert_eq!(eng.free_slots.len(), due);
+            prop_assert_eq!(eng.queue.free_slots(), due);
 
             for (i, &pick) in second.iter().enumerate() {
                 let token = (first.len() + i) as u64;
@@ -1254,9 +1218,9 @@ mod tests {
             eng.run_to_idle(&mut w);
             prop_assert_eq!(&w.0, &expected);
             prop_assert!(eng.is_idle());
-            prop_assert_eq!(eng.free_slots.len(), eng.slab.len());
+            prop_assert_eq!(eng.queue.free_slots(), eng.queue.slots());
             let high_water = first.len().max(first.len() - due + second.len());
-            prop_assert_eq!(eng.slab.len(), high_water);
+            prop_assert_eq!(eng.queue.slots(), high_water);
         }
     }
 
@@ -1297,14 +1261,11 @@ mod tests {
         };
         let n = eng.run(&mut w, SimTime::from_secs(20));
         assert!(n > 100_000, "only {n} events");
-        assert_eq!(eng.slab.len(), w.high_water);
-        assert_eq!(eng.heap.len(), w.pending);
-        let live = eng.slab.iter().filter(|s| s.is_some()).count();
-        assert_eq!(live, eng.heap.len());
-        assert_eq!(eng.free_slots.len(), eng.slab.len() - live);
-        assert!(eng
-            .free_slots
-            .iter()
-            .all(|&s| eng.slab[s as usize].is_none()));
+        assert_eq!(eng.queue.slots(), w.high_water);
+        assert_eq!(eng.queue.len(), w.pending);
+        let live = eng.queue.live_slots();
+        assert_eq!(live, eng.queue.len());
+        assert_eq!(eng.queue.free_slots(), eng.queue.slots() - live);
+        assert!(eng.queue.free_slots_are_vacant());
     }
 }

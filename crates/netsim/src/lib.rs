@@ -4,9 +4,9 @@
 //! on, reduced to what overlay-multicast experiments need:
 //!
 //! * [`time`] — integer-microsecond simulated clock;
-//! * [`engine`] — event heap, timers, message delivery with per-packet
-//!   loss, and a [`engine::World`] callback trait the overlay driver
-//!   implements;
+//! * [`engine`] — event queue (exact time buckets), timers, message
+//!   delivery with per-packet loss, and a [`engine::World`] callback
+//!   trait the overlay driver implements;
 //! * [`underlay`] — the two network models: [`underlay::RoutedUnderlay`]
 //!   (router graph + delay-shortest routes, per-link accounting for the
 //!   stress metric — the NS-2 analogue) and [`underlay::LatencySpace`]
@@ -29,6 +29,7 @@
 pub mod dataplane;
 pub mod engine;
 pub mod faults;
+mod queue;
 pub mod shard;
 pub mod time;
 pub mod underlay;

@@ -3,7 +3,7 @@
 //! A [`ShardedEngine`] partitions the host space into `S` contiguous id
 //! blocks (a [`ShardMap`], atm0s-sdn-style: the high range of a host id
 //! names its shard the way geo/group prefixes name a zone). Each shard is
-//! a complete, unmodified [`Engine`] — its own event heap, sequence
+//! a complete, unmodified [`Engine`] — its own event queue, sequence
 //! counter and RNG stream — and the shards advance in lock-step
 //! *lookahead windows*:
 //!
@@ -16,7 +16,7 @@
 //!    link delay as the natural lookahead lower bound;
 //! 3. at the barrier, drain every shard's per-destination outbox of
 //!    cross-shard `Deliver` events and inject them into the target
-//!    heaps in `(at, src_shard, seq)` order.
+//!    queues in `(at, src_shard, seq)` order.
 //!
 //! That drain order is what makes runs **bit-reproducible at a fixed
 //! shard count**, independent of thread scheduling: the merge key is a
@@ -318,7 +318,11 @@ impl<M: Clone + Send> ShardedEngine<M> {
         }
         let mut total = 0u64;
         loop {
-            let next = self.engines.iter().filter_map(|e| e.next_event_at()).min();
+            let next = self
+                .engines
+                .iter_mut()
+                .filter_map(|e| e.next_event_at())
+                .min();
             let Some(next) = next else { break };
             if next > until {
                 break;
@@ -368,7 +372,7 @@ impl<M: Clone + Send> ShardedEngine<M> {
         n
     }
 
-    /// Barrier step: move every outbox entry into its destination heap,
+    /// Barrier step: move every outbox entry into its destination queue,
     /// per destination in `(at, src_shard, seq)` order — a total order
     /// over simulation state, so the result is independent of how the
     /// window's threads were scheduled.
