@@ -18,10 +18,10 @@ use vdm_topology::{Graph, NodeId};
 
 /// Which routing oracle setup builders put behind `RoutedUnderlay`.
 ///
-/// Both oracles answer host queries bit-identically (see
-/// `vdm_topology::router`), so this is purely a memory/time trade:
-/// eager host rows are `O(H² + H · n)` once, on-demand is
-/// `O(capacity · n)` resident.
+/// Both oracles hold the same host rows and answer host queries
+/// bit-identically (see `vdm_topology::router`), so this is purely a
+/// memory/time trade: eager host rows are `O(H² + H · n)` once,
+/// on-demand is `O(capacity · (H + n))` resident.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RouterChoice {
     /// Eager host rows (`vdm_topology::HostRoutes`: one Dijkstra per

@@ -8,8 +8,9 @@
 //!   delay-shortest routes (the NS-2 analogue, Chapter 3). Because routes
 //!   are explicit, per-physical-link metrics (stress) are defined. Only
 //!   host-to-host routes are ever asked for, so the routes come from one
-//!   shortest-path row per host ([`HostRoutes`]), or from an
-//!   [`OnDemandRouter`]'s bounded row cache on A9-scale graphs.
+//!   shortest-path row per host ([`HostRoutes`]), or on A9-scale graphs
+//!   from an [`OnDemandRouter`], which caches a bounded number of the
+//!   same rows. Both are asked the same questions by host index.
 //! * [`LatencySpace`] — a host-to-host RTT matrix with optional jitter and
 //!   per-path loss (the PlanetLab analogue, Chapter 5). No physical links;
 //!   resource usage is measured as summed virtual-link latency instead,
@@ -18,7 +19,7 @@
 use rand::{Rng, RngCore};
 use std::convert::Infallible;
 use std::sync::Arc;
-use vdm_topology::{EdgeId, Graph, HostRoutes, Millis, NodeId, OnDemandRouter, RouteProvider};
+use vdm_topology::{EdgeId, Graph, HostRoutes, Millis, NodeId, OnDemandRouter};
 
 /// Index of a simulation host (dense, `0..num_hosts`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -80,21 +81,19 @@ pub trait Underlay {
     }
 }
 
-/// Routing oracle backing a [`RoutedUnderlay`]: eager host rows or
-/// memory-bounded on-demand rows. Both answer host queries bit-for-bit
-/// identically (`vdm_topology`'s `router_props` and `host_routes`
+/// Routing oracle backing a [`RoutedUnderlay`]: every host row up
+/// front, or a bounded LRU of the same rows. Both answer every host
+/// query bit-for-bit identically (`vdm_topology`'s `router_props`
 /// tests).
 enum Routes {
     Hosts(HostRoutes),
-    OnDemand(Arc<OnDemandRouter>),
+    OnDemand(OnDemandRouter),
 }
 
 /// Hosts attached to a router graph; routes are delay-shortest paths.
 pub struct RoutedUnderlay {
     graph: Arc<Graph>,
     routes: Routes,
-    /// Graph node of each host.
-    host_nodes: Vec<NodeId>,
 }
 
 impl RoutedUnderlay {
@@ -110,56 +109,53 @@ impl RoutedUnderlay {
     /// or hosts are mutually unreachable.
     pub fn new(graph: Graph, host_nodes: Vec<NodeId>) -> Self {
         let routes = HostRoutes::build(&graph, host_nodes);
-        let host_nodes = routes.hosts().to_vec();
-        assert!(!host_nodes.is_empty(), "need at least one host");
-        for (b, h) in host_nodes.iter().enumerate() {
+        assert!(!routes.hosts().is_empty(), "need at least one host");
+        for (b, h) in routes.hosts().iter().enumerate() {
             assert!(routes.dist_ms(0, b).is_finite(), "host {h} unreachable");
         }
         Self {
             graph: Arc::new(graph),
             routes: Routes::Hosts(routes),
-            host_nodes,
         }
     }
 
     /// Build with a memory-bounded [`OnDemandRouter`] instead of eager
-    /// host rows: per-source Dijkstra rows computed lazily and kept
-    /// in an LRU of at most `capacity` rows (`None` for the default
-    /// ~64 MiB budget). The last argument can only be `None`; it
-    /// keeps the four-argument call the benchmark's join workloads make.
+    /// host rows: the same host rows, computed lazily and kept in an
+    /// LRU of at most `capacity` rows (`None` for the default ~64 MiB
+    /// budget). The last argument can only be `None`; it keeps the
+    /// four-argument call the benchmark's join workloads make.
     ///
-    /// Memory is `O(capacity · V)`; no `O(V^2)` structure is ever
-    /// materialized.
+    /// Memory is `O(capacity · (H + V))`; no `O(H · V)` structure is
+    /// ever materialized.
     ///
     /// # Panics
-    /// Panics when a host is out of range or hosts are mutually
-    /// unreachable, as [`RoutedUnderlay::new`] does (checked from one
-    /// routing row, not a full matrix).
+    /// Panics when there is no host, a host is not a node of `graph`,
+    /// or hosts are mutually unreachable, as [`RoutedUnderlay::new`]
+    /// does (checked from host 0's row alone).
     pub fn on_demand(
         graph: Arc<Graph>,
         host_nodes: Vec<NodeId>,
         capacity: Option<usize>,
         _never: Option<Infallible>,
     ) -> Self {
-        assert!(!host_nodes.is_empty(), "need at least one host");
-        for &h in &host_nodes {
-            assert!(h.idx() < graph.num_nodes());
-        }
-        let router = OnDemandRouter::new(Arc::clone(&graph), capacity);
-        let row0 = router.row(host_nodes[0]);
-        for &h in &host_nodes[1..] {
-            assert!(row0.dist_ms(h).is_finite(), "host {h} unreachable");
+        let router = OnDemandRouter::new(&graph, host_nodes, capacity);
+        assert!(!router.hosts().is_empty(), "need at least one host");
+        let row0 = router.row(0);
+        for (b, h) in router.hosts().iter().enumerate() {
+            assert!(row0.dist_ms(b).is_finite(), "host {h} unreachable");
         }
         Self {
             graph,
-            routes: Routes::OnDemand(Arc::new(router)),
-            host_nodes,
+            routes: Routes::OnDemand(router),
         }
     }
 
     /// Graph nodes backing the hosts, in host-id order.
     pub fn host_nodes(&self) -> &[NodeId] {
-        &self.host_nodes
+        match &self.routes {
+            Routes::Hosts(r) => r.hosts(),
+            Routes::OnDemand(r) => r.hosts(),
+        }
     }
 
     /// The underlying graph.
@@ -183,7 +179,7 @@ impl RoutedUnderlay {
 
     /// Graph node backing host `h`.
     pub fn node_of(&self, h: HostId) -> NodeId {
-        self.host_nodes[h.idx()]
+        self.host_nodes()[h.idx()]
     }
 
     /// Router-level hop count between two hosts.
@@ -195,14 +191,14 @@ impl RoutedUnderlay {
     fn route(&self, a: HostId, b: HostId) -> Vec<EdgeId> {
         match &self.routes {
             Routes::Hosts(r) => r.path_edges(&self.graph, a.idx(), b.idx()),
-            Routes::OnDemand(r) => r.path_edges(&self.graph, self.node_of(a), self.node_of(b)),
+            Routes::OnDemand(r) => r.path_edges(&self.graph, a.idx(), b.idx()),
         }
     }
 }
 
 impl Underlay for RoutedUnderlay {
     fn num_hosts(&self) -> usize {
-        self.host_nodes.len()
+        self.host_nodes().len()
     }
 
     fn rtt_ms(&self, a: HostId, b: HostId) -> Millis {
@@ -212,7 +208,7 @@ impl Underlay for RoutedUnderlay {
     fn one_way_ms(&self, a: HostId, b: HostId) -> Millis {
         match &self.routes {
             Routes::Hosts(r) => r.dist_ms(a.idx(), b.idx()),
-            Routes::OnDemand(r) => r.dist_ms(self.node_of(a), self.node_of(b)),
+            Routes::OnDemand(r) => r.dist_ms(a.idx(), b.idx()),
         }
     }
 
@@ -586,6 +582,13 @@ mod tests {
         assert_eq!(one.path_edges(h, h), Some(Vec::new()));
         assert_eq!(one.hops(h, h), 0);
         assert_eq!(one.path_loss(h, h), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "host out of range")]
+    fn on_demand_host_outside_the_graph_panics() {
+        let g = small_routed().graph().clone();
+        RoutedUnderlay::on_demand(Arc::new(g), vec![NodeId(0), NodeId(4)], None, None);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`spath`] — Dijkstra single-source, host-to-host ([`HostRoutes`], the
 //!   table the simulator routes packets over, as NS-2 does) and all-pairs
 //!   shortest paths;
-//! * [`router`] — the [`RouteProvider`] abstraction over routing oracles,
-//!   plus the memory-bounded [`OnDemandRouter`] (LRU-cached per-source
-//!   rows) that scales past the dense matrix's `O(n^2)` ceiling;
+//! * [`router`] — the memory-bounded [`OnDemandRouter`]: [`HostRoutes`]'
+//!   rows computed on demand and kept in a bounded LRU, for underlays
+//!   too large to hold one row per host;
 //! * [`mst`] — Prim minimum spanning trees over arbitrary metrics (the
 //!   paper's §5.4.6 MST-ratio comparison).
 //!
@@ -39,7 +39,7 @@ pub mod transit_stub;
 pub mod waxman;
 
 pub use graph::{EdgeId, Graph, LinkAttrs, NodeId, NodeKind};
-pub use router::{OnDemandRouter, RouteProvider, RouteRow, RouterStats};
+pub use router::{HostRow, OnDemandRouter, RouterStats};
 pub use spath::{Apsp, HostRoutes, ShortestPaths};
 
 /// SplitMix64's finalizer: the one cheap 64-bit avalanche every seeded

@@ -1,160 +1,60 @@
-//! Scale-out routing: the [`RouteProvider`] abstraction and the
-//! memory-bounded [`OnDemandRouter`].
+//! Scale-out routing: the memory-bounded [`OnDemandRouter`].
 //!
-//! The dense [`Apsp`] table is `O(n^2)` in both its distance and
-//! next-hop planes — at 10k routers that is ~1.6 GB, and at 20k it is
-//! unbuildable. [`RouteProvider`] abstracts "answer routing queries
-//! about the underlay" between any two nodes:
+//! [`crate::HostRoutes`] computes one row per host up front,
+//! `8·H² + 4·H·n` bytes; at A9 scale (10k members on an 11k-router
+//! graph) that is ~1.7 GB, and at 20k ~6.6 GB. The router computes
+//! the same rows lazily and keeps at most `capacity` of them in an
+//! LRU. A row is [`crate::HostRoutes`]' own row shape and comes
+//! out of the same builder: per source host, `H` f64 distances at the
+//! host columns plus one `n`-long u32 predecessor row, `8·H + 4·n`
+//! bytes. Memory is `O(capacity · (H + n))`, and rows are shared
+//! read-only (`Arc`) across runner threads.
 //!
-//! * [`Apsp`] — the exact dense oracle, the reference the tests hold
-//!   the others to; and
-//! * [`OnDemandRouter`] — per-source Dijkstra run lazily, with the
-//!   resulting [`RouteRow`]s held in a bounded LRU. Memory is
-//!   `O(capacity · n)` instead of `O(n^2)`, and rows are shared
-//!   read-only (`Arc`) across runner threads.
-//!
-//! [`RoutedUnderlay`] in `vdm-netsim` holds either an [`OnDemandRouter`]
-//! or, by default, [`crate::HostRoutes`]: the same rows computed up
-//! front for the hosts alone, which answer host pairs only and so are
-//! not a [`RouteProvider`].
-//!
-//! Both implementations answer `dist_ms` and `next_hop` **bit-for-bit
-//! identically**: an [`Apsp`] row and a [`RouteRow`] are the same
-//! kernel run (the one loop in [`crate::spath`]: a deterministic
-//! `(distance, id)` pop order, first hops written as nodes are relaxed)
-//! into different storage, so switching providers cannot perturb
-//! closest-child selection anywhere. Because both sides are that
-//! kernel, agreement between them proves nothing about it; `spath`'s
-//! reference tests check it against an independent textbook Dijkstra.
+//! [`RoutedUnderlay`] in `vdm-netsim` holds either oracle and asks both
+//! the same questions by host index — `dist_ms(a, b)` and
+//! `path_edges(g, a, b)` — and both answer **bit-for-bit identically**:
+//! a row is the same kernel run (the one loop in [`crate::spath`]) from
+//! the same source into the same row shape, so switching oracles cannot
+//! perturb closest-child selection anywhere. Because both sides are
+//! that kernel, agreement between them proves nothing about it;
+//! `spath`'s reference tests check it against an independent textbook
+//! Dijkstra.
 //!
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spath::{route_edges, sssp, walk_prev, Apsp, BucketQueue, Csr};
+use crate::spath::{route_edges, walk_prev, Csr, RowScratch};
 use crate::Millis;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Answer routing queries over an underlay graph.
-///
-/// Implementations must agree exactly (bitwise on distances) so that
-/// experiment output is independent of the provider chosen; see the
-/// module docs and the `router_props` property tests.
-pub trait RouteProvider: Send + Sync {
-    /// Number of nodes routing tables cover.
-    fn num_nodes(&self) -> usize;
-
-    /// Shortest one-way delay (ms) from `a` to `b`; `INFINITY` when
-    /// unreachable. Always derived from `a`'s shortest-path tree.
-    fn dist_ms(&self, a: NodeId, b: NodeId) -> Millis;
-
-    /// Next hop from `a` toward `b`; `None` if unreachable or `a == b`.
-    fn next_hop(&self, a: NodeId, b: NodeId) -> Option<NodeId>;
-
-    /// Node sequence of the route `a -> b` (inclusive). Empty when
-    /// unreachable; `[a]` when `a == b`.
-    fn path_nodes(&self, a: NodeId, b: NodeId) -> Vec<NodeId>;
-
-    /// Edge sequence of the route `a -> b`, for per-link accounting.
-    fn path_edges(&self, g: &Graph, a: NodeId, b: NodeId) -> Vec<EdgeId> {
-        route_edges(g, &self.path_nodes(a, b))
-    }
-
-    /// Number of hops on the route `a -> b` (`0` if `a == b` or
-    /// unreachable).
-    fn hop_count(&self, a: NodeId, b: NodeId) -> usize {
-        self.path_nodes(a, b).len().saturating_sub(1)
-    }
-}
-
-impl RouteProvider for Apsp {
-    fn num_nodes(&self) -> usize {
-        Apsp::num_nodes(self)
-    }
-
-    fn dist_ms(&self, a: NodeId, b: NodeId) -> Millis {
-        Apsp::dist_ms(self, a, b)
-    }
-
-    fn next_hop(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        Apsp::next_hop(self, a, b)
-    }
-
-    fn path_nodes(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        Apsp::path_nodes(self, a, b)
-    }
-}
-
-/// One source's routing row: distances, predecessors, and first hops
-/// toward every node — `O(n)` memory (16 bytes/node), the unit the
-/// [`OnDemandRouter`] caches.
+/// One source host's routes, the unit the [`OnDemandRouter`] caches:
+/// the distance to every host and the predecessor of every node on the
+/// source's shortest-path tree — one row of [`crate::HostRoutes`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct RouteRow {
-    /// Source node this row was computed from.
-    pub source: NodeId,
-    /// `dist[v]` = shortest delay (ms) source → `v`; `INFINITY` when
+pub struct HostRow {
+    /// `dist[b]` = shortest delay (ms) to host `b`; `INFINITY` when
     /// unreachable.
-    pub(crate) dist: Vec<Millis>,
-    /// `prev[v]` = predecessor of `v` on the shortest path from the
-    /// source; `u32::MAX` for the source itself and unreachable nodes.
-    pub(crate) prev: Vec<u32>,
-    /// `first[v]` = first hop from the source toward `v`; `u32::MAX`
-    /// sentinel as in [`Apsp`].
-    pub(crate) first: Vec<u32>,
+    dist: Vec<Millis>,
+    /// `prev[v]` = predecessor of node `v`; `u32::MAX` for the source's
+    /// node and unreachable nodes.
+    prev: Vec<u32>,
 }
 
-impl RouteRow {
-    /// Run Dijkstra from `source` — the same kernel, so the same bits,
-    /// as one row of [`Apsp::build`]. Builds the graph's CSR view for
-    /// this one row; [`OnDemandRouter`] keeps one for all of its rows.
-    pub fn compute(g: &Graph, source: NodeId) -> Self {
-        Self::compute_csr(&Csr::new(g), source, &QueuePool::default())
-    }
-
-    fn compute_csr(csr: &Csr, source: NodeId, pool: &QueuePool) -> Self {
-        let n = csr.num_nodes();
-        let mut row = Self {
-            source,
-            dist: vec![Millis::INFINITY; n],
-            prev: vec![u32::MAX; n],
-            first: vec![u32::MAX; n],
-        };
-        // The queue after the row, as in `HostRoutes::build`.
-        let mut queue = pool.take();
-        sssp(
-            csr,
-            source.0,
-            &mut row.dist,
-            &mut row.prev,
-            &mut row.first,
-            &mut queue,
-        );
-        pool.give_back(queue);
-        row
-    }
-
-    /// Shortest delay (ms) from this row's source to `v`.
+impl HostRow {
+    /// Shortest delay (ms) from this row's source to host `b`.
     #[inline]
-    pub fn dist_ms(&self, v: NodeId) -> Millis {
-        self.dist[v.idx()]
+    pub fn dist_ms(&self, b: usize) -> Millis {
+        self.dist[b]
     }
 
-    /// First hop from the source toward `v`; `None` if unreachable or
-    /// `v` is the source.
-    #[inline]
-    pub fn first_hop(&self, v: NodeId) -> Option<NodeId> {
-        let h = self.first[v.idx()];
-        (h != u32::MAX).then_some(NodeId(h))
+    /// The distances this row holds, one per host.
+    pub fn dists(&self) -> &[Millis] {
+        &self.dist
     }
 
-    /// Node sequence source → `v` (inclusive), reconstructed by the
-    /// predecessor walk. Empty when unreachable; `[source]` when `v`
-    /// is the source.
-    pub fn path_nodes(&self, v: NodeId) -> Vec<NodeId> {
-        if self.dist[v.idx()].is_infinite() {
-            return Vec::new();
-        }
-        walk_prev(&self.prev, self.source, v)
+    /// The predecessor row, one entry per graph node.
+    pub fn prev(&self) -> &[u32] {
+        &self.prev
     }
 }
 
@@ -176,35 +76,40 @@ pub struct RouterStats {
     pub capacity: usize,
 }
 
-/// Idle kernel queues, so a row reuses an earlier row's queue arrays.
-/// Rows are computed outside the LRU lock, several at once when runner
-/// threads miss together, so each computation takes a queue of its own
-/// and gives it back.
+/// Idle kernel scratch, so a row reuses an earlier row's scratch rows
+/// and queue. Rows are computed outside the LRU lock, several at once
+/// when runner threads miss together, so each computation takes
+/// scratch of its own and gives it back.
 #[derive(Default)]
-struct QueuePool(Mutex<Vec<BucketQueue>>);
+struct ScratchPool(Mutex<Vec<RowScratch>>);
 
-impl QueuePool {
-    fn take(&self) -> BucketQueue {
-        self.0
-            .lock()
-            .expect("queue pool lock")
-            .pop()
-            .unwrap_or_default()
+impl ScratchPool {
+    /// Idle scratch, or new scratch for an `n`-node graph.
+    fn take(&self, n: usize) -> RowScratch {
+        let idle = self.0.lock().expect("scratch pool lock").pop();
+        idle.unwrap_or_else(|| RowScratch::new(n))
     }
 
-    fn give_back(&self, queue: BucketQueue) {
-        self.0.lock().expect("queue pool lock").push(queue);
+    fn give_back(&self, scratch: RowScratch) {
+        self.0.lock().expect("scratch pool lock").push(scratch);
     }
 }
 
-struct LruEntry {
-    row: Arc<RouteRow>,
+/// One host's LRU slot.
+#[derive(Clone, Default)]
+struct Slot {
+    /// The host's row while it is resident.
+    row: Option<Arc<HostRow>>,
+    /// LRU tick of the row's last use.
     last_used: u64,
 }
 
+/// The LRU, one slot per host.
 #[derive(Default)]
 struct RowLru {
-    rows: HashMap<u32, LruEntry>,
+    slots: Vec<Slot>,
+    /// Hosts whose row is resident, in no particular order.
+    resident: Vec<u32>,
     tick: u64,
     peak: usize,
     hits: u64,
@@ -212,27 +117,28 @@ struct RowLru {
     evictions: u64,
 }
 
-/// Memory-bounded routing oracle: per-source Dijkstra on demand, rows
-/// kept in an LRU of at most `capacity` [`RouteRow`]s.
+/// Memory-bounded routing oracle over the hosts of an underlay: host
+/// rows computed on demand, at most `capacity` kept in an LRU.
 ///
-/// Rows are handed out as `Arc<RouteRow>`, so concurrent runner threads
+/// Rows are handed out as `Arc<HostRow>`, so concurrent runner threads
 /// share them read-only; the internal lock is held only for the LRU
 /// bookkeeping, never across a Dijkstra run.
 pub struct OnDemandRouter {
-    graph: Arc<Graph>,
-    /// `graph`'s adjacency, flattened once for every row this router
-    /// computes.
+    /// The graph's adjacency, flattened once for every row.
     csr: Csr,
+    /// Graph node of each host, in host-id order.
+    hosts: Vec<NodeId>,
     capacity: usize,
     lru: Mutex<RowLru>,
-    queues: QueuePool,
+    scratch: ScratchPool,
 }
 
 impl std::fmt::Debug for OnDemandRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         f.debug_struct("OnDemandRouter")
-            .field("nodes", &self.graph.num_nodes())
+            .field("nodes", &self.csr.num_nodes())
+            .field("hosts", &self.hosts.len())
             .field("capacity", &self.capacity)
             .field("resident", &s.resident)
             .finish()
@@ -243,34 +149,50 @@ impl std::fmt::Debug for OnDemandRouter {
 const ROW_BUDGET_BYTES: usize = 64 << 20;
 
 impl OnDemandRouter {
-    /// Router over `graph` holding at most `capacity` rows; pass `None`
-    /// for [`Self::default_capacity`].
-    pub fn new(graph: Arc<Graph>, capacity: Option<usize>) -> Self {
-        let capacity = capacity
-            .unwrap_or_else(|| Self::default_capacity(graph.num_nodes()))
-            .max(1);
+    /// Router over the hosts `hosts` of `g` holding at most `capacity`
+    /// rows; pass `None` for [`Self::default_capacity`] of `g`'s node
+    /// count.
+    ///
+    /// # Panics
+    /// Panics when a host is not a node of `g`.
+    pub fn new(g: &Graph, hosts: Vec<NodeId>, capacity: Option<usize>) -> Self {
+        let n = g.num_nodes();
+        assert!(hosts.iter().all(|v| v.idx() < n), "host out of range");
+        let capacity = capacity.unwrap_or_else(|| Self::default_capacity(n)).max(1);
+        let lru = RowLru {
+            slots: vec![Slot::default(); hosts.len()],
+            resident: Vec::with_capacity(capacity.min(hosts.len())),
+            ..RowLru::default()
+        };
         Self {
-            csr: Csr::new(&graph),
-            graph,
+            csr: Csr::new(g),
+            hosts,
             capacity,
-            lru: Mutex::new(RowLru::default()),
-            queues: QueuePool::default(),
+            lru: Mutex::new(lru),
+            scratch: ScratchPool::default(),
         }
     }
 
     /// Rows-in-memory bound for an `n`-node graph under a fixed
-    /// ~64 MiB budget (a row costs 16 bytes/node), clamped to
-    /// `[8, n]`. At 1k nodes that is every row (the dense regime); at
-    /// 20k nodes it is ~200 rows — memory stays `O(capacity · n)`, not
-    /// `O(n^2)`.
+    /// ~64 MiB budget, clamped to `[8, n]`. At 1k nodes that is every
+    /// row (the dense regime); at 20k nodes it is ~200 rows — memory
+    /// stays `O(capacity · (H + n))`, not `O(H · n)`.
+    ///
+    /// The formula prices a row at 16 bytes per node, the size of the
+    /// node-keyed rows the router used to cache. A host row is
+    /// `8·H + 4·n` bytes, at most 8 bytes per node when hosts are at
+    /// most half the nodes (as on A9's testbeds), so the budget is
+    /// about 2× conservative. The formula is kept on purpose: it fixes
+    /// every A9 capacity, and with it every row hit, miss and eviction
+    /// count.
     pub fn default_capacity(n: usize) -> usize {
         let row_bytes = n.max(1) * 16;
         (ROW_BUDGET_BYTES / row_bytes).clamp(8, n.max(8))
     }
 
-    /// The underlay graph this router answers for.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+    /// Graph node of each host, in host-id order.
+    pub fn hosts(&self) -> &[NodeId] {
+        &self.hosts
     }
 
     /// Configured row capacity.
@@ -285,81 +207,102 @@ impl OnDemandRouter {
             hits: lru.hits,
             misses: lru.misses,
             evictions: lru.evictions,
-            resident: lru.rows.len(),
+            resident: lru.resident.len(),
             peak_resident: lru.peak,
             capacity: self.capacity,
         }
     }
 
-    /// The routing row for `source`: from the LRU when resident, else
-    /// computed outside the lock.
-    pub fn row(&self, source: NodeId) -> Arc<RouteRow> {
+    /// Host `a`'s row: from the LRU when resident, else computed
+    /// outside the lock.
+    pub fn row(&self, a: usize) -> Arc<HostRow> {
         {
             let mut lru = self.lru.lock().expect("router lru lock");
             lru.tick += 1;
             let tick = lru.tick;
-            if let Some(e) = lru.rows.get_mut(&source.0) {
-                e.last_used = tick;
-                let row = Arc::clone(&e.row);
+            let slot = &mut lru.slots[a];
+            if let Some(row) = &slot.row {
+                let row = Arc::clone(row);
+                slot.last_used = tick;
                 lru.hits += 1;
                 return row;
             }
             lru.misses += 1;
         }
         // Compute without holding the lock: other threads can keep
-        // hitting resident rows during this Dijkstra.
-        let row = Arc::new(RouteRow::compute_csr(&self.csr, source, &self.queues));
+        // hitting resident rows during this Dijkstra. The row is
+        // allocated before the scratch is taken.
+        let mut row = HostRow {
+            dist: vec![Millis::INFINITY; self.hosts.len()],
+            prev: vec![u32::MAX; self.csr.num_nodes()],
+        };
+        let mut scratch = self.scratch.take(self.csr.num_nodes());
+        scratch.host_row(
+            &self.csr,
+            &self.hosts,
+            self.hosts[a],
+            &mut row.dist,
+            &mut row.prev,
+        );
+        self.scratch.give_back(scratch);
+        let row = Arc::new(row);
+
         let mut lru = self.lru.lock().expect("router lru lock");
         lru.tick += 1;
         let tick = lru.tick;
-        if let Some(e) = lru.rows.get_mut(&source.0) {
+        if let Some(theirs) = &lru.slots[a].row {
             // Another thread raced us to the same row; share theirs.
-            e.last_used = tick;
-            return Arc::clone(&e.row);
+            let theirs = Arc::clone(theirs);
+            lru.slots[a].last_used = tick;
+            return theirs;
         }
-        if lru.rows.len() >= self.capacity {
+        if lru.resident.len() >= self.capacity {
             // Scan-min eviction: capacity is small (hundreds), and the
             // scan is far cheaper than the Dijkstra that preceded it.
-            if let Some(&victim) = lru
-                .rows
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
+            // Ticks are unique, so the victim is too.
+            let RowLru {
+                slots,
+                resident,
+                evictions,
+                ..
+            } = &mut *lru;
+            if let Some(at) =
+                (0..resident.len()).min_by_key(|&i| slots[resident[i] as usize].last_used)
             {
-                lru.rows.remove(&victim);
-                lru.evictions += 1;
+                let victim = resident.swap_remove(at);
+                slots[victim as usize].row = None;
+                *evictions += 1;
             }
         }
-        lru.rows.insert(
-            source.0,
-            LruEntry {
-                row: Arc::clone(&row),
-                last_used: tick,
-            },
-        );
-        lru.peak = lru.peak.max(lru.rows.len());
+        lru.slots[a] = Slot {
+            row: Some(Arc::clone(&row)),
+            last_used: tick,
+        };
+        lru.resident.push(a as u32);
+        lru.peak = lru.peak.max(lru.resident.len());
         row
     }
-}
 
-impl RouteProvider for OnDemandRouter {
-    fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn dist_ms(&self, a: NodeId, b: NodeId) -> Millis {
-        // Always a's row, matching the dense matrix's row orientation, so
-        // answers are bit-identical to `Apsp::dist_ms` even when summing
-        // the reverse path would differ in the last ulp.
+    /// Shortest one-way delay (ms) from host `a` to host `b`; the bits
+    /// of [`crate::HostRoutes::dist_ms`]. Always read from `a`'s row.
+    pub fn dist_ms(&self, a: usize, b: usize) -> Millis {
         self.row(a).dist_ms(b)
     }
 
-    fn next_hop(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        self.row(a).first_hop(b)
+    /// Node sequence of the route from host `a` to host `b`
+    /// (inclusive), walked back along `a`'s predecessor row, as
+    /// [`crate::HostRoutes::path_nodes`] walks it.
+    pub fn path_nodes(&self, a: usize, b: usize) -> Vec<NodeId> {
+        let row = self.row(a);
+        if row.dist[b].is_infinite() {
+            return Vec::new();
+        }
+        walk_prev(&row.prev, self.hosts[a], self.hosts[b])
     }
 
-    fn path_nodes(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        self.row(a).path_nodes(b)
+    /// Edge sequence of the route from host `a` to host `b`.
+    pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
+        route_edges(g, &self.path_nodes(a, b))
     }
 }
 
@@ -367,6 +310,7 @@ impl RouteProvider for OnDemandRouter {
 mod tests {
     use super::*;
     use crate::graph::{LinkAttrs, NodeKind};
+    use crate::Apsp;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_graph(seed: u64, n: usize) -> Graph {
@@ -394,28 +338,23 @@ mod tests {
         g
     }
 
-    /// Bitwise equality of both providers on every (a, b) query.
-    fn assert_providers_agree(g: &Graph) {
+    /// A router with every node of `g` a host, so host `i` is node `i`.
+    fn every_node_a_host(g: &Graph, capacity: Option<usize>) -> OnDemandRouter {
+        OnDemandRouter::new(g, g.nodes().collect(), capacity)
+    }
+
+    /// Bitwise equality of the router and the dense table on every
+    /// (a, b) query, every node a host.
+    fn assert_router_matches_dense(g: &Graph) {
         let apsp = Apsp::build(g);
-        let router = OnDemandRouter::new(Arc::new(g.clone()), None);
+        let router = every_node_a_host(g, None);
         for a in g.nodes() {
             for b in g.nodes() {
-                let (d1, d2) = (
-                    RouteProvider::dist_ms(&apsp, a, b),
-                    RouteProvider::dist_ms(&router, a, b),
-                );
-                assert!(
-                    d1.to_bits() == d2.to_bits() || (d1.is_infinite() && d2.is_infinite()),
-                    "dist {a}->{b}: {d1} vs {d2}"
-                );
+                let (d1, d2) = (apsp.dist_ms(a, b), router.dist_ms(a.idx(), b.idx()));
+                assert_eq!(d1.to_bits(), d2.to_bits(), "dist {a}->{b}: {d1} vs {d2}");
                 assert_eq!(
-                    RouteProvider::next_hop(&apsp, a, b),
-                    RouteProvider::next_hop(&router, a, b),
-                    "next hop {a}->{b}"
-                );
-                assert_eq!(
-                    RouteProvider::path_nodes(&apsp, a, b),
-                    RouteProvider::path_nodes(&router, a, b),
+                    apsp.path_nodes(a, b),
+                    router.path_nodes(a.idx(), b.idx()),
                     "path {a}->{b}"
                 );
             }
@@ -425,7 +364,7 @@ mod tests {
     #[test]
     fn on_demand_matches_dense_on_random_graphs() {
         for seed in [3u64, 17] {
-            assert_providers_agree(&random_graph(seed, 24));
+            assert_router_matches_dense(&random_graph(seed, 24));
         }
     }
 
@@ -437,41 +376,40 @@ mod tests {
         let mut g = Graph::with_nodes(3, NodeKind::Stub);
         g.add_edge(NodeId(0), NodeId(1), LinkAttrs::delay(1000.0 + 1e-5));
         g.add_edge(NodeId(0), NodeId(2), LinkAttrs::delay(1000.0));
-        assert_providers_agree(&g);
-        let router = OnDemandRouter::new(Arc::new(g), None);
-        let d1 = RouteProvider::dist_ms(&router, NodeId(0), NodeId(1));
-        let d2 = RouteProvider::dist_ms(&router, NodeId(0), NodeId(2));
+        assert_router_matches_dense(&g);
+        let router = every_node_a_host(&g, None);
+        let (d1, d2) = (router.dist_ms(0, 1), router.dist_ms(0, 2));
         assert!(d2 < d1, "sub-f32 delay difference must survive: {d2} {d1}");
     }
 
     #[test]
     fn lru_eviction_requery_equals_fresh() {
         let g = random_graph(5, 16);
-        let router = OnDemandRouter::new(Arc::new(g.clone()), Some(2));
-        let before = RouteRow::clone(&router.row(NodeId(0)));
-        router.row(NodeId(1));
-        router.row(NodeId(2)); // evicts node 0's row (LRU)
+        let router = every_node_a_host(&g, Some(2));
+        let before = HostRow::clone(&router.row(0));
+        router.row(1);
+        router.row(2); // evicts host 0's row (LRU)
         let s = router.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident, 2);
         assert_eq!(s.peak_resident, 2);
-        let again = router.row(NodeId(0)); // recomputed
+        let again = router.row(0); // recomputed
         assert_eq!(*again, before, "evicted + re-queried row must equal fresh");
-        assert_eq!(*again, RouteRow::compute(&g, NodeId(0)));
+        assert_eq!(*again, *every_node_a_host(&g, Some(1)).row(0));
         assert_eq!(router.stats().misses, 4);
     }
 
     #[test]
     fn lru_hits_and_recency() {
         let g = random_graph(9, 12);
-        let router = OnDemandRouter::new(Arc::new(g), Some(2));
-        router.row(NodeId(0));
-        router.row(NodeId(1));
-        router.row(NodeId(0)); // refresh 0's recency
-        router.row(NodeId(2)); // must evict 1, not 0
+        let router = every_node_a_host(&g, Some(2));
+        router.row(0);
+        router.row(1);
+        router.row(0); // refresh 0's recency
+        router.row(2); // must evict 1, not 0
         let s = router.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
-        router.row(NodeId(0)); // still resident
+        router.row(0); // still resident
         assert_eq!(router.stats().hits, 2);
     }
 
@@ -487,19 +425,19 @@ mod tests {
     #[test]
     fn rows_shared_across_threads() {
         let g = random_graph(21, 32);
-        let apsp = Apsp::build(&g);
-        let router = Arc::new(OnDemandRouter::new(Arc::new(g.clone()), Some(8)));
+        let apsp = Arc::new(Apsp::build(&g));
+        let router = Arc::new(every_node_a_host(&g, Some(8)));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let r = Arc::clone(&router);
-                let gc = g.clone();
+                let apsp = Arc::clone(&apsp);
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(100 + t);
                     for _ in 0..200 {
-                        let a = NodeId(rng.gen_range(0..32u32));
-                        let b = NodeId(rng.gen_range(0..32u32));
-                        let d = RouteProvider::dist_ms(&*r, a, b);
-                        assert_eq!(d.to_bits(), Apsp::build(&gc).dist_ms(a, b).to_bits());
+                        let a = rng.gen_range(0..32u32);
+                        let b = rng.gen_range(0..32u32);
+                        let d = r.dist_ms(a as usize, b as usize);
+                        assert_eq!(d.to_bits(), apsp.dist_ms(NodeId(a), NodeId(b)).to_bits());
                     }
                 })
             })
@@ -510,7 +448,7 @@ mod tests {
         let s = router.stats();
         assert!(s.resident <= 8);
         assert_eq!(
-            RouteProvider::dist_ms(&*router, NodeId(0), NodeId(31)).to_bits(),
+            router.dist_ms(0, 31).to_bits(),
             apsp.dist_ms(NodeId(0), NodeId(31)).to_bits()
         );
     }

@@ -12,11 +12,12 @@
 //! # One kernel
 //!
 //! Every shortest-path answer in this crate — [`HostRoutes::build`],
-//! [`Apsp::build`], [`crate::router::RouteRow::compute`], [`dijkstra`] —
-//! comes out of the one loop in `sssp`, run over a `Csr` view of the
-//! graph (one flat `(neighbour, delay)` array in [`Graph::neighbors`]
-//! order, so relaxation order, and with it every predecessor under ties,
-//! is the adjacency lists'). Three things in that loop are deliberate:
+//! [`crate::router::OnDemandRouter`]'s rows (both through one host-row
+//! builder), [`Apsp::build`] and [`dijkstra`] — comes out of the one
+//! loop in `sssp`, run over a `Csr` view of the graph (one flat
+//! `(neighbour, delay)` array in [`Graph::neighbors`] order, so
+//! relaxation order, and with it every predecessor under ties, is the
+//! adjacency lists'). Three things in that loop are deliberate:
 //!
 //! * **The queue is exact distance buckets.** Dijkstra only ever
 //!   produces non-negative finite distances, and for those the IEEE-754
@@ -482,17 +483,12 @@ impl HostRoutes {
         let mut dist = vec![Millis::INFINITY; h * h];
         let mut prev = vec![u32::MAX; h * n];
         let csr = Csr::new(g);
-        let mut row = vec![Millis::INFINITY; n];
-        let mut first = vec![u32::MAX; n];
-        let mut queue = BucketQueue::default();
+        let mut scratch = RowScratch::new(n);
         let rows = dist
             .chunks_exact_mut(h.max(1))
             .zip(prev.chunks_exact_mut(n.max(1)));
-        for (s, (dist_row, prev_row)) in hosts.iter().zip(rows) {
-            sssp(&csr, s.0, &mut row, prev_row, &mut first, &mut queue);
-            for (d, t) in dist_row.iter_mut().zip(&hosts) {
-                *d = row[t.idx()];
-            }
+        for (&s, (dist_row, prev_row)) in hosts.iter().zip(rows) {
+            scratch.host_row(&csr, &hosts, s, dist_row, prev_row);
         }
         Self {
             n,
@@ -546,6 +542,50 @@ impl HostRoutes {
     /// Edge sequence of the route from host `a` to host `b`.
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
         route_edges(g, &self.path_nodes(a, b))
+    }
+}
+
+/// Scratch the host-row builder runs the kernel into: a full `n`-long
+/// distance row, whose host columns it keeps, a first-hop row nobody
+/// reads, and the queue, all kept from row to row.
+pub(crate) struct RowScratch {
+    dist: Vec<Millis>,
+    first: Vec<u32>,
+    queue: BucketQueue,
+}
+
+impl RowScratch {
+    /// Scratch for rows over an `n`-node graph; the two rows are
+    /// allocated before the queue.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            dist: vec![Millis::INFINITY; n],
+            first: vec![u32::MAX; n],
+            queue: BucketQueue::default(),
+        }
+    }
+
+    /// The host row from `source` — the one row shape both host-route
+    /// oracles store: the kernel writes `source`'s predecessor row into
+    /// `prev` (`n` long), and `dist` (one slot per host) gets the
+    /// distance row at the host columns.
+    pub(crate) fn host_row(
+        &mut self,
+        csr: &Csr,
+        hosts: &[NodeId],
+        source: NodeId,
+        dist: &mut [Millis],
+        prev: &mut [u32],
+    ) {
+        let Self {
+            dist: row,
+            first,
+            queue,
+        } = self;
+        sssp(csr, source.0, row, prev, first, queue);
+        for (d, t) in dist.iter_mut().zip(hosts) {
+            *d = row[t.idx()];
+        }
     }
 }
 

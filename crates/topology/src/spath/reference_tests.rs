@@ -5,12 +5,12 @@
 //! loop this crate ran before the kernel existed — adjacency lists, a
 //! heap ordered by `f64::partial_cmp` then node id, every node pushed,
 //! first hops found by walking `prev` back from each target — and
-//! `sssp`, [`RouteRow::compute`], [`Apsp::build`], [`HostRoutes::build`]
-//! and [`dijkstra`] must match it bit for bit on every (source, target),
-//! including on the graphs where the leaf skip, the relaxation-time
-//! first hop and the (distance, id) pop order each decide the answer.
-//! Every graph here also holds host rows (every node a host) to the
-//! dense table's hop-by-hop route.
+//! `sssp`, [`Apsp::build`], [`HostRoutes::build`], the
+//! [`OnDemandRouter`]'s rows and [`dijkstra`] must match it bit for bit
+//! on every (source, target), including on the graphs where the leaf
+//! skip, the relaxation-time first hop and the (distance, id) pop order
+//! each decide the answer. Every graph here also holds both kinds of
+//! host rows (every node a host) to the dense table's hop-by-hop route.
 //!
 //! It lives inside the crate because two of the cases — parallel links
 //! and a zero-delay link — are not expressible as a [`Graph`]
@@ -20,7 +20,7 @@
 use super::*;
 use crate::graph::{LinkAttrs, NodeKind};
 use crate::powerlaw::{self, PowerLawConfig};
-use crate::router::RouteRow;
+use crate::router::OnDemandRouter;
 use crate::transit_stub::attach_hosts;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cmp::{Ordering, Reverse};
@@ -179,15 +179,16 @@ fn check_kernel(lists: &Lists) -> Vec<RefRow> {
 }
 
 /// The kernel and the four public entry points against the reference,
-/// every (source, target); [`HostRoutes`] with every node a host.
-/// Returns the reference rows.
+/// every (source, target); [`HostRoutes`] and an [`OnDemandRouter`]
+/// with every node a host. Returns the reference rows.
 fn check_graph(g: &Graph) -> Vec<RefRow> {
     let rows = check_kernel(&lists_of(g));
     let apsp = Apsp::build(g);
     let hosts = HostRoutes::build(g, g.nodes().collect());
+    let router = OnDemandRouter::new(g, g.nodes().collect(), Some(1));
     for s in g.nodes() {
         let want = &rows[s.idx()];
-        let row = RouteRow::compute(g, s);
+        let row = router.row(s.idx());
         let sp = dijkstra(g, s);
         assert_eq!(sp.source, s);
         for t in g.nodes() {
@@ -195,9 +196,9 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
             let hop = want.first[t.idx()].map(NodeId);
             let path = if s == t { vec![s] } else { want.path(t.0) };
 
-            assert_eq!(row.dist_ms(t).to_bits(), bits, "row dist {s}->{t}");
-            assert_eq!(row.first_hop(t), hop, "row first hop {s}->{t}");
-            assert_eq!(row.path_nodes(t), path, "row path {s}->{t}");
+            let (a, b) = (s.idx(), t.idx());
+            assert_eq!(row.dist_ms(b).to_bits(), bits, "row dist {s}->{t}");
+            assert_eq!(router.path_nodes(a, b), path, "row path {s}->{t}");
 
             assert_eq!(sp.dist[t.idx()].to_bits(), bits, "dijkstra dist {s}->{t}");
             assert_eq!(
@@ -224,7 +225,6 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
             assert_eq!(apsp.path_nodes(s, t), hops, "apsp path {s}->{t}");
 
             // Host rows: `s`'s own tree, which must be the dense route.
-            let (a, b) = (s.idx(), t.idx());
             assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
             assert_eq!(hosts.path_nodes(a, b), path, "host path {s}->{t}");
             assert_eq!(hosts.path_nodes(a, b), hops, "host vs apsp path {s}->{t}");
@@ -571,15 +571,20 @@ fn artifact_bytes_match_the_pre_kernel_build() {
     put_prefixed(&mut bytes, &apsp.next, u32::to_le_bytes);
     assert_eq!(fnv_pin(&bytes), 0x2103_3b9c_b21b_3243);
 
-    let row_bytes = |row: &RouteRow| {
-        let mut bytes = row.source.0.to_le_bytes().to_vec();
-        put_prefixed(&mut bytes, &row.dist, f64::to_le_bytes);
-        put_prefixed(&mut bytes, &row.prev, u32::to_le_bytes);
-        put_prefixed(&mut bytes, &row.first, u32::to_le_bytes);
+    // One source's `(source, dist, prev, first)`, as the cache stored
+    // the node-keyed rows the on-demand router used to keep.
+    let csr = Csr::new(&g);
+    let row_bytes = |source: NodeId| {
+        let n = g.num_nodes();
+        let (mut dist, mut prev, mut first) = (vec![0.0; n], vec![0; n], vec![0; n]);
+        let mut queue = BucketQueue::default();
+        sssp(&csr, source.0, &mut dist, &mut prev, &mut first, &mut queue);
+        let mut bytes = source.0.to_le_bytes().to_vec();
+        put_prefixed(&mut bytes, &dist, f64::to_le_bytes);
+        put_prefixed(&mut bytes, &prev, u32::to_le_bytes);
+        put_prefixed(&mut bytes, &first, u32::to_le_bytes);
         bytes
     };
-    let from_leaf = RouteRow::compute(&g, hosts[0]);
-    assert_eq!(fnv_pin(&row_bytes(&from_leaf)), 0xaf6d_2dce_c9b0_3bde);
-    let from_router = RouteRow::compute(&g, NodeId(0));
-    assert_eq!(fnv_pin(&row_bytes(&from_router)), 0x1107_03c3_c0de_eb68);
+    assert_eq!(fnv_pin(&row_bytes(hosts[0])), 0xaf6d_2dce_c9b0_3bde);
+    assert_eq!(fnv_pin(&row_bytes(NodeId(0))), 0x1107_03c3_c0de_eb68);
 }

@@ -1,20 +1,20 @@
 //! Property tests for the on-demand router: for arbitrary Waxman and
-//! power-law underlays it must answer distance and next-hop queries
-//! bit-identically to the dense `Apsp` oracle and host queries as
-//! `HostRoutes` does, and LRU eviction must be invisible (an evicted,
-//! re-queried row equals a fresh computation).
+//! power-law underlays its host rows must answer every ordered host
+//! pair as `HostRoutes` does, bit for bit — distance bits, node path
+//! and link sequence — with distances equal to the dense `Apsp`
+//! oracle's, at any capacity; and LRU eviction must be invisible (an
+//! evicted, re-queried row equals a fresh computation).
 //!
-//! Both oracles are filled by the one kernel in `spath.rs`, so these
-//! properties cover the storage, the row orientation and the LRU — not
-//! the kernel, which `spath/reference_tests.rs` checks against an
-//! independent textbook Dijkstra.
+//! Both oracles are filled by the one host-row builder in `spath.rs`,
+//! so these properties cover the storage, the host indexing and the
+//! LRU — not the kernel, which `spath/reference_tests.rs` checks
+//! against an independent textbook Dijkstra.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::attach_hosts;
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Apsp, Graph, HostRoutes, NodeId, OnDemandRouter, RouteProvider, RouteRow};
+use vdm_topology::{Apsp, Graph, HostRoutes, NodeId, OnDemandRouter};
 
 /// The two fixed seeds every graph family is checked on (plus the
 /// proptest-driven parameter space around them).
@@ -42,29 +42,58 @@ fn powerlaw_graph(nodes: usize, seed: u64) -> Graph {
     )
 }
 
-/// Every (a, b) query must agree bitwise between the dense matrix and
-/// the on-demand rows — including under a tiny LRU that forces
-/// evictions mid-sweep.
-fn check(g: &Graph, capacity: Option<usize>) -> Result<(), TestCaseError> {
+/// Every ordered host pair, swept twice through a router of each
+/// capacity — 1, 2 and one row per host — must agree bitwise with the
+/// eager host rows, and in distance with the dense matrix. Below one
+/// row per host the second sweep re-queries rows the first evicted.
+fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
     let apsp = Apsp::build(g);
-    let router = OnDemandRouter::new(Arc::new(g.clone()), capacity);
-    for a in g.nodes() {
-        for b in g.nodes() {
-            let (d1, d2) = (apsp.dist_ms(a, b), RouteProvider::dist_ms(&router, a, b));
-            prop_assert!(
-                d1.to_bits() == d2.to_bits() || (d1.is_infinite() && d2.is_infinite()),
-                "dist {a}->{b}: {d1} vs {d2}"
-            );
-            prop_assert_eq!(
-                apsp.next_hop(a, b),
-                RouteProvider::next_hop(&router, a, b),
-                "next hop {}->{}",
-                a,
-                b
-            );
+    let routes = HostRoutes::build(g, hosts.to_vec());
+    let h = hosts.len();
+    for capacity in [1, 2, h] {
+        let router = OnDemandRouter::new(g, hosts.to_vec(), Some(capacity));
+        for sweep in 0..2 {
+            for (a, &na) in hosts.iter().enumerate() {
+                for (b, &nb) in hosts.iter().enumerate() {
+                    let d = router.dist_ms(a, b);
+                    prop_assert_eq!(
+                        d.to_bits(),
+                        routes.dist_ms(a, b).to_bits(),
+                        "dist h{}->h{}, capacity {}, sweep {}",
+                        a,
+                        b,
+                        capacity,
+                        sweep
+                    );
+                    prop_assert_eq!(d.to_bits(), apsp.dist_ms(na, nb).to_bits());
+                    prop_assert_eq!(
+                        router.path_nodes(a, b),
+                        routes.path_nodes(a, b),
+                        "path h{}->h{}, capacity {}",
+                        a,
+                        b,
+                        capacity
+                    );
+                    prop_assert_eq!(
+                        router.path_edges(g, a, b),
+                        routes.path_edges(g, a, b),
+                        "links h{}->h{}, capacity {}",
+                        a,
+                        b,
+                        capacity
+                    );
+                }
+            }
         }
+        let s = router.stats();
+        prop_assert!(s.peak_resident <= capacity);
+        prop_assert_eq!(s.evictions > 0, capacity < h);
     }
     Ok(())
+}
+
+fn every_node(g: &Graph) -> Vec<NodeId> {
+    g.nodes().collect()
 }
 
 proptest! {
@@ -77,9 +106,7 @@ proptest! {
     ) {
         let seed = SEEDS[seed_ix] ^ extra_seed;
         let g = waxman_graph(nodes, alpha, seed);
-        check(&g, None)?;
-        // Capacity 2 forces constant eviction during the full sweep.
-        check(&g, Some(2))?;
+        check(&g, &every_node(&g))?;
     }
 
     #[test]
@@ -90,13 +117,12 @@ proptest! {
     ) {
         let seed = SEEDS[seed_ix] ^ extra_seed;
         let g = powerlaw_graph(nodes, seed);
-        check(&g, None)?;
-        check(&g, Some(2))?;
+        check(&g, &every_node(&g))?;
     }
 
-    /// Host rows answer every host pair as the on-demand rows do:
-    /// distance bits, node path and link sequence. Hosts are leaves
-    /// attached to the routers, as on every experiment testbed.
+    /// Hosts are leaves attached to the routers, as on every experiment
+    /// testbed, so a row's host columns are a strict subset of its
+    /// nodes.
     #[test]
     fn host_routes_match_on_demand(
         nodes in 8usize..40,
@@ -112,33 +138,12 @@ proptest! {
             waxman_graph(nodes, 0.3, seed)
         };
         let host_nodes = attach_hosts(&mut g, hosts, seed, 0.0);
-        let routes = HostRoutes::build(&g, host_nodes.clone());
-        let router = OnDemandRouter::new(Arc::new(g.clone()), Some(2));
-        for (a, &na) in host_nodes.iter().enumerate() {
-            for (b, &nb) in host_nodes.iter().enumerate() {
-                let (d1, d2) = (routes.dist_ms(a, b), RouteProvider::dist_ms(&router, na, nb));
-                prop_assert_eq!(d1.to_bits(), d2.to_bits(), "dist h{}->h{}", a, b);
-                prop_assert_eq!(
-                    routes.path_nodes(a, b),
-                    RouteProvider::path_nodes(&router, na, nb),
-                    "path h{}->h{}",
-                    a,
-                    b
-                );
-                prop_assert_eq!(
-                    routes.path_edges(&g, a, b),
-                    RouteProvider::path_edges(&router, &g, na, nb),
-                    "links h{}->h{}",
-                    a,
-                    b
-                );
-            }
-        }
+        check(&g, &host_nodes)?;
     }
 
     /// Evict + re-query == fresh: after arbitrary interleaved queries
-    /// through a tiny LRU, every row the router hands back equals a
-    /// from-scratch `RouteRow::compute`.
+    /// through a tiny LRU, every row the router hands back equals the
+    /// same host's row from a fresh router.
     #[test]
     fn lru_eviction_is_invisible(
         nodes in 6usize..24,
@@ -146,14 +151,33 @@ proptest! {
         queries in proptest::collection::vec(0usize..24, 1..60),
     ) {
         let g = powerlaw_graph(nodes, SEEDS[seed_ix]);
-        let router = OnDemandRouter::new(Arc::new(g.clone()), Some(2));
+        let router = OnDemandRouter::new(&g, every_node(&g), Some(2));
         for q in queries {
-            let v = NodeId((q % nodes) as u32);
-            let row = router.row(v);
-            prop_assert_eq!(&*row, &RouteRow::compute(&g, v), "row {} diverged", v);
+            let a = q % nodes;
+            let fresh = OnDemandRouter::new(&g, every_node(&g), Some(1)).row(a);
+            prop_assert_eq!(&*router.row(a), &*fresh, "row {} diverged", a);
         }
         let s = router.stats();
         prop_assert!(s.resident <= 2, "LRU exceeded capacity: {}", s.resident);
+    }
+}
+
+/// One cached row is one row of `HostRoutes`: a distance per host and a
+/// predecessor per node, nothing per router beyond that. On this
+/// testbed that is 8·9 + 4·39 bytes, not the 16·39 of a node-keyed row
+/// with first hops.
+#[test]
+fn on_demand_rows_hold_host_rows_only() {
+    let mut g = powerlaw_graph(30, 7);
+    let hosts = attach_hosts(&mut g, 9, 7, 0.0);
+    let n = g.num_nodes();
+    assert_eq!(n, 39);
+    let router = OnDemandRouter::new(&g, hosts.clone(), None);
+    let routes = HostRoutes::build(&g, hosts);
+    let row = router.row(4);
+    assert_eq!((row.dists().len(), row.prev().len()), (9, n));
+    for b in 0..9 {
+        assert_eq!(row.dist_ms(b).to_bits(), routes.dist_ms(4, b).to_bits());
     }
 }
 
@@ -162,7 +186,8 @@ proptest! {
 #[test]
 fn fixed_seed_equivalence_both_families() {
     for seed in SEEDS {
-        check(&waxman_graph(32, 0.25, seed), Some(3)).unwrap();
-        check(&powerlaw_graph(32, seed), Some(3)).unwrap();
+        for g in [waxman_graph(32, 0.25, seed), powerlaw_graph(32, seed)] {
+            check(&g, &every_node(&g)).unwrap();
+        }
     }
 }

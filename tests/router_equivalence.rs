@@ -1,19 +1,24 @@
 //! Golden-output equivalence across routing oracles: the same families
-//! must produce byte-identical CSVs whether their underlays route over
-//! the dense `Apsp` matrix (the historical oracle behind the committed
-//! A1–A8 CSVs) or the memory-bounded `OnDemandRouter`.
+//! must produce byte-identical CSVs whether their underlays hold every
+//! host row up front (`HostRoutes`, the default behind the committed
+//! A1–A8 CSVs) or compute the same rows on demand through the
+//! memory-bounded `OnDemandRouter`'s LRU, and A9's guided sweep must
+//! reach the same tree through an LRU of any capacity.
 //!
-//! Both oracles run the same Dijkstra with the same deterministic
-//! tie-breaks and derive first hops by the same predecessor walk, so
-//! distances and next hops are bit-identical by construction; these
-//! tests pin that end-to-end, through setup, the sync executor, the
+//! Both oracles store the same host row — distances at the host
+//! columns and one predecessor row — from the same builder, so every
+//! distance and route is bit-identical by construction; these tests
+//! pin that end-to-end, through setup, the sync executor, the
 //! event-driven driver, and CSV rendering. Runs are sequential so the
 //! thread-local router override covers every cell.
 
-use vdm_experiments::figures::ablation;
+use std::sync::Arc;
+use vdm_core::VdmPolicy;
+use vdm_experiments::figures::{ablation, scale};
 use vdm_experiments::runner::{with_mode, ExecMode};
-use vdm_experiments::setup::{with_router_choice, RouterChoice};
+use vdm_experiments::setup::{self, with_router_choice, RouterChoice};
 use vdm_experiments::{Effort, Table};
+use vdm_netsim::RoutedUnderlay;
 
 const SEEDS: [u64; 2] = [11, 42];
 
@@ -64,4 +69,35 @@ fn a2_reconnect_anchor_identical_under_on_demand_router() {
     assert_router_equivalent("A2 anchor", |s| {
         ablation::reconnect_anchor(Effort::Quick, s)
     });
+}
+
+/// A9's coordinate-guided sweep at the `vdm-repro scale --smoke` sizes,
+/// through a 1-row LRU and through one row per host: capacity decides
+/// how often a row is rebuilt, never an answer, so every join's contact
+/// count and the final parent vector are identical.
+#[test]
+fn a9_guided_sweep_identical_at_any_row_capacity() {
+    let policy = VdmPolicy::delay_based();
+    for (n, seed) in [(64, SEEDS[0]), (128, SEEDS[1])] {
+        let testbed = setup::scale_setup(n, seed).underlay;
+        let sweep = |rows: usize| {
+            let u = Arc::new(RoutedUnderlay::on_demand(
+                Arc::new(testbed.graph().clone()),
+                testbed.host_nodes().to_vec(),
+                Some(rows),
+                None,
+            ));
+            let sweep = scale::guided_join_sweep(u.clone(), n, 4, seed, &policy);
+            let evictions = u.router().expect("on-demand").stats().evictions;
+            (sweep, evictions)
+        };
+        let ((one, one_evicted), (all, all_evicted)) = (sweep(1), sweep(n + 1));
+        assert!(one_evicted > 0 && all_evicted == 0, "n {n}");
+        assert_eq!(one.contacts, all.contacts, "n {n} seed {seed}: contacts");
+        assert_eq!(
+            one.ov.snapshot().parent,
+            all.ov.snapshot().parent,
+            "n {n} seed {seed}: parents"
+        );
+    }
 }
