@@ -6,19 +6,24 @@
 //! the event queue, a [`WallClock`] instead of virtual time, and a
 //! [`BinaryHeap`] timer wheel instead of the engine's event heap.
 //!
-//! Architecture (one process per overlay host):
+//! Architecture (one process, one thread per overlay host):
 //!
 //! ```text
-//!   UDP socket ──reader thread──▶ mpsc ──┐
+//!   UDP socket (recv_from) ──────────────┐
 //!   timer wheel (BinaryHeap) ────────────┤
 //!   emit schedule (source only) ─────────┼──▶ ProtocolCore::handle ──▶ Output::Send ──▶ sendto
 //!   join command (once, staggered) ──────┘                            Output::Timer ──▶ wheel
 //! ```
 //!
 //! The async runtimes this would normally ride on are not available
-//! offline, so the daemon is a plain blocking loop: the reader thread
-//! owns `recv_from`, the main thread owns everything else and sleeps in
-//! `recv_timeout` until the next timer/emit deadline.
+//! offline, so the daemon is a plain blocking loop on one thread. Each
+//! turn it runs what is due, sets the socket's receive timeout to the
+//! next deadline and blocks in `recv_from`: a datagram costs one
+//! wake-up, and a burst the loop cannot keep up with waits in the
+//! kernel's bounded socket buffer. The kernel rounds a receive timeout
+//! up to whole scheduler ticks, so a timer fires a few milliseconds
+//! late (up to two ticks, 8 ms at 250 Hz), never early; datagrams still
+//! wake the loop at once.
 //!
 //! Observability: the node's [`vdm_trace::MetricsRegistry`] is dumped
 //! as JSON to `--metrics-out` on SIGUSR1 and every
@@ -26,21 +31,26 @@
 //! loopback harness aggregates) is written to `--stats-out` at exit.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use vdm_core::VdmFactory;
 use vdm_netsim::{HostId, SimTime, WallClock};
 use vdm_overlay::agent::AgentFactory;
-use vdm_overlay::msg::Msg;
-use vdm_overlay::{Input, Output, ProtocolCore};
+use vdm_overlay::{Input, Output, OverlayAgent, ProtocolCore};
 
 /// SIGUSR1 arrived: dump metrics at the next loop turn. Kept to the
 /// async-signal-safe minimum — the handler only stores a flag.
 static DUMP_METRICS: AtomicBool = AtomicBool::new(false);
+
+/// Longest single receive. A signal interrupts a receive that has a
+/// timeout (`EINTR`, never restarted), but one that lands between the
+/// flag check and the receive entering the kernel does not; this bounds
+/// how long such a dump request waits.
+const MAX_WAIT: Duration = Duration::from_millis(50);
 
 extern "C" fn on_sigusr1(_sig: i32) {
     DUMP_METRICS.store(true, Ordering::Relaxed);
@@ -182,13 +192,14 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 
 /// Parse the peers file: one `<host-id> <socket-addr>` per line, `#`
 /// comments and blank lines ignored. Every node of a session gets the
-/// same file; a node finds its own bind address under its own id.
-fn parse_peers(path: &str) -> HashMap<HostId, SocketAddr> {
+/// same file; a node finds its own bind address under its own id. The
+/// table is indexed by host id, `None` where the file names no host.
+fn parse_peers(path: &str) -> Vec<Option<SocketAddr>> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read peers file {path}: {e}");
         std::process::exit(2);
     });
-    let mut peers = HashMap::new();
+    let mut peers = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -201,7 +212,11 @@ fn parse_peers(path: &str) -> HashMap<HostId, SocketAddr> {
         };
         let id: u32 = parse_num(id, "peer id");
         let addr: SocketAddr = parse_num(addr, "peer addr");
-        if peers.insert(HostId(id), addr).is_some() {
+        let slot = HostId(id).idx();
+        if peers.len() <= slot {
+            peers.resize(slot + 1, None);
+        }
+        if peers[slot].replace(addr).is_some() {
             eprintln!("{path}:{}: duplicate peer id {id}", lineno + 1);
             std::process::exit(2);
         }
@@ -209,24 +224,62 @@ fn parse_peers(path: &str) -> HashMap<HostId, SocketAddr> {
     peers
 }
 
-/// Counters owned by the io edge (outside the protocol core).
-#[derive(Default)]
-struct EdgeStats {
+/// The io around the protocol core: the socket, the peers table, the
+/// timer wheel, and the counters the core does not keep.
+struct Edge {
+    socket: UdpSocket,
+    peers: Vec<Option<SocketAddr>>,
+    wheel: BinaryHeap<Reverse<(u64, u64)>>,
+    /// One input's outputs; reused so a datagram allocates no list.
+    outputs: Vec<Output>,
+    frames_in: u64,
     frames_out: u64,
-    frames_in: AtomicU64,
-    decode_errors: AtomicU64,
+    decode_errors: u64,
     unknown_dest_drops: u64,
     send_errors: u64,
+}
+
+impl Edge {
+    /// Feed one input to the core and perform the resulting effects:
+    /// encode+send frames, arm wheel timers.
+    fn drive<A: OverlayAgent>(&mut self, core: &mut ProtocolCore<A>, now: SimTime, input: Input) {
+        // `handle`'s iterator borrows `core`, whose clock a timer arm
+        // reads: buffer the outputs first.
+        self.outputs.extend(core.handle(now, input));
+        for out in self.outputs.drain(..) {
+            match out {
+                Output::Send { to, msg, class: _ } => {
+                    let Some(addr) = self.peers.get(to.idx()).copied().flatten() else {
+                        self.unknown_dest_drops += 1;
+                        continue;
+                    };
+                    match vdm_proto::encode_frame(core.host(), &msg) {
+                        Ok(frame) => {
+                            if self.socket.send_to(&frame, addr).is_err() {
+                                self.send_errors += 1;
+                            } else {
+                                self.frames_out += 1;
+                            }
+                        }
+                        Err(_) => self.send_errors += 1,
+                    }
+                }
+                Output::Timer { delay, token } => {
+                    self.wheel.push(Reverse(((core.now() + delay).0, token)));
+                }
+            }
+        }
+    }
 }
 
 fn main() {
     let args = parse_args();
     let peers = parse_peers(&args.peers_path);
-    let Some(&my_addr) = peers.get(&args.id) else {
+    let Some(my_addr) = peers.get(args.id.idx()).copied().flatten() else {
         eprintln!("own id {} not in peers file", args.id.0);
         std::process::exit(2);
     };
-    let num_hosts = peers.keys().map(|h| h.idx() + 1).max().unwrap_or(1);
+    let num_hosts = peers.len();
 
     let socket = UdpSocket::bind(my_addr).unwrap_or_else(|e| {
         eprintln!("bind {my_addr}: {e}");
@@ -234,43 +287,24 @@ fn main() {
     });
     install_sigusr1();
 
-    let edge = Arc::new(EdgeStats::default());
-
-    // Reader thread: blocking recv_from → decode → channel. It dies
-    // with the process; malformed datagrams are counted, never fatal.
-    let (tx, rx) = mpsc::channel::<(HostId, Msg)>();
-    {
-        let socket = socket.try_clone().expect("clone socket");
-        let edge = Arc::clone(&edge);
-        std::thread::spawn(move || {
-            let mut buf = [0u8; vdm_proto::MAX_PAYLOAD + 4];
-            loop {
-                let Ok((len, _src)) = socket.recv_from(&mut buf) else {
-                    return;
-                };
-                match vdm_proto::decode_frame(&buf[..len]) {
-                    Ok((from, msg)) => {
-                        edge.frames_in.fetch_add(1, Ordering::Relaxed);
-                        if tx.send((from, msg)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        edge.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    }
-
     // The protocol core: the exact factory the simulation driver uses.
     let factory = VdmFactory::delay_based();
     let agent = factory.make(args.id, args.source, args.degree_limit, 0);
     let mut core = ProtocolCore::new(args.id, agent, num_hosts, args.seed);
 
     let mut clock = WallClock::new();
-    let mut wheel: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut edge_local = EdgeStats::default();
+    let mut edge = Edge {
+        socket,
+        peers,
+        wheel: BinaryHeap::new(),
+        outputs: Vec::new(),
+        frames_in: 0,
+        frames_out: 0,
+        decode_errors: 0,
+        unknown_dest_drops: 0,
+        send_errors: 0,
+    };
+    let mut buf = [0u8; vdm_proto::MAX_PAYLOAD + 4];
 
     let end = SimTime::from_ms(args.run_s * 1_000.0);
     let join_at = SimTime::from_ms(args.join_delay_ms as f64);
@@ -288,6 +322,7 @@ fn main() {
         .metrics_interval_s
         .map(|s| SimTime::from_ms(s * 1_000.0));
     let mut next_metrics = metrics_interval;
+    let mut failed = false;
 
     loop {
         let now = clock.now();
@@ -298,32 +333,16 @@ fn main() {
         // Operator events first (join precedes any timer it arms).
         if !joined && now >= join_at {
             joined = true;
-            drive(
-                &mut core,
-                now,
-                Input::Join,
-                &peers,
-                &socket,
-                &mut wheel,
-                &mut edge_local,
-            );
+            edge.drive(&mut core, now, Input::Join);
         }
 
         // Due timers, in deadline order.
-        while let Some(&Reverse((at, token))) = wheel.peek() {
+        while let Some(&Reverse((at, token))) = edge.wheel.peek() {
             if at > now.0 {
                 break;
             }
-            wheel.pop();
-            drive(
-                &mut core,
-                now,
-                Input::Timer { token },
-                &peers,
-                &socket,
-                &mut wheel,
-                &mut edge_local,
-            );
+            edge.wheel.pop();
+            edge.drive(&mut core, now, Input::Timer { token });
         }
 
         // Source stream schedule.
@@ -332,15 +351,7 @@ fn main() {
                 let seq = next_seq;
                 next_seq += 1;
                 next_emit = Some(at + emit_interval);
-                drive(
-                    &mut core,
-                    now,
-                    Input::EmitData { seq },
-                    &peers,
-                    &socket,
-                    &mut wheel,
-                    &mut edge_local,
-                );
+                edge.drive(&mut core, now, Input::EmitData { seq });
             } else if at >= emit_stop {
                 next_emit = None;
             }
@@ -353,14 +364,14 @@ fn main() {
                 next_metrics = metrics_interval.map(|iv| now + iv);
             }
             if let Some(path) = &args.metrics_out {
-                write_metrics(path, &core, &edge, &edge_local);
+                write_metrics(path, &core, &edge);
             }
         }
 
-        // Sleep until the nearest deadline, waking early for packets.
-        // Capped so a pending SIGUSR1 flag is noticed promptly.
+        // Receive until the nearest deadline. One that is already due
+        // is run first: the socket rejects a zero timeout.
         let mut wake = end;
-        if let Some(&Reverse((at, _))) = wheel.peek() {
+        if let Some(&Reverse((at, _))) = edge.wheel.peek() {
             wake = wake.min(SimTime(at));
         }
         if !joined {
@@ -372,105 +383,64 @@ fn main() {
         if let Some(at) = next_metrics {
             wake = wake.min(at);
         }
-        let now = clock.now();
-        let wait =
-            Duration::from_micros(wake.0.saturating_sub(now.0)).min(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let now = clock.now();
-                drive(
-                    &mut core,
-                    now,
-                    Input::Packet { from, msg },
-                    &peers,
-                    &socket,
-                    &mut wheel,
-                    &mut edge_local,
-                );
+        let wait = wake.0.saturating_sub(clock.now().0);
+        if wait == 0 {
+            continue;
+        }
+        let received = edge
+            .socket
+            .set_read_timeout(Some(Duration::from_micros(wait).min(MAX_WAIT)))
+            .and_then(|()| edge.socket.recv_from(&mut buf));
+        match received {
+            Ok((len, _src)) => match vdm_proto::decode_frame(&buf[..len]) {
+                Ok((from, msg)) => {
+                    edge.frames_in += 1;
+                    edge.drive(&mut core, clock.now(), Input::Packet { from, msg });
+                }
+                // Malformed datagrams are counted, never fatal.
+                Err(_) => edge.decode_errors += 1,
+            },
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::TimedOut | ErrorKind::WouldBlock | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => {
+                eprintln!("vdm-node {}: receive failed: {e}", args.id.0);
+                failed = true;
+                break;
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
 
     if let Some(path) = &args.metrics_out {
-        write_metrics(path, &core, &edge, &edge_local);
+        write_metrics(path, &core, &edge);
     }
     if let Some(path) = &args.stats_out {
-        write_stats(path, &core, &edge, &edge_local);
+        write_stats(path, &core, &edge);
     }
-}
-
-/// Feed one input to the core and perform the resulting effects:
-/// encode+send frames, arm wheel timers.
-fn drive<A: vdm_overlay::OverlayAgent>(
-    core: &mut ProtocolCore<A>,
-    now: SimTime,
-    input: Input,
-    peers: &HashMap<HostId, SocketAddr>,
-    socket: &UdpSocket,
-    wheel: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    edge: &mut EdgeStats,
-) {
-    let me = core.host();
-    // Drain into a scratch vec: sends may interleave with timer arms
-    // and the borrow of `core` ends before we touch the socket.
-    let outputs: Vec<Output> = core.handle(now, input).collect();
-    for out in outputs {
-        match out {
-            Output::Send { to, msg, class: _ } => {
-                let Some(addr) = peers.get(&to) else {
-                    edge.unknown_dest_drops += 1;
-                    continue;
-                };
-                match vdm_proto::encode_frame(me, &msg) {
-                    Ok(frame) => {
-                        if socket.send_to(&frame, addr).is_err() {
-                            edge.send_errors += 1;
-                        } else {
-                            edge.frames_out += 1;
-                        }
-                    }
-                    Err(_) => edge.send_errors += 1,
-                }
-            }
-            Output::Timer { delay, token } => {
-                wheel.push(Reverse(((core.now() + delay).0, token)));
-            }
-        }
+    if failed {
+        std::process::exit(1);
     }
 }
 
 /// Dump the full metrics registry (counters, gauges, histograms) as
 /// nested JSON — the SIGUSR1 / interval observability surface.
-fn write_metrics<A: vdm_overlay::OverlayAgent>(
-    path: &str,
-    core: &ProtocolCore<A>,
-    edge: &Arc<EdgeStats>,
-    edge_local: &EdgeStats,
-) {
+fn write_metrics<A: OverlayAgent>(path: &str, core: &ProtocolCore<A>, edge: &Edge) {
     let mut reg = vdm_trace::MetricsRegistry::new();
     core.stats().export_metrics(&mut reg);
-    reg.counter_add("node.frames_in", edge.frames_in.load(Ordering::Relaxed));
-    reg.counter_add(
-        "node.decode_errors",
-        edge.decode_errors.load(Ordering::Relaxed),
-    );
-    reg.counter_add("node.frames_out", edge_local.frames_out);
-    reg.counter_add("node.unknown_dest_drops", edge_local.unknown_dest_drops);
-    reg.counter_add("node.send_errors", edge_local.send_errors);
+    reg.counter_add("node.frames_in", edge.frames_in);
+    reg.counter_add("node.decode_errors", edge.decode_errors);
+    reg.counter_add("node.frames_out", edge.frames_out);
+    reg.counter_add("node.unknown_dest_drops", edge.unknown_dest_drops);
+    reg.counter_add("node.send_errors", edge.send_errors);
     reg.gauge_set("node.id", f64::from(core.host().0));
     reg.gauge_set("node.now_s", core.now().as_secs());
     write_atomically(path, &reg.to_json());
 }
 
 /// Write the flat end-of-run summary the loopback harness aggregates.
-fn write_stats<A: vdm_overlay::OverlayAgent>(
-    path: &str,
-    core: &ProtocolCore<A>,
-    edge: &Arc<EdgeStats>,
-    edge_local: &EdgeStats,
-) {
+fn write_stats<A: OverlayAgent>(path: &str, core: &ProtocolCore<A>, edge: &Edge) {
     let s = core.stats();
     let agent = core.agent();
     let mut w = vdm_trace::json::ObjWriter::new();
@@ -486,11 +456,11 @@ fn write_stats<A: vdm_overlay::OverlayAgent>(
         .u64("invariant_violations", s.recovery.total_violations() as u64)
         .u64("nacks_sent", s.recovery.nacks_sent)
         .u64("chunks_repaired", s.recovery.chunks_repaired)
-        .u64("frames_in", edge.frames_in.load(Ordering::Relaxed))
-        .u64("frames_out", edge_local.frames_out)
-        .u64("decode_errors", edge.decode_errors.load(Ordering::Relaxed))
-        .u64("unknown_dest_drops", edge_local.unknown_dest_drops)
-        .u64("send_errors", edge_local.send_errors)
+        .u64("frames_in", edge.frames_in)
+        .u64("frames_out", edge.frames_out)
+        .u64("decode_errors", edge.decode_errors)
+        .u64("unknown_dest_drops", edge.unknown_dest_drops)
+        .u64("send_errors", edge.send_errors)
         .f64("now_s", core.now().as_secs());
     write_atomically(path, &w.finish());
 }
