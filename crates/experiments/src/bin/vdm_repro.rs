@@ -35,9 +35,9 @@
 //! 1. `--smoke` runs a tiny fixed grid sequentially, for CI.
 //!
 //! Runs fan their simulation cells across a thread pool
-//! (`RAYON_NUM_THREADS` controls the width; `--sequential` or
-//! `VDM_SEQUENTIAL=1` forces the reference in-order path) and merge
-//! results in cell-key order, so output is byte-identical either way.
+//! (`RAYON_NUM_THREADS` controls the width; `--sequential` forces the
+//! reference in-order path) and merge results in cell-key order, so
+//! output is byte-identical either way.
 //!
 //! `trace <family>` re-runs a family with the structured tracer and
 //! wall-clock profiler on (sequentially, so the event log is in

@@ -18,7 +18,7 @@ use crate::setup::{ch3_setup, degree_limits_range, powerlaw_setup, waxman_setup,
 use crate::table::Table;
 use crate::Effort;
 use vdm_core::VdmFactory;
-use vdm_netsim::{DataPlaneConfig, SimTime};
+use vdm_netsim::SimTime;
 use vdm_overlay::agent::{AgentConfig, HeartbeatConfig};
 use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{ChurnConfig, Scenario};
@@ -202,7 +202,7 @@ pub fn topology_sensitivity(effort: Effort, seed: u64) -> Vec<Table> {
                         compute_stress: true,
                         compute_mst_ratio: false,
                         loss_probe_noise: 0.0,
-                        data_plane: None,
+                        data_plane: false,
                     },
                     s,
                 ));
@@ -314,7 +314,7 @@ pub fn congestion(effort: Effort, seed: u64) -> Vec<Table> {
                         compute_stress: false,
                         compute_mst_ratio: false,
                         loss_probe_noise: 0.0,
-                        data_plane: Some(DataPlaneConfig::default()),
+                        data_plane: true,
                     },
                     s,
                 ));

@@ -66,7 +66,7 @@ pub fn ch3_compare(effort: Effort, churn_pct: f64, seed: u64) -> Vec<Table> {
                             compute_stress: true,
                             compute_mst_ratio: true,
                             loss_probe_noise: 0.0,
-                            data_plane: None,
+                            data_plane: false,
                         },
                         s,
                     ));

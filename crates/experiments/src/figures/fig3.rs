@@ -38,7 +38,7 @@ fn driver_cfg(effort: Effort) -> DriverConfig {
         compute_stress: true,
         compute_mst_ratio: false,
         loss_probe_noise: 0.0,
-        data_plane: None,
+        data_plane: false,
     }
 }
 

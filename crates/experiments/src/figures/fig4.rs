@@ -47,7 +47,7 @@ pub fn metric_family(effort: Effort, seed: u64) -> Vec<Table> {
                         compute_stress: true,
                         compute_mst_ratio: false,
                         loss_probe_noise: 0.002,
-                        data_plane: None,
+                        data_plane: false,
                     },
                     s,
                 ));

@@ -96,14 +96,14 @@ fn mt_agent(base: AgentConfig, k: usize, tree: usize) -> AgentConfig {
             ..base.walk
         },
         // A *bounded* repair budget: 8 stripe chunks of lookback, 3
-        // NACKs each. Deep enough for reordering and short stalls,
-        // shallow enough that a 15 s orphan outage at k = 1 shows up as
-        // real loss — which is exactly the damage striping + cross-tree
-        // repair are supposed to absorb.
+        // NACKs each (the repair module's `NACK_RETRIES`). Deep enough
+        // for reordering and short stalls, shallow enough that a 15 s
+        // orphan outage at k = 1 shows up as real loss — which is
+        // exactly the damage striping + cross-tree repair are supposed
+        // to absorb.
         repair: Some(
             RepairConfig {
                 window: 8,
-                nack_retries: 3,
                 ..RepairConfig::default()
             }
             .striped(k as u64, tree as u64),

@@ -23,7 +23,7 @@ use std::time::Instant;
 use vdm_baselines::HmtpPolicy;
 use vdm_core::VdmPolicy;
 use vdm_netsim::{HostId, Underlay};
-use vdm_overlay::coords::{CoordTable, CoordsConfig};
+use vdm_overlay::coords::{CoordTable, PROBE_K, VIEW_K};
 use vdm_overlay::sync::SyncOverlay;
 use vdm_overlay::walk::WalkPolicy;
 use vdm_overlay::VDist;
@@ -244,9 +244,9 @@ impl BackgroundReads {
 }
 
 /// The coordinate-guided VDM sweep: every joiner draws a deterministic
-/// `view_k`-member candidate view (the stand-in for PR 7's gossiped
-/// membership view), ranks it by Vivaldi coordinate distance, probes
-/// the `probe_k` nearest with real RTTs (each probe counted as a
+/// [`VIEW_K`]-member candidate view (the stand-in for discovery's
+/// gossiped membership view), ranks it by Vivaldi coordinate distance,
+/// probes the [`PROBE_K`] nearest with real RTTs (each probe counted as a
 /// contact and folded into both endpoints' coordinates), scores each
 /// probed candidate by the root-path delay the joiner would inherit
 /// by attaching under it (preferring candidates with a free slot),
@@ -274,9 +274,7 @@ pub fn guided_join_sweep(
     let u = Arc::clone(&underlay);
     let dist: Box<dyn Fn(HostId, HostId) -> VDist> = Box::new(move |a, b| u.rtt_ms(a, b));
     let mut ov = SyncOverlay::new(n + 1, source, degree, dist);
-    let cfg = CoordsConfig::default();
-    let (view_k, probe_k) = (cfg.view_k, cfg.probe_k);
-    let mut table = CoordTable::new(n + 1, cfg);
+    let mut table = CoordTable::new(n + 1);
     let mut contacts = Vec::with_capacity(n);
     // Every member's root-path RTT as of its own attach (source = 0).
     let mut path_rtt = vec![0.0f64; n + 1];
@@ -287,12 +285,12 @@ pub fn guided_join_sweep(
     for h in 1..=n as u32 {
         let joiner = HostId(h);
         // In-tree hosts are exactly 0..h (source plus earlier joiners).
-        let mut view: Vec<HostId> = if (h as usize) <= view_k {
+        let mut view: Vec<HostId> = if (h as usize) <= VIEW_K {
             (0..h).map(HostId).collect()
         } else {
-            let mut picked = Vec::with_capacity(view_k);
+            let mut picked = Vec::with_capacity(VIEW_K);
             let mut i = 0u64;
-            while picked.len() < view_k {
+            while picked.len() < VIEW_K {
                 let c = HostId((splitmix64(seed ^ ((h as u64) << 32) ^ i) % h as u64) as u32);
                 i += 1;
                 if !picked.contains(&c) {
@@ -316,7 +314,7 @@ pub fn guided_join_sweep(
         // saturated-core chains that cause the knee.
         let mut probed = 0.0;
         let mut best: Option<(HostId, f64, bool)> = None; // (entry, score, free)
-        for &c in view.iter().take(probe_k) {
+        for &c in view.iter().take(PROBE_K) {
             let rtt = underlay.rtt_ms(joiner, c);
             table.observe(joiner, c, rtt);
             probed += 1.0;

@@ -64,10 +64,9 @@ fn resilient(base: AgentConfig, m: Mechanisms) -> AgentConfig {
         // Stricter than the protocol default so the token bucket is
         // observable at the small soak scales too: rejoin bursts of even
         // 2-3 peers at one target get smoothed out.
-        admission: m.admission.then(|| AdmissionConfig {
+        admission: m.admission.then_some(AdmissionConfig {
             rate_per_s: 0.5,
             burst: 1.0,
-            ..AdmissionConfig::default()
         }),
         repair: m.repair.then(RepairConfig::default),
         ..base.hardened()

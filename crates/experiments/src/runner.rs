@@ -10,11 +10,10 @@
 //! completion order — which makes aggregate CSV output byte-identical
 //! to a sequential run of the same cells.
 //!
-//! Execution mode resolves, in order: a [`with_mode`] scope on the
-//! calling thread (used by the equivalence test-suite and `vdm-repro
-//! --sequential`), the `VDM_SEQUENTIAL=1` environment variable, then the
-//! default of [`ExecMode::Parallel`]. Thread count is rayon's
-//! (`RAYON_NUM_THREADS`, else available parallelism).
+//! Execution mode is [`ExecMode::Parallel`] unless a [`with_mode`]
+//! scope on the calling thread says otherwise (the equivalence
+//! test-suite and `vdm-repro --sequential` use one). Thread count is
+//! rayon's (`RAYON_NUM_THREADS`, else available parallelism).
 
 use rayon::prelude::*;
 use std::cell::Cell as StdCell;
@@ -36,13 +35,9 @@ thread_local! {
 
 /// The execution mode fan-outs on this thread will use.
 pub fn exec_mode() -> ExecMode {
-    if let Some(m) = MODE_OVERRIDE.with(|m| m.get()) {
-        return m;
-    }
-    match std::env::var("VDM_SEQUENTIAL") {
-        Ok(v) if v != "0" && !v.is_empty() => ExecMode::Sequential,
-        _ => ExecMode::Parallel,
-    }
+    MODE_OVERRIDE
+        .with(|m| m.get())
+        .unwrap_or(ExecMode::Parallel)
 }
 
 /// Run `f` with every fan-out on this thread forced to `mode`; restores

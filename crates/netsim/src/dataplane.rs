@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! start_tx = max(arrival, busy_until)        // waits in the queue
-//! drop if start_tx - arrival > buffer_ms      // FIFO overflow
+//! drop if start_tx - arrival > BUFFER_MS      // FIFO overflow
 //! busy_until = start_tx + serialization       // bits / bandwidth
 //! arrival'  = start_tx + serialization + propagation
 //! ```
@@ -23,25 +23,11 @@
 use crate::time::SimTime;
 use vdm_topology::{EdgeId, Millis};
 
-/// Data-plane parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DataPlaneConfig {
-    /// Size of one stream chunk, bits (default: 10 kbit ≈ a 1250-byte
-    /// packet).
-    pub packet_bits: f64,
-    /// Maximum queueing delay a link buffer absorbs before dropping,
-    /// ms (a delay-based formulation of buffer depth).
-    pub buffer_ms: Millis,
-}
-
-impl Default for DataPlaneConfig {
-    fn default() -> Self {
-        Self {
-            packet_bits: 10_000.0,
-            buffer_ms: 50.0,
-        }
-    }
-}
+/// Size of one stream chunk, bits (10 kbit ≈ a 1250-byte packet).
+const PACKET_BITS: f64 = 10_000.0;
+/// Maximum queueing delay a link buffer absorbs before dropping, ms (a
+/// delay-based formulation of buffer depth).
+const BUFFER_MS: Millis = 50.0;
 
 /// One physical link the data plane knows about.
 #[derive(Clone, Copy, Debug)]
@@ -62,7 +48,6 @@ pub struct BufferDrop {
 /// The mutable link-calendar state.
 #[derive(Clone, Debug)]
 pub struct DataPlane {
-    cfg: DataPlaneConfig,
     links: Vec<LinkSpec>,
     busy_until: Vec<SimTime>,
     /// Buffer drops so far (diagnostics).
@@ -73,11 +58,9 @@ pub struct DataPlane {
 
 impl DataPlane {
     /// New data plane over the given links (indexed by [`EdgeId`]).
-    pub fn new(links: Vec<LinkSpec>, cfg: DataPlaneConfig) -> Self {
-        assert!(cfg.packet_bits > 0.0 && cfg.buffer_ms >= 0.0);
+    pub fn new(links: Vec<LinkSpec>) -> Self {
         let n = links.len();
         Self {
-            cfg,
             links,
             busy_until: vec![SimTime::ZERO; n],
             drops: 0,
@@ -88,7 +71,7 @@ impl DataPlane {
     /// Serialization time of one packet on `link`, ms.
     fn serialization_ms(&self, link: EdgeId) -> Millis {
         // bits / (Mbit/s) = µs; /1000 = ms.
-        self.cfg.packet_bits / (self.links[link.idx()].bandwidth_mbps * 1_000.0)
+        PACKET_BITS / (self.links[link.idx()].bandwidth_mbps * 1_000.0)
     }
 
     /// Transmit one packet over one `link`, arriving at the link's
@@ -102,7 +85,7 @@ impl DataPlane {
         let busy = self.busy_until[link.idx()];
         let start_tx = now.max(busy);
         let queued_ms = (start_tx - now).as_ms();
-        if queued_ms > self.cfg.buffer_ms {
+        if queued_ms > BUFFER_MS {
             self.drops += 1;
             self.drops_per_link[link.idx()] += 1;
             return Err(BufferDrop { link });
@@ -140,16 +123,10 @@ mod tests {
     use super::*;
 
     fn one_link(bw_mbps: f64) -> DataPlane {
-        DataPlane::new(
-            vec![LinkSpec {
-                delay_ms: 5.0,
-                bandwidth_mbps: bw_mbps,
-            }],
-            DataPlaneConfig {
-                packet_bits: 10_000.0,
-                buffer_ms: 3.0,
-            },
-        )
+        DataPlane::new(vec![LinkSpec {
+            delay_ms: 5.0,
+            bandwidth_mbps: bw_mbps,
+        }])
     }
 
     #[test]
@@ -174,9 +151,11 @@ mod tests {
 
     #[test]
     fn buffer_overflow_drops() {
-        let mut dp = one_link(10.0);
-        // buffer_ms = 3: the 5th simultaneous packet sees 4 ms of queue.
-        for i in 0..4 {
+        // 10 kbit / 1 Mbps = 10 ms per packet. BUFFER_MS = 50: the 6th
+        // simultaneous packet queues exactly 50 ms and still goes; the
+        // 7th sees 60 ms of queue.
+        let mut dp = one_link(1.0);
+        for i in 0..6 {
             assert!(dp.transit(SimTime::ZERO, &[EdgeId(0)]).is_ok(), "pkt {i}");
         }
         let r = dp.transit(SimTime::ZERO, &[EdgeId(0)]);
@@ -197,19 +176,16 @@ mod tests {
 
     #[test]
     fn multi_hop_accumulates() {
-        let mut dp = DataPlane::new(
-            vec![
-                LinkSpec {
-                    delay_ms: 2.0,
-                    bandwidth_mbps: 10.0,
-                },
-                LinkSpec {
-                    delay_ms: 3.0,
-                    bandwidth_mbps: 5.0,
-                },
-            ],
-            DataPlaneConfig::default(),
-        );
+        let mut dp = DataPlane::new(vec![
+            LinkSpec {
+                delay_ms: 2.0,
+                bandwidth_mbps: 10.0,
+            },
+            LinkSpec {
+                delay_ms: 3.0,
+                bandwidth_mbps: 5.0,
+            },
+        ]);
         let t = dp.transit(SimTime::ZERO, &[EdgeId(0), EdgeId(1)]).unwrap();
         // hop0: 1 ser + 2 prop = 3; hop1: 2 ser + 3 prop = 5 -> 8.
         assert_eq!(t, SimTime::from_ms(8.0));

@@ -18,7 +18,7 @@
 //!   loss term in Chapter 3 ("all packet loss are caused by disconnection
 //!   of churn").
 
-use crate::dataplane::{DataPlane, DataPlaneConfig};
+use crate::dataplane::DataPlane;
 use crate::faults::FaultPlan;
 use crate::queue::EventQueue;
 use crate::shard::{OutboundEvent, ShardCtx};
@@ -180,7 +180,7 @@ impl<M> Engine<M> {
     /// serialization and queueing on every physical link of their route
     /// and are dropped on buffer overflow. Requires a routed underlay
     /// (one with physical links).
-    pub fn enable_data_plane(&mut self, cfg: DataPlaneConfig) {
+    pub fn enable_data_plane(&mut self) {
         assert!(
             self.shard.is_none(),
             "the queueing data plane is not supported on a sharded engine \
@@ -191,7 +191,7 @@ impl<M> Engine<M> {
             !specs.is_empty(),
             "the queueing data plane needs a routed underlay"
         );
-        self.data_plane = Some(DataPlane::new(specs, cfg));
+        self.data_plane = Some(DataPlane::new(specs));
     }
 
     /// The data plane, if enabled (diagnostics).
@@ -208,11 +208,6 @@ impl<M> Engine<M> {
     /// The underlay messages travel through.
     pub fn underlay(&self) -> &(dyn Underlay + Send + Sync) {
         &*self.underlay
-    }
-
-    /// Shared handle to the underlay.
-    pub fn underlay_arc(&self) -> Arc<dyn Underlay + Send + Sync> {
-        Arc::clone(&self.underlay)
     }
 
     /// Traffic counters since construction or the last
@@ -879,7 +874,7 @@ mod tests {
     #[test]
     fn fault_delay_is_paid_on_the_data_plane_hop_path() {
         let mut eng = Engine::new(routed_chain(100.0), 1);
-        eng.enable_data_plane(DataPlaneConfig::default());
+        eng.enable_data_plane();
         eng.set_fault_plan(msg_faults(0.0, 0.0, 1.0, SimTime::from_ms(100.0)));
         let mut w = fresh_world(0);
         assert!(eng.send(HostId(0), HostId(1), 999, SendClass::Data));
@@ -959,13 +954,10 @@ mod tests {
     /// counters so delivered/dropped reconciliation still closes.
     #[test]
     fn duplicate_congestion_drops_land_in_counters() {
-        // 1 Mbit/s → 10 ms serialization; zero buffer: any packet that
-        // has to queue at all is dropped.
-        let mut eng = Engine::new(routed_chain(1.0), 1);
-        eng.enable_data_plane(DataPlaneConfig {
-            packet_bits: 10_000.0,
-            buffer_ms: 0.0,
-        });
+        // 0.1 Mbit/s → 100 ms serialization, twice the 50 ms buffer:
+        // any packet that queues behind a whole packet is dropped.
+        let mut eng = Engine::new(routed_chain(0.1), 1);
+        eng.enable_data_plane();
         eng.set_fault_plan(msg_faults(0.0, 1.0, 0.0, SimTime::ZERO));
         let mut w = fresh_world(0);
         // The duplicate enters the first link ahead of the original, so

@@ -34,7 +34,7 @@ pub mod shard;
 pub mod time;
 pub mod underlay;
 
-pub use dataplane::{DataPlane, DataPlaneConfig};
+pub use dataplane::DataPlane;
 pub use engine::{Engine, SendClass, World};
 pub use faults::{ChaosSpec, FaultEvent, FaultPlan, SendFate};
 pub use shard::{ShardMap, ShardedEngine};

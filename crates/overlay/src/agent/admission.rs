@@ -13,22 +13,24 @@ use vdm_netsim::{HostId, SimTime};
 /// Timer token for draining the admission queue.
 pub const ADMIT_TOKEN: u64 = 1 << 57;
 
+/// Queue slots for joiners awaiting a token.
+const QUEUE: usize = 8;
+/// Queued joiners older than this are shed (their walk has long timed
+/// out and restarted elsewhere).
+const MAX_WAIT: SimTime = SimTime(3_000_000);
+
 /// Rejoin-storm admission control: a token bucket over plain new-child
-/// admissions plus a bounded wait queue. Correlated crashes produce a
-/// thundering herd of rejoin walks; throttling smooths the herd into
-/// the tree instead of letting every interior node thrash, and
-/// overflow is shed to siblings via the normal redirect path.
+/// admissions plus a bounded wait queue (`QUEUE` slots, shed after
+/// `MAX_WAIT`). Correlated crashes produce a thundering herd of rejoin
+/// walks; throttling smooths the herd into the tree instead of letting
+/// every interior node thrash, and overflow is shed to siblings via the
+/// normal redirect path.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionConfig {
     /// Sustained admissions per second.
     pub rate_per_s: f64,
     /// Token-bucket burst capacity.
     pub burst: f64,
-    /// Queue slots for joiners awaiting a token.
-    pub queue: usize,
-    /// Queued joiners older than this are shed (their walk has long
-    /// timed out and restarted elsewhere).
-    pub max_wait: SimTime,
 }
 
 impl Default for AdmissionConfig {
@@ -36,8 +38,6 @@ impl Default for AdmissionConfig {
         Self {
             rate_per_s: 2.0,
             burst: 4.0,
-            queue: 8,
-            max_wait: SimTime::from_secs(3),
         }
     }
 }
@@ -91,7 +91,7 @@ impl Admission {
         if self.bucket.take() {
             return Verdict::Admit;
         }
-        if self.queue.len() < self.cfg.queue {
+        if self.queue.len() < QUEUE {
             ctx.stats.recovery.joins_throttled += 1;
             ctx.trace(|| vdm_trace::TraceEvent::AdmissionThrottled {
                 host: ctx.me.0,
@@ -118,7 +118,7 @@ impl Admission {
         let now = ctx.now();
         self.bucket.refill(now, self.cfg.rate_per_s, self.cfg.burst);
         while let Some(&q) = self.queue.front() {
-            if now.saturating_sub(q.at) > self.cfg.max_wait {
+            if now.saturating_sub(q.at) > MAX_WAIT {
                 // The walker has long timed out and restarted; shed it
                 // toward a sibling rather than ghost-admitting it.
                 self.queue.pop_front();
@@ -194,8 +194,6 @@ mod tests {
             admission: Some(AdmissionConfig {
                 rate_per_s: 1.0,
                 burst: 1.0,
-                queue: 2,
-                max_wait: SimTime::from_secs(10),
             }),
             ..AgentConfig::default()
         });

@@ -2,7 +2,6 @@
 //! the walk, retry and watchdog settings every agent has.
 
 use super::{AdmissionConfig, HeartbeatConfig, ResilienceConfig};
-use crate::coords::CoordsConfig;
 use crate::repair::RepairConfig;
 use crate::walk::WalkConfig;
 use vdm_netsim::SimTime;
@@ -55,9 +54,10 @@ pub struct AgentConfig {
     /// single-tree runs). Requires `repair` to be set as well.
     pub cross_repair: Option<AdmissionConfig>,
     /// Vivaldi-style virtual-coordinate embedding (coordinate-guided
-    /// joins). `None` — the default — keeps every pre-coordinate byte
+    /// joins; its tunables are the constants in [`crate::coords`]).
+    /// `false` — the default — keeps every pre-coordinate byte
     /// sequence: no piggyback fields, no state, no extra RNG draws.
-    pub coords: Option<CoordsConfig>,
+    pub coords: bool,
 }
 
 impl Default for AgentConfig {
@@ -74,7 +74,7 @@ impl Default for AgentConfig {
             admission: None,
             repair: None,
             cross_repair: None,
-            coords: None,
+            coords: false,
         }
     }
 }

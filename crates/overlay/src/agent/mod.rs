@@ -23,7 +23,7 @@
 //! * `liveness` — child heartbeats, the refinement tick and the data
 //!   watchdog ([`HeartbeatConfig`]);
 //! * `piggyback` — the Vivaldi coordinate piggyback
-//!   ([`crate::coords::CoordsConfig`]);
+//!   ([`AgentConfig::coords`]);
 //! * bootstrap discovery, whose agent-facing half lives beside
 //!   [`DiscoveryState`] in [`crate::discovery`].
 
@@ -202,7 +202,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             admission: cfg.admission.map(Admission::new),
             repair: cfg.repair.map(|r| Repair::new(r, cfg.cross_repair)),
             discovery: None,
-            coords: cfg.coords.map(Piggyback::new),
+            coords: cfg.coords.then(Piggyback::default),
         }
     }
 
@@ -305,7 +305,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             self.cfg.walk,
             self.gen_next,
             baseline,
-            self.coords.as_ref().map(|c| (c.state, c.cfg)),
+            self.coords.as_ref().map(|c| c.state),
             ctx,
         );
         self.gen_next = w.generation() + 1_000_000; // room for this walk's nonces

@@ -3,7 +3,7 @@
 //! the state is handed to each walk by value and adopted back when the
 //! walk finishes; no update races the copy.
 
-use crate::coords::{CoordSample, CoordsConfig, VivaldiState};
+use crate::coords::{CoordSample, VivaldiState};
 use crate::discovery::DiscoveryState;
 use crate::walk::Measured;
 use vdm_netsim::HostId;
@@ -12,22 +12,14 @@ use vdm_netsim::HostId;
 /// first. Sized to a few view/candidate sets' worth of peers.
 const PEER_COORD_CAP: usize = 64;
 
+#[derive(Default)]
 pub(super) struct Piggyback {
-    pub(super) cfg: CoordsConfig,
     pub(super) state: VivaldiState,
     /// The last sample heard from each peer, oldest first.
     pub(super) peers: Vec<(HostId, CoordSample)>,
 }
 
 impl Piggyback {
-    pub(super) fn new(cfg: CoordsConfig) -> Self {
-        Self {
-            cfg,
-            state: VivaldiState::new(&cfg),
-            peers: Vec::new(),
-        }
-    }
-
     /// Our sample for piggyback fields.
     pub(super) fn sample(&self) -> CoordSample {
         self.state.sample()
@@ -73,7 +65,7 @@ impl Piggyback {
         me: HostId,
         mut discovery: Option<&mut DiscoveryState>,
     ) {
-        if let Some((s, _)) = walk.coords {
+        if let Some(s) = walk.coords {
             self.state = s;
             for &(h, sample) in &walk.coord_harvest {
                 self.note(me, h, sample, discovery.as_deref_mut());

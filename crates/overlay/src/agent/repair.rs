@@ -6,7 +6,7 @@
 use super::{AdmissionConfig, Ctx};
 use crate::bucket::TokenBucket;
 use crate::msg::Msg;
-use crate::repair::{ChunkClass, GapTracker, RepairConfig, RetransmitRing};
+use crate::repair::{ChunkClass, GapTracker, RepairConfig, RetransmitRing, RING};
 use vdm_netsim::{HostId, SimTime};
 
 /// Timer token for the gap-repair NACK scheduler.
@@ -39,7 +39,7 @@ impl Repair {
     pub(super) fn new(cfg: RepairConfig, cross: Option<AdmissionConfig>) -> Self {
         Self {
             cfg,
-            ring: RetransmitRing::new(cfg.ring),
+            ring: RetransmitRing::new(RING),
             gaps: GapTracker::default(),
             cross: cross.map(|budget| Cross {
                 budget,
@@ -148,7 +148,7 @@ impl Repair {
         if parent.is_none() && self.cross.is_some() {
             return;
         }
-        let batch = self.gaps.due_nacks(ctx.now(), &self.cfg);
+        let batch = self.gaps.due_nacks(ctx.now());
         self.sync_lost(ctx);
         if let (false, Some(p)) = (batch.is_empty(), parent) {
             ctx.stats.recovery.nacks_sent += 1;
@@ -175,7 +175,7 @@ impl Repair {
     ) {
         let Some(c) = self.cross.as_mut() else { return };
         c.gaps.note_absent(latest, last_seq, ctx.now(), &self.cfg);
-        let batch = c.gaps.due_nacks(ctx.now(), &self.cfg);
+        let batch = c.gaps.due_nacks(ctx.now());
         self.sync_lost(ctx);
         if !batch.is_empty() {
             ctx.stats.recovery.cross_nacks_sent += 1;
@@ -286,8 +286,6 @@ mod tests {
             cross_repair: Some(AdmissionConfig {
                 rate_per_s: 1.0,
                 burst: 2.0,
-                queue: 0,
-                max_wait: SimTime::from_secs(1),
             }),
             ..repairing()
         });

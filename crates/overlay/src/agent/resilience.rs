@@ -17,40 +17,30 @@ use vdm_netsim::{HostId, SimTime};
 /// bits carry the attempt nonce, which stays far below this bit).
 pub const FAILOVER_TOKEN_BIT: u64 = 1 << 56;
 
+/// Ancestors retained (root-path suffix, nearest-first).
+const MAX_ANCESTORS: usize = 4;
+/// Backup-parent candidates retained (cheapest-first).
+const MAX_CANDIDATES: usize = 3;
+/// Candidates unprobed for longer than this are dropped.
+const CANDIDATE_TTL: SimTime = SimTime(180_000_000);
+/// Per-attempt deadline of a direct failover connection request.
+const FAILOVER_TIMEOUT: SimTime = SimTime(2_000_000);
+/// Direct attempts before giving up and walking.
+const MAX_ATTEMPTS: usize = 3;
+
 /// Proactive-resilience settings: the ancestor list gossiped down the
-/// tree and the ranked backup-parent candidate set harvested from walk
-/// probes. An orphan first tries direct connection requests at its
-/// candidates/ancestors (milliseconds) and only falls back to the §3.3
+/// tree (`MAX_ANCESTORS` deep) and the ranked backup-parent candidate
+/// set harvested from walk probes (`MAX_CANDIDATES`, fresh for
+/// `CANDIDATE_TTL`). An orphan first tries up to `MAX_ATTEMPTS`
+/// direct connection requests at its candidates/ancestors, each with a
+/// `FAILOVER_TIMEOUT` deadline, and only falls back to the §3.3
 /// grandparent walk when all of them are dead, full, or exhausted.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ResilienceConfig {
-    /// Ancestors retained (root-path suffix, nearest-first).
-    pub max_ancestors: usize,
-    /// Backup-parent candidates retained (cheapest-first).
-    pub max_candidates: usize,
-    /// Candidates unprobed for longer than this are dropped.
-    pub candidate_ttl: SimTime,
-    /// Per-attempt deadline of a direct failover connection request.
-    pub failover_timeout: SimTime,
-    /// Direct attempts before giving up and walking.
-    pub max_attempts: usize,
     /// Order failover targets by virtual-coordinate distance instead of
     /// measured-vdist-then-ancestor order (coordinate-embedding
     /// extension; only effective when the agent runs an embedding).
     pub coord_ranked: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            max_ancestors: 4,
-            max_candidates: 3,
-            candidate_ttl: SimTime::from_secs(180),
-            failover_timeout: SimTime::from_secs(2),
-            max_attempts: 3,
-            coord_ranked: false,
-        }
-    }
 }
 
 /// One ranked backup-parent candidate.
@@ -133,7 +123,7 @@ impl Resilience {
                 list.push(h);
             }
         }
-        list.truncate(self.cfg.max_ancestors);
+        list.truncate(MAX_ANCESTORS);
         if list == self.ancestors {
             return;
         }
@@ -187,12 +177,11 @@ impl Resilience {
                 None => self.candidates.push(fresh),
             }
         }
-        let ttl = self.cfg.candidate_ttl;
         self.candidates
-            .retain(|c| now.saturating_sub(c.seen_at) <= ttl);
+            .retain(|c| now.saturating_sub(c.seen_at) <= CANDIDATE_TTL);
         self.candidates
             .sort_by(|a, b| a.vdist.total_cmp(&b.vdist).then(a.host.cmp(&b.host)));
-        self.candidates.truncate(self.cfg.max_candidates);
+        self.candidates.truncate(MAX_CANDIDATES);
     }
 
     /// Assemble the failover target list (fresh candidates cheapest
@@ -217,7 +206,7 @@ impl Resilience {
         };
         let mut targets: VecDeque<(HostId, VDist)> = VecDeque::new();
         for c in &self.candidates {
-            if now.saturating_sub(c.seen_at) <= self.cfg.candidate_ttl && usable(c.host, &targets) {
+            if now.saturating_sub(c.seen_at) <= CANDIDATE_TTL && usable(c.host, &targets) {
                 targets.push_back((c.host, c.vdist));
             }
         }
@@ -234,7 +223,7 @@ impl Resilience {
                 .make_contiguous()
                 .sort_by(|a, b| c.dist_to(a.0).total_cmp(&c.dist_to(b.0)));
         }
-        targets.truncate(self.cfg.max_attempts);
+        targets.truncate(MAX_ATTEMPTS);
         if targets.is_empty() {
             return false;
         }
@@ -258,7 +247,7 @@ impl Resilience {
         gen: &mut u64,
     ) -> bool {
         if let Some(f) = self.failover.as_mut() {
-            while f.attempts < self.cfg.max_attempts {
+            while f.attempts < MAX_ATTEMPTS {
                 let Some((target, vdist)) = f.targets.pop_front() else {
                     break;
                 };
@@ -286,7 +275,7 @@ impl Resilience {
                         coord,
                     },
                 );
-                ctx.timer(self.cfg.failover_timeout, FAILOVER_TOKEN_BIT | nonce);
+                ctx.timer(FAILOVER_TIMEOUT, FAILOVER_TOKEN_BIT | nonce);
                 return true;
             }
         }

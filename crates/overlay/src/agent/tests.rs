@@ -356,24 +356,31 @@ fn scripted_join_walk_completes() {
 fn silent_network_exhausts_walk_restarts() {
     let mut w = Rig::new(AgentConfig {
         walk: WalkConfig {
-            timeout: SimTime::from_ms(500.0),
-            info_retries: 1,
             max_restarts: 2,
             ..WalkConfig::default()
         },
         ..AgentConfig::default()
     });
     w.with_ctx(|a, ctx| a.on_join_cmd(ctx));
-    // Run long enough for all timeouts to fire.
-    w.run_for(SimTime::from_secs(20));
-    let info_reqs = w
-        .take_to(HostId(7))
-        .into_iter()
-        .filter(|m| matches!(m, Msg::InfoReq { .. }))
-        .count();
-    // initial + 1 retry, then per restart (2) another 2 each, and the
-    // scheduled RETRY walks add more: at least 4 attempts.
-    assert!(info_reqs >= 4, "only {info_reqs} info requests");
+    let info_reqs = |w: &mut Rig| {
+        w.take_to(HostId(7))
+            .into_iter()
+            .filter(|m| matches!(m, Msg::InfoReq { .. }))
+            .count()
+    };
+    // The first attempt and two restarts each send 1 + INFO_RETRIES
+    // requests, one TIMEOUT apart; the last deadline fails the walk.
+    let per_walk = 3 * (1 + crate::walk::INFO_RETRIES) as u64;
+    let fails_at = SimTime(crate::walk::TIMEOUT.0 * per_walk);
+    w.run_for(fails_at - SimTime(1));
+    assert_eq!(info_reqs(&mut w), per_walk as usize);
+    assert!(w.agent.walk.is_some(), "the last deadline is still pending");
+    w.run_for(SimTime(1));
+    assert!(w.agent.walk.is_none(), "the walk gave up");
+    assert_eq!(info_reqs(&mut w), 0, "no request before the retry delay");
+    // The scheduled retry walks again.
+    w.run_for(RETRY_DELAY);
+    assert_eq!(info_reqs(&mut w), 1, "the retry walk's first request");
     assert!(!w.agent.state.connected());
     assert!(w.agent.state.parent.is_none());
 }

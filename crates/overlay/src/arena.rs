@@ -1,19 +1,11 @@
 //! Flat per-host state arena (SoA layout).
 //!
-//! The driver used to scatter per-host state over parallel `Vec`s inside
-//! `WorldState`; the sharded engine wants that state to be *sliceable* —
-//! each shard world owning a contiguous host-id block — so the layout is
-//! factored out here. A [`HostArena`] is a struct-of-arrays over one
-//! contiguous host-id range `base..base + len`: protocol slot (present
-//! while the host runs an agent), session membership, incarnation
-//! counter, and degree limit — all indexed by host id minus base, never
-//! by hash.
-//!
-//! The whole-simulation case is `base = 0`; a sharded run carves one
-//! arena per shard with [`HostArena::per_shard`], whose ranges are
-//! exactly the `ShardMap` blocks.
+//! A [`HostArena`] is a struct-of-arrays over one contiguous host-id
+//! range `base..base + len`: protocol slot (present while the host runs
+//! an agent), session membership, incarnation counter, and degree limit
+//! — all indexed by host id minus base, never by hash. The driver's
+//! arena covers every host (`base = 0`).
 
-use vdm_netsim::shard::ShardMap;
 use vdm_netsim::HostId;
 
 /// Struct-of-arrays per-host state over a contiguous host-id range.
@@ -51,18 +43,6 @@ impl<T> HostArena<T> {
             incarnations: vec![0; n],
             limits,
         }
-    }
-
-    /// One arena per shard of `map`, each owning its contiguous block
-    /// of `limits` (which must cover the whole map).
-    pub fn per_shard(limits: &[u32], map: &ShardMap) -> Vec<Self> {
-        assert_eq!(limits.len(), map.num_hosts(), "one limit per host");
-        (0..map.num_shards())
-            .map(|s| {
-                let r = map.range(s as u32);
-                Self::for_range(r.start, limits[r.start as usize..r.end as usize].to_vec())
-            })
-            .collect()
     }
 
     /// First host id owned.
@@ -183,22 +163,6 @@ mod tests {
             a.hosts().collect::<Vec<_>>(),
             vec![HostId(0), HostId(1), HostId(2)]
         );
-    }
-
-    #[test]
-    fn per_shard_slices_follow_the_map() {
-        let map = ShardMap::contiguous(10, 3);
-        let limits: Vec<u32> = (0..10).collect();
-        let arenas: Vec<HostArena<u8>> = HostArena::per_shard(&limits, &map);
-        assert_eq!(arenas.len(), 3);
-        assert_eq!(arenas[0].base(), 0);
-        assert_eq!(arenas[1].base(), 4);
-        assert_eq!(arenas[2].base(), 7);
-        assert_eq!(arenas[1].len(), 3);
-        assert!(arenas[1].contains(HostId(5)));
-        assert!(!arenas[1].contains(HostId(7)));
-        assert_eq!(arenas[1].limit(HostId(5)), 5);
-        assert_eq!(arenas[2].hosts().next(), Some(HostId(7)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! visited ancestor.
 //!
 //! Everything here is **default-off and byte-invisible when disabled**:
-//! no [`CoordsConfig`] means no state, no extra messages (the piggyback
+//! [`crate::agent::AgentConfig::coords`] unset means no state, no extra messages (the piggyback
 //! fields on [`crate::msg::Msg`] stay `None`), no timers, and no RNG
 //! draws — the degenerate-direction tie-break below hashes host ids
 //! instead of consuming the shared engine stream, so enabling or
@@ -72,49 +72,27 @@ pub struct CoordSample {
     pub err: f64,
 }
 
-/// Tunables of the embedding and the coordinate-guided join. Installed
-/// via [`crate::agent::AgentConfig::coords`] (agents) or passed to
-/// [`CoordTable::new`] (the synchronous A9 path); `None`/absent keeps
-/// every pre-coordinate byte sequence.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoordsConfig {
-    /// Error adaptation rate (Vivaldi's `c_e`).
-    pub ce: f64,
-    /// Position step rate (Vivaldi's `c_c`).
-    pub cc: f64,
-    /// Initial (and maximum) relative error.
-    pub err_init: f64,
-    /// Relative error never drops below this (keeps the update
-    /// responsive to topology changes and the weight well-defined).
-    pub err_floor: f64,
-    /// Per-component coordinate clamp: updates never push any axis
-    /// beyond ±`max_coord`, so coordinates stay finite under arbitrary
-    /// (even adversarial) RTT samples.
-    pub max_coord: f64,
-    /// RTT samples below this are clamped up (guards the relative
-    /// error's division and keeps zero-RTT self-loops harmless).
-    pub min_rtt_ms: f64,
-    /// Guided join: candidate anchors probed (true RTT) per join, taken
-    /// from the coordinate-ranked view head.
-    pub probe_k: usize,
-    /// Guided join: membership-view size the joiner ranks.
-    pub view_k: usize,
-}
-
-impl Default for CoordsConfig {
-    fn default() -> Self {
-        Self {
-            ce: 0.25,
-            cc: 0.25,
-            err_init: 1.0,
-            err_floor: 0.05,
-            max_coord: 1e6,
-            min_rtt_ms: 0.01,
-            probe_k: 6,
-            view_k: 32,
-        }
-    }
-}
+/// Error adaptation rate (Vivaldi's `c_e`).
+const CE: f64 = 0.25;
+/// Position step rate (Vivaldi's `c_c`).
+const CC: f64 = 0.25;
+/// Initial (and maximum) relative error.
+pub const ERR_INIT: f64 = 1.0;
+/// Relative error never drops below this (keeps the update responsive
+/// to topology changes and the weight well-defined).
+pub const ERR_FLOOR: f64 = 0.05;
+/// Per-component coordinate clamp: updates never push any axis beyond
+/// ±`MAX_COORD`, so coordinates stay finite under arbitrary (even
+/// adversarial) RTT samples.
+pub const MAX_COORD: f64 = 1e6;
+/// RTT samples below this are clamped up (guards the relative error's
+/// division and keeps zero-RTT self-loops harmless).
+const MIN_RTT_MS: f64 = 0.01;
+/// Guided join: candidate anchors probed (true RTT) per join, taken
+/// from the coordinate-ranked view head.
+pub const PROBE_K: usize = 6;
+/// Guided join: membership-view size the joiner ranks.
+pub const VIEW_K: usize = 32;
 
 /// One host's Vivaldi state: coordinate plus local error.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,15 +103,17 @@ pub struct VivaldiState {
     pub err: f64,
 }
 
-impl VivaldiState {
+impl Default for VivaldiState {
     /// Fresh state at the origin with maximal error.
-    pub fn new(cfg: &CoordsConfig) -> Self {
+    fn default() -> Self {
         Self {
             coord: Coord::ZERO,
-            err: cfg.err_init,
+            err: ERR_INIT,
         }
     }
+}
 
+impl VivaldiState {
     /// The sample other hosts receive in piggyback fields.
     pub fn sample(&self) -> CoordSample {
         CoordSample {
@@ -147,26 +127,20 @@ impl VivaldiState {
     /// two coordinates coincide the push-apart direction is hashed from
     /// `pair_seed` (never drawn from a shared RNG). Returns the step
     /// magnitude (trace/diagnostics).
-    pub fn update(
-        &mut self,
-        remote: CoordSample,
-        rtt_ms: f64,
-        cfg: &CoordsConfig,
-        pair_seed: u64,
-    ) -> f64 {
+    pub fn update(&mut self, remote: CoordSample, rtt_ms: f64, pair_seed: u64) -> f64 {
         let rtt = if rtt_ms.is_finite() {
-            rtt_ms.max(cfg.min_rtt_ms)
+            rtt_ms.max(MIN_RTT_MS)
         } else {
             return 0.0;
         };
-        let remote_err = remote.err.clamp(cfg.err_floor, cfg.err_init);
+        let remote_err = remote.err.clamp(ERR_FLOOR, ERR_INIT);
         // Sample weight: how much we trust ourselves vs the remote.
         let w = self.err / (self.err + remote_err);
         let dist = self.coord.dist(remote.coord);
         // Relative error of this sample, folded into our confidence.
         let es = (dist - rtt).abs() / rtt;
-        let alpha = cfg.ce * w;
-        self.err = (es * alpha + self.err * (1.0 - alpha)).clamp(cfg.err_floor, cfg.err_init);
+        let alpha = CE * w;
+        self.err = (es * alpha + self.err * (1.0 - alpha)).clamp(ERR_FLOOR, ERR_INIT);
         // Unit vector from the remote toward us; coincident coordinates
         // get a deterministic pseudo-random direction so two hosts born
         // at the origin still separate.
@@ -179,9 +153,9 @@ impl VivaldiState {
         } else {
             unit_from_hash(pair_seed)
         };
-        let step = cfg.cc * w * (rtt - dist);
+        let step = CC * w * (rtt - dist);
         for (i, v) in self.coord.0.iter_mut().enumerate() {
-            *v = (*v + step * dir.0[i]).clamp(-cfg.max_coord, cfg.max_coord);
+            *v = (*v + step * dir.0[i]).clamp(-MAX_COORD, MAX_COORD);
         }
         step.abs()
     }
@@ -222,22 +196,15 @@ pub fn unit_from_hash(seed: u64) -> Coord {
 /// (the A9 guided-join series): one [`VivaldiState`] per host, updated
 /// symmetrically from the probe RTTs joins measure anyway.
 pub struct CoordTable {
-    cfg: CoordsConfig,
     states: Vec<VivaldiState>,
 }
 
 impl CoordTable {
     /// A table of `n` hosts, all at the origin.
-    pub fn new(n: usize, cfg: CoordsConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         Self {
-            cfg,
-            states: vec![VivaldiState::new(&cfg); n],
+            states: vec![VivaldiState::default(); n],
         }
-    }
-
-    /// The installed tunables.
-    pub fn cfg(&self) -> &CoordsConfig {
-        &self.cfg
     }
 
     /// A host's current state.
@@ -254,8 +221,8 @@ impl CoordTable {
         }
         let sa = self.states[a.idx()].sample();
         let sb = self.states[b.idx()].sample();
-        self.states[a.idx()].update(sb, rtt_ms, &self.cfg, pair_seed(a, b));
-        self.states[b.idx()].update(sa, rtt_ms, &self.cfg, pair_seed(b, a));
+        self.states[a.idx()].update(sb, rtt_ms, pair_seed(a, b));
+        self.states[b.idx()].update(sa, rtt_ms, pair_seed(b, a));
     }
 
     /// Estimated virtual distance between two hosts.
@@ -280,34 +247,30 @@ impl CoordTable {
 mod tests {
     use super::*;
 
-    fn cfg() -> CoordsConfig {
-        CoordsConfig::default()
-    }
-
     #[test]
     fn update_is_deterministic() {
-        let mut a = VivaldiState::new(&cfg());
-        let mut b = VivaldiState::new(&cfg());
+        let mut a = VivaldiState::default();
+        let mut b = VivaldiState::default();
         let remote = CoordSample {
             coord: Coord([3.0, -1.0, 0.5, 2.0]),
             err: 0.4,
         };
-        let s1 = a.update(remote, 25.0, &cfg(), 77);
-        let s2 = b.update(remote, 25.0, &cfg(), 77);
+        let s1 = a.update(remote, 25.0, 77);
+        let s2 = b.update(remote, 25.0, 77);
         assert_eq!(a, b);
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn coincident_pairs_separate_deterministically() {
-        let mut a = VivaldiState::new(&cfg());
-        let mut b = VivaldiState::new(&cfg());
+        let mut a = VivaldiState::default();
+        let mut b = VivaldiState::default();
         let origin = CoordSample {
             coord: Coord::ZERO,
             err: 1.0,
         };
-        a.update(origin, 10.0, &cfg(), pair_seed(HostId(1), HostId(2)));
-        b.update(origin, 10.0, &cfg(), pair_seed(HostId(2), HostId(1)));
+        a.update(origin, 10.0, pair_seed(HostId(1), HostId(2)));
+        b.update(origin, 10.0, pair_seed(HostId(2), HostId(1)));
         assert!(a.coord.norm() > 0.0);
         assert!(b.coord.norm() > 0.0);
         assert_ne!(a.coord, b.coord, "the two ends must push apart");
@@ -315,17 +278,17 @@ mod tests {
 
     #[test]
     fn pathological_rtts_keep_coordinates_finite() {
-        let mut v = VivaldiState::new(&cfg());
+        let mut v = VivaldiState::default();
         let remote = CoordSample {
             coord: Coord([1e9, -1e9, 1e9, -1e9]),
             err: 0.0,
         };
         for rtt in [0.0, -5.0, f64::MAX, f64::INFINITY, f64::NAN, 1e300] {
-            v.update(remote, rtt, &cfg(), 3);
+            v.update(remote, rtt, 3);
             assert!(v.coord.is_finite(), "rtt={rtt}: {:?}", v.coord);
-            assert!(v.err.is_finite() && v.err >= cfg().err_floor);
+            assert!(v.err.is_finite() && v.err >= ERR_FLOOR);
         }
-        assert!(v.coord.norm() <= cfg().max_coord * (DIM as f64).sqrt());
+        assert!(v.coord.norm() <= MAX_COORD * (DIM as f64).sqrt());
     }
 
     #[test]
@@ -334,7 +297,7 @@ mod tests {
         // sweeps the coordinate distances should reflect the geometry:
         // the embedding must order 1's neighbours correctly.
         let n = 5;
-        let mut t = CoordTable::new(n, cfg());
+        let mut t = CoordTable::new(n);
         let rtt = |a: u32, b: u32| 10.0 * (a as f64 - b as f64).abs();
         for _ in 0..60 {
             for i in 0..n as u32 {

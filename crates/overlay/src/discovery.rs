@@ -34,41 +34,39 @@ use vdm_netsim::{HostId, SimTime};
 /// bit).
 pub const DISCOVERY_TOKEN_BIT: u64 = 1 << 54;
 
-/// Bootstrap-discovery tunables plus the seed peer set. Carried by
+/// Concurrent `PeerReq` probes per discovery round.
+const FANOUT: usize = 2;
+/// Deadline of a round-0 probe; later rounds scale it by [`BACKOFF`]
+/// per round.
+const REQUEST_TIMEOUT: SimTime = SimTime(2_000_000);
+/// Exponential deadline multiplier per round (the flash-crowd absorber:
+/// re-probes of a budget-shedding seed space out exponentially, giving
+/// its token bucket time to refill).
+const BACKOFF: f64 = 2.0;
+/// Probe rounds before giving up and falling back to the source walk.
+const MAX_ROUNDS: u32 = 4;
+/// Partial-view capacity (freshest entries win).
+const VIEW_SIZE: usize = 12;
+/// View entries unseen for longer than this are evicted as stale.
+const MAX_AGE: SimTime = SimTime(120_000_000);
+/// Responder serving budget: sustained `PeerList` replies per second. A
+/// dry bucket drops the request silently — the requester's
+/// timeout+backoff spreads the crowd out.
+const SERVE_RATE_PER_S: f64 = 4.0;
+/// Serving-budget burst capacity.
+const SERVE_BURST: f64 = 8.0;
+/// Peers shared per `PeerList` reply.
+const GOSSIP_FANOUT: usize = 6;
+
+/// The seed peer set plus the one ranking switch. Carried by
 /// [`crate::scenario::Scenario`] and distributed to every agent by the
 /// driver; `None` (the default everywhere) keeps the omniscient joins.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DiscoveryConfig {
     /// The bootstrap set: peers a newcomer knows before joining. May
     /// contain stale entries (departed or never-joining hosts) — that
     /// is the point of the hardening.
     pub seeds: Vec<HostId>,
-    /// Concurrent `PeerReq` probes per discovery round.
-    pub fanout: usize,
-    /// Deadline of a round-0 probe; later rounds scale it by
-    /// [`DiscoveryConfig::backoff`] per round.
-    pub request_timeout: SimTime,
-    /// Exponential deadline multiplier per round (the flash-crowd
-    /// absorber: re-probes of a budget-shedding seed space out
-    /// exponentially, giving its token bucket time to refill).
-    pub backoff: f64,
-    /// Uniform ± jitter fraction on probe deadlines (0 draws no RNG).
-    pub jitter_frac: f64,
-    /// Probe rounds before giving up and falling back to the source
-    /// walk.
-    pub max_rounds: u32,
-    /// Partial-view capacity (freshest entries win).
-    pub view_size: usize,
-    /// View entries unseen for longer than this are evicted as stale.
-    pub max_age: SimTime,
-    /// Responder serving budget: sustained `PeerList` replies per
-    /// second. A dry bucket drops the request silently — the
-    /// requester's timeout+backoff spreads the crowd out.
-    pub serve_rate_per_s: f64,
-    /// Serving-budget burst capacity.
-    pub serve_burst: f64,
-    /// Peers shared per `PeerList` reply.
-    pub gossip_fanout: usize,
     /// Rank probe targets by virtual-coordinate distance instead of
     /// freshness (coordinate-embedding extension). Only effective when
     /// the agent also runs an embedding; the joiner then probes its
@@ -76,25 +74,6 @@ pub struct DiscoveryConfig {
     /// responder — the walk anchor — is already near the joiner's
     /// predicted tree region.
     pub coord_ranked: bool,
-}
-
-impl Default for DiscoveryConfig {
-    fn default() -> Self {
-        Self {
-            seeds: Vec::new(),
-            fanout: 2,
-            request_timeout: SimTime::from_secs(2),
-            backoff: 2.0,
-            jitter_frac: 0.0,
-            max_rounds: 4,
-            view_size: 12,
-            max_age: SimTime::from_secs(120),
-            serve_rate_per_s: 4.0,
-            serve_burst: 8.0,
-            gossip_fanout: 6,
-            coord_ranked: false,
-        }
-    }
 }
 
 /// One partial-view entry.
@@ -142,7 +121,7 @@ impl DiscoveryState {
             round: 0,
             started_at: None,
             finished: false,
-            serve: TokenBucket::full(cfg.serve_burst, now),
+            serve: TokenBucket::full(SERVE_BURST, now),
         };
         for &h in &cfg.seeds {
             s.observe_at(h, me, now);
@@ -159,7 +138,7 @@ impl DiscoveryState {
     }
 
     /// Record that `host` was seen (gossip or direct contact) at `at`.
-    /// The view keeps the freshest `view_size` entries; `me` is never
+    /// The view keeps the freshest `VIEW_SIZE` entries; `me` is never
     /// inserted.
     pub fn observe_at(&mut self, host: HostId, me: HostId, at: SimTime) {
         if host == me {
@@ -175,7 +154,7 @@ impl DiscoveryState {
             tried: false,
             coord: None,
         });
-        if self.view.len() > self.cfg.view_size {
+        if self.view.len() > VIEW_SIZE {
             // Evict the oldest entry (ties broken by host id so the
             // view is deterministic regardless of insertion order).
             let mut oldest = 0;
@@ -212,14 +191,13 @@ impl DiscoveryState {
             .and_then(|e| e.coord)
     }
 
-    /// Drop entries unseen for longer than `max_age`.
+    /// Drop entries unseen for longer than [`MAX_AGE`].
     fn evict_stale(&mut self, now: SimTime) {
-        let max_age = self.cfg.max_age;
         self.view
-            .retain(|e| now.saturating_sub(e.seen_at) <= max_age);
+            .retain(|e| now.saturating_sub(e.seen_at) <= MAX_AGE);
     }
 
-    /// Begin a probe round: evict stale entries and pick up to `fanout`
+    /// Begin a probe round: evict stale entries and pick up to `FANOUT`
     /// untried entries, freshest first (host id breaks ties). When
     /// every live entry has been tried and rounds remain, the tried
     /// flags reset — a later pass re-probes seeds that shed us under
@@ -231,7 +209,7 @@ impl DiscoveryState {
     /// Returns the empty vector when the round budget or the view is
     /// exhausted: the caller falls back to the source walk.
     pub fn begin_round(&mut self, now: SimTime, self_coord: Option<Coord>) -> Vec<HostId> {
-        if self.round >= self.cfg.max_rounds {
+        if self.round >= MAX_ROUNDS {
             return Vec::new();
         }
         self.evict_stale(now);
@@ -255,7 +233,7 @@ impl DiscoveryState {
             let (ea, eb) = (&self.view[a], &self.view[b]);
             dist(ea).total_cmp(&dist(eb)).then(freshest_first(ea, eb))
         });
-        order.truncate(self.cfg.fanout.max(1));
+        order.truncate(FANOUT);
         let targets: Vec<HostId> = order
             .iter()
             .map(|&i| {
@@ -287,17 +265,16 @@ impl DiscoveryState {
         Some(self.inflight.swap_remove(i).1)
     }
 
-    /// Take one serving token (refilled at `serve_rate_per_s` up to
-    /// `serve_burst`); `false` means the request should be dropped.
+    /// Take one serving token (refilled at `SERVE_RATE_PER_S` up to
+    /// `SERVE_BURST`); `false` means the request should be dropped.
     pub fn serve_take(&mut self, now: SimTime) -> bool {
-        self.serve
-            .refill(now, self.cfg.serve_rate_per_s, self.cfg.serve_burst);
+        self.serve.refill(now, SERVE_RATE_PER_S, SERVE_BURST);
         self.serve.take()
     }
 
     /// Sample peers to share with `asker`: tree neighbours first (our
     /// parent and children are verified live), then the freshest view
-    /// entries, capped at `gossip_fanout`. Ages are attached so the
+    /// entries, capped at `GOSSIP_FANOUT`. Ages are attached so the
     /// receiver can stamp the entries into its own view.
     pub fn share(
         &self,
@@ -324,7 +301,7 @@ impl DiscoveryState {
         for e in by_age {
             push(e.host, now.saturating_sub(e.seen_at).as_secs(), &mut out);
         }
-        out.truncate(self.cfg.gossip_fanout.max(1));
+        out.truncate(GOSSIP_FANOUT);
         out
     }
 }
@@ -377,12 +354,12 @@ impl DiscoveryState {
             // Deadlines stretch exponentially across rounds — the same
             // retry machinery as failed walks — which is what lets a
             // shedding seed's serving bucket refill between re-probes.
-            let c = &self.cfg;
+            // No jitter, so no RNG draw.
             let d = crate::walk::scaled_delay(
-                c.request_timeout,
-                c.backoff,
+                REQUEST_TIMEOUT,
+                BACKOFF,
                 round.saturating_sub(1),
-                c.jitter_frac,
+                0.0,
                 ctx,
             );
             ctx.timer(d, DISCOVERY_TOKEN_BIT | nonce);
@@ -570,13 +547,13 @@ mod tests {
 
     #[test]
     fn view_caps_at_view_size_keeping_freshest() {
-        let mut c = cfg(&[]);
-        c.view_size = 3;
-        let mut d = DiscoveryState::new(&c, ME, SimTime::ZERO);
-        for i in 1..=5u32 {
+        let mut d = DiscoveryState::new(&cfg(&[]), ME, SimTime::ZERO);
+        for i in 1..=VIEW_SIZE as u32 + 3 {
             d.observe_at(HostId(i), ME, SimTime::from_secs(i as u64));
         }
-        assert_eq!(view_hosts(&d), vec![HostId(5), HostId(4), HostId(3)]);
+        // Fifteen hosts seen one second apart: the three oldest go.
+        let freshest: Vec<HostId> = (4..=15).rev().map(HostId).collect();
+        assert_eq!(view_hosts(&d), freshest);
     }
 
     #[test]
@@ -594,15 +571,15 @@ mod tests {
 
     #[test]
     fn serve_bucket_drains_and_refills() {
-        let mut c = cfg(&[]);
-        c.serve_rate_per_s = 1.0;
-        c.serve_burst = 2.0;
-        let mut d = DiscoveryState::new(&c, ME, SimTime::ZERO);
-        assert!(d.serve_take(SimTime::ZERO));
-        assert!(d.serve_take(SimTime::ZERO));
-        assert!(!d.serve_take(SimTime::ZERO), "burst spent");
-        assert!(d.serve_take(SimTime::from_secs(1)), "refilled");
-        assert!(!d.serve_take(SimTime::from_secs(1)));
+        let mut d = DiscoveryState::new(&cfg(&[]), ME, SimTime::ZERO);
+        for i in 0..8 {
+            assert!(d.serve_take(SimTime::ZERO), "burst token {i}");
+        }
+        assert!(!d.serve_take(SimTime::ZERO), "burst of 8 spent");
+        // 4 tokens/s: one token takes 250 ms to refill.
+        assert!(!d.serve_take(SimTime::from_ms(249.0)), "not yet refilled");
+        assert!(d.serve_take(SimTime::from_ms(250.0)), "refilled");
+        assert!(!d.serve_take(SimTime::from_ms(250.0)));
     }
 
     #[test]
@@ -629,7 +606,6 @@ mod tests {
     fn coord_ranked_rounds_probe_nearest_first() {
         let mut c = cfg(&[1, 2, 3]);
         c.coord_ranked = true;
-        c.fanout = 2;
         let mut d = DiscoveryState::new(&c, ME, SimTime::ZERO);
         let at = |x: f64| CoordSample {
             coord: Coord([x, 0.0, 0.0, 0.0]),

@@ -55,8 +55,8 @@ pub struct DriverConfig {
     pub loss_probe_noise: f64,
     /// Enable the NS-2-style queueing data plane (routed underlays
     /// only): data packets pay serialization/queueing per link and
-    /// drop on buffer overflow.
-    pub data_plane: Option<vdm_netsim::DataPlaneConfig>,
+    /// drop on buffer overflow (see [`vdm_netsim::dataplane`]).
+    pub data_plane: bool,
 }
 
 impl Default for DriverConfig {
@@ -66,7 +66,7 @@ impl Default for DriverConfig {
             compute_stress: false,
             compute_mst_ratio: false,
             loss_probe_noise: 0.0,
-            data_plane: None,
+            data_plane: false,
         }
     }
 }
@@ -509,8 +509,8 @@ impl<F: AgentFactory> Driver<F> {
             }
             eng
         };
-        if let Some(dp_cfg) = cfg.data_plane {
-            eng.enable_data_plane(dp_cfg);
+        if cfg.data_plane {
+            eng.enable_data_plane();
         }
         let mut world = WorldState {
             factories,

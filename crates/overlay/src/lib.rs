@@ -18,8 +18,7 @@
 //!   that runs walks, answers queries, forwards the stream, reconnects
 //!   orphans at the grandparent and optionally refines periodically;
 //! * [`arena`] — flat struct-of-arrays per-host state ([`HostArena`])
-//!   indexed by contiguous host id, so a sharded run can hand each shard
-//!   world its own contiguous slice of driver state;
+//!   indexed by contiguous host id;
 //! * [`discovery`] — decentralized bootstrap membership: iterative peer
 //!   discovery from a small seed set over a gossiped partial view, so a
 //!   walk can start from a discovered live anchor instead of the source;
@@ -61,7 +60,7 @@ pub mod walk;
 
 pub use agent::{AdmissionConfig, AgentConfig, Ctx, OverlayAgent, ProtocolAgent, ResilienceConfig};
 pub use arena::HostArena;
-pub use coords::{Coord, CoordSample, CoordTable, CoordsConfig, VivaldiState};
+pub use coords::{Coord, CoordSample, CoordTable, VivaldiState};
 pub use core::{CoreIo, Input, Output, ProtocolCore};
 pub use discovery::{DiscoveryConfig, DiscoveryState};
 pub use driver::{Driver, DriverConfig, RunOutput};

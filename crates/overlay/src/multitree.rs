@@ -695,14 +695,10 @@ mod tests {
         // cross-tree repair can keep stripe 0 alive.
         let cfg = AgentConfig {
             data_timeout: None,
-            repair: Some(RepairConfig {
-                nack_retries: 8,
-                ..RepairConfig::default()
-            }),
+            repair: Some(RepairConfig::default()),
             cross_repair: Some(AdmissionConfig {
                 rate_per_s: 10.0,
                 burst: 10.0,
-                ..AdmissionConfig::default()
             }),
             ..AgentConfig::default()
         };

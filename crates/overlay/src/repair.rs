@@ -23,22 +23,25 @@
 use std::collections::VecDeque;
 use vdm_netsim::SimTime;
 
-/// Tunables of the gap-repair machinery.
+/// Chunk sequence numbers each peer retains for retransmission.
+pub(crate) const RING: usize = 64;
+/// Delay between detecting a gap and the first NACK (lets ordinary
+/// reordering fill the hole for free).
+const NACK_DELAY: SimTime = SimTime(250_000);
+/// Spacing between NACK retries for the same chunk.
+const NACK_PERIOD: SimTime = SimTime(1_000_000);
+/// NACK attempts per missing chunk before giving up.
+const NACK_RETRIES: u32 = 3;
+
+/// Tunables of the gap-repair machinery: the lookback window and the
+/// stripe this receiver expects. The ring and NACK timing are the
+/// constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairConfig {
-    /// Chunk sequence numbers retained for retransmission.
-    pub ring: usize,
     /// How far behind the watermark a missing chunk may trail before it
     /// is declared lost (bounds both memory and NACK traffic after a
     /// long outage).
     pub window: u64,
-    /// Delay between detecting a gap and the first NACK (lets ordinary
-    /// reordering fill the hole for free).
-    pub nack_delay: SimTime,
-    /// Spacing between NACK retries for the same chunk.
-    pub nack_period: SimTime,
-    /// NACK attempts per missing chunk before giving up.
-    pub nack_retries: u32,
     /// Stride of the sequence numbers this receiver expects (multi-tree
     /// striping: tree `t` of `k` carries only `seq % k == t`). `1` is
     /// the plain single-tree stream and keeps every computation
@@ -52,11 +55,7 @@ pub struct RepairConfig {
 impl Default for RepairConfig {
     fn default() -> Self {
         Self {
-            ring: 64,
             window: 64,
-            nack_delay: SimTime::from_ms(250.0),
-            nack_period: SimTime::from_secs(1),
-            nack_retries: 3,
             stride: 1,
             stripe: 0,
         }
@@ -188,7 +187,7 @@ impl GapTracker {
                         self.missing.push(Missing {
                             seq: s,
                             nacks: 0,
-                            due_at: now + cfg.nack_delay,
+                            due_at: now + NACK_DELAY,
                         });
                     }
                     s = match s.checked_add(stride) {
@@ -244,7 +243,7 @@ impl GapTracker {
                 self.missing.push(Missing {
                     seq: s,
                     nacks: 0,
-                    due_at: now + cfg.nack_delay,
+                    due_at: now + NACK_DELAY,
                 });
                 added += 1;
             }
@@ -276,19 +275,19 @@ impl GapTracker {
     /// Collect the sequence numbers whose NACK is due, bumping their
     /// retry state; chunks out of retries are declared lost. Returns
     /// the NACK batch (empty if nothing is due yet).
-    pub fn due_nacks(&mut self, now: SimTime, cfg: &RepairConfig) -> Vec<u64> {
+    pub fn due_nacks(&mut self, now: SimTime) -> Vec<u64> {
         let mut batch = Vec::new();
         let mut lost = 0u64;
         self.missing.retain_mut(|m| {
             if m.due_at > now {
                 return true;
             }
-            if m.nacks >= cfg.nack_retries {
+            if m.nacks >= NACK_RETRIES {
                 lost += 1;
                 return false;
             }
             m.nacks += 1;
-            m.due_at = now + cfg.nack_period;
+            m.due_at = now + NACK_PERIOD;
             batch.push(m.seq);
             true
         });
@@ -370,21 +369,24 @@ mod tests {
     #[test]
     fn nack_scheduling_retries_then_gives_up() {
         let mut g = GapTracker::default();
-        let c = RepairConfig {
-            nack_retries: 2,
-            ..cfg()
-        };
+        let c = cfg();
         let t0 = SimTime::from_secs(1);
         g.on_chunk(4, Some(1), t0, &c); // missing 2, 3
-        assert!(g.due_nacks(t0, &c).is_empty(), "nack delay not elapsed");
-        let t1 = t0 + c.nack_delay;
-        assert_eq!(g.due_nacks(t1, &c), vec![2, 3]);
-        // Chunk 3 gets repaired; chunk 2 exhausts its retries.
+        assert!(g.due_nacks(t0).is_empty(), "nack delay not elapsed");
+        let t1 = t0 + NACK_DELAY;
+        assert_eq!(g.due_nacks(t1), vec![2, 3]);
+        // Chunk 3 gets repaired; chunk 2 exhausts its three NACKs.
         assert_eq!(g.on_chunk(3, Some(4), t1, &c), ChunkClass::Repaired);
-        let t2 = t1 + c.nack_period;
-        assert_eq!(g.due_nacks(t2, &c), vec![2]);
-        let t3 = t2 + c.nack_period;
-        assert!(g.due_nacks(t3, &c).is_empty());
+        let t2 = t1 + NACK_PERIOD;
+        assert!(
+            g.due_nacks(t2 - SimTime(1)).is_empty(),
+            "period not elapsed"
+        );
+        assert_eq!(g.due_nacks(t2), vec![2]);
+        let t3 = t2 + NACK_PERIOD;
+        assert_eq!(g.due_nacks(t3), vec![2]);
+        let t4 = t3 + NACK_PERIOD;
+        assert!(g.due_nacks(t4).is_empty());
         assert_eq!(g.pending(), 0);
         assert_eq!(g.lost, 1);
         assert_eq!(g.next_due(), None);
@@ -465,12 +467,12 @@ mod tests {
         g.on_chunk(u64::MAX, Some(0), t, &c);
         assert_eq!(g.lost, u64::MAX);
         // Give-ups after the saturation point keep it pinned.
-        let t_due = t + c.nack_delay;
-        for _ in 0..=c.nack_retries {
-            g.due_nacks(t_due, &c);
+        let t_due = t + NACK_DELAY;
+        for _ in 0..=NACK_RETRIES {
+            g.due_nacks(t_due);
         }
-        let far = t_due + c.nack_period + c.nack_period + c.nack_period + c.nack_period;
-        g.due_nacks(far, &c);
+        let far = t_due + NACK_PERIOD + NACK_PERIOD + NACK_PERIOD + NACK_PERIOD;
+        g.due_nacks(far);
         assert_eq!(g.lost, u64::MAX);
     }
 
@@ -513,11 +515,11 @@ mod tests {
         assert_eq!(g.note_absent(12, Some(4), t, &c), 0);
         assert_eq!(g.note_absent(4, Some(4), t, &c), 0);
         // NACKs fire after the usual delay.
-        assert!(g.due_nacks(t, &c).is_empty());
-        assert_eq!(g.due_nacks(t + c.nack_delay, &c), vec![6, 8, 10, 12]);
+        assert!(g.due_nacks(t).is_empty());
+        assert_eq!(g.due_nacks(t + NACK_DELAY), vec![6, 8, 10, 12]);
         // An arrival above the watermark clears its own hole.
         assert_eq!(g.on_chunk(8, Some(4), t, &c), ChunkClass::Fresh);
-        let batch = g.due_nacks(t + c.nack_delay + c.nack_period, &c);
+        let batch = g.due_nacks(t + NACK_DELAY + NACK_PERIOD);
         assert_eq!(batch, vec![6, 10, 12]);
     }
 
@@ -540,6 +542,6 @@ mod tests {
         let c = cfg();
         let t0 = SimTime::from_secs(1);
         g.on_chunk(3, Some(1), t0, &c);
-        assert_eq!(g.next_due(), Some(t0 + c.nack_delay));
+        assert_eq!(g.next_due(), Some(t0 + NACK_DELAY));
     }
 }

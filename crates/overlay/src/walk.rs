@@ -10,7 +10,7 @@
 //! fallback node; the protocol supplies a [`WalkPolicy`].
 
 use crate::agent::Ctx;
-use crate::coords::{pair_seed, CoordSample, CoordsConfig, VivaldiState};
+use crate::coords::{pair_seed, CoordSample, VivaldiState};
 use crate::msg::{ChildEntry, ConnKind, ConnResult, Msg};
 use crate::VDist;
 use vdm_netsim::{HostId, SimTime};
@@ -201,18 +201,21 @@ enum Phase {
     },
 }
 
-/// Tunables of the walk mechanics.
+/// Deadline for each probe/connect round (before backoff).
+pub(crate) const TIMEOUT: SimTime = SimTime(2_000_000);
+/// Info-request retries per node before restarting the walk.
+pub(crate) const INFO_RETRIES: u32 = 1;
+
+/// Tunables of the walk mechanics. Each round's deadline is `TIMEOUT`
+/// and a silent node gets `INFO_RETRIES` more info requests.
 #[derive(Clone, Copy, Debug)]
 pub struct WalkConfig {
-    /// Deadline for each probe/connect round.
-    pub timeout: SimTime,
-    /// Info-request retries per node before restarting the walk.
-    pub info_retries: u32,
     /// Walk restarts (from the fallback node) before giving up.
     pub max_restarts: u32,
-    /// Per-restart exponential multiplier on `timeout` (`1.0` keeps the
-    /// paper's fixed deadlines; chaos runs use `> 1.0` so a walk under
-    /// partition backs off instead of hammering a dead path).
+    /// Per-restart exponential multiplier on the round deadline (`1.0`
+    /// keeps the paper's fixed deadlines; chaos runs use `> 1.0` so a
+    /// walk under partition backs off instead of hammering a dead
+    /// path).
     pub backoff: f64,
     /// Uniform ± fraction of jitter applied to every deadline. `0.0`
     /// draws no randomness at all, leaving the RNG streams of existing
@@ -231,8 +234,6 @@ pub struct WalkConfig {
 impl Default for WalkConfig {
     fn default() -> Self {
         Self {
-            timeout: SimTime::from_ms(2_000.0),
-            info_retries: 1,
             max_restarts: 4,
             backoff: 1.0,
             jitter_frac: 0.0,
@@ -292,7 +293,7 @@ pub(crate) struct Measured {
     /// The walker's own embedding state, updated from every measured
     /// RTT whose reply piggybacked a remote sample. `None` (coords off)
     /// makes every coordinate branch in this walk a no-op.
-    pub(crate) coords: Option<(VivaldiState, CoordsConfig)>,
+    pub(crate) coords: Option<VivaldiState>,
     /// Remote samples learned this walk, for the agent's peer-coord
     /// cache (dedup is the agent's job).
     pub(crate) coord_harvest: Vec<(HostId, CoordSample)>,
@@ -316,8 +317,8 @@ impl Measured {
         let loss = policy.needs_loss().then(|| ctx.estimate_loss(from));
         let d = policy.vdist(rtt_ms, loss.unwrap_or(0.0));
         self.harvest.push((from, d));
-        if let (Some((state, cfg)), Some(sample)) = (self.coords.as_mut(), remote) {
-            let step = state.update(sample, rtt_ms, cfg, pair_seed(ctx.me, from));
+        if let (Some(state), Some(sample)) = (self.coords.as_mut(), remote) {
+            let step = state.update(sample, rtt_ms, pair_seed(ctx.me, from));
             let err = state.err;
             self.coord_harvest.push((from, sample));
             ctx.stats.recovery.coord_updates += 1;
@@ -374,7 +375,7 @@ impl Walk {
         cfg: WalkConfig,
         gen_base: u64,
         refine_baseline: Option<VDist>,
-        coords: Option<(VivaldiState, CoordsConfig)>,
+        coords: Option<VivaldiState>,
         ctx: &mut Ctx<'_>,
     ) -> Self {
         let mut w = Self {
@@ -420,12 +421,12 @@ impl Walk {
 
     /// The walker's sample for outgoing piggyback fields.
     fn coord_sample(&self) -> Option<CoordSample> {
-        self.seen.coords.map(|(s, _)| s.sample())
+        self.seen.coords.map(|s| s.sample())
     }
 
     fn arm_deadline(&self, ctx: &mut Ctx<'_>) {
         let t = scaled_delay(
-            self.cfg.timeout,
+            TIMEOUT,
             self.cfg.backoff,
             self.restarts,
             self.cfg.jitter_frac,
@@ -466,7 +467,7 @@ impl Walk {
                 self.visited.pop();
                 self.visited_coords.pop();
             }
-            let coord_dist: Option<Vec<VDist>> = self.seen.coords.as_ref().map(|(state, _)| {
+            let coord_dist: Option<Vec<VDist>> = self.seen.coords.as_ref().map(|state| {
                 self.visited_coords
                     .iter()
                     .map(|c| c.map_or(VDist::INFINITY, |s| state.coord.dist(s.coord)))
@@ -640,7 +641,7 @@ impl Walk {
             return None; // stale deadline from an earlier phase
         }
         match &mut self.phase {
-            Phase::AwaitInfo { retries, .. } if *retries < self.cfg.info_retries => {
+            Phase::AwaitInfo { retries, .. } if *retries < INFO_RETRIES => {
                 let retries = *retries + 1;
                 self.begin_info(ctx, retries);
                 None

@@ -33,4 +33,4 @@ pub mod space;
 pub use bandwidth::UplinkModel;
 pub use pool::{NodeHealth, NodePool, PoolConfig};
 pub use session::{SessionConfig, SessionRunner};
-pub use space::{build_latency_space, SpaceConfig};
+pub use space::build_latency_space;

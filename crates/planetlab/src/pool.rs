@@ -28,21 +28,23 @@ pub enum NodeHealth {
     Lazy,
 }
 
-/// Pool generation parameters.
+/// Fraction of dead nodes.
+const DEAD_FRAC: f64 = 0.15;
+/// Fraction blocking pings.
+const BLOCKS_PING_FRAC: f64 = 0.08;
+/// Fraction with broken agents.
+const AGENT_BROKEN_FRAC: f64 = 0.07;
+/// Fraction of lazy (slow-responding) nodes among the survivors.
+const LAZY_FRAC: f64 = 0.10;
+
+/// Pool generation parameters: where the sites are and how many. The
+/// health mix is the constants above.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
     /// Regions sites are drawn from.
     pub regions: Vec<Region>,
     /// Raw pool size before filtering.
     pub raw_nodes: usize,
-    /// Fraction of dead nodes.
-    pub dead_frac: f64,
-    /// Fraction blocking pings.
-    pub blocks_ping_frac: f64,
-    /// Fraction with broken agents.
-    pub agent_broken_frac: f64,
-    /// Fraction of lazy (slow-responding) nodes among the survivors.
-    pub lazy_frac: f64,
 }
 
 impl PoolConfig {
@@ -52,10 +54,6 @@ impl PoolConfig {
         Self {
             regions: vdm_topology::geo::us_regions(),
             raw_nodes: 200,
-            dead_frac: 0.15,
-            blocks_ping_frac: 0.08,
-            agent_broken_frac: 0.07,
-            lazy_frac: 0.10,
         }
     }
 
@@ -64,10 +62,6 @@ impl PoolConfig {
         Self {
             regions: vdm_topology::geo::planetlab_regions(),
             raw_nodes,
-            dead_frac: 0.15,
-            blocks_ping_frac: 0.08,
-            agent_broken_frac: 0.07,
-            lazy_frac: 0.10,
         }
     }
 }
@@ -96,17 +90,13 @@ impl NodePool {
             .into_iter()
             .map(|site| {
                 let r: f64 = rng.gen();
-                let health = if r < cfg.dead_frac {
+                let health = if r < DEAD_FRAC {
                     NodeHealth::Dead
-                } else if r < cfg.dead_frac + cfg.blocks_ping_frac {
+                } else if r < DEAD_FRAC + BLOCKS_PING_FRAC {
                     NodeHealth::BlocksPing
-                } else if r < cfg.dead_frac + cfg.blocks_ping_frac + cfg.agent_broken_frac {
+                } else if r < DEAD_FRAC + BLOCKS_PING_FRAC + AGENT_BROKEN_FRAC {
                     NodeHealth::AgentBroken
-                } else if r < cfg.dead_frac
-                    + cfg.blocks_ping_frac
-                    + cfg.agent_broken_frac
-                    + cfg.lazy_frac
-                {
+                } else if r < DEAD_FRAC + BLOCKS_PING_FRAC + AGENT_BROKEN_FRAC + LAZY_FRAC {
                     NodeHealth::Lazy
                 } else {
                     NodeHealth::Working

@@ -9,7 +9,7 @@
 //! processes only. In the remaining 3000 seconds, churn takes place."
 
 use crate::pool::{NodePool, PoolConfig};
-use crate::space::{build_latency_space, SpaceConfig};
+use crate::space::build_latency_space;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use vdm_netsim::{HostId, LatencySpace, SimTime, Underlay};
@@ -23,8 +23,6 @@ use vdm_topology::geo::Site;
 pub struct SessionConfig {
     /// Pool synthesis.
     pub pool: PoolConfig,
-    /// Latency-space synthesis.
-    pub space: SpaceConfig,
     /// Overlay population (paper: 100 out of ≈ 140 working nodes).
     pub nodes: usize,
     /// Per-node degree limit range, inclusive (paper: fixed 4).
@@ -51,7 +49,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         Self {
             pool: PoolConfig::us_paper(),
-            space: SpaceConfig::default(),
             nodes: 100,
             degree: (4, 4),
             uplink: None,
@@ -88,7 +85,7 @@ impl SessionRunner {
     /// space, and select `cfg.nodes` experiment nodes.
     pub fn prepare(cfg: &SessionConfig, seed: u64) -> Self {
         let (sites, lazy) = NodePool::generate(&cfg.pool, seed).working_sites();
-        let space = build_latency_space(&sites, &lazy, &cfg.space, seed);
+        let space = build_latency_space(&sites, &lazy, seed);
         assert!(
             sites.len() > cfg.nodes,
             "working pool ({}) must exceed the experiment size ({})",
@@ -170,7 +167,7 @@ impl SessionRunner {
             compute_stress: false,
             compute_mst_ratio: self.cfg.compute_mst_ratio,
             loss_probe_noise: 0.0,
-            data_plane: None,
+            data_plane: false,
         }
     }
 

@@ -15,42 +15,23 @@ use vdm_netsim::underlay::LazyProfile;
 use vdm_netsim::{HostId, LatencySpace};
 use vdm_topology::geo::{site_rtt_ms, Site};
 
-/// Latency-space synthesis parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SpaceConfig {
-    /// Mean of `ln(inflation)`; e.g. 0.35 → median inflation ≈ 1.42
-    /// (real Internet paths average ~1.5–2× the great-circle time).
-    pub inflation_mu: f64,
-    /// Std-dev of `ln(inflation)`.
-    pub inflation_sigma: f64,
-    /// Per-probe multiplicative jitter amplitude (±fraction).
-    pub jitter_frac: f64,
-    /// Base per-path loss probability.
-    pub base_loss: f64,
-    /// Fraction of paths with extra loss.
-    pub lossy_path_frac: f64,
-    /// Maximum extra loss on lossy paths.
-    pub lossy_path_extra: f64,
-    /// Extra response delay of lazy nodes, ms (tail).
-    pub lazy_extra_ms: f64,
-    /// Probability a packet toward a lazy node hits the slow path.
-    pub lazy_prob: f64,
-}
-
-impl Default for SpaceConfig {
-    fn default() -> Self {
-        Self {
-            inflation_mu: 0.35,
-            inflation_sigma: 0.25,
-            jitter_frac: 0.08,
-            base_loss: 0.002,
-            lossy_path_frac: 0.08,
-            lossy_path_extra: 0.04,
-            lazy_extra_ms: 800.0,
-            lazy_prob: 0.05,
-        }
-    }
-}
+/// Mean of `ln(inflation)`: 0.35 → median inflation ≈ 1.42 (real
+/// Internet paths average ~1.5–2× the great-circle time).
+const INFLATION_MU: f64 = 0.35;
+/// Std-dev of `ln(inflation)`.
+const INFLATION_SIGMA: f64 = 0.25;
+/// Per-probe multiplicative jitter amplitude (±fraction).
+const JITTER_FRAC: f64 = 0.08;
+/// Base per-path loss probability.
+const BASE_LOSS: f64 = 0.002;
+/// Fraction of paths with extra loss.
+const LOSSY_PATH_FRAC: f64 = 0.08;
+/// Maximum extra loss on lossy paths.
+const LOSSY_PATH_EXTRA: f64 = 0.04;
+/// Extra response delay of lazy nodes, ms (tail).
+const LAZY_EXTRA_MS: f64 = 800.0;
+/// Probability a packet toward a lazy node hits the slow path.
+const LAZY_PROB: f64 = 0.05;
 
 /// Approximate standard normal via the sum of 12 uniforms (good enough
 /// for synthesis; keeps us off extra dependencies).
@@ -60,12 +41,7 @@ fn gauss(rng: &mut StdRng) -> f64 {
 
 /// Build the latency space over `sites`; `lazy[i]` marks slow
 /// responders. Deterministic in `seed`.
-pub fn build_latency_space(
-    sites: &[Site],
-    lazy: &[bool],
-    cfg: &SpaceConfig,
-    seed: u64,
-) -> LatencySpace {
+pub fn build_latency_space(sites: &[Site], lazy: &[bool], seed: u64) -> LatencySpace {
     assert_eq!(sites.len(), lazy.len());
     let n = sites.len();
     assert!(n >= 2, "need at least two sites");
@@ -75,13 +51,13 @@ pub fn build_latency_space(
     for i in 0..n {
         for j in (i + 1)..n {
             let base = site_rtt_ms(&sites[i], &sites[j]);
-            let inflation = (cfg.inflation_mu + cfg.inflation_sigma * gauss(&mut rng)).exp();
+            let inflation = (INFLATION_MU + INFLATION_SIGMA * gauss(&mut rng)).exp();
             let r = (base * inflation.max(1.0)).max(0.2);
             rtt[i][j] = r;
             rtt[j][i] = r;
-            let mut p = cfg.base_loss;
-            if rng.gen::<f64>() < cfg.lossy_path_frac {
-                p += rng.gen::<f64>() * cfg.lossy_path_extra;
+            let mut p = BASE_LOSS;
+            if rng.gen::<f64>() < LOSSY_PATH_FRAC {
+                p += rng.gen::<f64>() * LOSSY_PATH_EXTRA;
             }
             loss[i][j] = p;
             loss[j][i] = p;
@@ -89,14 +65,14 @@ pub fn build_latency_space(
     }
     let mut space = LatencySpace::from_rtt_matrix(&rtt)
         .with_loss_matrix(&loss)
-        .with_jitter(cfg.jitter_frac);
+        .with_jitter(JITTER_FRAC);
     for (i, &l) in lazy.iter().enumerate() {
         if l {
             space.set_lazy(
                 HostId(i as u32),
                 LazyProfile {
-                    prob: cfg.lazy_prob,
-                    extra_ms: cfg.lazy_extra_ms,
+                    prob: LAZY_PROB,
+                    extra_ms: LAZY_EXTRA_MS,
                 },
             );
         }
@@ -114,10 +90,7 @@ mod tests {
         let pool = NodePool::generate(&PoolConfig::us_paper(), seed);
         let (sites, lazy) = pool.working_sites();
         let n = sites.len();
-        (
-            build_latency_space(&sites, &lazy, &SpaceConfig::default(), seed),
-            n,
-        )
+        (build_latency_space(&sites, &lazy, seed), n)
     }
 
     #[test]

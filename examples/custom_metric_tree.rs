@@ -51,7 +51,7 @@ fn main() {
                 compute_stress: true,
                 compute_mst_ratio: false,
                 loss_probe_noise: 0.002,
-                data_plane: None,
+                data_plane: false,
             },
             seed,
         ));

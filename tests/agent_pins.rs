@@ -21,7 +21,6 @@ use vdm_experiments::{Protocol, Session};
 use vdm_netsim::engine::Counters;
 use vdm_netsim::SimTime;
 use vdm_overlay::agent::{AdmissionConfig, AgentConfig, ResilienceConfig};
-use vdm_overlay::coords::CoordsConfig;
 use vdm_overlay::driver::{Driver, DriverConfig};
 use vdm_overlay::repair::RepairConfig;
 use vdm_overlay::scenario::{ChurnConfig, FlashCrowdConfig, Scenario, SoakConfig};
@@ -142,7 +141,6 @@ fn soak_agent(base: AgentConfig) -> AgentConfig {
         admission: Some(AdmissionConfig {
             rate_per_s: 0.5,
             burst: 1.0,
-            ..AdmissionConfig::default()
         }),
         repair: Some(RepairConfig::default()),
         ..base.hardened()
@@ -255,7 +253,7 @@ fn guided_flash_crowd() -> (Counters, u64, RunStats) {
     };
     let guided = |a| {
         let mut a = bootstrap_resilient(a);
-        a.coords = Some(CoordsConfig::default());
+        a.coords = true;
         if let Some(r) = a.resilience.as_mut() {
             r.coord_ranked = true;
         }

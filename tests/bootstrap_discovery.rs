@@ -13,7 +13,6 @@ use vdm_experiments::figures::bootstrap::{bootstrap_family_smoke, resilient};
 use vdm_experiments::report::Field;
 use vdm_experiments::setup::ch3_setup;
 use vdm_overlay::agent::AgentConfig;
-use vdm_overlay::coords::CoordsConfig;
 use vdm_overlay::driver::RunOutput;
 use vdm_overlay::scenario::{ChurnConfig, FlashCrowdConfig, Scenario};
 use vdm_overlay::DiscoveryConfig;
@@ -126,7 +125,7 @@ fn guided_entry_composes_with_discovery() {
     };
     let guided_agent = |a| {
         let mut a = resilient(a);
-        a.coords = Some(CoordsConfig::default());
+        a.coords = true;
         if let Some(r) = a.resilience.as_mut() {
             r.coord_ranked = true;
         }

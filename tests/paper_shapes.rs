@@ -34,7 +34,7 @@ fn ch3_metrics(proto: Protocol, seed: u64) -> vdm_experiments::extract::RunMetri
             compute_stress: true,
             compute_mst_ratio: true,
             loss_probe_noise: 0.0,
-            data_plane: None,
+            data_plane: false,
         },
         seed,
     ));

@@ -45,7 +45,7 @@ fn ch3_run(proto: Protocol, members: usize, churn: f64, seed: u64) -> RunOutput 
             compute_stress: true,
             compute_mst_ratio: false,
             loss_probe_noise: 0.002,
-            data_plane: None,
+            data_plane: false,
         },
         seed,
     ))

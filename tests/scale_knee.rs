@@ -11,7 +11,7 @@ use common::assert_smoke_report;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use vdm_experiments::figures::scale;
 use vdm_netsim::HostId;
-use vdm_overlay::coords::{pair_seed, CoordsConfig, VivaldiState};
+use vdm_overlay::coords::{pair_seed, VivaldiState, ERR_FLOOR, ERR_INIT, MAX_COORD};
 
 /// The CI knee gate (heavy: a 10k-member triple sweep, so `#[ignore]`d
 /// by default; CI runs it in release with `--include-ignored`). At the
@@ -57,41 +57,40 @@ fn guided_joins_undercut_unguided_at_smoke_sizes() {
 
 proptest! {
     /// The Vivaldi update is a pure function of (state, sample, rtt,
-    /// config, pair seed): same inputs, bit-identical output — and no
+    /// pair seed): same inputs, bit-identical output — and no
     /// RTT stream, however adversarial (including zero and coincident
     /// coordinates), drives a coordinate or error estimate non-finite
-    /// or past the configured clamps.
+    /// or past the clamps.
     #[test]
     fn vivaldi_update_is_deterministic_and_finite(
         seed in 0u64..1u64 << 48,
         rtts in proptest::collection::vec(0.0f64..2000.0, 1..64),
     ) {
-        let cfg = CoordsConfig::default();
         let me = HostId((seed % 509) as u32);
-        let mut a = VivaldiState::new(&cfg);
-        let mut b = VivaldiState::new(&cfg);
-        let mut remote = VivaldiState::new(&cfg);
+        let mut a = VivaldiState::default();
+        let mut b = VivaldiState::default();
+        let mut remote = VivaldiState::default();
         for (i, &rtt) in rtts.iter().enumerate() {
             let peer = HostId(((seed >> 8) % 521) as u32 + 1000 + (i % 7) as u32);
             let ps = pair_seed(me, peer);
             let sample = remote.sample();
-            let step_a = a.update(sample, rtt, &cfg, ps);
-            let step_b = b.update(sample, rtt, &cfg, ps);
+            let step_a = a.update(sample, rtt, ps);
+            let step_b = b.update(sample, rtt, ps);
             prop_assert_eq!(step_a.to_bits(), step_b.to_bits(), "step diverged at {}", i);
             prop_assert_eq!(a.coord.0, b.coord.0, "coords diverged at {}", i);
             prop_assert_eq!(a.err.to_bits(), b.err.to_bits(), "err diverged at {}", i);
             prop_assert!(a.coord.is_finite(), "coord went non-finite at {}", i);
             prop_assert!(
-                a.coord.0.iter().all(|c| c.abs() <= cfg.max_coord),
+                a.coord.0.iter().all(|c| c.abs() <= MAX_COORD),
                 "coord escaped the clamp at {}", i
             );
             prop_assert!(
-                a.err.is_finite() && a.err >= cfg.err_floor && a.err <= cfg.err_init,
-                "err {} escaped [{}, {}] at {}", a.err, cfg.err_floor, cfg.err_init, i
+                a.err.is_finite() && a.err >= ERR_FLOOR && a.err <= ERR_INIT,
+                "err {} escaped [{}, {}] at {}", a.err, ERR_FLOOR, ERR_INIT, i
             );
             // The remote evolves too, so later iterations see moving
             // coordinates (including exact-coincidence on step one).
-            remote.update(a.sample(), rtt, &cfg, pair_seed(peer, me));
+            remote.update(a.sample(), rtt, pair_seed(peer, me));
         }
     }
 }
