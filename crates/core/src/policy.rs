@@ -277,6 +277,15 @@ mod tests {
         }
     }
 
+    /// Every member holds one agent per tree, so the agent's inline
+    /// size is paid per member per tree. The walk and the optional
+    /// sub-machines live behind boxes, 560 bytes in all; the walk back
+    /// inline breaks this bound.
+    #[test]
+    fn agent_keeps_optional_parts_out_of_line() {
+        assert!(std::mem::size_of::<ProtocolAgent<VdmPolicy>>() <= 576);
+    }
+
     fn probe(d_current: f64, children: &[(u32, f64, f64)]) -> ProbeResult {
         ProbeResult {
             current: HostId(0),

@@ -60,14 +60,9 @@ enum EventKind<M> {
         msg: M,
     },
     /// A data packet crossing physical links hop by hop (queueing data
-    /// plane only): `next` indexes the link it is about to enter.
-    Hop {
-        to: HostId,
-        from: HostId,
-        msg: M,
-        path: std::sync::Arc<[vdm_topology::EdgeId]>,
-        next: usize,
-    },
+    /// plane only). Boxed: only that plane schedules it, and inline it
+    /// would size every queued event for its path and cursor.
+    Hop(Box<Hop<M>>),
     Timer {
         host: HostId,
         token: u64,
@@ -75,6 +70,16 @@ enum EventKind<M> {
     External {
         token: u64,
     },
+}
+
+/// A packet in flight on the queueing data plane.
+struct Hop<M> {
+    to: HostId,
+    from: HostId,
+    msg: M,
+    path: std::sync::Arc<[vdm_topology::EdgeId]>,
+    /// Index of the link the packet is about to enter.
+    next: usize,
 }
 
 /// Destinations remembered per sender by the path-loss memo: a host's
@@ -481,53 +486,37 @@ impl<M> Engine<M> {
         path: std::sync::Arc<[vdm_topology::EdgeId]>,
         offset: SimTime,
     ) -> bool {
+        let hop = Box::new(Hop {
+            to,
+            from,
+            msg,
+            path,
+            next: 0,
+        });
         if offset == SimTime::ZERO {
-            self.advance_hop(to, from, msg, path, 0)
+            self.advance_hop(hop)
         } else {
-            self.push(
-                self.now + offset,
-                EventKind::Hop {
-                    to,
-                    from,
-                    msg,
-                    path,
-                    next: 0,
-                },
-            );
+            self.push(self.now + offset, EventKind::Hop(hop));
             true
         }
     }
 
     /// Move a data packet into link `path[next]` at the current time;
-    /// schedules the next hop (or the final delivery) and returns
-    /// whether the packet survived.
-    fn advance_hop(
-        &mut self,
-        to: HostId,
-        from: HostId,
-        msg: M,
-        path: std::sync::Arc<[vdm_topology::EdgeId]>,
-        next: usize,
-    ) -> bool {
+    /// schedules the next hop (the same box, one link on) or the final
+    /// delivery, and returns whether the packet survived.
+    fn advance_hop(&mut self, mut hop: Box<Hop<M>>) -> bool {
         let dp = self
             .data_plane
             .as_mut()
             .expect("hop events need a data plane");
-        match dp.transit_hop(self.now, path[next]) {
+        match dp.transit_hop(self.now, hop.path[hop.next]) {
             Ok(arrival) => {
-                if next + 1 == path.len() {
+                hop.next += 1;
+                if hop.next == hop.path.len() {
+                    let Hop { to, from, msg, .. } = *hop;
                     self.push(arrival, EventKind::Deliver { to, from, msg });
                 } else {
-                    self.push(
-                        arrival,
-                        EventKind::Hop {
-                            to,
-                            from,
-                            msg,
-                            path,
-                            next: next + 1,
-                        },
-                    );
+                    self.push(arrival, EventKind::Hop(hop));
                 }
                 true
             }
@@ -565,14 +554,8 @@ impl<M> Engine<M> {
                     self.counters.delivered += 1;
                     world.on_deliver(self, to, from, msg);
                 }
-                EventKind::Hop {
-                    to,
-                    from,
-                    msg,
-                    path,
-                    next,
-                } => {
-                    self.advance_hop(to, from, msg, path, next);
+                EventKind::Hop(hop) => {
+                    self.advance_hop(hop);
                 }
                 EventKind::Timer { host, token } => world.on_timer(self, host, token),
                 EventKind::External { token } => world.on_external(self, token),
@@ -606,6 +589,14 @@ mod tests {
     fn two_host_space(loss: f64) -> Arc<dyn Underlay + Send + Sync> {
         let rtt = vec![vec![0.0, 10.0], vec![10.0, 0.0]];
         Arc::new(LatencySpace::from_rtt_matrix(&rtt).with_uniform_loss(loss))
+    }
+
+    /// Every queued event is sized by the largest variant. With the
+    /// data plane's `Hop` boxed, a 64-byte message plus two host ids
+    /// and the tag is the whole of it.
+    #[test]
+    fn queued_events_are_sized_by_deliver() {
+        assert!(std::mem::size_of::<EventKind<[u64; 8]>>() <= 80);
     }
 
     /// Ping-pong world: every delivery bounces the counter back until

@@ -8,9 +8,11 @@
 //!   delay-shortest routes (the NS-2 analogue, Chapter 3). Because routes
 //!   are explicit, per-physical-link metrics (stress) are defined. Only
 //!   host-to-host routes are ever asked for, so the routes come from one
-//!   shortest-path row per host ([`HostRoutes`]), or on A9-scale graphs
-//!   from an [`OnDemandRouter`], which caches a bounded number of the
-//!   same rows. Both are asked the same questions by host index.
+//!   shortest-path row per host ([`HostRoutes`], `8·H + 2·n` bytes a
+//!   row: host distances and a 2-byte predecessor slot per graph node),
+//!   or on A9-scale graphs from an [`OnDemandRouter`], which caches a
+//!   bounded number of the same rows. Both are asked the same
+//!   questions by host index.
 //! * [`LatencySpace`] — a host-to-host RTT matrix with optional jitter and
 //!   per-path loss (the PlanetLab analogue, Chapter 5). No physical links;
 //!   resource usage is measured as summed virtual-link latency instead,
@@ -101,8 +103,8 @@ impl RoutedUnderlay {
     /// hosts (typically from `transit_stub::attach_hosts`).
     ///
     /// Runs one Dijkstra per host; `O(H · E log V)` time and
-    /// `O(H² + H · V)` memory — use [`RoutedUnderlay::on_demand`] when
-    /// `H · V` is too large to hold.
+    /// `8·H² + 2·H·V` bytes of rows — use [`RoutedUnderlay::on_demand`]
+    /// when `H · V` is too large to hold.
     ///
     /// # Panics
     /// Panics when there is no host, a host is not a node of `graph`,

@@ -141,7 +141,7 @@ pub struct ProtocolAgent<P: WalkPolicy> {
     cfg: AgentConfig,
     policy: P,
     source: HostId,
-    walk: Option<Walk>,
+    walk: Option<Box<Walk>>,
     /// Next stamp (walk generation base and nonce namespace), unique
     /// across incarnations.
     gen_next: u64,
@@ -161,15 +161,19 @@ pub struct ProtocolAgent<P: WalkPolicy> {
     /// Highest [`Msg::ParentChange`] generation stamp seen per sender:
     /// duplicated or stale reordered splice notices are dropped.
     pc_seen: Vec<(HostId, u64)>,
+    // The walk and every sub-machine below but `refine` live out of
+    // line: each is `None` for most of an agent's life or most
+    // configurations, and inline they would size every agent for all of
+    // them (DESIGN.md §8.1).
     refine: Option<Periodic>,
-    heartbeat: Option<Heartbeat>,
-    resilience: Option<Resilience>,
-    admission: Option<Admission>,
-    repair: Option<Repair>,
+    heartbeat: Option<Box<Heartbeat>>,
+    resilience: Option<Box<Resilience>>,
+    admission: Option<Box<Admission>>,
+    repair: Option<Box<Repair>>,
     /// `None` keeps the omniscient source-anchored join byte-identical
     /// to pre-discovery runs.
-    discovery: Option<DiscoveryState>,
-    coords: Option<Piggyback>,
+    discovery: Option<Box<DiscoveryState>>,
+    coords: Option<Box<Piggyback>>,
 }
 
 impl<P: WalkPolicy> ProtocolAgent<P> {
@@ -197,12 +201,14 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             last_chunk_at: None,
             pc_seen: Vec::new(),
             refine: cfg.refine_period.map(|p| Periodic::new(p, REFINE_TOKEN)),
-            heartbeat: cfg.heartbeat.map(Heartbeat::new),
-            resilience: cfg.resilience.map(Resilience::new),
-            admission: cfg.admission.map(Admission::new),
-            repair: cfg.repair.map(|r| Repair::new(r, cfg.cross_repair)),
+            heartbeat: cfg.heartbeat.map(|c| Box::new(Heartbeat::new(c))),
+            resilience: cfg.resilience.map(|c| Box::new(Resilience::new(c))),
+            admission: cfg.admission.map(|c| Box::new(Admission::new(c))),
+            repair: cfg
+                .repair
+                .map(|r| Box::new(Repair::new(r, cfg.cross_repair))),
             discovery: None,
-            coords: cfg.coords.then(Piggyback::default),
+            coords: cfg.coords.then(Box::default),
         }
     }
 
@@ -231,7 +237,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
     /// embedding is off — the field then serializes as absent and the
     /// message bytes match pre-coordinate builds).
     fn coord_sample(&self) -> Option<CoordSample> {
-        self.coords.as_ref().map(Piggyback::sample)
+        self.coords.as_deref().map(Piggyback::sample)
     }
 
     /// May `from` become our child right now? Dark or detached peers
@@ -309,7 +315,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             ctx,
         );
         self.gen_next = w.generation() + 1_000_000; // room for this walk's nonces
-        self.walk = Some(w);
+        self.walk = Some(Box::new(w));
     }
 
     /// Start the join walk at `anchor`, unless a walk already runs or we
@@ -356,7 +362,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         // Proactive path first: direct requests at pre-validated backup
         // parents cost one RTT instead of a full walk.
         if let Some(r) = self.resilience.as_mut() {
-            let coords = self.coords.as_ref();
+            let coords = self.coords.as_deref();
             if r.start(ctx, &self.state, dead, coords, &mut self.gen_next) {
                 return;
             }
@@ -460,7 +466,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
             r.merge_candidates(me, &walk.seen.harvest, ctx.now());
         }
         if let Some(c) = self.coords.as_mut() {
-            c.absorb(&walk.seen, me, self.discovery.as_mut());
+            c.absorb(&walk.seen, me, self.discovery.as_deref_mut());
         }
         let retry = walk.purpose != WalkPurpose::Refine;
         let WalkOutcome::Connected {
@@ -643,7 +649,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
                 nonce,
                 children,
                 parent: self.state.parent,
-                coord: self.coord_sample(),
+                coord: self.coord_sample().map(Box::new),
             },
         );
     }
@@ -730,7 +736,7 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
                 coord,
             } => {
                 if let (Some(c), Some(s)) = (self.coords.as_mut(), coord) {
-                    c.note(self.state.host, from, s, self.discovery.as_mut());
+                    c.note(self.state.host, from, *s, self.discovery.as_deref_mut());
                 }
                 self.handle_conn_req(ctx, from, nonce, kind, vdist)
             }
@@ -877,7 +883,7 @@ impl<P: WalkPolicy> OverlayAgent for ProtocolAgent<P> {
         // Every agent gets the state: joiners probe out of it, and any
         // attached node (the source included) answers probes out of its
         // serving budget.
-        self.discovery = Some(DiscoveryState::new(cfg, self.state.host, now));
+        self.discovery = Some(Box::new(DiscoveryState::new(cfg, self.state.host, now)));
     }
 }
 

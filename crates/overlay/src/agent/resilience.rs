@@ -272,7 +272,7 @@ impl Resilience {
                         nonce,
                         kind: ConnKind::Child,
                         vdist,
-                        coord,
+                        coord: coord.map(Box::new),
                     },
                 );
                 ctx.timer(FAILOVER_TIMEOUT, FAILOVER_TOKEN_BIT | nonce);
@@ -304,7 +304,7 @@ impl Resilience {
 impl<P: WalkPolicy> ProtocolAgent<P> {
     /// The in-flight failover attempt's `(nonce, target)`, if any.
     pub(super) fn failover_in_flight(&self) -> Option<(u64, HostId)> {
-        self.resilience.as_ref().and_then(Resilience::in_flight)
+        self.resilience.as_deref().and_then(Resilience::in_flight)
     }
 
     /// Fire the next failover attempt, or walk when none is left.

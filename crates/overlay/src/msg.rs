@@ -102,7 +102,8 @@ pub enum Msg {
         parent: Option<HostId>,
         /// The responder's virtual coordinate + error (coordinate
         /// embedding extension; `None` when the embedding is off).
-        coord: Option<CoordSample>,
+        /// Boxed, so the 48-byte sample does not size every message.
+        coord: Option<Box<CoordSample>>,
     },
     /// RTT probe.
     Ping {
@@ -115,6 +116,7 @@ pub enum Msg {
         nonce: u64,
         /// The responder's virtual coordinate + error (coordinate
         /// embedding extension; `None` when the embedding is off).
+        /// Inline: with only a nonce beside it, it fits the 64 bytes.
         coord: Option<CoordSample>,
     },
     /// Ask to connect.
@@ -128,7 +130,8 @@ pub enum Msg {
         vdist: VDist,
         /// The joiner's virtual coordinate + error (coordinate
         /// embedding extension; `None` when the embedding is off).
-        coord: Option<CoordSample>,
+        /// Boxed, as in [`Msg::InfoResp`].
+        coord: Option<Box<CoordSample>>,
     },
     /// Reply to [`Msg::ConnReq`].
     ConnResp {
@@ -240,6 +243,15 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every queued engine event and every daemon output carries one
+    /// `Msg` inline, so its size is paid per message in flight. The
+    /// 48-byte coordinate samples of `InfoResp` and `ConnReq` are
+    /// boxed; an inline one breaks this bound.
+    #[test]
+    fn messages_fit_64_bytes() {
+        assert!(std::mem::size_of::<Msg>() <= 64);
+    }
 
     #[test]
     fn data_classification() {

@@ -420,8 +420,8 @@ impl Walk {
     }
 
     /// The walker's sample for outgoing piggyback fields.
-    fn coord_sample(&self) -> Option<CoordSample> {
-        self.seen.coords.map(|s| s.sample())
+    fn coord_sample(&self) -> Option<Box<CoordSample>> {
+        self.seen.coords.map(|s| Box::new(s.sample()))
     }
 
     fn arm_deadline(&self, ctx: &mut Ctx<'_>) {
@@ -510,7 +510,7 @@ impl Walk {
                     ..
                 },
             ) if *nonce == self.generation && from == self.current => {
-                let coord = *coord;
+                let coord = coord.as_deref().copied();
                 let d_current = self.seen.measure(ctx, policy, from, *sent_at, coord);
                 if self.cfg.restart_anchor && self.visited.last() != Some(&self.current) {
                     self.visited.push(self.current);

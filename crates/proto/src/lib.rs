@@ -197,7 +197,7 @@ impl Writer {
         self.f64(s.err);
     }
 
-    fn opt_coord(&mut self, c: &Option<CoordSample>) {
+    fn opt_coord(&mut self, c: Option<&CoordSample>) {
         match c {
             None => self.u8(0),
             Some(s) => {
@@ -359,7 +359,7 @@ fn write_msg(w: &mut Writer, msg: &Msg) -> Result<(), EncodeError> {
                 w.f64(c.vdist);
             }
             w.opt_host(*parent);
-            w.opt_coord(coord);
+            w.opt_coord(coord.as_deref());
         }
         Msg::Ping { nonce } => {
             w.u8(TAG_PING);
@@ -368,7 +368,7 @@ fn write_msg(w: &mut Writer, msg: &Msg) -> Result<(), EncodeError> {
         Msg::Pong { nonce, coord } => {
             w.u8(TAG_PONG);
             w.u64(*nonce);
-            w.opt_coord(coord);
+            w.opt_coord(coord.as_ref());
         }
         Msg::ConnReq {
             nonce,
@@ -386,7 +386,7 @@ fn write_msg(w: &mut Writer, msg: &Msg) -> Result<(), EncodeError> {
                 }
             }
             w.f64(*vdist);
-            w.opt_coord(coord);
+            w.opt_coord(coord.as_deref());
         }
         Msg::ConnResp { nonce, result } => {
             w.u8(TAG_CONN_RESP);
@@ -459,7 +459,7 @@ fn write_msg(w: &mut Writer, msg: &Msg) -> Result<(), EncodeError> {
             for p in peers {
                 w.host(p.host);
                 w.f64(p.age_s);
-                w.opt_coord(&p.coord);
+                w.opt_coord(p.coord.as_ref());
             }
         }
     }
@@ -485,7 +485,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<Msg, DecodeError> {
                 nonce,
                 children,
                 parent: r.opt_host("parent")?,
-                coord: r.opt_coord("coord")?,
+                coord: r.opt_coord("coord")?.map(Box::new),
             }
         }
         TAG_PING => Msg::Ping {
@@ -513,7 +513,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<Msg, DecodeError> {
                 nonce,
                 kind,
                 vdist: r.f64("vdist")?,
-                coord: r.opt_coord("coord")?,
+                coord: r.opt_coord("coord")?.map(Box::new),
             }
         }
         TAG_CONN_RESP => {
@@ -663,7 +663,7 @@ mod tests {
                     },
                 ],
                 parent: Some(HostId(9)),
-                coord: Some(cs),
+                coord: Some(Box::new(cs)),
             },
             Msg::InfoResp {
                 nonce: 3,
@@ -692,7 +692,7 @@ mod tests {
                     displace: vec![HostId(1), HostId(2)],
                 },
                 vdist: -0.0,
-                coord: Some(cs),
+                coord: Some(Box::new(cs)),
             },
             Msg::ConnResp {
                 nonce: 9,
@@ -801,7 +801,7 @@ mod tests {
                     vdist: 2.0,
                 }],
                 parent: Some(HostId(0)),
-                coord: Some(sample_coord()),
+                coord: Some(Box::new(sample_coord())),
             },
         )
         .unwrap();
@@ -943,7 +943,7 @@ mod tests {
                     } else {
                         None
                     },
-                    coord: gen_opt_coord(rng),
+                    coord: gen_opt_coord(rng).map(Box::new),
                 }
             }
             2 => Msg::Ping {
@@ -963,7 +963,7 @@ mod tests {
                     }
                 },
                 vdist: rng.gen_range(-1e3..1e3),
-                coord: gen_opt_coord(rng),
+                coord: gen_opt_coord(rng).map(Box::new),
             },
             5 => Msg::ConnResp {
                 nonce: gen_nonce(rng),

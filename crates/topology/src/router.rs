@@ -1,14 +1,15 @@
 //! Scale-out routing: the memory-bounded [`OnDemandRouter`].
 //!
 //! [`crate::HostRoutes`] computes one row per host up front,
-//! `8·H² + 4·H·n` bytes; at A9 scale (10k members on an 11k-router
-//! graph) that is ~1.7 GB, and at 20k ~6.6 GB. The router computes
+//! `8·H² + 2·H·n` bytes; at A9 scale (10k members on an 11k-router
+//! graph) that is ~1.25 GB, and at 20k ~4.9 GB. The router computes
 //! the same rows lazily and keeps at most `capacity` of them in an
 //! LRU. A row is [`crate::HostRoutes`]' own row shape and comes
 //! out of the same builder: per source host, `H` f64 distances at the
-//! host columns plus one `n`-long u32 predecessor row, `8·H + 4·n`
-//! bytes. Memory is `O(capacity · (H + n))`, and rows are shared
-//! read-only (`Arc`) across runner threads.
+//! host columns plus one `n`-long row of u16 predecessor slots (see
+//! [`crate::spath`]), `8·H + 2·n` bytes. Memory is
+//! `O(capacity · (H + n))`, and rows are shared read-only (`Arc`)
+//! across runner threads.
 //!
 //! [`RoutedUnderlay`] in `vdm-netsim` holds either oracle and asks both
 //! the same questions by host index — `dist_ms(a, b)` and
@@ -23,7 +24,7 @@
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spath::{route_edges, walk_prev, Csr, RowScratch};
+use crate::spath::{assert_graph, route_links, route_nodes, Csr, RowScratch, NO_PREV};
 use crate::Millis;
 use std::sync::{Arc, Mutex};
 
@@ -35,9 +36,9 @@ pub struct HostRow {
     /// `dist[b]` = shortest delay (ms) to host `b`; `INFINITY` when
     /// unreachable.
     dist: Vec<Millis>,
-    /// `prev[v]` = predecessor of node `v`; `u32::MAX` for the source's
-    /// node and unreachable nodes.
-    prev: Vec<u32>,
+    /// `prev[v]` = slot of node `v`'s predecessor in `v`'s adjacency
+    /// list; `u16::MAX` for the source's node and unreachable nodes.
+    prev: Vec<u16>,
 }
 
 impl HostRow {
@@ -52,8 +53,10 @@ impl HostRow {
         &self.dist
     }
 
-    /// The predecessor row, one entry per graph node.
-    pub fn prev(&self) -> &[u32] {
+    /// The predecessor-slot row, one entry per graph node: the index
+    /// of the node's predecessor in its [`Graph::neighbors`] list,
+    /// `u16::MAX` for none.
+    pub fn prev(&self) -> &[u16] {
         &self.prev
     }
 }
@@ -180,11 +183,11 @@ impl OnDemandRouter {
     ///
     /// The formula prices a row at 16 bytes per node, the size of the
     /// node-keyed rows the router used to cache. A host row is
-    /// `8·H + 4·n` bytes, at most 8 bytes per node when hosts are at
+    /// `8·H + 2·n` bytes, at most 6 bytes per node when hosts are at
     /// most half the nodes (as on A9's testbeds), so the budget is
-    /// about 2× conservative. The formula is kept on purpose: it fixes
-    /// every A9 capacity, and with it every row hit, miss and eviction
-    /// count.
+    /// about 2.7× conservative. The formula is kept on purpose: it
+    /// fixes every A9 capacity, and with it every row hit, miss and
+    /// eviction count.
     pub fn default_capacity(n: usize) -> usize {
         let row_bytes = n.max(1) * 16;
         (ROW_BUDGET_BYTES / row_bytes).clamp(8, n.max(8))
@@ -234,7 +237,7 @@ impl OnDemandRouter {
         // allocated before the scratch is taken.
         let mut row = HostRow {
             dist: vec![Millis::INFINITY; self.hosts.len()],
-            prev: vec![u32::MAX; self.csr.num_nodes()],
+            prev: vec![NO_PREV; self.csr.num_nodes()],
         };
         let mut scratch = self.scratch.take(self.csr.num_nodes());
         scratch.host_row(
@@ -291,18 +294,33 @@ impl OnDemandRouter {
 
     /// Node sequence of the route from host `a` to host `b`
     /// (inclusive), walked back along `a`'s predecessor row, as
-    /// [`crate::HostRoutes::path_nodes`] walks it.
-    pub fn path_nodes(&self, a: usize, b: usize) -> Vec<NodeId> {
+    /// [`crate::HostRoutes::path_nodes`] walks it, off `g`'s adjacency
+    /// lists; `g` must be the graph the router was built over.
+    ///
+    /// # Panics
+    /// Panics when `g`'s node or link count is not that graph's.
+    pub fn path_nodes(&self, g: &Graph, a: usize, b: usize) -> Vec<NodeId> {
+        self.assert_graph(g);
         let row = self.row(a);
         if row.dist[b].is_infinite() {
             return Vec::new();
         }
-        walk_prev(&row.prev, self.hosts[a], self.hosts[b])
+        route_nodes(g, &row.prev, self.hosts[a], self.hosts[b])
     }
 
-    /// Edge sequence of the route from host `a` to host `b`.
+    /// Edge sequence of the route from host `a` to host `b`, read off
+    /// `g`'s adjacency entries; `g` must be the graph the router was
+    /// built over.
+    ///
+    /// # Panics
+    /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
-        route_edges(g, &self.path_nodes(a, b))
+        self.assert_graph(g);
+        route_links(g, &self.row(a).prev, self.hosts[b])
+    }
+
+    fn assert_graph(&self, g: &Graph) {
+        assert_graph(g, self.csr.num_nodes(), self.csr.num_edges());
     }
 }
 
@@ -354,7 +372,7 @@ mod tests {
                 assert_eq!(d1.to_bits(), d2.to_bits(), "dist {a}->{b}: {d1} vs {d2}");
                 assert_eq!(
                     apsp.path_nodes(a, b),
-                    router.path_nodes(a.idx(), b.idx()),
+                    router.path_nodes(g, a.idx(), b.idx()),
                     "path {a}->{b}"
                 );
             }

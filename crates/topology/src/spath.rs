@@ -9,6 +9,21 @@
 //! route. [`Apsp`], the dense all-pairs table with next hops, is the
 //! reference the tests hold it to.
 //!
+//! # Predecessor slots
+//!
+//! A predecessor row stores, per node `t`, not its predecessor's id but
+//! the predecessor's *slot*: its index in `t`'s own adjacency list, a
+//! `u16` (`u16::MAX` for none). The `Csr` is in [`Graph::neighbors`]
+//! order, so the slot names the predecessor node and the link to it at
+//! once: [`HostRoutes::path_edges`] reads each [`EdgeId`] straight off
+//! the adjacency entry instead of searching for the link between two
+//! nodes. The kernel writes the slot when it relaxes a link; each CSR
+//! entry carries the slot of its reverse entry in the padding of its
+//! `(neighbour, delay)` pair, so the entry is still 16 bytes. This is
+//! exact: [`Graph::add_edge`] forbids parallel links, so a slot names
+//! exactly the node a `u32` predecessor would, and rows cost
+//! `2·n` bytes of predecessors instead of `4·n`.
+//!
 //! # One kernel
 //!
 //! Every shortest-path answer in this crate — [`HostRoutes::build`],
@@ -59,7 +74,7 @@
 //!   of every other node is unchanged. Host access links make ~46 % of
 //!   the nodes on the join testbeds leaves.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{Adj, EdgeId, Graph, NodeId};
 use crate::Millis;
 
 /// Result of a single-source Dijkstra run.
@@ -94,14 +109,30 @@ impl ShortestPaths {
     }
 }
 
+/// "No predecessor" in a predecessor-slot row: the source and
+/// unreachable nodes.
+pub(crate) const NO_PREV: u16 = u16::MAX;
+
+/// One CSR entry: a link out of a node.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    /// The neighbour.
+    to: u32,
+    /// This link's slot in `to`'s list: the predecessor slot a node
+    /// reached over it records (see the module docs).
+    back: u16,
+    /// One-way delay.
+    delay: Millis,
+}
+
 /// Compressed-sparse-row view of a [`Graph`]'s adjacency: node `v`'s
-/// neighbours are `adj[off[v]..off[v + 1]]`, in [`Graph::neighbors`]
-/// order. `16 B × 2E + 4 B × (n + 1)`; built once per router / table
-/// build so a relaxation reads one flat array instead of chasing
-/// `Adj → EdgeId → Edge`.
+/// links are `adj[off[v]..off[v + 1]]`, in [`Graph::neighbors`] order,
+/// each with its reverse slot. `16 B × 2E + 4 B × (n + 1)`; built once
+/// per router / table build so a relaxation reads one flat array
+/// instead of chasing `Adj → EdgeId → Edge`.
 pub(crate) struct Csr {
     off: Vec<u32>,
-    adj: Vec<(u32, Millis)>,
+    adj: Vec<Link>,
     /// Smallest positive link delay (`INFINITY` when none is positive).
     min_delay: Millis,
     /// Largest link delay.
@@ -109,17 +140,40 @@ pub(crate) struct Csr {
 }
 
 impl Csr {
+    /// # Panics
+    /// Panics when a node has `u16::MAX` links or more: its slots would
+    /// not fit a predecessor row.
     pub(crate) fn new(g: &Graph) -> Self {
         // Sized exactly, one allocation each: growing `adj` by doubling
         // left half-size buffers behind and moved peak RSS (see the
-        // allocation note in `HostRoutes::build`).
+        // allocation note in `HostRoutes::build`). The slot table is
+        // asked for last, so it is freed from the top of the heap.
         let mut csr = Self::with_capacity(g.num_nodes(), 2 * g.num_edges());
+        // Per link, its slot at its lower-id end, which comes in first;
+        // the higher end fills in both entries' reverse slots.
+        let mut lower = vec![0u16; g.num_edges()];
         for v in g.nodes() {
-            csr.push_node(
-                g.neighbors(v)
-                    .iter()
-                    .map(|a| (a.to.0, g.edge(a.edge).attrs.delay_ms)),
-            );
+            let start = csr.adj.len();
+            for (slot, adj) in g.neighbors(v).iter().enumerate() {
+                // A wrapped slot is refused by `close_node` below.
+                let slot = slot as u16;
+                let e = adj.edge.idx();
+                let back = if adj.to < v {
+                    let back = lower[e];
+                    let at = csr.off[adj.to.idx()] as usize + usize::from(back);
+                    csr.adj[at].back = slot;
+                    back
+                } else {
+                    lower[e] = slot;
+                    NO_PREV
+                };
+                csr.adj.push(Link {
+                    to: adj.to.0,
+                    back,
+                    delay: g.edge(adj.edge).attrs.delay_ms,
+                });
+            }
+            csr.close_node(start);
         }
         csr
     }
@@ -136,15 +190,26 @@ impl Csr {
     }
 
     /// Append the next node (ids are assigned in call order) with its
-    /// `(neighbour, delay)` list.
-    fn push_node(&mut self, list: impl Iterator<Item = (u32, Millis)>) {
+    /// links.
+    #[cfg(test)]
+    fn push_node(&mut self, list: impl Iterator<Item = Link>) {
         let start = self.adj.len();
         self.adj.extend(list);
-        for &(_, d) in &self.adj[start..] {
-            if d > 0.0 {
-                self.min_delay = self.min_delay.min(d);
+        self.close_node(start);
+    }
+
+    /// End the node whose links start at `adj[start]`.
+    fn close_node(&mut self, start: usize) {
+        assert!(
+            self.adj.len() - start < usize::from(NO_PREV),
+            "node degree {} does not fit a u16 predecessor slot",
+            self.adj.len() - start
+        );
+        for l in &self.adj[start..] {
+            if l.delay > 0.0 {
+                self.min_delay = self.min_delay.min(l.delay);
             }
-            self.max_delay = self.max_delay.max(d);
+            self.max_delay = self.max_delay.max(l.delay);
         }
         self.off.push(
             u32::try_from(self.adj.len()).expect("adjacency entries exceed the u32 offset space"),
@@ -168,12 +233,24 @@ impl Csr {
         self.off.len() - 1
     }
 
-    fn neighbors(&self, v: u32) -> &[(u32, Millis)] {
+    fn neighbors(&self, v: u32) -> &[Link] {
         &self.adj[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
     }
 
     fn degree(&self, v: u32) -> u32 {
         self.off[v as usize + 1] - self.off[v as usize]
+    }
+
+    /// Links of the graph (each is two entries).
+    pub(crate) fn num_edges(&self) -> usize {
+        self.adj.len() / 2
+    }
+
+    /// The predecessor of `t` that slot `slot` names, or `None` for
+    /// [`NO_PREV`] — [`step_back`] for CSRs built from raw lists.
+    #[cfg(test)]
+    fn pred(&self, t: u32, slot: u16) -> Option<u32> {
+        (slot != NO_PREV).then(|| self.adj[self.off[t as usize] as usize + usize::from(slot)].to)
     }
 }
 
@@ -288,20 +365,21 @@ impl BucketQueue {
 /// Delay-weighted Dijkstra from `source` into three `n`-long rows (the
 /// crate's one shortest-path loop; see the module docs). On return
 /// `dist[v]` is the shortest delay (`INFINITY` when unreachable),
-/// `prev[v]` the predecessor and `first[v]` the first hop from the
-/// source, both `u32::MAX` for the source and unreachable nodes.
+/// `prev[v]` the predecessor's slot in `v`'s adjacency list
+/// ([`NO_PREV`] for the source and unreachable nodes) and `first[v]`
+/// the first hop from the source (`u32::MAX` for both).
 pub(crate) fn sssp(
     csr: &Csr,
     source: u32,
     dist: &mut [Millis],
-    prev: &mut [u32],
+    prev: &mut [u16],
     first: &mut [u32],
     queue: &mut BucketQueue,
 ) {
     let n = csr.num_nodes();
     assert!(dist.len() == n && prev.len() == n && first.len() == n);
     dist.fill(Millis::INFINITY);
-    prev.fill(u32::MAX);
+    prev.fill(NO_PREV);
     first.fill(u32::MAX);
     queue.reset(csr.bucket_width());
     dist[source as usize] = 0.0;
@@ -311,15 +389,15 @@ pub(crate) fn sssp(
             continue; // stale entry
         }
         let via = first[v as usize];
-        for &(to, delay) in csr.neighbors(v) {
-            let t = to as usize;
-            let nd = d + delay;
+        for link in csr.neighbors(v) {
+            let t = link.to as usize;
+            let nd = d + link.delay;
             if nd < dist[t] {
                 dist[t] = nd;
-                prev[t] = v;
-                first[t] = if v == source { to } else { via };
-                if csr.degree(to) > 1 {
-                    queue.push(nd, to);
+                prev[t] = link.back;
+                first[t] = if v == source { link.to } else { via };
+                if csr.degree(link.to) > 1 {
+                    queue.push(nd, link.to);
                 }
             }
         }
@@ -329,11 +407,12 @@ pub(crate) fn sssp(
 /// Delay-weighted Dijkstra from `source`.
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
     let n = g.num_nodes();
+    let csr = Csr::new(g);
     let mut dist = vec![Millis::INFINITY; n];
-    let mut prev = vec![u32::MAX; n];
+    let mut prev = vec![NO_PREV; n];
     let mut first = vec![u32::MAX; n];
     sssp(
-        &Csr::new(g),
+        &csr,
         source.0,
         &mut dist,
         &mut prev,
@@ -343,9 +422,9 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
     ShortestPaths {
         source,
         dist,
-        prev: prev
-            .into_iter()
-            .map(|p| (p != u32::MAX).then_some(NodeId(p)))
+        prev: g
+            .nodes()
+            .map(|t| step_back(g, &prev, t).map(|adj| adj.to))
             .collect(),
     }
 }
@@ -381,7 +460,7 @@ impl Apsp {
         let mut dist = vec![Millis::INFINITY; n * n];
         let mut next = vec![u32::MAX; n * n];
         let csr = Csr::new(g);
-        let mut prev = vec![u32::MAX; n];
+        let mut prev = vec![NO_PREV; n];
         let mut queue = BucketQueue::default();
         let rows = dist
             .chunks_exact_mut(n.max(1))
@@ -444,21 +523,23 @@ impl Apsp {
 /// The overlay only asks about hosts — probe RTTs, and stretch and
 /// stress over host-to-host routes — so this keeps an `H × H` distance
 /// matrix, indexed by host id and copied from each host's row at the
-/// host columns, and one `n`-long predecessor row per host:
-/// `8·H² + 4·H·n` bytes against [`Apsp`]'s `12·n²`. Each row is the
-/// kernel run from the same source as the matching [`Apsp`] row, so
-/// every distance has the same bits.
+/// host columns, and one `n`-long row of predecessor slots per host
+/// (see the module docs): `8·H² + 2·H·n` bytes against [`Apsp`]'s
+/// `12·n²`. Each row is the kernel run from the same source as the
+/// matching [`Apsp`] row, so every distance has the same bits.
 #[derive(Clone, Debug)]
 pub struct HostRoutes {
     /// Node count of the graph the rows were built over.
     n: usize,
+    /// Link count of that graph.
+    edges: usize,
     /// Graph node of each host, in host-id order.
     hosts: Vec<NodeId>,
     /// Flattened `H × H` host-to-host distance matrix in ms.
     dist: Vec<Millis>,
-    /// Flattened `H × n` predecessor rows, one per source host;
-    /// `u32::MAX` for the source and unreachable nodes.
-    prev: Vec<u32>,
+    /// Flattened `H × n` predecessor-slot rows, one per source host;
+    /// [`NO_PREV`] for the source and unreachable nodes.
+    prev: Vec<u16>,
 }
 
 impl HostRoutes {
@@ -481,7 +562,7 @@ impl HostRoutes {
         // `soak_resilient` back when its underlay held `Apsp`'s planes
         // and scratch came first (DESIGN.md §8).
         let mut dist = vec![Millis::INFINITY; h * h];
-        let mut prev = vec![u32::MAX; h * n];
+        let mut prev = vec![NO_PREV; h * n];
         let csr = Csr::new(g);
         let mut scratch = RowScratch::new(n);
         let rows = dist
@@ -492,6 +573,7 @@ impl HostRoutes {
         }
         Self {
             n,
+            edges: g.num_edges(),
             hosts,
             dist,
             prev,
@@ -531,17 +613,34 @@ impl HostRoutes {
     /// Float sums can break `d_a(u) = d_a(v) + d_v(u)` in the last ulp;
     /// the host-pair pins in `tests/host_routes.rs` hold the two walks
     /// equal on the testbeds the experiments build.
-    pub fn path_nodes(&self, a: usize, b: usize) -> Vec<NodeId> {
+    ///
+    /// The row's slots are read off `g`'s adjacency lists, so `g` must
+    /// be the graph the routes were built over.
+    ///
+    /// # Panics
+    /// Panics when `g`'s node or link count is not that graph's.
+    pub fn path_nodes(&self, g: &Graph, a: usize, b: usize) -> Vec<NodeId> {
+        assert_graph(g, self.n, self.edges);
         if self.dist_ms(a, b).is_infinite() {
             return Vec::new();
         }
-        let prev = &self.prev[a * self.n..(a + 1) * self.n];
-        walk_prev(prev, self.hosts[a], self.hosts[b])
+        route_nodes(g, self.prev_row(a), self.hosts[a], self.hosts[b])
     }
 
-    /// Edge sequence of the route from host `a` to host `b`.
+    /// Edge sequence of the route from host `a` to host `b`, read off
+    /// `g`'s adjacency entries; `g` must be the graph the routes were
+    /// built over.
+    ///
+    /// # Panics
+    /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
-        route_edges(g, &self.path_nodes(a, b))
+        assert_graph(g, self.n, self.edges);
+        route_links(g, self.prev_row(a), self.hosts[b])
+    }
+
+    /// Host `a`'s predecessor-slot row.
+    fn prev_row(&self, a: usize) -> &[u16] {
+        &self.prev[a * self.n..(a + 1) * self.n]
     }
 }
 
@@ -575,7 +674,7 @@ impl RowScratch {
         hosts: &[NodeId],
         source: NodeId,
         dist: &mut [Millis],
-        prev: &mut [u32],
+        prev: &mut [u16],
     ) {
         let Self {
             dist: row,
@@ -589,25 +688,55 @@ impl RowScratch {
     }
 }
 
-/// Node sequence `source → to` (inclusive) along a predecessor row,
-/// for a `to` the row reaches.
-pub(crate) fn walk_prev(prev: &[u32], source: NodeId, to: NodeId) -> Vec<NodeId> {
-    if to == source {
-        return vec![to];
-    }
-    let mut path = vec![to];
-    let mut cur = to;
-    while prev[cur.idx()] != u32::MAX {
-        cur = NodeId(prev[cur.idx()]);
-        path.push(cur);
-    }
-    path.reverse();
-    debug_assert_eq!(path[0], source);
-    path
+/// Panics unless `g` has the `n` nodes and `edges` links of the graph
+/// a set of predecessor-slot rows was built over. A slot indexes `g`'s
+/// adjacency lists, so on another graph it would name another link
+/// without an error; a graph of the same size is not caught.
+pub(crate) fn assert_graph(g: &Graph, n: usize, edges: usize) {
+    assert!(
+        g.num_nodes() == n && g.num_edges() == edges,
+        "not the graph the routes were built over"
+    );
 }
 
-/// The links joining consecutive nodes of a route.
-pub(crate) fn route_edges(g: &Graph, nodes: &[NodeId]) -> Vec<EdgeId> {
+/// The adjacency entry `t`'s predecessor slot names in a
+/// predecessor-slot row: the link into `t` and the node before it.
+/// `None` at the row's source and for unreachable nodes.
+fn step_back(g: &Graph, prev: &[u16], t: NodeId) -> Option<Adj> {
+    let slot = prev[t.idx()];
+    (slot != NO_PREV).then(|| g.neighbors(t)[usize::from(slot)])
+}
+
+/// The route to `to` along a predecessor-slot row, last step first.
+fn steps_back<'a>(g: &'a Graph, prev: &'a [u16], to: NodeId) -> impl Iterator<Item = Adj> + 'a {
+    std::iter::successors(step_back(g, prev, to), move |adj| {
+        step_back(g, prev, adj.to)
+    })
+}
+
+/// Node sequence `source → to` (inclusive) along a predecessor-slot
+/// row, for a `to` the row reaches.
+pub(crate) fn route_nodes(g: &Graph, prev: &[u16], source: NodeId, to: NodeId) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = std::iter::once(to)
+        .chain(steps_back(g, prev, to).map(|adj| adj.to))
+        .collect();
+    nodes.reverse();
+    debug_assert_eq!(nodes[0], source);
+    nodes
+}
+
+/// The links of the route to `to` along a predecessor-slot row, in
+/// route order. Empty when `to` is the row's source or unreachable.
+pub(crate) fn route_links(g: &Graph, prev: &[u16], to: NodeId) -> Vec<EdgeId> {
+    let mut links: Vec<EdgeId> = steps_back(g, prev, to).map(|adj| adj.edge).collect();
+    links.reverse();
+    links
+}
+
+/// The links joining consecutive nodes of a route, each found by a
+/// search of the two nodes' adjacency ([`Apsp`]'s route, the
+/// reference the slot rows are held to).
+fn route_edges(g: &Graph, nodes: &[NodeId]) -> Vec<EdgeId> {
     nodes
         .windows(2)
         .map(|w| {
@@ -730,21 +859,32 @@ mod tests {
         assert_eq!(routes.dist_ms(2, 0), 1.5);
         assert_eq!(routes.dist_ms(1, 1), 0.0);
         assert_eq!(
-            routes.path_nodes(2, 1),
+            routes.path_nodes(&g, 2, 1),
             vec![NodeId(3), NodeId(1), NodeId(2)]
         );
-        assert_eq!(routes.path_nodes(1, 1), vec![NodeId(2)]);
+        assert_eq!(routes.path_nodes(&g, 1, 1), vec![NodeId(2)]);
         assert_eq!(routes.path_edges(&g, 0, 2).len(), 2);
 
         let single = HostRoutes::build(&g, vec![NodeId(1)]);
         assert_eq!((single.dist.len(), single.prev.len()), (1, 4));
-        assert_eq!(single.path_nodes(0, 0), vec![NodeId(1)]);
+        assert_eq!(single.path_nodes(&g, 0, 0), vec![NodeId(1)]);
     }
 
     #[test]
     #[should_panic(expected = "host out of range")]
     fn host_outside_the_graph_panics() {
         HostRoutes::build(&line_with_shortcut(), vec![NodeId(3)]);
+    }
+
+    /// Slots index the adjacency lists of the graph the rows were built
+    /// over; handed a graph with another link count, a route query
+    /// panics in release builds too instead of naming other links.
+    #[test]
+    #[should_panic(expected = "not the graph the routes were built over")]
+    fn routes_refuse_another_graph() {
+        let (mut g, routes) = host_routes();
+        g.add_edge(NodeId(0), NodeId(3), LinkAttrs::delay(9.0));
+        routes.path_edges(&g, 0, 2);
     }
 
     /// Regression: delays that differ only below f32 resolution must stay

@@ -134,12 +134,38 @@ fn sentinel(x: Option<u32>) -> u32 {
     x.unwrap_or(u32::MAX)
 }
 
+/// The CSR of raw, symmetric adjacency lists. With no edge ids to pair
+/// a link with its reverse, the `k`-th link from `v` to `to` pairs with
+/// the `k`-th link from `to` to `v`.
 fn csr_of(lists: &Lists) -> Csr {
+    let back = |v: usize, to: u32, k: usize| {
+        lists[to as usize]
+            .iter()
+            .enumerate()
+            .filter(|(_, &(u, _))| u as usize == v)
+            .nth(k)
+            .map(|(slot, _)| slot as u16)
+            .expect("adjacency lists must be symmetric")
+    };
     let mut csr = Csr::with_capacity(lists.len(), 0);
-    for list in lists {
-        csr.push_node(list.iter().copied());
+    for (v, list) in lists.iter().enumerate() {
+        csr.push_node(list.iter().enumerate().map(|(i, &(to, delay))| {
+            let k = list[..i].iter().filter(|&&(u, _)| u == to).count();
+            Link {
+                to,
+                back: back(v, to, k),
+                delay,
+            }
+        }));
     }
     csr
+}
+
+/// A predecessor-slot row decoded to node ids, `u32::MAX` for none.
+fn decode(csr: &Csr, prev: &[u16]) -> Vec<u32> {
+    (0..prev.len() as u32)
+        .map(|t| sentinel(csr.pred(t, prev[t as usize])))
+        .collect()
 }
 
 /// The largest finite distance over the reference rows.
@@ -162,6 +188,7 @@ fn check_kernel(lists: &Lists) -> Vec<RefRow> {
         .map(|s| {
             let want = reference(lists, s);
             sssp(&csr, s, &mut dist, &mut prev, &mut first, &mut queue);
+            let prev = decode(&csr, &prev);
             for t in 0..n {
                 assert_eq!(
                     dist[t].to_bits(),
@@ -198,7 +225,7 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
 
             let (a, b) = (s.idx(), t.idx());
             assert_eq!(row.dist_ms(b).to_bits(), bits, "row dist {s}->{t}");
-            assert_eq!(router.path_nodes(a, b), path, "row path {s}->{t}");
+            assert_eq!(router.path_nodes(g, a, b), path, "row path {s}->{t}");
 
             assert_eq!(sp.dist[t.idx()].to_bits(), bits, "dijkstra dist {s}->{t}");
             assert_eq!(
@@ -226,8 +253,12 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
 
             // Host rows: `s`'s own tree, which must be the dense route.
             assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
-            assert_eq!(hosts.path_nodes(a, b), path, "host path {s}->{t}");
-            assert_eq!(hosts.path_nodes(a, b), hops, "host vs apsp path {s}->{t}");
+            assert_eq!(hosts.path_nodes(g, a, b), path, "host path {s}->{t}");
+            assert_eq!(
+                hosts.path_nodes(g, a, b),
+                hops,
+                "host vs apsp path {s}->{t}"
+            );
         }
     }
     rows
@@ -526,9 +557,42 @@ fn csr_keeps_neighbor_order() {
     let csr = Csr::new(&g);
     assert_eq!(csr.num_nodes(), g.num_nodes());
     for (v, list) in lists_of(&g).iter().enumerate() {
-        assert_eq!(csr.neighbors(v as u32), &list[..], "node {v}");
+        let links: Vec<_> = csr
+            .neighbors(v as u32)
+            .iter()
+            .map(|l| (l.to, l.delay))
+            .collect();
+        assert_eq!(links, *list, "node {v}");
         assert_eq!(csr.degree(v as u32) as usize, g.degree(NodeId(v as u32)));
     }
+}
+
+/// Every link's reverse slot points back at it: the slot a node
+/// reached over `v → to` records names `v` and the same graph link.
+#[test]
+fn back_slots_name_the_reverse_link() {
+    let mut g = powerlaw::generate(&PowerLawConfig::default(), 7);
+    attach_hosts(&mut g, 20, 7, 0.0);
+    let csr = Csr::new(&g);
+    for v in g.nodes() {
+        for (link, adj) in csr.neighbors(v.0).iter().zip(g.neighbors(v)) {
+            assert_eq!(csr.pred(link.to, link.back), Some(v.0));
+            assert_eq!(g.neighbors(adj.to)[usize::from(link.back)].edge, adj.edge);
+        }
+    }
+}
+
+/// A node must have fewer than `u16::MAX` links, or its slots would
+/// collide with [`NO_PREV`].
+#[test]
+#[should_panic(expected = "does not fit a u16 predecessor slot")]
+fn degree_beyond_the_slot_space_panics() {
+    let links = (1..=u32::from(u16::MAX)).map(|to| Link {
+        to,
+        back: 0,
+        delay: 1.0,
+    });
+    Csr::with_capacity(1, 0).push_node(links);
 }
 
 /// FNV-1a of `bytes`, started as the retired artifact cache's pin
@@ -556,6 +620,8 @@ fn put_prefixed<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], le: fn(T) 
 /// artifact cache stored them in, as the pre-kernel code (commit
 /// e7d2e51) produced them for this graph — transit-stub plus hosts, so
 /// a third of the nodes are the leaves the kernel treats specially.
+/// That layout held `u32` predecessor ids; the kernel's slots are
+/// decoded back to them before hashing.
 #[test]
 fn artifact_bytes_match_the_pre_kernel_build() {
     use crate::transit_stub::{self, TransitStubConfig};
@@ -579,6 +645,7 @@ fn artifact_bytes_match_the_pre_kernel_build() {
         let (mut dist, mut prev, mut first) = (vec![0.0; n], vec![0; n], vec![0; n]);
         let mut queue = BucketQueue::default();
         sssp(&csr, source.0, &mut dist, &mut prev, &mut first, &mut queue);
+        let prev = decode(&csr, &prev);
         let mut bytes = source.0.to_le_bytes().to_vec();
         put_prefixed(&mut bytes, &dist, f64::to_le_bytes);
         put_prefixed(&mut bytes, &prev, u32::to_le_bytes);

@@ -26,7 +26,7 @@ fn assert_matches_apsp(g: &Graph, hosts: Vec<NodeId>) -> usize {
                 "dist h{a}->h{b} ({na}->{nb})"
             );
             assert_eq!(
-                routes.path_nodes(a, b),
+                routes.path_nodes(g, a, b),
                 apsp.path_nodes(na, nb),
                 "path h{a}->h{b} ({na}->{nb})"
             );

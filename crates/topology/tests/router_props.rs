@@ -1,18 +1,21 @@
-//! Property tests for the on-demand router: for arbitrary Waxman and
-//! power-law underlays its host rows must answer every ordered host
-//! pair as `HostRoutes` does, bit for bit — distance bits, node path
-//! and link sequence — with distances equal to the dense `Apsp`
-//! oracle's, at any capacity; and LRU eviction must be invisible (an
-//! evicted, re-queried row equals a fresh computation).
+//! Property tests for the on-demand router: for arbitrary Waxman,
+//! power-law and transit-stub underlays its host rows must answer every
+//! ordered host pair as `HostRoutes` does, bit for bit — distance bits,
+//! node path and link sequence — at any capacity; and LRU eviction must
+//! be invisible (an evicted, re-queried row equals a fresh computation).
 //!
 //! Both oracles are filled by the one host-row builder in `spath.rs`,
-//! so these properties cover the storage, the host indexing and the
-//! LRU — not the kernel, which `spath/reference_tests.rs` checks
-//! against an independent textbook Dijkstra.
+//! so agreement between them covers the storage, the host indexing and
+//! the LRU — not the kernel, which `spath/reference_tests.rs` checks
+//! against an independent textbook Dijkstra. What the two share beyond
+//! the kernel is the decoding of their 2-byte predecessor slots, so
+//! both are also held to the dense `Apsp` oracle, which stores no
+//! slot: its distances, its hop-by-hop node walk, and the link sequence
+//! found by searching each hop's adjacency (`Graph::find_edge`).
 
 use proptest::prelude::*;
 use vdm_topology::powerlaw::{self, PowerLawConfig};
-use vdm_topology::transit_stub::attach_hosts;
+use vdm_topology::transit_stub::{self, attach_hosts, TransitStubConfig};
 use vdm_topology::waxman::{self, WaxmanConfig};
 use vdm_topology::{Apsp, Graph, HostRoutes, NodeId, OnDemandRouter};
 
@@ -44,12 +47,31 @@ fn powerlaw_graph(nodes: usize, seed: u64) -> Graph {
 
 /// Every ordered host pair, swept twice through a router of each
 /// capacity — 1, 2 and one row per host — must agree bitwise with the
-/// eager host rows, and in distance with the dense matrix. Below one
-/// row per host the second sweep re-queries rows the first evicted.
+/// eager host rows, and those with the dense matrix: distance, node
+/// walk and link sequence. Below one row per host the second sweep
+/// re-queries rows the first evicted.
 fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
     let apsp = Apsp::build(g);
     let routes = HostRoutes::build(g, hosts.to_vec());
     let h = hosts.len();
+    for (a, &na) in hosts.iter().enumerate() {
+        for (b, &nb) in hosts.iter().enumerate() {
+            prop_assert_eq!(
+                routes.path_nodes(g, a, b),
+                apsp.path_nodes(na, nb),
+                "slot path h{}->h{} vs the dense walk",
+                a,
+                b
+            );
+            prop_assert_eq!(
+                routes.path_edges(g, a, b),
+                apsp.path_edges(g, na, nb),
+                "slot links h{}->h{} vs the searched links",
+                a,
+                b
+            );
+        }
+    }
     for capacity in [1, 2, h] {
         let router = OnDemandRouter::new(g, hosts.to_vec(), Some(capacity));
         for sweep in 0..2 {
@@ -67,8 +89,8 @@ fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
                     );
                     prop_assert_eq!(d.to_bits(), apsp.dist_ms(na, nb).to_bits());
                     prop_assert_eq!(
-                        router.path_nodes(a, b),
-                        routes.path_nodes(a, b),
+                        router.path_nodes(g, a, b),
+                        routes.path_nodes(g, a, b),
                         "path h{}->h{}, capacity {}",
                         a,
                         b,
@@ -141,6 +163,21 @@ proptest! {
         check(&g, &host_nodes)?;
     }
 
+    /// The Chapter 3 testbeds' family: transit-stub routers with host
+    /// leaves on the stub routers.
+    #[test]
+    fn transit_stub_on_demand_matches_dense(
+        routers in 48usize..120,
+        hosts in 1usize..16,
+        seed_ix in 0usize..SEEDS.len(),
+        extra_seed in 0u64..500,
+    ) {
+        let seed = SEEDS[seed_ix] ^ extra_seed;
+        let mut g = transit_stub::generate(&TransitStubConfig::sized(routers), seed);
+        let host_nodes = attach_hosts(&mut g, hosts, seed, 0.0);
+        check(&g, &host_nodes)?;
+    }
+
     /// Evict + re-query == fresh: after arbitrary interleaved queries
     /// through a tiny LRU, every row the router hands back equals the
     /// same host's row from a fresh router.
@@ -163,9 +200,9 @@ proptest! {
 }
 
 /// One cached row is one row of `HostRoutes`: a distance per host and a
-/// predecessor per node, nothing per router beyond that. On this
-/// testbed that is 8·9 + 4·39 bytes, not the 16·39 of a node-keyed row
-/// with first hops.
+/// 2-byte predecessor slot per node, nothing per router beyond that. On
+/// this testbed that is 8·9 + 2·39 bytes, not the 16·39 of a node-keyed
+/// row with first hops.
 #[test]
 fn on_demand_rows_hold_host_rows_only() {
     let mut g = powerlaw_graph(30, 7);
@@ -176,6 +213,8 @@ fn on_demand_rows_hold_host_rows_only() {
     let routes = HostRoutes::build(&g, hosts);
     let row = router.row(4);
     assert_eq!((row.dists().len(), row.prev().len()), (9, n));
+    let bytes = std::mem::size_of_val(row.dists()) + std::mem::size_of_val(row.prev());
+    assert_eq!(bytes, 8 * 9 + 2 * 39);
     for b in 0..9 {
         assert_eq!(row.dist_ms(b).to_bits(), routes.dist_ms(4, b).to_bits());
     }
