@@ -33,7 +33,8 @@ pub enum Effort {
     /// Minutes per figure family; faithful shapes.
     #[default]
     Default,
-    /// The paper's full scale; hours.
+    /// The paper's full scale; minutes (`vdm-repro all --paper` ran
+    /// in about 6 minutes on a 2-vCPU box).
     Paper,
 }
 

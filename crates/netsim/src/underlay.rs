@@ -8,11 +8,13 @@
 //!   delay-shortest routes (the NS-2 analogue, Chapter 3). Because routes
 //!   are explicit, per-physical-link metrics (stress) are defined. Only
 //!   host-to-host routes are ever asked for, so the routes come from one
-//!   shortest-path row per host ([`HostRoutes`], `8·H + 2·n` bytes a
-//!   row: host distances and a 2-byte predecessor slot per graph node),
-//!   or on A9-scale graphs from an [`OnDemandRouter`], which caches a
-//!   bounded number of the same rows. Both are asked the same
-//!   questions by host index.
+//!   shortest-path row per host ([`HostRoutes`]: `8·H` bytes of host
+//!   distances a row, plus a 2-byte predecessor slot per graph node,
+//!   `2·n` bytes, once a path from the row's host is asked), or on
+//!   A9-scale graphs from an [`OnDemandRouter`], which caches a bounded
+//!   number of the same rows. Both are asked the same questions by host
+//!   index. On an underlay whose links lose nothing, `path_loss` asks
+//!   no route at all.
 //! * [`LatencySpace`] — a host-to-host RTT matrix with optional jitter and
 //!   per-path loss (the PlanetLab analogue, Chapter 5). No physical links;
 //!   resource usage is measured as summed virtual-link latency instead,
@@ -96,15 +98,28 @@ enum Routes {
 pub struct RoutedUnderlay {
     graph: Arc<Graph>,
     routes: Routes,
+    /// Whether any link has a nonzero loss rate. When none has, every
+    /// route's loss product is a product of ones, and
+    /// [`Underlay::path_loss`] answers `0.0` without walking a route.
+    lossy: bool,
+}
+
+/// Whether any link of `g` loses packets.
+fn any_lossy_link(g: &Graph) -> bool {
+    g.edges().any(|(_, e)| e.attrs.loss != 0.0)
 }
 
 impl RoutedUnderlay {
     /// Build from a router+host graph and the graph nodes that act as
     /// hosts (typically from `transit_stub::attach_hosts`).
     ///
-    /// Runs one Dijkstra per host; `O(H · E log V)` time and
-    /// `8·H² + 2·H·V` bytes of rows — use [`RoutedUnderlay::on_demand`]
-    /// when `H · V` is too large to hold.
+    /// Runs one Dijkstra per host; `O(H · E log V)` time and `8·H²`
+    /// bytes of host distances up front, plus `2·V` bytes of
+    /// predecessor slots per host a path is asked from (stress, loss
+    /// on a lossy graph, the queueing data plane), so `8·H² + 2·H·V`
+    /// at most — use [`RoutedUnderlay::on_demand`] when `H²`, or
+    /// `H · V` on a run that asks paths from every host, is too large
+    /// to hold.
     ///
     /// # Panics
     /// Panics when there is no host, a host is not a node of `graph`,
@@ -116,6 +131,7 @@ impl RoutedUnderlay {
             assert!(routes.dist_ms(0, b).is_finite(), "host {h} unreachable");
         }
         Self {
+            lossy: any_lossy_link(&graph),
             graph: Arc::new(graph),
             routes: Routes::Hosts(routes),
         }
@@ -127,8 +143,9 @@ impl RoutedUnderlay {
     /// budget). The last argument can only be `None`; it keeps the
     /// four-argument call the benchmark's join workloads make.
     ///
-    /// Memory is `O(capacity · (H + V))`; no `O(H · V)` structure is
-    /// ever materialized.
+    /// A resident row is `8·H` bytes, and `8·H + 2·V` once a path from
+    /// its host has been asked. Memory is `O(capacity · (H + V))`; no
+    /// `O(H · V)` structure is ever materialized.
     ///
     /// # Panics
     /// Panics when there is no host, a host is not a node of `graph`,
@@ -147,6 +164,7 @@ impl RoutedUnderlay {
             assert!(row0.dist_ms(b).is_finite(), "host {h} unreachable");
         }
         Self {
+            lossy: any_lossy_link(&graph),
             graph,
             routes: Routes::OnDemand(router),
         }
@@ -176,6 +194,16 @@ impl RoutedUnderlay {
         match &self.routes {
             Routes::Hosts(_) => None,
             Routes::OnDemand(r) => Some(r),
+        }
+    }
+
+    /// Predecessor-slot rows the routing oracle has built: one per
+    /// source host a path has been asked from (again after an
+    /// on-demand row's eviction).
+    pub fn slot_rows_built(&self) -> u64 {
+        match &self.routes {
+            Routes::Hosts(r) => r.slot_rows_built(),
+            Routes::OnDemand(r) => r.stats().slot_rows,
         }
     }
 
@@ -215,6 +243,11 @@ impl Underlay for RoutedUnderlay {
     }
 
     fn path_loss(&self, a: HostId, b: HostId) -> f64 {
+        if !self.lossy {
+            // The fold below would multiply `1.0 - 0.0` per link and
+            // answer `1.0 - 1.0`, which is +0.0, for every pair.
+            return 0.0;
+        }
         let mut pass = 1.0;
         for e in self.route(a, b) {
             pass *= 1.0 - self.graph.edge(e).attrs.loss;
@@ -572,6 +605,131 @@ mod tests {
         }
         let stats = od.router().unwrap().stats();
         assert!(stats.misses >= 1 && stats.resident <= 2);
+    }
+
+    /// Host-leaf testbeds of the three graph families the experiments
+    /// route over: Waxman, power-law and transit-stub.
+    fn testbeds(link_loss: f64) -> Vec<(Graph, Vec<NodeId>)> {
+        use vdm_topology::powerlaw::{self, PowerLawConfig};
+        use vdm_topology::transit_stub::{self, attach_hosts, randomize_losses};
+        use vdm_topology::waxman::{self, WaxmanConfig};
+        let waxman = waxman::generate(
+            &WaxmanConfig {
+                nodes: 36,
+                ..WaxmanConfig::default()
+            },
+            6,
+        )
+        .graph;
+        let powerlaw = powerlaw::generate(
+            &PowerLawConfig {
+                nodes: 36,
+                ..PowerLawConfig::default()
+            },
+            6,
+        );
+        let ts = transit_stub::generate(&transit_stub::TransitStubConfig::sized(60), 6);
+        [waxman, powerlaw, ts]
+            .into_iter()
+            .map(|mut g| {
+                if link_loss > 0.0 {
+                    randomize_losses(&mut g, link_loss, 6);
+                }
+                let hosts = attach_hosts(&mut g, 12, 6, 0.0);
+                (g, hosts)
+            })
+            .collect()
+    }
+
+    /// Both oracles over `g`: eager host rows, then a 2-row LRU.
+    fn both_oracles(g: &Graph, hosts: &[NodeId]) -> [RoutedUnderlay; 2] {
+        [
+            RoutedUnderlay::new(g.clone(), hosts.to_vec()),
+            RoutedUnderlay::on_demand(Arc::new(g.clone()), hosts.to_vec(), Some(2), None),
+        ]
+    }
+
+    /// `path_loss` on a loss-free underlay answers without a route, and
+    /// the answer is the route fold's own: +0.0 for every host pair,
+    /// source and target equal included. On a lossy underlay it is the
+    /// fold over the route's links, bit for bit.
+    #[test]
+    fn path_loss_shortcut_is_exact() {
+        for link_loss in [0.0, 0.02] {
+            for (g, hosts) in testbeds(link_loss) {
+                assert_eq!(link_loss > 0.0, any_lossy_link(&g));
+                for u in both_oracles(&g, &hosts) {
+                    for a in 0..hosts.len() as u32 {
+                        for b in 0..hosts.len() as u32 {
+                            let (a, b) = (HostId(a), HostId(b));
+                            let got = u.path_loss(a, b);
+                            if link_loss == 0.0 {
+                                assert_eq!(got.to_bits(), 0, "{a}->{b}: {got}");
+                                continue;
+                            }
+                            let pass = u
+                                .route(a, b)
+                                .iter()
+                                .fold(1.0, |p: f64, &e| p * (1.0 - g.edge(e).attrs.loss));
+                            assert_eq!(got.to_bits(), (1.0 - pass).to_bits(), "{a}->{b}");
+                        }
+                    }
+                    if link_loss == 0.0 {
+                        assert_eq!(u.slot_rows_built(), 0, "a loss query walked a route");
+                    } else {
+                        assert!(u.slot_rows_built() >= hosts.len() as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Four threads ask routes of one shared underlay at once, under
+    /// each oracle: two from the same sources in the same order, so
+    /// they race to build the same slot rows, and two from other
+    /// sources. Every answer is the dense table's hop-by-hop walk, and
+    /// the eager oracle builds each host's slot row once.
+    #[test]
+    fn concurrent_first_path_queries_match_the_dense_walk() {
+        use std::sync::Barrier;
+        use vdm_topology::Apsp;
+        for (g, hosts) in testbeds(0.02) {
+            let apsp = Apsp::build(&g);
+            let h = hosts.len() as u32;
+            for u in both_oracles(&g, &hosts) {
+                let start = Barrier::new(4);
+                std::thread::scope(|scope| {
+                    for t in 0..4u32 {
+                        let (u, g, apsp, hosts, start) = (&u, &g, &apsp, &hosts, &start);
+                        scope.spawn(move || {
+                            let sources: Vec<u32> = match t {
+                                0 | 1 => (0..h).collect(),
+                                2 => (0..h).rev().collect(),
+                                _ => (0..h).map(|a| (a * 5 + 3) % h).collect(),
+                            };
+                            start.wait();
+                            for a in sources {
+                                for b in 0..h {
+                                    let (na, nb) = (hosts[a as usize], hosts[b as usize]);
+                                    assert_eq!(
+                                        u.path_edges(HostId(a), HostId(b)),
+                                        Some(apsp.path_edges(g, na, nb)),
+                                        "thread {t}: h{a}->h{b}"
+                                    );
+                                    assert_eq!(
+                                        u.hops(HostId(a), HostId(b)),
+                                        apsp.hop_count(na, nb)
+                                    );
+                                }
+                            }
+                        });
+                    }
+                });
+                if u.router().is_none() {
+                    assert_eq!(u.slot_rows_built(), u64::from(h));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Scale-out routing: the memory-bounded [`OnDemandRouter`].
 //!
-//! [`crate::HostRoutes`] computes one row per host up front,
-//! `8·H² + 2·H·n` bytes; at A9 scale (10k members on an 11k-router
-//! graph) that is ~1.25 GB, and at 20k ~4.9 GB. The router computes
-//! the same rows lazily and keeps at most `capacity` of them in an
-//! LRU. A row is [`crate::HostRoutes`]' own row shape and comes
-//! out of the same builder: per source host, `H` f64 distances at the
-//! host columns plus one `n`-long row of u16 predecessor slots (see
-//! [`crate::spath`]), `8·H + 2·n` bytes. Memory is
-//! `O(capacity · (H + n))`, and rows are shared read-only (`Arc`)
-//! across runner threads.
+//! [`crate::HostRoutes`] computes one distance row per host up front,
+//! `8·H²` bytes, plus `2·n` bytes of predecessor slots per host a path
+//! is asked from; at A9 scale (10k members on an 11k-router graph) the
+//! distances alone are ~0.8 GB, and with every slot row ~1.25 GB. The
+//! router computes the same rows lazily and keeps at most `capacity` of
+//! them in an LRU. A row is [`crate::HostRoutes`]' own row shape and
+//! comes out of the same builder: per source host, `H` f64 distances at
+//! the host columns, `8·H` bytes, and once a path from the source is
+//! asked while the row is resident, one `n`-long row of u16 predecessor
+//! slots (see [`crate::spath`]), `8·H + 2·n` bytes; the slots are
+//! evicted with the row. Memory is `O(capacity · (H + n))`, and rows
+//! are shared read-only (`Arc`) across runner threads.
 //!
 //! [`RoutedUnderlay`] in `vdm-netsim` holds either oracle and asks both
 //! the same questions by host index — `dist_ms(a, b)` and
@@ -24,13 +26,14 @@
 //! [`RoutedUnderlay`]: ../../vdm_netsim/underlay/struct.RoutedUnderlay.html
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::spath::{assert_graph, route_links, route_nodes, Csr, RowScratch, NO_PREV};
+use crate::spath::{assert_graph, route_links, route_nodes, Csr, ScratchPool};
 use crate::Millis;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One source host's routes, the unit the [`OnDemandRouter`] caches:
-/// the distance to every host and the predecessor of every node on the
-/// source's shortest-path tree — one row of [`crate::HostRoutes`].
+/// the distance to every host and, once a path from the source has been
+/// asked, the predecessor of every node on the source's shortest-path
+/// tree — one row of [`crate::HostRoutes`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct HostRow {
     /// `dist[b]` = shortest delay (ms) to host `b`; `INFINITY` when
@@ -38,7 +41,8 @@ pub struct HostRow {
     dist: Vec<Millis>,
     /// `prev[v]` = slot of node `v`'s predecessor in `v`'s adjacency
     /// list; `u16::MAX` for the source's node and unreachable nodes.
-    prev: Vec<u16>,
+    /// Built on the row's first path query.
+    prev: OnceLock<Box<[u16]>>,
 }
 
 impl HostRow {
@@ -55,9 +59,10 @@ impl HostRow {
 
     /// The predecessor-slot row, one entry per graph node: the index
     /// of the node's predecessor in its [`Graph::neighbors`] list,
-    /// `u16::MAX` for none.
-    pub fn prev(&self) -> &[u16] {
-        &self.prev
+    /// `u16::MAX` for none. `None` until a path from this row's source
+    /// has been asked while the row was resident.
+    pub fn prev(&self) -> Option<&[u16]> {
+        self.prev.get().map(|row| &row[..])
     }
 }
 
@@ -77,25 +82,9 @@ pub struct RouterStats {
     pub peak_resident: usize,
     /// Configured row capacity.
     pub capacity: usize,
-}
-
-/// Idle kernel scratch, so a row reuses an earlier row's scratch rows
-/// and queue. Rows are computed outside the LRU lock, several at once
-/// when runner threads miss together, so each computation takes
-/// scratch of its own and gives it back.
-#[derive(Default)]
-struct ScratchPool(Mutex<Vec<RowScratch>>);
-
-impl ScratchPool {
-    /// Idle scratch, or new scratch for an `n`-node graph.
-    fn take(&self, n: usize) -> RowScratch {
-        let idle = self.0.lock().expect("scratch pool lock").pop();
-        idle.unwrap_or_else(|| RowScratch::new(n))
-    }
-
-    fn give_back(&self, scratch: RowScratch) {
-        self.0.lock().expect("scratch pool lock").push(scratch);
-    }
+    /// Predecessor-slot rows built: one per path query from a resident
+    /// row that held none.
+    pub slot_rows: u64,
 }
 
 /// One host's LRU slot.
@@ -182,12 +171,14 @@ impl OnDemandRouter {
     /// stays `O(capacity · (H + n))`, not `O(H · n)`.
     ///
     /// The formula prices a row at 16 bytes per node, the size of the
-    /// node-keyed rows the router used to cache. A host row is
-    /// `8·H + 2·n` bytes, at most 6 bytes per node when hosts are at
-    /// most half the nodes (as on A9's testbeds), so the budget is
-    /// about 2.7× conservative. The formula is kept on purpose: it
-    /// fixes every A9 capacity, and with it every row hit, miss and
-    /// eviction count.
+    /// node-keyed rows the router used to cache. A host row is `8·H`
+    /// bytes until a path from its source is asked and `8·H + 2·n`
+    /// after. When hosts are at most half the nodes (as on A9's
+    /// testbeds) that is at most 4 and 6 bytes per node, so the budget
+    /// is about 4× conservative for rows that only answer distances, as
+    /// the join walks' rows do, and 2.7× when every row holds its
+    /// slots. The formula is kept on purpose: it fixes every A9
+    /// capacity, and with it every row hit, miss and eviction count.
     pub fn default_capacity(n: usize) -> usize {
         let row_bytes = n.max(1) * 16;
         (ROW_BUDGET_BYTES / row_bytes).clamp(8, n.max(8))
@@ -203,7 +194,8 @@ impl OnDemandRouter {
         self.capacity
     }
 
-    /// Snapshot this instance's hit/miss/eviction/residency counters.
+    /// Snapshot this instance's hit/miss/eviction/residency and
+    /// slot-row counters.
     pub fn stats(&self) -> RouterStats {
         let lru = self.lru.lock().expect("router lru lock");
         RouterStats {
@@ -213,6 +205,7 @@ impl OnDemandRouter {
             resident: lru.resident.len(),
             peak_resident: lru.peak,
             capacity: self.capacity,
+            slot_rows: self.scratch.slot_rows_built(),
         }
     }
 
@@ -237,16 +230,10 @@ impl OnDemandRouter {
         // allocated before the scratch is taken.
         let mut row = HostRow {
             dist: vec![Millis::INFINITY; self.hosts.len()],
-            prev: vec![NO_PREV; self.csr.num_nodes()],
+            prev: OnceLock::new(),
         };
         let mut scratch = self.scratch.take(self.csr.num_nodes());
-        scratch.host_row(
-            &self.csr,
-            &self.hosts,
-            self.hosts[a],
-            &mut row.dist,
-            &mut row.prev,
-        );
+        scratch.host_dists(&self.csr, &self.hosts, self.hosts[a], &mut row.dist);
         self.scratch.give_back(scratch);
         let row = Arc::new(row);
 
@@ -300,12 +287,12 @@ impl OnDemandRouter {
     /// # Panics
     /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_nodes(&self, g: &Graph, a: usize, b: usize) -> Vec<NodeId> {
-        self.assert_graph(g);
+        assert_graph(g, &self.csr);
         let row = self.row(a);
         if row.dist[b].is_infinite() {
             return Vec::new();
         }
-        route_nodes(g, &row.prev, self.hosts[a], self.hosts[b])
+        route_nodes(g, self.prev_row(&row, a), self.hosts[a], self.hosts[b])
     }
 
     /// Edge sequence of the route from host `a` to host `b`, read off
@@ -315,12 +302,13 @@ impl OnDemandRouter {
     /// # Panics
     /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
-        self.assert_graph(g);
-        route_links(g, &self.row(a).prev, self.hosts[b])
+        assert_graph(g, &self.csr);
+        route_links(g, self.prev_row(&self.row(a), a), self.hosts[b])
     }
 
-    fn assert_graph(&self, g: &Graph) {
-        assert_graph(g, self.csr.num_nodes(), self.csr.num_edges());
+    /// Host `a`'s predecessor-slot row, built into `row` on first use.
+    fn prev_row<'a>(&self, row: &'a HostRow, a: usize) -> &'a [u16] {
+        self.scratch.slot_row(&row.prev, &self.csr, self.hosts[a])
     }
 }
 

@@ -3,11 +3,12 @@
 //! The discrete-event simulator forwards every packet along delay-shortest
 //! routes, exactly as the paper's NS-2 setup does, and the stress metric
 //! needs the *edge sequence* of each route. The overlay only ever asks
-//! about routes between hosts, so [`HostRoutes`] precomputes one row per
-//! host: host-to-host distances and the predecessor row that
-//! [`HostRoutes::path_edges`] walks to enumerate physical links on a
-//! route. [`Apsp`], the dense all-pairs table with next hops, is the
-//! reference the tests hold it to.
+//! about routes between hosts, so [`HostRoutes`] precomputes one row of
+//! host-to-host distances per host, and builds a host's predecessor row,
+//! which [`HostRoutes::path_edges`] walks to enumerate physical links on
+//! a route, only when a path from that host is first asked. [`Apsp`],
+//! the dense all-pairs table with next hops, is the reference the tests
+//! hold it to.
 //!
 //! # Predecessor slots
 //!
@@ -23,6 +24,19 @@
 //! exact: [`Graph::add_edge`] forbids parallel links, so a slot names
 //! exactly the node a `u32` predecessor would, and rows cost
 //! `2·n` bytes of predecessors instead of `4·n`.
+//!
+//! # Slot rows on demand
+//!
+//! The overlay's hot path asks only distances; stress, loss estimates
+//! and the queueing data plane ask routes. So both host-route oracles
+//! store a source's `H` host distances up front (`8·H` bytes) and its
+//! `n`-long slot row (`2·n` bytes) only once a path from that source is
+//! asked: a [`OnceLock`] per source, filled by running the kernel from
+//! the same source again. The kernel is a pure function of the CSR and
+//! the source, so the slots have the bits an eager build would have
+//! written, and a filled row is read without a lock. The distance
+//! build writes its slots into one scratch row. `ScratchPool` is the
+//! one fill path both oracles share; it counts the rows it builds.
 //!
 //! # One kernel
 //!
@@ -76,6 +90,8 @@
 
 use crate::graph::{Adj, EdgeId, Graph, NodeId};
 use crate::Millis;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Result of a single-source Dijkstra run.
 #[derive(Clone, Debug)]
@@ -523,27 +539,39 @@ impl Apsp {
 /// The overlay only asks about hosts — probe RTTs, and stretch and
 /// stress over host-to-host routes — so this keeps an `H × H` distance
 /// matrix, indexed by host id and copied from each host's row at the
-/// host columns, and one `n`-long row of predecessor slots per host
-/// (see the module docs): `8·H² + 2·H·n` bytes against [`Apsp`]'s
-/// `12·n²`. Each row is the kernel run from the same source as the
-/// matching [`Apsp`] row, so every distance has the same bits.
-#[derive(Clone, Debug)]
+/// host columns: `8·H²` bytes against [`Apsp`]'s `12·n²`. A host's
+/// `n`-long row of predecessor slots (see the module docs) is built
+/// the first time a path from it is asked, `2·n` bytes per host asked
+/// from, over the CSR this keeps (`16 B × 2E`). Each row is the kernel
+/// run from the same source as the matching [`Apsp`] row, so every
+/// distance and slot has the same bits.
 pub struct HostRoutes {
-    /// Node count of the graph the rows were built over.
-    n: usize,
-    /// Link count of that graph.
-    edges: usize,
+    /// The graph's adjacency, kept for the slot rows.
+    csr: Csr,
     /// Graph node of each host, in host-id order.
     hosts: Vec<NodeId>,
     /// Flattened `H × H` host-to-host distance matrix in ms.
     dist: Vec<Millis>,
-    /// Flattened `H × n` predecessor-slot rows, one per source host;
-    /// [`NO_PREV`] for the source and unreachable nodes.
-    prev: Vec<u16>,
+    /// Per source host, its predecessor-slot row once a path from it
+    /// has been asked; [`NO_PREV`] for the source and unreachable
+    /// nodes.
+    prev: Vec<OnceLock<Box<[u16]>>>,
+    scratch: ScratchPool,
+}
+
+impl std::fmt::Debug for HostRoutes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HostRoutes")
+            .field("nodes", &self.csr.num_nodes())
+            .field("hosts", &self.hosts.len())
+            .field("slot_rows", &self.slot_rows_built())
+            .finish()
+    }
 }
 
 impl HostRoutes {
-    /// Run Dijkstra from the node of every host in `hosts`.
+    /// Run Dijkstra from the node of every host in `hosts`, keeping the
+    /// host distances; slot rows wait for the first path query.
     ///
     /// # Panics
     /// Panics when a host is not a node of `g`.
@@ -551,32 +579,29 @@ impl HostRoutes {
         let n = g.num_nodes();
         let h = hosts.len();
         assert!(hosts.iter().all(|v| v.idx() < n), "host out of range");
-        // The two tables come first, before any scratch, and the scratch
-        // is a few exactly-sized allocations plus the queue, which holds
-        // one row's pushes at most. When a process builds tables
-        // repeatedly (every benchmark iteration does), glibc
-        // serves them from the block the previous pair freed — and any
-        // other request that fits no smaller hole from the front of that
-        // same block, after which `prev` no longer fits behind `dist`
+        // The tables come first, then the CSR that is kept, then the
+        // scratch, a few exactly-sized allocations plus the queue, which
+        // holds one row's pushes at most. When a process builds tables
+        // repeatedly (every benchmark iteration does), glibc serves them
+        // from the block the previous build freed — and any other
+        // request that fits no smaller hole from the front of that same
+        // block, after which a table no longer fits behind the first
         // and the heap grows by a whole table: +16 % peak RSS on
         // `soak_resilient` back when its underlay held `Apsp`'s planes
         // and scratch came first (DESIGN.md §8).
         let mut dist = vec![Millis::INFINITY; h * h];
-        let mut prev = vec![NO_PREV; h * n];
+        let prev = (0..h).map(|_| OnceLock::new()).collect();
         let csr = Csr::new(g);
         let mut scratch = RowScratch::new(n);
-        let rows = dist
-            .chunks_exact_mut(h.max(1))
-            .zip(prev.chunks_exact_mut(n.max(1)));
-        for (&s, (dist_row, prev_row)) in hosts.iter().zip(rows) {
-            scratch.host_row(&csr, &hosts, s, dist_row, prev_row);
+        for (&s, row) in hosts.iter().zip(dist.chunks_exact_mut(h.max(1))) {
+            scratch.host_dists(&csr, &hosts, s, row);
         }
         Self {
-            n,
-            edges: g.num_edges(),
+            csr,
             hosts,
             dist,
             prev,
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -620,7 +645,7 @@ impl HostRoutes {
     /// # Panics
     /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_nodes(&self, g: &Graph, a: usize, b: usize) -> Vec<NodeId> {
-        assert_graph(g, self.n, self.edges);
+        assert_graph(g, &self.csr);
         if self.dist_ms(a, b).is_infinite() {
             return Vec::new();
         }
@@ -634,50 +659,59 @@ impl HostRoutes {
     /// # Panics
     /// Panics when `g`'s node or link count is not that graph's.
     pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
-        assert_graph(g, self.n, self.edges);
+        assert_graph(g, &self.csr);
         route_links(g, self.prev_row(a), self.hosts[b])
     }
 
-    /// Host `a`'s predecessor-slot row.
+    /// Predecessor-slot rows built so far: one per source host a path
+    /// has been asked from.
+    pub fn slot_rows_built(&self) -> u64 {
+        self.scratch.slot_rows_built()
+    }
+
+    /// Host `a`'s predecessor-slot row, built on first use.
     fn prev_row(&self, a: usize) -> &[u16] {
-        &self.prev[a * self.n..(a + 1) * self.n]
+        self.scratch
+            .slot_row(&self.prev[a], &self.csr, self.hosts[a])
     }
 }
 
-/// Scratch the host-row builder runs the kernel into: a full `n`-long
-/// distance row, whose host columns it keeps, a first-hop row nobody
-/// reads, and the queue, all kept from row to row.
+/// Scratch the kernel runs into for a host row: a full `n`-long
+/// distance row, whose host columns a distance row keeps, a slot row
+/// and a first-hop row that a distance row does not keep, and the
+/// queue, all kept from row to row.
 pub(crate) struct RowScratch {
     dist: Vec<Millis>,
+    prev: Vec<u16>,
     first: Vec<u32>,
     queue: BucketQueue,
 }
 
 impl RowScratch {
-    /// Scratch for rows over an `n`-node graph; the two rows are
+    /// Scratch for rows over an `n`-node graph; the three rows are
     /// allocated before the queue.
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             dist: vec![Millis::INFINITY; n],
+            prev: vec![NO_PREV; n],
             first: vec![u32::MAX; n],
             queue: BucketQueue::default(),
         }
     }
 
-    /// The host row from `source` — the one row shape both host-route
-    /// oracles store: the kernel writes `source`'s predecessor row into
-    /// `prev` (`n` long), and `dist` (one slot per host) gets the
-    /// distance row at the host columns.
-    pub(crate) fn host_row(
+    /// The distance row from `source` that both host-route oracles
+    /// store: `dist` (one slot per host) gets the kernel's distance row
+    /// at the host columns.
+    pub(crate) fn host_dists(
         &mut self,
         csr: &Csr,
         hosts: &[NodeId],
         source: NodeId,
         dist: &mut [Millis],
-        prev: &mut [u16],
     ) {
         let Self {
             dist: row,
+            prev,
             first,
             queue,
         } = self;
@@ -688,13 +722,65 @@ impl RowScratch {
     }
 }
 
-/// Panics unless `g` has the `n` nodes and `edges` links of the graph
+/// The lazy slot rows of one host-route oracle: idle kernel scratch, so
+/// a row reuses an earlier row's scratch rows and queue, and the count
+/// of slot rows built. Rows are filled on whichever thread asks first,
+/// several at once when runner threads ask different sources together,
+/// so each fill takes scratch of its own and gives it back.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
+    idle: Mutex<Vec<RowScratch>>,
+    slot_rows: AtomicU64,
+}
+
+impl ScratchPool {
+    /// Idle scratch, or new scratch for an `n`-node graph.
+    pub(crate) fn take(&self, n: usize) -> RowScratch {
+        let idle = self.idle.lock().expect("scratch pool lock").pop();
+        idle.unwrap_or_else(|| RowScratch::new(n))
+    }
+
+    pub(crate) fn give_back(&self, scratch: RowScratch) {
+        self.idle.lock().expect("scratch pool lock").push(scratch);
+    }
+
+    /// `source`'s predecessor-slot row, held in `cell`: on the first
+    /// call the kernel runs from `source` again, straight into a new
+    /// row (allocated before the scratch is taken); later calls, and
+    /// threads that waited on the first, read the row.
+    pub(crate) fn slot_row<'a>(
+        &self,
+        cell: &'a OnceLock<Box<[u16]>>,
+        csr: &Csr,
+        source: NodeId,
+    ) -> &'a [u16] {
+        cell.get_or_init(|| {
+            let n = csr.num_nodes();
+            let mut row = vec![NO_PREV; n].into_boxed_slice();
+            let mut scratch = self.take(n);
+            let RowScratch {
+                dist, first, queue, ..
+            } = &mut scratch;
+            sssp(csr, source.0, dist, &mut row, first, queue);
+            self.give_back(scratch);
+            self.slot_rows.fetch_add(1, Ordering::Relaxed);
+            row
+        })
+    }
+
+    /// Slot rows [`Self::slot_row`] has built.
+    pub(crate) fn slot_rows_built(&self) -> u64 {
+        self.slot_rows.load(Ordering::Relaxed)
+    }
+}
+
+/// Panics unless `g` has the node and link counts of `csr`, the graph
 /// a set of predecessor-slot rows was built over. A slot indexes `g`'s
 /// adjacency lists, so on another graph it would name another link
 /// without an error; a graph of the same size is not caught.
-pub(crate) fn assert_graph(g: &Graph, n: usize, edges: usize) {
+pub(crate) fn assert_graph(g: &Graph, csr: &Csr) {
     assert!(
-        g.num_nodes() == n && g.num_edges() == edges,
+        g.num_nodes() == csr.num_nodes() && g.num_edges() == csr.num_edges(),
         "not the graph the routes were built over"
     );
 }
@@ -848,26 +934,60 @@ mod tests {
         (g, routes)
     }
 
-    /// The table is `H²` distances and `H · n` predecessors — no
-    /// router-sized plane — and answers like the dense one.
+    /// Lengths of the slot rows built so far, per source host.
+    fn slot_row_lens(routes: &HostRoutes) -> Vec<Option<usize>> {
+        routes
+            .prev
+            .iter()
+            .map(|c| c.get().map(|r| r.len()))
+            .collect()
+    }
+
+    /// The table is `H²` distances and, per host asked a path from,
+    /// `n` predecessor slots — no router-sized plane — and answers like
+    /// the dense one.
     #[test]
     fn host_routes_hold_host_rows_only() {
         let (g, routes) = host_routes();
-        assert_eq!((routes.dist.len(), routes.prev.len()), (3 * 3, 3 * 4));
-        assert_eq!(routes.n, g.num_nodes());
+        assert_eq!(routes.dist.len(), 3 * 3);
+        assert_eq!(slot_row_lens(&routes), [None, None, None]);
+        assert_eq!(routes.csr.num_nodes(), g.num_nodes());
         assert_eq!(routes.dist_ms(0, 1), 2.0);
         assert_eq!(routes.dist_ms(2, 0), 1.5);
         assert_eq!(routes.dist_ms(1, 1), 0.0);
+        assert_eq!(slot_row_lens(&routes), [None, None, None]);
         assert_eq!(
             routes.path_nodes(&g, 2, 1),
             vec![NodeId(3), NodeId(1), NodeId(2)]
         );
         assert_eq!(routes.path_nodes(&g, 1, 1), vec![NodeId(2)]);
         assert_eq!(routes.path_edges(&g, 0, 2).len(), 2);
+        assert_eq!(slot_row_lens(&routes), [Some(4), Some(4), Some(4)]);
+        assert_eq!(routes.slot_rows_built(), 3);
 
         let single = HostRoutes::build(&g, vec![NodeId(1)]);
-        assert_eq!((single.dist.len(), single.prev.len()), (1, 4));
+        assert_eq!(single.dist.len(), 1);
+        assert_eq!(slot_row_lens(&single), [None]);
         assert_eq!(single.path_nodes(&g, 0, 0), vec![NodeId(1)]);
+        assert_eq!(slot_row_lens(&single), [Some(4)]);
+    }
+
+    /// A slot row is built once per source, on its first path query,
+    /// and holds the slots the kernel writes from that source.
+    #[test]
+    fn slot_rows_are_built_once_on_the_first_path_query() {
+        let (g, routes) = host_routes();
+        for _ in 0..3 {
+            routes.path_edges(&g, 1, 0);
+            routes.path_nodes(&g, 1, 2);
+        }
+        assert_eq!(slot_row_lens(&routes), [None, Some(4), None]);
+        assert_eq!(routes.slot_rows_built(), 1);
+        let csr = Csr::new(&g);
+        let (mut dist, mut prev, mut first) = (vec![0.0; 4], vec![0; 4], vec![0; 4]);
+        let mut queue = BucketQueue::default();
+        sssp(&csr, 2, &mut dist, &mut prev, &mut first, &mut queue);
+        assert_eq!(routes.prev[1].get().map(|r| &r[..]), Some(&prev[..]));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::{self, attach_hosts, TransitStubConfig};
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Apsp, Graph, HostRoutes, NodeId, OnDemandRouter};
+use vdm_topology::{Apsp, Graph, HostRoutes, HostRow, NodeId, OnDemandRouter};
 
 /// The two fixed seeds every graph family is checked on (plus the
 /// proptest-driven parameter space around them).
@@ -199,10 +199,11 @@ proptest! {
     }
 }
 
-/// One cached row is one row of `HostRoutes`: a distance per host and a
-/// 2-byte predecessor slot per node, nothing per router beyond that. On
-/// this testbed that is 8·9 + 2·39 bytes, not the 16·39 of a node-keyed
-/// row with first hops.
+/// One cached row is one row of `HostRoutes`: a distance per host and,
+/// once a path from its host is asked, a 2-byte predecessor slot per
+/// node, nothing per router beyond that. On this testbed that is 8·9
+/// bytes before the first path query and 8·9 + 2·39 after, not the
+/// 16·39 of a node-keyed row with first hops.
 #[test]
 fn on_demand_rows_hold_host_rows_only() {
     let mut g = powerlaw_graph(30, 7);
@@ -212,12 +213,67 @@ fn on_demand_rows_hold_host_rows_only() {
     let router = OnDemandRouter::new(&g, hosts.clone(), None);
     let routes = HostRoutes::build(&g, hosts);
     let row = router.row(4);
-    assert_eq!((row.dists().len(), row.prev().len()), (9, n));
-    let bytes = std::mem::size_of_val(row.dists()) + std::mem::size_of_val(row.prev());
-    assert_eq!(bytes, 8 * 9 + 2 * 39);
+    let bytes = |row: &HostRow| {
+        std::mem::size_of_val(row.dists()) + row.prev().map_or(0, std::mem::size_of_val)
+    };
+    assert_eq!((row.dists().len(), row.prev()), (9, None));
+    assert_eq!(bytes(&row), 8 * 9);
+    router.path_edges(&g, 4, 0);
+    assert_eq!(row.prev().map(<[u16]>::len), Some(n));
+    assert_eq!(bytes(&row), 8 * 9 + 2 * 39);
     for b in 0..9 {
         assert_eq!(row.dist_ms(b).to_bits(), routes.dist_ms(4, b).to_bits());
     }
+}
+
+/// Slot rows are built by whichever thread asks first. Four threads
+/// ask node walks and link sequences of one shared oracle at once — the
+/// eager host rows, and routers of one row per host and of two rows:
+/// two threads from the same sources in the same order, so they race
+/// to fill the same rows, and two from other sources. Every answer is
+/// the dense table's walk, and each eager slot row is built once.
+#[test]
+fn concurrent_first_path_queries_match_the_dense_walk() {
+    use std::sync::Barrier;
+    let mut g = transit_stub::generate(&TransitStubConfig::sized(80), 3);
+    let hosts = attach_hosts(&mut g, 14, 3, 0.0);
+    let apsp = Apsp::build(&g);
+    let h = hosts.len();
+    let routes = HostRoutes::build(&g, hosts.clone());
+    let full = OnDemandRouter::new(&g, hosts.clone(), Some(h));
+    let tiny = OnDemandRouter::new(&g, hosts.clone(), Some(2));
+    type Walk<'a> = &'a (dyn Fn(usize, usize) -> (Vec<NodeId>, Vec<vdm_topology::EdgeId>) + Sync);
+    let oracles: [Walk; 3] = [
+        &|a, b| (routes.path_nodes(&g, a, b), routes.path_edges(&g, a, b)),
+        &|a, b| (full.path_nodes(&g, a, b), full.path_edges(&g, a, b)),
+        &|a, b| (tiny.path_nodes(&g, a, b), tiny.path_edges(&g, a, b)),
+    ];
+    for walk in oracles {
+        let start = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (g, apsp, hosts, start) = (&g, &apsp, &hosts, &start);
+                scope.spawn(move || {
+                    let sources: Vec<usize> = match t {
+                        0 | 1 => (0..h).collect(),
+                        2 => (0..h).rev().collect(),
+                        _ => (0..h).map(|a| (a * 5 + 3) % h).collect(),
+                    };
+                    start.wait();
+                    for a in sources {
+                        for b in 0..h {
+                            let (na, nb) = (hosts[a], hosts[b]);
+                            let want = (apsp.path_nodes(na, nb), apsp.path_edges(g, na, nb));
+                            assert_eq!(walk(a, b), want, "thread {t}: h{a}->h{b}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+    assert_eq!(routes.slot_rows_built(), h as u64);
+    assert_eq!(full.stats().slot_rows, h as u64);
+    assert!(tiny.stats().slot_rows >= h as u64);
 }
 
 /// Fixed-seed anchors (the two seeds named by the acceptance criteria),

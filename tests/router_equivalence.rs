@@ -15,10 +15,12 @@
 use std::sync::Arc;
 use vdm_core::VdmPolicy;
 use vdm_experiments::figures::{ablation, scale};
+use vdm_experiments::proto::Protocol;
 use vdm_experiments::runner::{with_mode, ExecMode};
 use vdm_experiments::setup::{self, with_router_choice, RouterChoice};
 use vdm_experiments::{Effort, Table};
 use vdm_netsim::RoutedUnderlay;
+use vdm_overlay::scenario::{ChurnConfig, Scenario};
 
 const SEEDS: [u64; 2] = [11, 42];
 
@@ -99,5 +101,60 @@ fn a9_guided_sweep_identical_at_any_row_capacity() {
             all.ov.snapshot().parent,
             "n {n} seed {seed}: parents"
         );
+    }
+}
+
+/// Predecessor-slot rows built by a streamed VDM session over a
+/// 40-member Chapter 3 testbed with `link_loss`, with or without link
+/// stress, under `choice`.
+fn slot_rows_after_session(choice: RouterChoice, link_loss: f64, stress: bool, seed: u64) -> u64 {
+    with_router_choice(choice, || {
+        let s = setup::ch3_setup(40, link_loss, seed);
+        let scenario = Scenario::churn(
+            &ChurnConfig {
+                members: 40,
+                warmup_s: 120.0,
+                slot_s: 60.0,
+                slots: 2,
+                churn_pct: 10.0,
+            },
+            &s.candidates,
+            seed,
+        );
+        let mut session = s.session(&scenario, seed);
+        if stress {
+            session.routed = Some(s.underlay.clone());
+            session.cfg.compute_stress = true;
+        }
+        let out = Protocol::Vdm.run(session);
+        let last = out.stats.measurements.last().expect("a measurement");
+        assert!(last.connected > 0 && last.stress.is_some() == stress);
+        s.underlay.slot_rows_built()
+    })
+}
+
+/// Slot rows are built only when a route is asked. The paper's
+/// loss-free session asks distances alone, so it builds none: data
+/// packets' loss queries are answered without a route. Stress asks
+/// routes from parents, at most one row per host. On Chapter 4's lossy
+/// links the data packets' loss queries walk routes.
+#[test]
+fn slot_rows_are_built_only_when_a_route_is_asked() {
+    for choice in [RouterChoice::Dense, RouterChoice::OnDemand] {
+        for seed in SEEDS {
+            let hosts = 41;
+            let off = slot_rows_after_session(choice, 0.0, false, seed);
+            assert_eq!(off, 0, "{choice:?} seed {seed}: stress off");
+            let on = slot_rows_after_session(choice, 0.0, true, seed);
+            assert!(
+                (1..=hosts).contains(&on),
+                "{choice:?} seed {seed}: stress {on}"
+            );
+            let lossy = slot_rows_after_session(choice, 0.02, false, seed);
+            assert!(
+                (1..=hosts).contains(&lossy),
+                "{choice:?} seed {seed}: lossy {lossy}"
+            );
+        }
     }
 }
