@@ -8,9 +8,9 @@
 //!   delay-shortest routes (the NS-2 analogue, Chapter 3). Because routes
 //!   are explicit, per-physical-link metrics (stress) are defined. Only
 //!   host-to-host routes are ever asked for, so the routes come from one
-//!   shortest-path row per host ([`HostRoutes`]: `8·H` bytes of host
-//!   distances a row, plus a 2-byte predecessor slot per graph node,
-//!   `2·n` bytes, once a path from the row's host is asked), or on
+//!   shortest-path row per host ([`HostRoutes`]: each host pair's two
+//!   distances in 9 bytes, plus a 2-byte predecessor slot per graph
+//!   node, `2·n` bytes, once a path from the row's host is asked), or on
 //!   A9-scale graphs from an [`OnDemandRouter`], which caches a bounded
 //!   number of the same rows. Both are asked the same questions by host
 //!   index. On an underlay whose links lose nothing, `path_loss` asks
@@ -113,11 +113,12 @@ impl RoutedUnderlay {
     /// Build from a router+host graph and the graph nodes that act as
     /// hosts (typically from `transit_stub::attach_hosts`).
     ///
-    /// Runs one Dijkstra per host; `O(H · E log V)` time and `8·H²`
-    /// bytes of host distances up front, plus `2·V` bytes of
-    /// predecessor slots per host a path is asked from (stress, loss
-    /// on a lossy graph, the queueing data plane), so `8·H² + 2·H·V`
-    /// at most — use [`RoutedUnderlay::on_demand`] when `H²`, or
+    /// Runs one Dijkstra per host; `O(H · E log V)` time and
+    /// `4.5·H(H−1)` bytes of host distances up front (each host pair
+    /// once), plus `2·V` bytes of predecessor slots per host a path is
+    /// asked from (stress, loss on a lossy graph, the queueing data
+    /// plane), so `4.5·H(H−1) + 2·H·V` at most — use
+    /// [`RoutedUnderlay::on_demand`] when `H²`, or
     /// `H · V` on a run that asks paths from every host, is too large
     /// to hold.
     ///

@@ -1,12 +1,13 @@
 //! Scale-out routing: the memory-bounded [`OnDemandRouter`].
 //!
-//! [`crate::HostRoutes`] computes one distance row per host up front,
-//! `8·H²` bytes, plus `2·n` bytes of predecessor slots per host a path
-//! is asked from; at A9 scale (10k members on an 11k-router graph) the
-//! distances alone are ~0.8 GB, and with every slot row ~1.25 GB. The
-//! router computes the same rows lazily and keeps at most `capacity` of
-//! them in an LRU. A row is [`crate::HostRoutes`]' own row shape and
-//! comes out of the same builder: per source host, `H` f64 distances at
+//! [`crate::HostRoutes`] computes one distance row per host up front and
+//! stores each host pair once, `4.5·H(H−1)` bytes, plus `2·n` bytes of
+//! predecessor slots per host a path is asked from; at A9 scale (10k
+//! members on an 11k-router graph) the distances alone are ~0.45 GB,
+//! and with every slot row ~0.9 GB. The router computes the same rows
+//! lazily and keeps at most `capacity` of them in an LRU. A row comes
+//! out of [`crate::HostRoutes`]' row builder: per source host, `H` f64
+//! distances at
 //! the host columns, `8·H` bytes, and once a path from the source is
 //! asked while the row is resident, one `n`-long row of u16 predecessor
 //! slots (see [`crate::spath`]), `8·H + 2·n` bytes; the slots are

@@ -4,11 +4,11 @@
 //! routes, exactly as the paper's NS-2 setup does, and the stress metric
 //! needs the *edge sequence* of each route. The overlay only ever asks
 //! about routes between hosts, so [`HostRoutes`] precomputes one row of
-//! host-to-host distances per host, and builds a host's predecessor row,
-//! which [`HostRoutes::path_edges`] walks to enumerate physical links on
-//! a route, only when a path from that host is first asked. [`Apsp`],
-//! the dense all-pairs table with next hops, is the reference the tests
-//! hold it to.
+//! host-to-host distances per host, storing each host pair once, and
+//! builds a host's predecessor row, which [`HostRoutes::path_edges`]
+//! walks to enumerate physical links on a route, only when a path from
+//! that host is first asked. [`Apsp`], the dense all-pairs table with
+//! next hops, is the reference the tests hold it to.
 //!
 //! # Predecessor slots
 //!
@@ -37,6 +37,21 @@
 //! written, and a filled row is read without a lock. The distance
 //! build writes its slots into one scratch row. `ScratchPool` is the
 //! one fill path both oracles share; it counts the rows it builds.
+//!
+//! # Each host pair once
+//!
+//! Links are undirected, so `d(a, b)` and `d(b, a)` are one route summed
+//! in opposite order, and differ at most in the last few ulps. The eager
+//! oracle therefore stores them as a `PairTable`: `d(a, b)` for every
+//! host pair `a < b` as an f64 in a strict upper triangle, and `d(b, a)`
+//! as the signed difference of the two bit patterns in one `i8`. Every
+//! distance is non-negative or `INFINITY`, and for those the bit pattern
+//! read as an integer orders as the number does, so a few ulps are a
+//! small integer and the sum gives back `d(b, a)`'s exact bits. A
+//! difference the byte cannot hold is marked `SPILLED` and its
+//! distance kept whole in a short sorted list. That is `4.5·H(H−1)`
+//! bytes for the table against `8·H²` for a square one, and every
+//! answer keeps its bits.
 //!
 //! # One kernel
 //!
@@ -537,21 +552,22 @@ impl Apsp {
 /// per host, none per router.
 ///
 /// The overlay only asks about hosts — probe RTTs, and stretch and
-/// stress over host-to-host routes — so this keeps an `H × H` distance
-/// matrix, indexed by host id and copied from each host's row at the
-/// host columns: `8·H²` bytes against [`Apsp`]'s `12·n²`. A host's
-/// `n`-long row of predecessor slots (see the module docs) is built
-/// the first time a path from it is asked, `2·n` bytes per host asked
-/// from, over the CSR this keeps (`16 B × 2E`). Each row is the kernel
-/// run from the same source as the matching [`Apsp`] row, so every
-/// distance and slot has the same bits.
+/// stress over host-to-host routes — so this keeps the host-to-host
+/// distances, copied from each host's row at the host columns, each
+/// host pair once (a `PairTable`, see the module docs):
+/// `4.5·H(H−1)` bytes against [`Apsp`]'s `12·n²`. A host's `n`-long row
+/// of predecessor slots (see the module docs) is built the first time a
+/// path from it is asked, `2·n` bytes per host asked from, over the CSR
+/// this keeps (`16 B × 2E`). Each row is the kernel run from the same
+/// source as the matching [`Apsp`] row, so every distance and slot has
+/// the same bits.
 pub struct HostRoutes {
     /// The graph's adjacency, kept for the slot rows.
     csr: Csr,
     /// Graph node of each host, in host-id order.
     hosts: Vec<NodeId>,
-    /// Flattened `H × H` host-to-host distance matrix in ms.
-    dist: Vec<Millis>,
+    /// Host-to-host distances in ms.
+    dist: PairTable,
     /// Per source host, its predecessor-slot row once a path from it
     /// has been asked; [`NO_PREV`] for the source and unreachable
     /// nodes.
@@ -589,12 +605,14 @@ impl HostRoutes {
         // and the heap grows by a whole table: +16 % peak RSS on
         // `soak_resilient` back when its underlay held `Apsp`'s planes
         // and scratch came first (DESIGN.md §8).
-        let mut dist = vec![Millis::INFINITY; h * h];
+        let mut dist = PairTable::new(h);
         let prev = (0..h).map(|_| OnceLock::new()).collect();
         let csr = Csr::new(g);
         let mut scratch = RowScratch::new(n);
-        for (&s, row) in hosts.iter().zip(dist.chunks_exact_mut(h.max(1))) {
-            scratch.host_dists(&csr, &hosts, s, row);
+        let mut row = vec![Millis::INFINITY; h];
+        for (a, &s) in hosts.iter().enumerate() {
+            scratch.host_dists(&csr, &hosts, s, &mut row);
+            dist.push_row(a, &row);
         }
         Self {
             csr,
@@ -612,9 +630,14 @@ impl HostRoutes {
 
     /// Shortest one-way delay (ms) from host `a` to host `b`; the bits
     /// of [`Apsp::dist_ms`] between their nodes.
+    ///
+    /// # Panics
+    /// Panics when `a` or `b` is not a host id, in release builds too:
+    /// the table is a triangle, so an id past the end would read
+    /// another pair.
     #[inline]
     pub fn dist_ms(&self, a: usize, b: usize) -> Millis {
-        self.dist[a * self.hosts.len() + b]
+        self.dist.get(a, b)
     }
 
     /// Node sequence of the route from host `a` to host `b` (inclusive),
@@ -674,6 +697,105 @@ impl HostRoutes {
         self.scratch
             .slot_row(&self.prev[a], &self.csr, self.hosts[a])
     }
+}
+
+/// The mirror byte of a pair whose `d(b, a)` is in the spill list.
+const SPILLED: i8 = i8::MIN;
+
+/// Host-to-host distances, each host pair stored once (see the module
+/// docs). For a pair `a < b`, at index [`Self::pair`] of two row-major
+/// strict upper triangles, `upper` holds `d(a, b)` and `mirror`
+/// `bits(d(b, a)) − bits(d(a, b))`, or [`SPILLED`] when that does not
+/// fit the byte. The diagonal is not stored: a host's distance to
+/// itself is the `0.0` the kernel starts its source at.
+struct PairTable {
+    hosts: usize,
+    upper: Vec<Millis>,
+    mirror: Vec<i8>,
+    /// `(pair, d(b, a))` for every spilled pair, sorted by pair.
+    spill: Vec<(usize, Millis)>,
+}
+
+impl PairTable {
+    /// A table for `hosts` hosts, to be filled by [`Self::push_row`].
+    fn new(hosts: usize) -> Self {
+        let pairs = hosts * hosts.saturating_sub(1) / 2;
+        Self {
+            hosts,
+            upper: vec![Millis::INFINITY; pairs],
+            mirror: vec![0; pairs],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Index of the pair `a < b`: the rows before `a` hold `H − 1`,
+    /// `H − 2`, … pairs.
+    #[inline]
+    fn pair(&self, a: usize, b: usize) -> usize {
+        a * (2 * self.hosts - a - 1) / 2 + (b - a - 1)
+    }
+
+    /// Store host `a`'s row, `row[b] = d(a, b)`. Rows come in host
+    /// order: the mirror of a pair `b < a` is taken against `d(b, a)`,
+    /// stored with row `b`.
+    fn push_row(&mut self, a: usize, row: &[Millis]) {
+        for (b, &d) in row[..a].iter().enumerate() {
+            let i = self.pair(b, a);
+            self.mirror[i] = mirror_delta(self.upper[i], d).unwrap_or_else(|| {
+                let at = self.spill.partition_point(|&(j, _)| j < i);
+                self.spill.insert(at, (i, d));
+                SPILLED
+            });
+        }
+        let at = self.pair(a, a + 1);
+        self.upper[at..at + (self.hosts - a - 1)].copy_from_slice(&row[a + 1..]);
+    }
+
+    /// `d(a, b)`: the pair's upper entry plus its mirror byte, masked
+    /// to zero above the diagonal, with no branch on the side; the spill
+    /// list is read only when the byte says so.
+    #[inline]
+    fn get(&self, a: usize, b: usize) -> Millis {
+        assert!(a < self.hosts && b < self.hosts, "host id out of range");
+        if a == b {
+            return 0.0;
+        }
+        let i = self.pair(a.min(b), a.max(b));
+        let delta = self.mirror[i] & -i8::from(a > b);
+        if delta == SPILLED {
+            return self.spilled(i);
+        }
+        Millis::from_bits(
+            self.upper[i]
+                .to_bits()
+                .wrapping_add_signed(i64::from(delta)),
+        )
+    }
+
+    #[cold]
+    fn spilled(&self, i: usize) -> Millis {
+        let at = self
+            .spill
+            .binary_search_by_key(&i, |&(j, _)| j)
+            .expect("a spilled pair is in the spill list");
+        self.spill[at].1
+    }
+
+    /// Bytes the table has allocated.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.upper.capacity() * std::mem::size_of::<Millis>()
+            + self.mirror.capacity()
+            + self.spill.capacity() * std::mem::size_of::<(usize, Millis)>()
+    }
+}
+
+/// The mirror byte of a pair: `bits(lower) − bits(upper)`, which added
+/// back to `upper`'s bits gives `lower`'s exactly, or `None` when it
+/// does not fit an `i8` other than [`SPILLED`].
+fn mirror_delta(upper: Millis, lower: Millis) -> Option<i8> {
+    let delta = lower.to_bits().wrapping_sub(upper.to_bits()) as i64;
+    i8::try_from(delta).ok().filter(|&d| d != SPILLED)
 }
 
 /// Scratch the kernel runs into for a host row: a full `n`-long
@@ -943,13 +1065,13 @@ mod tests {
             .collect()
     }
 
-    /// The table is `H²` distances and, per host asked a path from,
-    /// `n` predecessor slots — no router-sized plane — and answers like
-    /// the dense one.
+    /// The table is one distance and one mirror byte per host pair and,
+    /// per host asked a path from, `n` predecessor slots — no
+    /// router-sized plane — and answers like the dense one.
     #[test]
     fn host_routes_hold_host_rows_only() {
         let (g, routes) = host_routes();
-        assert_eq!(routes.dist.len(), 3 * 3);
+        assert_eq!((routes.dist.upper.len(), routes.dist.mirror.len()), (3, 3));
         assert_eq!(slot_row_lens(&routes), [None, None, None]);
         assert_eq!(routes.csr.num_nodes(), g.num_nodes());
         assert_eq!(routes.dist_ms(0, 1), 2.0);
@@ -966,7 +1088,8 @@ mod tests {
         assert_eq!(routes.slot_rows_built(), 3);
 
         let single = HostRoutes::build(&g, vec![NodeId(1)]);
-        assert_eq!(single.dist.len(), 1);
+        assert_eq!((single.dist.upper.len(), single.dist.mirror.len()), (0, 0));
+        assert_eq!(single.dist_ms(0, 0), 0.0);
         assert_eq!(slot_row_lens(&single), [None]);
         assert_eq!(single.path_nodes(&g, 0, 0), vec![NodeId(1)]);
         assert_eq!(slot_row_lens(&single), [Some(4)]);
@@ -988,6 +1111,101 @@ mod tests {
         let mut queue = BucketQueue::default();
         sssp(&csr, 2, &mut dist, &mut prev, &mut first, &mut queue);
         assert_eq!(routes.prev[1].get().map(|r| &r[..]), Some(&prev[..]));
+    }
+
+    /// Each host pair is stored once: the eager table of a 1 001-host
+    /// Chapter 3 testbed (the `stream_fanout` underlay's shape) holds
+    /// `4.5·H(H−1)` bytes plus its spill list, where a square f64
+    /// table held `8·H²`.
+    #[test]
+    fn host_routes_store_each_pair_once() {
+        let hosts = 1001;
+        let mut g = crate::transit_stub::generate(
+            &crate::transit_stub::TransitStubConfig::for_hosts(hosts),
+            59,
+        );
+        let nodes = crate::transit_stub::attach_hosts(&mut g, hosts, 59, 0.0);
+        let routes = HostRoutes::build(&g, nodes);
+        let spill = routes.dist.spill.capacity() * std::mem::size_of::<(usize, Millis)>();
+        let bytes = routes.dist.bytes();
+        assert!(bytes <= 9 * hosts * (hosts - 1) / 2 + spill, "{bytes} B");
+        assert!(bytes < 8 * hosts * hosts, "{bytes} B");
+    }
+
+    /// A mirror byte holds `bits(d(b, a)) − bits(d(a, b))` from −127 to
+    /// 127; anything else, an unreachable direction included, goes to
+    /// the spill list, and every distance reads back with its bits.
+    #[test]
+    fn mirror_bytes_hold_127_ulps_and_spill_the_rest() {
+        let d = 70.25_f64;
+        let ulps = |k: i64| Millis::from_bits(d.to_bits().wrapping_add_signed(k));
+        let cases = [
+            (d, ulps(-127), false),
+            (d, ulps(127), false),
+            (d, ulps(128), true),
+            (d, ulps(-128), true),
+            (Millis::INFINITY, Millis::INFINITY, false),
+            (d, Millis::INFINITY, true),
+        ];
+        for (ab, ba, spilled) in cases {
+            let mut table = PairTable::new(2);
+            table.push_row(0, &[0.0, ab]);
+            table.push_row(1, &[ba, 0.0]);
+            assert_eq!(table.spill.len(), usize::from(spilled), "{ab} / {ba}");
+            assert_eq!(table.get(0, 1).to_bits(), ab.to_bits());
+            assert_eq!(table.get(1, 0).to_bits(), ba.to_bits());
+            assert_eq!(table.get(1, 1).to_bits(), 0.0_f64.to_bits());
+        }
+    }
+
+    /// A chain whose one long link meets many tiny ones sums the two
+    /// directions of a pair far apart: from the long link's end each
+    /// tiny delay rounds away, from the other end they add up first.
+    /// Past 127 ulps the mirror entry spills, in both signs, and every
+    /// ordered pair still reads [`Apsp`]'s bits. Clamping the byte
+    /// instead of spilling, or reading [`SPILLED`] as a delta, fails.
+    #[test]
+    fn spilled_mirror_entries_keep_their_bits() {
+        let tiny = 300;
+        for long_end_first in [true, false] {
+            let n = tiny + 2;
+            // Node `i` of the chain, counted from the long link's end.
+            let node = |i: usize| NodeId(if long_end_first { i } else { n - 1 - i } as u32);
+            let mut g = Graph::with_nodes(n, NodeKind::Stub);
+            g.add_edge(node(0), node(1), LinkAttrs::delay(1.0));
+            for i in 1..=tiny {
+                g.add_edge(node(i), node(i + 1), LinkAttrs::delay(1e-16));
+            }
+            let hosts: Vec<NodeId> = g.nodes().collect();
+            let routes = HostRoutes::build(&g, hosts.clone());
+            let apsp = Apsp::build(&g);
+            for (a, &na) in hosts.iter().enumerate() {
+                for (b, &nb) in hosts.iter().enumerate() {
+                    assert_eq!(
+                        routes.dist_ms(a, b).to_bits(),
+                        apsp.dist_ms(na, nb).to_bits(),
+                        "h{a}->h{b}"
+                    );
+                }
+            }
+            assert!(!routes.dist.spill.is_empty());
+        }
+    }
+
+    /// A host id past the end would read another pair of the triangle;
+    /// it panics instead, in release builds too.
+    #[test]
+    #[should_panic(expected = "host id out of range")]
+    fn dist_ms_refuses_out_of_range_hosts() {
+        let (_, routes) = host_routes();
+        routes.dist_ms(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "host id out of range")]
+    fn dist_ms_refuses_out_of_range_sources() {
+        let (_, routes) = host_routes();
+        routes.dist_ms(3, 0);
     }
 
     #[test]
