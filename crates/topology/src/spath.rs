@@ -34,9 +34,10 @@
 //! asked: a [`OnceLock`] per source, filled by running the kernel from
 //! the same source again. The kernel is a pure function of the CSR and
 //! the source, so the slots have the bits an eager build would have
-//! written, and a filled row is read without a lock. The distance
-//! build writes its slots into one scratch row. `ScratchPool` is the
-//! one fill path both oracles share; it counts the rows it builds.
+//! written, and a filled row is read without a lock. A distance row
+//! runs the kernel with no slot or first-hop row at all. `ScratchPool`
+//! is the one fill path both oracles share; it counts the rows it
+//! builds.
 //!
 //! # Each host pair once
 //!
@@ -59,52 +60,55 @@
 //! [`crate::router::OnDemandRouter`]'s rows (both through one host-row
 //! builder), [`Apsp::build`] and [`dijkstra`] — comes out of the one
 //! loop in `sssp`, run over a `Csr` view of the graph (one flat
-//! `(neighbour, delay)` array in [`Graph::neighbors`] order, so
-//! relaxation order, and with it every predecessor under ties, is the
-//! adjacency lists'). Three things in that loop are deliberate:
+//! `(neighbour, delay)` array in [`Graph::neighbors`] order). Four
+//! things in that loop are deliberate:
 //!
-//! * **The queue is exact distance buckets.** Dijkstra only ever
-//!   produces non-negative finite distances, and for those the IEEE-754
-//!   bit pattern read as a `u64` orders exactly as the number does. A
-//!   key is therefore one `u128`, `(distance bits << 32) | id`, which
-//!   orders exactly as the `(distance, id)` tuple does, with no
-//!   `partial_cmp`. `BucketQueue` files an entry at distance `d` under
-//!   bucket `⌊d · (1/w)⌋`. The bucket being drained is kept sorted: an
-//!   entry whose bucket is at or before it joins it by ordered insert.
-//!   Every later bucket waits unsorted in a ring slot and is sorted once,
-//!   when its turn comes.
+//! * **The queue is unsorted distance buckets** (Dial, CACM 1969): a
+//!   node at distance `d` is filed, as a bare id, under bucket
+//!   `⌊d · (1/w)⌋`, and nothing in a bucket is sorted. A drained node
+//!   relaxes its links with its *current* distance, an entry whose node
+//!   has since moved to an earlier bucket is skipped, and a bucket is
+//!   drained again while pushes land in it (a zero-delay link, or one
+//!   shorter than `w`). `w` is the smallest positive link delay, raised
+//!   where needed so that half the 256-slot ring spans the largest: a
+//!   push is at most one link past the node being drained, so every
+//!   queued bucket is less than a ring ahead, with half a ring of margin
+//!   for rounding. Each drained node checks that, in release builds too.
 //!
-//!   This is exact, not approximate. `fl(d · (1/w))` and the floor are
-//!   both monotone in `d`, so an entry in a later bucket is farther than
-//!   every entry in the current one. Pops therefore leave in exactly the
-//!   `(distance, id)` order a binary heap gives, and `dist`, `prev` and
-//!   `first` keep their bits for any `w > 0`. The width only changes the
-//!   speed. It is the smallest positive link delay, so a settled node's
-//!   links mostly land in later buckets and the current one is rarely
-//!   inserted into. It is raised where needed so that half the 256-slot
-//!   ring spans the largest link delay. A push is at most one link past
-//!   the last pop, so every queued bucket is less than a ring ahead of
-//!   the current one and no two share a slot, on any delay range. The
-//!   half-ring margin absorbs the rounding of `d · (1/w)`. The slots are
-//!   lists threaded through one array of the row's pushes, so memory is
-//!   the ring plus those pushes whatever the delays.
-//! * **First hops are written at relaxation time.** When `v` is popped
-//!   with a live entry its distance is final, and `dist`, `prev` and
-//!   `first` of a node only ever change together, so `first[v]` is final
-//!   too; every node relaxed from `v` inherits it (or becomes its own
-//!   first hop when `v` is the source). That is the same answer as
-//!   walking `prev` back from each target, without the `O(n · depth)`
-//!   walk.
+//!   Distances do not depend on the drain order. Adding a non-negative
+//!   delay in `f64` is monotone, so every label is some route's
+//!   left-to-right sum and, once no link lowers one, by induction along
+//!   any route it is the least such sum: one fixed point, whose bits
+//!   any label-setting or label-correcting loop reaches.
+//! * **Predecessors follow an explicit tie rule.** A textbook heap
+//!   Dijkstra pops `(distance, id)` order and relaxes strictly, so it
+//!   records for `t` the first link, in the adjacency of the first node
+//!   popped, over which a node `u` reaches `t` at `d(u) + w == d(t)`.
+//!   The kernel states that: on an exact tie the least `(d(u), u, slot)`
+//!   wins (a node's slots order its parallel links as its list does).
+//!   Ties are rare: some twenty per row on the join testbeds. The rule is
+//!   the heap's only while every candidate is strictly nearer than `t`.
+//!   An absorbed delay, `d + w == d` (zero, or below half an ulp of `d`),
+//!   puts a node at the distance of the node that reached it, and the
+//!   heap pops it after that node, not in id order; such a row has
+//!   `prev` and `first` replayed in the heap's order from its final
+//!   distances (`replay_ties`). No testbed the experiments build has one.
+//! * **First hops are written at relaxation time**: `first[t]` is that
+//!   of the node giving `t` its predecessor (`t` when that is the
+//!   source), as a walk back along `prev` would find, without the
+//!   `O(n · depth)` walk. A node whose first hop a tie moves within the
+//!   bucket being drained is drained again, so its links pass it on.
 //! * **Degree-1 nodes are never pushed** (unless one is the source). A
-//!   leaf is reached from its only neighbour, which has just been
-//!   settled; popping the leaf could relax nothing but that neighbour,
-//!   and never strictly improves it. Its `dist`/`prev`/`first` are still
-//!   written, and because queue keys are totally ordered the pop order
-//!   of every other node is unchanged. Host access links make ~46 % of
-//!   the nodes on the join testbeds leaves.
+//!   leaf's one link leads back to the node that reached it, which it
+//!   never improves, and the heap pops it after that node, so it is
+//!   never a candidate under the tie rule. Its `dist`/`prev`/`first` are
+//!   still written. Host access links make ~46 % of the nodes on the
+//!   join testbeds leaves.
 
 use crate::graph::{Adj, EdgeId, Graph, NodeId};
 use crate::Millis;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -278,8 +282,7 @@ impl Csr {
     }
 
     /// The predecessor of `t` that slot `slot` names, or `None` for
-    /// [`NO_PREV`] — [`step_back`] for CSRs built from raw lists.
-    #[cfg(test)]
+    /// [`NO_PREV`]: [`step_back`] on the CSR.
     fn pred(&self, t: u32, slot: u16) -> Option<u32> {
         (slot != NO_PREV).then(|| self.adj[self.off[t as usize] as usize + usize::from(slot)].to)
     }
@@ -291,44 +294,20 @@ const RING: usize = 256;
 /// An empty ring slot, and the end of a slot's list.
 const NIL: u32 = u32::MAX;
 
-/// The kernel's priority queue: exact, monotone, bucketed by distance
-/// (see the module docs). A key is `(distance bits << 32) | node`, so
-/// keys order as `(distance, node)` tuples do. An entry at distance `d`
-/// belongs to bucket `⌊d · (1/w)⌋`. The bucket being drained is held
-/// sorted in `cur`; every later bucket `b` waits unsorted in ring slot
-/// `b % RING`, a list threaded through one array of the keys pushed
-/// since the last reset. Memory is the ring plus one row's pushes, on
-/// any delay range, and is kept from row to row.
+/// The kernel's unsorted distance buckets (see the module docs). Ring
+/// slot `b % RING` holds bucket `b`'s node ids, a list threaded through
+/// one array of the row's entries: memory is the ring plus those, on any
+/// delay range, and is kept from row to row.
+#[derive(Default)]
 pub(crate) struct BucketQueue {
     /// `1 / w`.
     inv_width: f64,
-    /// Index of the bucket `cur` holds.
+    /// The bucket being drained.
     bucket: u64,
-    /// That bucket's keys, sorted descending: the least is popped off
-    /// the end.
-    cur: Vec<u128>,
-    /// Every key pushed into the ring since the last reset.
-    keys: Vec<u128>,
-    /// `next[i]`: the key pushed into the same slot before `keys[i]`.
-    next: Vec<u32>,
-    /// Per ring slot, its last-pushed key.
+    /// Per ring slot, its last-filed entry.
     heads: Vec<u32>,
-    /// Keys waiting in the ring.
-    queued: usize,
-}
-
-impl Default for BucketQueue {
-    fn default() -> Self {
-        Self {
-            inv_width: 1.0,
-            bucket: 0,
-            cur: Vec::new(),
-            keys: Vec::new(),
-            next: Vec::new(),
-            heads: vec![NIL; RING],
-            queued: 0,
-        }
-    }
+    /// Entries filed since the reset: (node, the slot's entry before).
+    entries: Vec<(u32, u32)>,
 }
 
 impl BucketQueue {
@@ -336,69 +315,52 @@ impl BucketQueue {
     pub(crate) fn reset(&mut self, width: Millis) {
         self.inv_width = 1.0 / width;
         self.bucket = 0;
-        self.cur.clear();
-        self.keys.clear();
-        self.next.clear();
-        if self.queued > 0 {
-            self.heads.fill(NIL);
-            self.queued = 0;
-        }
+        self.heads.clear();
+        self.heads.resize(RING, NIL);
+        self.entries.clear();
     }
 
-    /// Queue node `v` at distance `d`. `d` must be no less than the
-    /// last popped distance and within half a ring of it.
+    /// The bucket distance `d` falls in: monotone in `d`.
     #[inline]
-    pub(crate) fn push(&mut self, d: Millis, v: u32) {
-        let key = (u128::from(d.to_bits()) << 32) | u128::from(v);
-        let b = (d * self.inv_width) as u64;
-        if b <= self.bucket {
-            let at = self.cur.partition_point(|&k| k > key);
-            self.cur.insert(at, key);
-        } else {
-            debug_assert!(b - self.bucket < RING as u64, "push beyond the ring");
-            let head = &mut self.heads[(b % RING as u64) as usize];
-            self.next.push(*head);
-            // A row pushes at most once per CSR entry, and the CSR's
-            // entries fit below `u32::MAX`.
-            *head = self.keys.len() as u32;
-            self.keys.push(key);
-            self.queued += 1;
-        }
+    fn bucket_of(&self, d: Millis) -> u64 {
+        (d * self.inv_width) as u64
     }
 
-    /// The least `(distance, node)` queued, or `None` when empty.
+    /// File node `v` under bucket `b`, which must be less than a ring
+    /// ahead of the bucket being drained.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(Millis, u32)> {
-        if self.cur.is_empty() {
-            if self.queued == 0 {
-                return None;
+    fn push(&mut self, b: u64, v: u32) {
+        let head = &mut self.heads[(b % RING as u64) as usize];
+        // A row files far fewer than `u32::MAX` entries.
+        let at = self.entries.len() as u32;
+        self.entries.push((v, *head));
+        *head = at;
+    }
+
+    /// The next list to drain and its bucket: the current bucket's when
+    /// filed under since its list was taken, else the next queued one's
+    /// (the first non-empty slot, as it is less than a ring ahead).
+    fn take(&mut self) -> Option<(u64, u32)> {
+        for _ in 0..RING {
+            let slot = (self.bucket % RING as u64) as usize;
+            let head = std::mem::replace(&mut self.heads[slot], NIL);
+            if head != NIL {
+                return Some((self.bucket, head));
             }
-            // Every queued bucket is less than a ring ahead, so the
-            // first non-empty slot holds exactly the next bucket.
-            let mut i = NIL;
-            while i == NIL {
-                self.bucket += 1;
-                let slot = (self.bucket % RING as u64) as usize;
-                i = std::mem::replace(&mut self.heads[slot], NIL);
-            }
-            while i != NIL {
-                self.cur.push(self.keys[i as usize]);
-                i = self.next[i as usize];
-            }
-            self.queued -= self.cur.len();
-            self.cur.sort_unstable_by(|a, b| b.cmp(a));
+            self.bucket += 1;
         }
-        let key = self.cur.pop()?;
-        Some((Millis::from_bits((key >> 32) as u64), key as u32))
+        None
     }
 }
 
-/// Delay-weighted Dijkstra from `source` into three `n`-long rows (the
-/// crate's one shortest-path loop; see the module docs). On return
+/// Delay-weighted shortest paths from `source` into three `n`-long rows
+/// (the crate's one shortest-path loop; see the module docs). On return
 /// `dist[v]` is the shortest delay (`INFINITY` when unreachable),
 /// `prev[v]` the predecessor's slot in `v`'s adjacency list
 /// ([`NO_PREV`] for the source and unreachable nodes) and `first[v]`
-/// the first hop from the source (`u32::MAX` for both).
+/// the first hop from the source (`u32::MAX` for both). `prev` and
+/// `first` may both be empty, for distances alone: a distance row then
+/// pays for no predecessor.
 pub(crate) fn sssp(
     csr: &Csr,
     source: u32,
@@ -407,29 +369,102 @@ pub(crate) fn sssp(
     first: &mut [u32],
     queue: &mut BucketQueue,
 ) {
-    let n = csr.num_nodes();
-    assert!(dist.len() == n && prev.len() == n && first.len() == n);
+    let (n, slots) = (csr.num_nodes(), !(prev.is_empty() && first.is_empty()));
+    assert!(dist.len() == n && (!slots || prev.len() == n && first.len() == n));
+    if slots {
+        run::<true>(csr, source, dist, prev, first, queue);
+    } else {
+        run::<false>(csr, source, dist, prev, first, queue);
+    }
+}
+
+/// [`sssp`], with `SLOTS` false for distances alone.
+fn run<const SLOTS: bool>(
+    csr: &Csr,
+    source: u32,
+    dist: &mut [Millis],
+    prev: &mut [u16],
+    first: &mut [u32],
+    queue: &mut BucketQueue,
+) {
     dist.fill(Millis::INFINITY);
     prev.fill(NO_PREV);
     first.fill(u32::MAX);
     queue.reset(csr.bucket_width());
     dist[source as usize] = 0.0;
-    queue.push(0.0, source);
-    while let Some((d, v)) = queue.pop() {
-        if d > dist[v as usize] {
-            continue; // stale entry
+    queue.push(0, source);
+    let mut absorbed = false;
+    while let Some((b, mut i)) = queue.take() {
+        while i != NIL {
+            let (v, next) = queue.entries[i as usize];
+            i = next;
+            let d = dist[v as usize];
+            if queue.bucket_of(d) != b {
+                continue; // refiled under an earlier bucket since
+            }
+            assert!(
+                queue.bucket_of(d + csr.max_delay) < b + RING as u64,
+                "push beyond the ring"
+            );
+            let via = if SLOTS { first[v as usize] } else { u32::MAX };
+            for link in csr.neighbors(v) {
+                let t = link.to as usize;
+                let nd = d + link.delay;
+                if nd > dist[t] {
+                    continue;
+                }
+                let hop = if v == source { link.to } else { via };
+                if nd < dist[t] {
+                    dist[t] = nd;
+                    if SLOTS {
+                        prev[t] = link.back;
+                        first[t] = hop;
+                        absorbed |= nd == d;
+                    }
+                    if csr.degree(link.to) > 1 {
+                        queue.push(queue.bucket_of(nd), link.to);
+                    }
+                } else if SLOTS && nd != d {
+                    // The tie rule: the least `(d(u), u, slot)` link wins.
+                    let Some(p) = csr.pred(link.to, prev[t]) else {
+                        continue;
+                    };
+                    if (d, v, link.back) <= (dist[p as usize], p, prev[t]) {
+                        prev[t] = link.back;
+                        // `t` may have passed its old first hop on already.
+                        if std::mem::replace(&mut first[t], hop) != hop
+                            && queue.bucket_of(nd) == b
+                            && csr.degree(link.to) > 1
+                        {
+                            queue.push(b, link.to);
+                        }
+                    }
+                }
+            }
         }
+    }
+    if absorbed {
+        replay_ties(csr, source, dist, prev, first);
+    }
+}
+
+/// `prev` and `first` rebuilt from final distances in a binary heap's
+/// `(distance, id)` pop order, for a row in which some delay was
+/// absorbed (see the module docs): a node takes the first link over
+/// which a popped node reaches it at its distance.
+#[cold]
+fn replay_ties(csr: &Csr, source: u32, dist: &[Millis], prev: &mut [u16], first: &mut [u32]) {
+    prev.fill(NO_PREV);
+    first.fill(u32::MAX);
+    let mut heap = BinaryHeap::from([Reverse((0, source))]);
+    while let Some(Reverse((_, v))) = heap.pop() {
         let via = first[v as usize];
         for link in csr.neighbors(v) {
             let t = link.to as usize;
-            let nd = d + link.delay;
-            if nd < dist[t] {
-                dist[t] = nd;
+            if link.to != source && prev[t] == NO_PREV && dist[v as usize] + link.delay == dist[t] {
                 prev[t] = link.back;
                 first[t] = if v == source { link.to } else { via };
-                if csr.degree(link.to) > 1 {
-                    queue.push(nd, link.to);
-                }
+                heap.push(Reverse((dist[t].to_bits(), link.to)));
             }
         }
     }
@@ -648,9 +683,8 @@ impl HostRoutes {
     ///
     /// `Apsp` walks hop by hop, each hop read from the current node's
     /// own row; this reads `a`'s row alone. In exact arithmetic the two
-    /// agree. With positive delays the kernel settles nodes in
-    /// `(dist, id)` order and relaxes strictly, so `prev[t]` is the
-    /// `(dist, id)`-least `u` with `d(u) + w(u, t) = d(t)`. Let `v` lie on
+    /// agree. With positive delays the kernel's tie rule makes `prev[t]`
+    /// the `(dist, id)`-least `u` with `d(u) + w(u, t) = d(t)`. Let `v` lie on
     /// `a`'s path to `t`, and `p` be `t`'s predecessor in `a`'s row.
     /// Every candidate `u` in `v`'s row satisfies
     /// `d_a(u) = d_a(v) + d_v(u)`, so it is a candidate in `a`'s row too,
@@ -799,23 +833,21 @@ fn mirror_delta(upper: Millis, lower: Millis) -> Option<i8> {
 }
 
 /// Scratch the kernel runs into for a host row: a full `n`-long
-/// distance row, whose host columns a distance row keeps, a slot row
-/// and a first-hop row that a distance row does not keep, and the
-/// queue, all kept from row to row.
+/// distance row, whose host columns a distance row keeps, a first-hop
+/// row that a slot row does not keep, and the queue, all kept from row
+/// to row.
 pub(crate) struct RowScratch {
     dist: Vec<Millis>,
-    prev: Vec<u16>,
     first: Vec<u32>,
     queue: BucketQueue,
 }
 
 impl RowScratch {
-    /// Scratch for rows over an `n`-node graph; the three rows are
+    /// Scratch for rows over an `n`-node graph; the two rows are
     /// allocated before the queue.
     fn new(n: usize) -> Self {
         Self {
             dist: vec![Millis::INFINITY; n],
-            prev: vec![NO_PREV; n],
             first: vec![u32::MAX; n],
             queue: BucketQueue::default(),
         }
@@ -831,13 +863,15 @@ impl RowScratch {
         source: NodeId,
         dist: &mut [Millis],
     ) {
-        let Self {
-            dist: row,
-            prev,
-            first,
-            queue,
-        } = self;
-        sssp(csr, source.0, row, prev, first, queue);
+        sssp(
+            csr,
+            source.0,
+            &mut self.dist,
+            &mut [],
+            &mut [],
+            &mut self.queue,
+        );
+        let row = &self.dist;
         for (d, t) in dist.iter_mut().zip(hosts) {
             *d = row[t.idx()];
         }
@@ -880,9 +914,7 @@ impl ScratchPool {
             let n = csr.num_nodes();
             let mut row = vec![NO_PREV; n].into_boxed_slice();
             let mut scratch = self.take(n);
-            let RowScratch {
-                dist, first, queue, ..
-            } = &mut scratch;
+            let RowScratch { dist, first, queue } = &mut scratch;
             sssp(csr, source.0, dist, &mut row, first, queue);
             self.give_back(scratch);
             self.slot_rows.fetch_add(1, Ordering::Relaxed);
@@ -952,38 +984,6 @@ fn route_edges(g: &Graph, nodes: &[NodeId]) -> Vec<EdgeId> {
                 .expect("route references a missing edge")
         })
         .collect()
-}
-
-/// Reference Floyd–Warshall APSP distances, used to cross-check [`Apsp`]
-/// in tests (kept in the library so property tests in dependent crates can
-/// reuse it).
-pub fn floyd_warshall(g: &Graph) -> Vec<Vec<Millis>> {
-    let n = g.num_nodes();
-    let mut d = vec![vec![Millis::INFINITY; n]; n];
-    for (i, row) in d.iter_mut().enumerate() {
-        row[i] = 0.0;
-    }
-    for (_, e) in g.edges() {
-        let w = e.attrs.delay_ms;
-        if w < d[e.a.idx()][e.b.idx()] {
-            d[e.a.idx()][e.b.idx()] = w;
-            d[e.b.idx()][e.a.idx()] = w;
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            if d[i][k].is_infinite() {
-                continue;
-            }
-            for j in 0..n {
-                let via = d[i][k] + d[k][j];
-                if via < d[i][j] {
-                    d[i][j] = via;
-                }
-            }
-        }
-    }
-    d
 }
 
 #[cfg(test)]
@@ -1256,6 +1256,36 @@ mod tests {
             })
             .unwrap();
         assert_eq!(closest, NodeId(2));
+    }
+
+    /// Reference Floyd–Warshall APSP distances, to cross-check [`Apsp`].
+    fn floyd_warshall(g: &Graph) -> Vec<Vec<Millis>> {
+        let n = g.num_nodes();
+        let mut d = vec![vec![Millis::INFINITY; n]; n];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = 0.0;
+        }
+        for (_, e) in g.edges() {
+            let w = e.attrs.delay_ms;
+            if w < d[e.a.idx()][e.b.idx()] {
+                d[e.a.idx()][e.b.idx()] = w;
+                d[e.b.idx()][e.a.idx()] = w;
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                if d[i][k].is_infinite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let via = d[i][k] + d[k][j];
+                    if via < d[i][j] {
+                        d[i][j] = via;
+                    }
+                }
+            }
+        }
+        d
     }
 
     #[test]

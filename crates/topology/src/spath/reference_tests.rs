@@ -8,9 +8,13 @@
 //! `sssp`, [`Apsp::build`], [`HostRoutes::build`], the
 //! [`OnDemandRouter`]'s rows and [`dijkstra`] must match it bit for bit
 //! on every (source, target), including on the graphs where the leaf
-//! skip, the relaxation-time first hop and the (distance, id) pop order
-//! each decide the answer. Every graph here also holds both kinds of
-//! host rows (every node a host) to the dense table's hop-by-hop route.
+//! skip, the relaxation-time first hop, the (distance, id, slot) tie
+//! rule, a bucket drained again and the tie replay after an absorbed
+//! delay each decide the answer. The kernel's buckets are unsorted, so
+//! its drain order is nothing like the reference's pop order, and only
+//! the tie rule and the replay stand between them. Every graph here also
+//! holds both kinds of host rows (every node a host) to the dense
+//! table's hop-by-hop route.
 //!
 //! It lives inside the crate because two of the cases — parallel links
 //! and a zero-delay link — are not expressible as a [`Graph`]
@@ -23,7 +27,7 @@ use crate::powerlaw::{self, PowerLawConfig};
 use crate::router::OnDemandRouter;
 use crate::transit_stub::attach_hosts;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 type Lists = Vec<Vec<(u32, Millis)>>;
@@ -366,9 +370,10 @@ fn zero_delay_access_link() {
     assert_eq!(rows[0].dist[4], 0.0);
     assert_eq!(rows[0].first[4], Some(2));
 
-    // Zero-delay entries land in the bucket being drained, so they go
-    // through its ordered insert. With no positive delay at all the
-    // width is the 1 ms constant and every entry shares bucket 0.
+    // Zero-delay entries land in the bucket being drained, which is
+    // drained again, and absorb their delay, so the row's ties are
+    // replayed. With no positive delay at all the width is the 1 ms
+    // constant and every entry shares bucket 0.
     let zeros: Lists = lists
         .iter()
         .map(|l| l.iter().map(|&(to, _)| (to, 0.0)).collect())
@@ -379,8 +384,8 @@ fn zero_delay_access_link() {
 }
 
 /// Integer weights on a grid: many routes of equal length between most
-/// pairs, so which one `prev` records is decided by the (distance, id)
-/// pop order alone. Edges are inserted column-first and right-to-left so
+/// pairs, so which one `prev` records is decided by the tie rule
+/// alone. Edges are inserted column-first and right-to-left so
 /// adjacency order is not id order, and a leaf hangs off two corners.
 /// Once with vertical links of 1 or 2 ms, once as a unit grid.
 #[test]
@@ -410,9 +415,11 @@ fn tie_rich_integer_grid() {
 /// Link delays from 1 µs to 1 s, log-uniform. Half a ring at the
 /// smallest delay would span 0.128 ms, so the width is raised to
 /// 1000/128 ms and most links are shorter than a bucket: their entries
-/// go through the drained bucket's ordered insert. Blocks strung
-/// together by 1 s bridges push distances past two revolutions of the
-/// ring.
+/// land in the bucket being drained, which is drained again. Blocks
+/// strung together by 1 s bridges push distances past two revolutions
+/// of the ring, and each bridge is a push as far ahead as the width
+/// allows: without the raised width, the release-mode ring check
+/// (`push beyond the ring`) fails here.
 #[test]
 fn wide_delay_range_wraps_the_ring() {
     const BLOCKS: u32 = 6;
@@ -440,9 +447,11 @@ fn wide_delay_range_wraps_the_ring() {
             link(&mut g, base - 1, base, 1e3);
         }
     }
+    // The kernel runs before the width is checked, so a width formula
+    // that lets a push run past the ring fails in the kernel's check.
+    let rows = check_graph(&g);
     let w = Csr::new(&g).bucket_width();
     assert_eq!(w, 1e3 / (RING / 2) as Millis);
-    let rows = check_graph(&g);
     assert!(
         farthest(&rows) > 2.0 * RING as Millis * w,
         "ring never wraps twice"
@@ -451,8 +460,8 @@ fn wide_delay_range_wraps_the_ring() {
 
 /// One 10 s link, far longer than half a ring at the 1 ms links: the
 /// width is raised to 10⁴/128 ms, so each unit grid on either side of
-/// the link fits in one bucket, and its ties are ordered by the drained
-/// bucket's ordered insert alone.
+/// the link fits in one bucket, and its ties are decided by the tie rule
+/// inside a bucket drained again and again.
 #[test]
 fn one_long_link_raises_the_width() {
     const W: u32 = 4;
@@ -474,6 +483,52 @@ fn one_long_link_raises_the_width() {
     let g = graph_of((2 * W * W) as usize, &edges);
     assert_eq!(Csr::new(&g).bucket_width(), 1e4 / (RING / 2) as Millis);
     check_graph(&g);
+}
+
+/// `spilled_mirror_entries_keep_their_bits`' chain: one 1 ms link
+/// beside 300 links of 10⁻¹⁶ ms, built from either end, every node a
+/// host. The width is raised to 1/128 ms, so the whole tiny stretch
+/// shares one bucket and each relaxation along it lands in the bucket
+/// being drained, which is drained again, once per link. From beyond the
+/// long link every tiny delay is absorbed (`1 + 10⁻¹⁶ == 1`), so those
+/// rows are tie replays too. [`HostRoutes`] and the on-demand rows are
+/// held to the reference, not to [`Apsp`], which shares the kernel.
+#[test]
+fn tiny_links_beside_a_long_one_redrain_one_bucket() {
+    let tiny = 300;
+    for long_end_first in [true, false] {
+        let n = tiny + 2;
+        let node = |i: usize| NodeId(if long_end_first { i } else { n - 1 - i } as u32);
+        let mut g = Graph::with_nodes(n, NodeKind::Stub);
+        g.add_edge(node(0), node(1), LinkAttrs::delay(1.0));
+        for i in 1..=tiny {
+            g.add_edge(node(i), node(i + 1), LinkAttrs::delay(1e-16));
+        }
+        assert_eq!(Csr::new(&g).bucket_width(), 1.0 / (RING / 2) as Millis);
+        let lists = lists_of(&g);
+        let rows = check_kernel(&lists);
+        let hosts = HostRoutes::build(&g, g.nodes().collect());
+        let router = OnDemandRouter::new(&g, g.nodes().collect(), Some(1));
+        for s in g.nodes() {
+            let want = &rows[s.idx()];
+            let row = router.row(s.idx());
+            for t in g.nodes() {
+                let (a, b) = (s.idx(), t.idx());
+                let bits = want.dist[b].to_bits();
+                let path = if s == t { vec![s] } else { want.path(t.0) };
+                assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
+                assert_eq!(row.dist_ms(b).to_bits(), bits, "row dist {s}->{t}");
+                assert_eq!(hosts.path_nodes(&g, a, b), path, "host path {s}->{t}");
+                assert_eq!(router.path_nodes(&g, a, b), path, "row path {s}->{t}");
+            }
+        }
+        // Both directions of a pair through the tiny stretch and the long
+        // link are summed in different orders.
+        assert_ne!(
+            rows[node(0).idx()].dist[node(n - 1).idx()],
+            rows[node(n - 1).idx()].dist[node(0).idx()]
+        );
+    }
 }
 
 /// Every link 3 ms: the width is the link delay, each bucket holds one
@@ -498,50 +553,108 @@ fn all_equal_delays_fill_every_bucket_with_ties() {
     assert!(farthest(&rows) / 3.0 > RING as Millis, "ring never wraps");
 }
 
-/// Random monotone push/pop sequences, as Dijkstra makes them: each
-/// push at or after the last popped distance and less than half a ring
-/// ahead of it, with ties on distance, on bucket boundaries and on
-/// whole keys. The queue must pop exactly what a binary min-heap of the
-/// same `u128` keys pops. One queue serves every seed, and odd seeds
-/// leave it non-empty, so `reset` is checked too.
+/// Random raw adjacency lists, each seed one of five delay mixes: small
+/// integers (ties everywhere), small integers with zero-delay links,
+/// small integers with parallel links, log-uniform from 1 µs to 1 s,
+/// and small integers beside one 1 s link. The last two raise the bucket
+/// width far above most links, so relaxations land in the bucket being
+/// drained and the tie rule works inside re-drained buckets. Random
+/// spanning forests leave leaves and, now and then, isolated nodes.
+/// `sssp` must match the reference on every source: `dist`, `prev` and
+/// `first`, bit for bit.
 #[test]
-fn queue_pops_in_heap_order() {
-    let key = |d: Millis, v: u32| (u128::from(d.to_bits()) << 32) | u128::from(v);
+fn random_lists_match_the_reference() {
+    for seed in 0..250u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mix = seed % 5;
+        let n = rng.gen_range(2..40);
+        let delay = |rng: &mut StdRng| match mix {
+            1 => f64::from(rng.gen_range(0..3u32)),
+            3 => 10f64.powf(rng.gen_range(-3.0..3.0)),
+            _ => f64::from(rng.gen_range(1..4u32)),
+        };
+        let mut lists: Lists = vec![Vec::new(); n];
+        let link = |lists: &mut Lists, a: usize, b: usize, w: Millis| {
+            lists[a].push((b as u32, w));
+            lists[b].push((a as u32, w));
+        };
+        for v in 1..n {
+            if rng.gen_bool(0.95) {
+                let w = delay(&mut rng);
+                link(&mut lists, rng.gen_range(0..v), v, w);
+            }
+        }
+        for _ in 0..rng.gen_range(0..n) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let parallel = lists[a].iter().any(|&(to, _)| to as usize == b);
+            if a != b && (mix == 2 || !parallel) {
+                let w = delay(&mut rng);
+                link(&mut lists, a, b, w);
+            }
+        }
+        if mix == 4 {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                link(&mut lists, a, b, 1e3);
+            }
+        }
+        check_kernel(&lists);
+    }
+}
+
+/// Random filings as the kernel makes them: under the bucket being
+/// drained or less than a ring ahead of it, with repeats of one node.
+/// Each `take` must hand back exactly the entries filed under the least
+/// bucket still queued, so entries filed under the bucket being drained
+/// come back before any later bucket's, and every entry comes back once.
+/// One queue serves every seed, and odd seeds leave it non-empty, so
+/// `reset` is checked too.
+#[test]
+fn queue_hands_back_each_bucket_in_order() {
     let mut queue = BucketQueue::default();
     for seed in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let width = [1e-3, 0.5, 1.0, 7.8125][seed as usize % 4];
-        let reach = width * (RING / 2) as Millis;
-        queue.reset(width);
-        let mut heap = BinaryHeap::new();
-        let mut last = 0.0;
+        queue.reset(1.0);
+        // Filed and not yet handed back, as (bucket, node).
+        let mut queued: Vec<(u64, u32)> = Vec::new();
+        let mut current = 0;
         for step in 0..4000 {
-            if heap.is_empty() || rng.gen_bool(0.5) {
-                let d = match rng.gen_range(0..4) {
-                    0 => last,
-                    1 => last + width * f64::from(rng.gen_range(0..4u32)),
-                    _ => last + rng.gen_range(0.0..reach),
+            if queued.is_empty() || rng.gen_bool(0.6) {
+                let ahead = match rng.gen_range(0..3) {
+                    0 => 0,
+                    1 => rng.gen_range(0..4),
+                    _ => rng.gen_range(0..RING as u64),
                 };
                 let v = rng.gen_range(0..32);
-                queue.push(d, v);
-                heap.push(Reverse(key(d, v)));
+                queue.push(current + ahead, v);
+                queued.push((current + ahead, v));
             } else {
-                let Reverse(want) = heap.pop().expect("heap is non-empty");
-                let (d, v) = queue.pop().expect("queue ran dry before the heap");
-                assert_eq!(key(d, v), want, "seed {seed}, step {step}");
-                last = d;
+                let (b, mut i) = queue.take().expect("queue ran dry with entries filed");
+                let least = queued.iter().map(|&(b, _)| b).min();
+                assert_eq!(Some(b), least, "seed {seed}, step {step}");
+                let mut got = Vec::new();
+                while i != NIL {
+                    let (v, next) = queue.entries[i as usize];
+                    got.push(v);
+                    i = next;
+                }
+                let mut want: Vec<u32> = queued.iter().filter(|e| e.0 == b).map(|e| e.1).collect();
+                queued.retain(|e| e.0 != b);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "seed {seed}, step {step}");
+                current = b;
             }
         }
         assert!(
-            last > 2.0 * RING as Millis * width,
+            current > 2 * RING as u64,
             "seed {seed}: ring never wraps twice"
         );
         if seed % 2 == 0 {
-            while let Some(Reverse(want)) = heap.pop() {
-                let (d, v) = queue.pop().expect("queue ran dry before the heap");
-                assert_eq!(key(d, v), want, "seed {seed}, drain");
+            while let Some((b, _)) = queue.take() {
+                queued.retain(|e| e.0 != b);
             }
-            assert_eq!(queue.pop(), None);
+            assert!(queued.is_empty(), "seed {seed}: entries left behind");
         }
     }
 }
