@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use vdm_netsim::{HostId, SimTime};
-use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent};
+use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent, SharedConfig};
 use vdm_overlay::peer::PeerState;
 use vdm_overlay::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
 use vdm_overlay::VDist;
@@ -57,10 +57,12 @@ impl WalkPolicy for BtpPolicy {
 
 /// Builds BTP agents (refinement on — BTP without switches is just a
 /// star).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct BtpFactory {
     /// Agent mechanics.
     pub agent: AgentConfig,
+    /// `agent`, shared by the agents this factory makes.
+    shared: SharedConfig,
 }
 
 impl BtpFactory {
@@ -70,7 +72,10 @@ impl BtpFactory {
             refine_period: (period_s > 0).then(|| SimTime::from_secs(period_s)),
             ..AgentConfig::default()
         };
-        Self { agent }
+        Self {
+            agent,
+            shared: SharedConfig::default(),
+        }
     }
 }
 
@@ -95,7 +100,7 @@ impl AgentFactory for BtpFactory {
             source,
             degree_limit,
             incarnation,
-            self.agent,
+            self.shared.get(&self.agent),
             BtpPolicy,
         )
     }

@@ -20,7 +20,7 @@
 
 use rand::{rngs::StdRng, Rng};
 use vdm_netsim::{HostId, SimTime};
-use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent};
+use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent, SharedConfig};
 use vdm_overlay::peer::PeerState;
 use vdm_overlay::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
 use vdm_overlay::VDist;
@@ -80,10 +80,12 @@ impl WalkPolicy for HmtpPolicy {
 }
 
 /// Builds HMTP agents: root paths on, periodic refinement on.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct HmtpFactory {
     /// Agent mechanics.
     pub agent: AgentConfig,
+    /// `agent`, shared by the agents this factory makes.
+    shared: SharedConfig,
 }
 
 impl HmtpFactory {
@@ -96,7 +98,10 @@ impl HmtpFactory {
             ..AgentConfig::default()
         };
         agent.refine_period = (period_s > 0).then(|| SimTime::from_secs(period_s));
-        Self { agent }
+        Self {
+            agent,
+            shared: SharedConfig::default(),
+        }
     }
 }
 
@@ -121,7 +126,7 @@ impl AgentFactory for HmtpFactory {
             source,
             degree_limit,
             incarnation,
-            self.agent,
+            self.shared.get(&self.agent),
             HmtpPolicy,
         )
     }

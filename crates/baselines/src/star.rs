@@ -7,7 +7,7 @@
 //! it to normalize resource usage and to sanity-check the metrics.
 
 use vdm_netsim::HostId;
-use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent};
+use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent, SharedConfig};
 use vdm_overlay::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
 use vdm_overlay::VDist;
 
@@ -27,10 +27,12 @@ impl WalkPolicy for StarPolicy {
 }
 
 /// Builds star agents (no refinement, no root paths).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct StarFactory {
     /// Agent mechanics.
     pub agent: AgentConfig,
+    /// `agent`, shared by the agents this factory makes.
+    shared: SharedConfig,
 }
 
 impl AgentFactory for StarFactory {
@@ -48,7 +50,7 @@ impl AgentFactory for StarFactory {
             source,
             degree_limit,
             incarnation,
-            self.agent,
+            self.shared.get(&self.agent),
             StarPolicy,
         )
     }

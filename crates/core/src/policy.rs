@@ -15,7 +15,7 @@ use crate::direction::{classify_with_slack, Case};
 use crate::metric::VirtualMetric;
 use rand::rngs::StdRng;
 use vdm_netsim::HostId;
-use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent};
+use vdm_overlay::agent::{AgentConfig, AgentFactory, ProtocolAgent, SharedConfig};
 use vdm_overlay::peer::PeerState;
 use vdm_overlay::walk::{ProbeResult, WalkPolicy, WalkPurpose, WalkStep};
 use vdm_overlay::VDist;
@@ -181,7 +181,7 @@ impl WalkPolicy for VdmPolicy {
 ///
 /// `agent` controls reconnection/refinement behaviour: the paper's plain
 /// VDM uses `refine_period: None`; VDM-R (§5.4.5) sets it to 5 minutes.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct VdmFactory {
     /// Agent mechanics (timeouts, refinement, watchdog).
     pub agent: AgentConfig,
@@ -192,6 +192,8 @@ pub struct VdmFactory {
     /// Per-tree distance jitter for multi-tree sessions (see
     /// [`VdmPolicy::with_perturbation`]); `None` = plain VDM.
     pub perturb: Option<(u64, f64)>,
+    /// `agent`, shared by the agents this factory makes.
+    shared: SharedConfig,
 }
 
 impl VdmFactory {
@@ -202,6 +204,7 @@ impl VdmFactory {
             metric: VirtualMetric::Delay,
             slack: 0.0,
             perturb: None,
+            shared: SharedConfig::default(),
         }
     }
 
@@ -212,6 +215,7 @@ impl VdmFactory {
             metric: VirtualMetric::loss(),
             slack: 0.0,
             perturb: None,
+            shared: SharedConfig::default(),
         }
     }
 
@@ -252,7 +256,8 @@ impl AgentFactory for VdmFactory {
         if let Some((seed, amp)) = self.perturb {
             policy = policy.with_perturbation(seed, amp);
         }
-        ProtocolAgent::new(host, source, degree_limit, incarnation, self.agent, policy)
+        let cfg = self.shared.get(&self.agent);
+        ProtocolAgent::new(host, source, degree_limit, incarnation, cfg, policy)
     }
 }
 
@@ -283,7 +288,7 @@ mod tests {
     /// inline breaks this bound.
     #[test]
     fn agent_keeps_optional_parts_out_of_line() {
-        assert!(std::mem::size_of::<ProtocolAgent<VdmPolicy>>() <= 576);
+        assert!(std::mem::size_of::<ProtocolAgent<VdmPolicy>>() <= 384);
     }
 
     fn probe(d_current: f64, children: &[(u32, f64, f64)]) -> ProbeResult {

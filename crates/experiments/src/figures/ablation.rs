@@ -63,10 +63,8 @@ pub fn slack_sweep(effort: Effort, seed: u64) -> Vec<Table> {
             seed ^ ((slack * 1000.0) as u64),
             |s| {
                 let runner = SessionRunner::prepare(&cfg, s);
-                let factory = VdmFactory {
-                    slack,
-                    ..VdmFactory::delay_based()
-                };
+                let mut factory = VdmFactory::delay_based();
+                factory.slack = slack;
                 run_metrics(&runner.run(factory, s), 2)
             },
         );

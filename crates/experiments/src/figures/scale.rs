@@ -4,14 +4,14 @@
 //! per join ≈ `n·log_n N`) is only interesting if it holds *at scale* —
 //! overlay evaluations in the literature (Narada/ESM, NICE) routinely
 //! go to 10k+ members. This family joins N members under VDM,
-//! coordinate-guided VDM and HMTP over power-law underlays routed by
-//! the memory-bounded [`OnDemandRouter`] (no `O(n^2)` matrix is ever
-//! materialized), recording per-N wall-clock, walk-contact counts
-//! against the prediction, and the router's resident-row high-water
-//! mark (the peak RSS proxy). `vdm-repro scale` renders the table and
-//! emits `results/BENCH_scale.json`.
+//! coordinate-guided VDM and HMTP over power-law underlays routed by a
+//! [`HostRouter`] with its row LRU, the memory-bounded store (no
+//! `O(n^2)` matrix is ever materialized), recording per-N wall-clock,
+//! walk-contact counts against the prediction, and the router's
+//! resident-row high-water mark (the peak RSS proxy). `vdm-repro scale`
+//! renders the table and emits `results/BENCH_scale.json`.
 //!
-//! [`OnDemandRouter`]: vdm_topology::OnDemandRouter
+//! [`HostRouter`]: vdm_topology::HostRouter
 
 use crate::ci::CiStat;
 use crate::report::{Fields, Report};

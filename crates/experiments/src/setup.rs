@@ -2,7 +2,7 @@
 //!
 //! Every underlay is a pure function of its generator parameters and
 //! seed — topology synthesis plus one shortest-path row per host
-//! (`vdm_topology::HostRoutes`) — and is built where it is used.
+//! (`vdm_topology::HostRouter`) — and is built where it is used.
 
 use crate::proto::Session;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -16,16 +16,17 @@ use vdm_topology::transit_stub::{attach_hosts, generate, randomize_losses, Trans
 use vdm_topology::waxman::{self, WaxmanConfig};
 use vdm_topology::{Graph, NodeId};
 
-/// Which routing oracle setup builders put behind `RoutedUnderlay`.
+/// Which distance store setup builders give the `vdm_topology::HostRouter`
+/// behind `RoutedUnderlay`.
 ///
-/// Both oracles hold the same host rows and answer host queries
+/// Both stores hold the same host rows and answer host queries
 /// bit-identically (see `vdm_topology::router`), so this is purely a
 /// memory/time trade: eager host rows are `O(H² + H · n)` once,
 /// on-demand is `O(capacity · (H + n))` resident.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RouterChoice {
-    /// Eager host rows (`vdm_topology::HostRoutes`: one Dijkstra per
-    /// host, built up front) — the default.
+    /// Eager host rows (every host pair, one Dijkstra per host, built
+    /// up front) — the default.
     #[default]
     Dense,
     /// Memory-bounded on-demand rows (no `O(n^2)` materialization).

@@ -8,12 +8,11 @@
 //!   delay-shortest routes (the NS-2 analogue, Chapter 3). Because routes
 //!   are explicit, per-physical-link metrics (stress) are defined. Only
 //!   host-to-host routes are ever asked for, so the routes come from one
-//!   shortest-path row per host ([`HostRoutes`]: each host pair's two
-//!   distances in 9 bytes, plus a 2-byte predecessor slot per graph
-//!   node, `2·n` bytes, once a path from the row's host is asked), or on
-//!   A9-scale graphs from an [`OnDemandRouter`], which caches a bounded
-//!   number of the same rows. Both are asked the same questions by host
-//!   index. On an underlay whose links lose nothing, `path_loss` asks
+//!   [`HostRouter`] over the graph: one shortest-path row per host, every
+//!   host pair's two distances in 9 bytes up front or, on A9-scale
+//!   graphs, a bounded LRU of the same rows, plus a 2-byte predecessor
+//!   slot per graph node, `2·n` bytes, once a path from the row's host
+//!   is asked. On an underlay whose links lose nothing, `path_loss` asks
 //!   no route at all.
 //! * [`LatencySpace`] — a host-to-host RTT matrix with optional jitter and
 //!   per-path loss (the PlanetLab analogue, Chapter 5). No physical links;
@@ -23,7 +22,7 @@
 use rand::{Rng, RngCore};
 use std::convert::Infallible;
 use std::sync::Arc;
-use vdm_topology::{EdgeId, Graph, HostRoutes, Millis, NodeId, OnDemandRouter};
+use vdm_topology::{EdgeId, Graph, HostRouter, Millis, NodeId};
 
 /// Index of a simulation host (dense, `0..num_hosts`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -85,19 +84,9 @@ pub trait Underlay {
     }
 }
 
-/// Routing oracle backing a [`RoutedUnderlay`]: every host row up
-/// front, or a bounded LRU of the same rows. Both answer every host
-/// query bit-for-bit identically (`vdm_topology`'s `router_props`
-/// tests).
-enum Routes {
-    Hosts(HostRoutes),
-    OnDemand(OnDemandRouter),
-}
-
 /// Hosts attached to a router graph; routes are delay-shortest paths.
 pub struct RoutedUnderlay {
-    graph: Arc<Graph>,
-    routes: Routes,
+    router: HostRouter,
     /// Whether any link has a nonzero loss rate. When none has, every
     /// route's loss product is a product of ones, and
     /// [`Underlay::path_loss`] answers `0.0` without walking a route.
@@ -111,42 +100,26 @@ fn any_lossy_link(g: &Graph) -> bool {
 
 impl RoutedUnderlay {
     /// Build from a router+host graph and the graph nodes that act as
-    /// hosts (typically from `transit_stub::attach_hosts`).
-    ///
-    /// Runs one Dijkstra per host; `O(H · E log V)` time and
-    /// `4.5·H(H−1)` bytes of host distances up front (each host pair
-    /// once), plus `2·V` bytes of predecessor slots per host a path is
-    /// asked from (stress, loss on a lossy graph, the queueing data
-    /// plane), so `4.5·H(H−1) + 2·H·V` at most — use
-    /// [`RoutedUnderlay::on_demand`] when `H²`, or
-    /// `H · V` on a run that asks paths from every host, is too large
-    /// to hold.
+    /// hosts (typically from `transit_stub::attach_hosts`), every host
+    /// pair's distance up front ([`HostRouter::new`]), plus `2·V` bytes
+    /// of predecessor slots per host a path is asked from (stress, loss
+    /// on a lossy graph, the queueing data plane) — use
+    /// [`RoutedUnderlay::on_demand`] when `H²`, or `H · V` on a run
+    /// that asks paths from every host, is too large to hold.
     ///
     /// # Panics
     /// Panics when there is no host, a host is not a node of `graph`,
     /// or hosts are mutually unreachable.
     pub fn new(graph: Graph, host_nodes: Vec<NodeId>) -> Self {
-        let routes = HostRoutes::build(&graph, host_nodes);
-        assert!(!routes.hosts().is_empty(), "need at least one host");
-        for (b, h) in routes.hosts().iter().enumerate() {
-            assert!(routes.dist_ms(0, b).is_finite(), "host {h} unreachable");
-        }
-        Self {
-            lossy: any_lossy_link(&graph),
-            graph: Arc::new(graph),
-            routes: Routes::Hosts(routes),
-        }
+        Self::over(HostRouter::new(graph, host_nodes))
     }
 
-    /// Build with a memory-bounded [`OnDemandRouter`] instead of eager
-    /// host rows: the same host rows, computed lazily and kept in an
-    /// LRU of at most `capacity` rows (`None` for the default ~64 MiB
-    /// budget). The last argument can only be `None`; it keeps the
-    /// four-argument call the benchmark's join workloads make.
-    ///
-    /// A resident row is `8·H` bytes, and `8·H + 2·V` once a path from
-    /// its host has been asked. Memory is `O(capacity · (H + V))`; no
-    /// `O(H · V)` structure is ever materialized.
+    /// Build with host rows computed on demand instead of up front:
+    /// the same rows, kept in an LRU of at most `capacity` rows (`None`
+    /// for the default ~64 MiB budget; [`HostRouter::with_lru`]), over
+    /// `graph` itself. Memory is `O(capacity · (H + V))`. The last
+    /// argument can only be `None`; it keeps the four-argument call the
+    /// benchmark's join workloads make.
     ///
     /// # Panics
     /// Panics when there is no host, a host is not a node of `graph`,
@@ -158,30 +131,30 @@ impl RoutedUnderlay {
         capacity: Option<usize>,
         _never: Option<Infallible>,
     ) -> Self {
-        let router = OnDemandRouter::new(&graph, host_nodes, capacity);
+        Self::over(HostRouter::with_lru(graph, host_nodes, capacity))
+    }
+
+    /// Route over `router` once every host reaches host 0.
+    fn over(router: HostRouter) -> Self {
         assert!(!router.hosts().is_empty(), "need at least one host");
         let row0 = router.row(0);
         for (b, h) in router.hosts().iter().enumerate() {
             assert!(row0.dist_ms(b).is_finite(), "host {h} unreachable");
         }
         Self {
-            lossy: any_lossy_link(&graph),
-            graph,
-            routes: Routes::OnDemand(router),
+            lossy: any_lossy_link(router.graph()),
+            router,
         }
     }
 
     /// Graph nodes backing the hosts, in host-id order.
     pub fn host_nodes(&self) -> &[NodeId] {
-        match &self.routes {
-            Routes::Hosts(r) => r.hosts(),
-            Routes::OnDemand(r) => r.hosts(),
-        }
+        self.router.hosts()
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.router.graph()
     }
 
     /// Always `None`: no routed underlay builds the dense table any more.
@@ -189,23 +162,17 @@ impl RoutedUnderlay {
         None
     }
 
-    /// The on-demand router, when this underlay was built with one
-    /// (for LRU hit/miss/residency stats).
-    pub fn router(&self) -> Option<&OnDemandRouter> {
-        match &self.routes {
-            Routes::Hosts(_) => None,
-            Routes::OnDemand(r) => Some(r),
-        }
+    /// The routing oracle when it keeps its host rows in an LRU (for
+    /// hit/miss/residency stats); `None` when every row is up front.
+    pub fn router(&self) -> Option<&HostRouter> {
+        self.router.is_lru().then_some(&self.router)
     }
 
     /// Predecessor-slot rows the routing oracle has built: one per
     /// source host a path has been asked from (again after an
     /// on-demand row's eviction).
     pub fn slot_rows_built(&self) -> u64 {
-        match &self.routes {
-            Routes::Hosts(r) => r.slot_rows_built(),
-            Routes::OnDemand(r) => r.stats().slot_rows,
-        }
+        self.router.stats().slot_rows
     }
 
     /// Graph node backing host `h`.
@@ -220,10 +187,7 @@ impl RoutedUnderlay {
 
     /// Physical links on the route `a -> b`.
     fn route(&self, a: HostId, b: HostId) -> Vec<EdgeId> {
-        match &self.routes {
-            Routes::Hosts(r) => r.path_edges(&self.graph, a.idx(), b.idx()),
-            Routes::OnDemand(r) => r.path_edges(&self.graph, a.idx(), b.idx()),
-        }
+        self.router.path_edges(a.idx(), b.idx())
     }
 }
 
@@ -237,10 +201,7 @@ impl Underlay for RoutedUnderlay {
     }
 
     fn one_way_ms(&self, a: HostId, b: HostId) -> Millis {
-        match &self.routes {
-            Routes::Hosts(r) => r.dist_ms(a.idx(), b.idx()),
-            Routes::OnDemand(r) => r.dist_ms(a.idx(), b.idx()),
-        }
+        self.router.dist_ms(a.idx(), b.idx())
     }
 
     fn path_loss(&self, a: HostId, b: HostId) -> f64 {
@@ -251,7 +212,7 @@ impl Underlay for RoutedUnderlay {
         }
         let mut pass = 1.0;
         for e in self.route(a, b) {
-            pass *= 1.0 - self.graph.edge(e).attrs.loss;
+            pass *= 1.0 - self.graph().edge(e).attrs.loss;
         }
         1.0 - pass
     }
@@ -261,11 +222,11 @@ impl Underlay for RoutedUnderlay {
     }
 
     fn num_links(&self) -> usize {
-        self.graph.num_edges()
+        self.graph().num_edges()
     }
 
     fn link_specs(&self) -> Vec<crate::dataplane::LinkSpec> {
-        self.graph
+        self.graph()
             .edges()
             .map(|(_, e)| crate::dataplane::LinkSpec {
                 delay_ms: e.attrs.delay_ms,
@@ -743,6 +704,16 @@ mod tests {
         assert_eq!(one.path_edges(h, h), Some(Vec::new()));
         assert_eq!(one.hops(h, h), 0);
         assert_eq!(one.path_loss(h, h), 0.0);
+    }
+
+    /// The on-demand oracle routes over the very graph it is handed,
+    /// not a copy of it.
+    #[test]
+    fn on_demand_routes_over_the_graph_it_is_given() {
+        let g = Arc::new(small_routed().graph().clone());
+        let u = RoutedUnderlay::on_demand(Arc::clone(&g), vec![NodeId(0), NodeId(3)], None, None);
+        assert!(Arc::ptr_eq(u.router().unwrap().graph(), &g));
+        assert_eq!(u.path_edges(HostId(0), HostId(1)).unwrap().len(), 3);
     }
 
     #[test]

@@ -25,7 +25,7 @@ const MAX_WAIT: SimTime = SimTime(3_000_000);
 /// walks; throttling smooths the herd into the tree instead of letting
 /// every interior node thrash, and overflow is shed to siblings via the
 /// normal redirect path.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdmissionConfig {
     /// Sustained admissions per second.
     pub rate_per_s: f64,

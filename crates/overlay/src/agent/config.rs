@@ -4,10 +4,11 @@
 use super::{AdmissionConfig, HeartbeatConfig, ResilienceConfig};
 use crate::repair::RepairConfig;
 use crate::walk::WalkConfig;
+use std::sync::{Arc, OnceLock};
 use vdm_netsim::SimTime;
 
 /// Agent-side tunables.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AgentConfig {
     /// Join-walk mechanics (timeouts, retries).
     pub walk: WalkConfig,
@@ -97,6 +98,24 @@ impl AgentConfig {
             }),
             gap_threshold: Some(SimTime::from_secs(5)),
             ..self
+        }
+    }
+}
+
+/// A factory's [`AgentConfig`] behind one `Arc` that every agent the
+/// factory makes shares, rather than each agent holding a copy.
+#[derive(Clone, Debug, Default)]
+pub struct SharedConfig(OnceLock<Arc<AgentConfig>>);
+
+impl SharedConfig {
+    /// `cfg` behind the shared `Arc`, which holds the config of the
+    /// first call; a config edited since gets an `Arc` of its own.
+    pub fn get(&self, cfg: &AgentConfig) -> Arc<AgentConfig> {
+        let shared = self.0.get_or_init(|| Arc::new(*cfg));
+        if **shared == *cfg {
+            Arc::clone(shared)
+        } else {
+            Arc::new(*cfg)
         }
     }
 }

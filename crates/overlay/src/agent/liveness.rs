@@ -18,7 +18,7 @@ pub const HEARTBEAT_TOKEN: u64 = 1 << 58;
 /// Heartbeat settings for the ungraceful-failure extension: children
 /// beacon their parent every `period`; parents prune children silent
 /// for `timeout`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HeartbeatConfig {
     /// Beacon interval.
     pub period: SimTime,

@@ -36,7 +36,7 @@ mod repair;
 mod resilience;
 
 pub use self::admission::{AdmissionConfig, ADMIT_TOKEN};
-pub use self::config::AgentConfig;
+pub use self::config::{AgentConfig, SharedConfig};
 pub use self::ctx::Ctx;
 pub use self::liveness::{HeartbeatConfig, DATA_WATCH_TOKEN, HEARTBEAT_TOKEN, REFINE_TOKEN};
 pub use self::repair::REPAIR_TOKEN;
@@ -54,6 +54,7 @@ use crate::msg::{ChildEntry, ConnKind, ConnResult, Msg};
 use crate::peer::PeerState;
 use crate::walk::{Walk, WalkOutcome, WalkPolicy, WalkPurpose, WALK_TOKEN_BIT};
 use crate::VDist;
+use std::sync::Arc;
 use vdm_netsim::{HostId, SimTime};
 
 /// Timer token for retrying a failed walk.
@@ -138,7 +139,8 @@ fn record_reconnect(ctx: &mut Ctx<'_>, started: SimTime) {
 /// The generic protocol peer; `P` supplies the protocol behaviour.
 pub struct ProtocolAgent<P: WalkPolicy> {
     state: PeerState,
-    cfg: AgentConfig,
+    /// Shared by every agent of one factory ([`SharedConfig`]).
+    cfg: Arc<AgentConfig>,
     policy: P,
     source: HostId,
     walk: Option<Box<Walk>>,
@@ -183,12 +185,12 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
         source: HostId,
         degree_limit: u32,
         incarnation: u32,
-        cfg: AgentConfig,
+        cfg: impl Into<Arc<AgentConfig>>,
         policy: P,
     ) -> Self {
+        let cfg = cfg.into();
         Self {
             state: PeerState::new(host, degree_limit, host == source),
-            cfg,
             policy,
             source,
             walk: None,
@@ -209,6 +211,7 @@ impl<P: WalkPolicy> ProtocolAgent<P> {
                 .map(|r| Box::new(Repair::new(r, cfg.cross_repair))),
             discovery: None,
             coords: cfg.coords.then(Box::default),
+            cfg,
         }
     }
 

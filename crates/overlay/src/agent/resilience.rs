@@ -35,7 +35,7 @@ const MAX_ATTEMPTS: usize = 3;
 /// direct connection requests at its candidates/ancestors, each with a
 /// `FAILOVER_TIMEOUT` deadline, and only falls back to the §3.3
 /// grandparent walk when all of them are dead, full, or exhausted.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResilienceConfig {
     /// Order failover targets by virtual-coordinate distance instead of
     /// measured-vdist-then-ancestor order (coordinate-embedding

@@ -36,7 +36,7 @@ const NACK_RETRIES: u32 = 3;
 /// Tunables of the gap-repair machinery: the lookback window and the
 /// stripe this receiver expects. The ring and NACK timing are the
 /// constants above.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RepairConfig {
     /// How far behind the watermark a missing chunk may trail before it
     /// is declared lost (bounds both memory and NACK traffic after a

@@ -208,7 +208,7 @@ pub(crate) const INFO_RETRIES: u32 = 1;
 
 /// Tunables of the walk mechanics. Each round's deadline is `TIMEOUT`
 /// and a silent node gets `INFO_RETRIES` more info requests.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WalkConfig {
     /// Walk restarts (from the fallback node) before giving up.
     pub max_restarts: u32,

@@ -16,12 +16,12 @@
 //!   oracle the sharded engine synchronizes on;
 //! * [`geo`] — geographic site pools (continent clusters, great-circle
 //!   latency) that back the emulated-PlanetLab substrate;
-//! * [`spath`] — Dijkstra single-source, host-to-host ([`HostRoutes`], the
-//!   table the simulator routes packets over, as NS-2 does) and all-pairs
-//!   shortest paths;
-//! * [`router`] — the memory-bounded [`OnDemandRouter`]: [`HostRoutes`]'
-//!   rows computed on demand and kept in a bounded LRU, for underlays
-//!   too large to hold one row per host;
+//! * [`spath`] — Dijkstra single-source, host-to-host ([`HostRouter`],
+//!   the oracle the simulator routes packets over, as NS-2 does, over
+//!   the graph it owns) and all-pairs shortest paths;
+//! * [`router`] — [`HostRouter`]'s bounded distance store: host rows
+//!   computed on demand and kept in an LRU, for underlays too large to
+//!   hold every host pair;
 //! * [`mst`] — Prim minimum spanning trees over arbitrary metrics (the
 //!   paper's §5.4.6 MST-ratio comparison).
 //!
@@ -39,8 +39,8 @@ pub mod transit_stub;
 pub mod waxman;
 
 pub use graph::{EdgeId, Graph, LinkAttrs, NodeId, NodeKind};
-pub use router::{HostRow, OnDemandRouter, RouterStats};
-pub use spath::{Apsp, HostRoutes, ShortestPaths};
+pub use router::{HostRow, RouterStats};
+pub use spath::{Apsp, HostRouter, ShortestPaths};
 
 /// SplitMix64's finalizer: the one cheap 64-bit avalanche every seeded
 /// derivation in the workspace uses (per-shard RNG streams, per-tree

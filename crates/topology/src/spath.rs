@@ -3,12 +3,13 @@
 //! The discrete-event simulator forwards every packet along delay-shortest
 //! routes, exactly as the paper's NS-2 setup does, and the stress metric
 //! needs the *edge sequence* of each route. The overlay only ever asks
-//! about routes between hosts, so [`HostRoutes`] precomputes one row of
-//! host-to-host distances per host, storing each host pair once, and
-//! builds a host's predecessor row, which [`HostRoutes::path_edges`]
-//! walks to enumerate physical links on a route, only when a path from
-//! that host is first asked. [`Apsp`], the dense all-pairs table with
-//! next hops, is the reference the tests hold it to.
+//! about routes between hosts, so a [`HostRouter`] keeps one row of
+//! host-to-host distances per host — every host pair once up front, or
+//! a bounded LRU of rows — and builds a host's predecessor row, which
+//! [`HostRouter::path_edges`] walks to enumerate physical links on a
+//! route, only when a path from that host is first asked. [`Apsp`], the
+//! dense all-pairs table with next hops, is the reference the tests
+//! hold it to.
 //!
 //! # Predecessor slots
 //!
@@ -16,7 +17,7 @@
 //! the predecessor's *slot*: its index in `t`'s own adjacency list, a
 //! `u16` (`u16::MAX` for none). The `Csr` is in [`Graph::neighbors`]
 //! order, so the slot names the predecessor node and the link to it at
-//! once: [`HostRoutes::path_edges`] reads each [`EdgeId`] straight off
+//! once: [`HostRouter::path_edges`] reads each [`EdgeId`] straight off
 //! the adjacency entry instead of searching for the link between two
 //! nodes. The kernel writes the slot when it relaxes a link; each CSR
 //! entry carries the slot of its reverse entry in the padding of its
@@ -28,22 +29,22 @@
 //! # Slot rows on demand
 //!
 //! The overlay's hot path asks only distances; stress, loss estimates
-//! and the queueing data plane ask routes. So both host-route oracles
-//! store a source's `H` host distances up front (`8·H` bytes) and its
-//! `n`-long slot row (`2·n` bytes) only once a path from that source is
-//! asked: a [`OnceLock`] per source, filled by running the kernel from
-//! the same source again. The kernel is a pure function of the CSR and
-//! the source, so the slots have the bits an eager build would have
+//! and the queueing data plane ask routes. So both of a
+//! [`HostRouter`]'s stores hold a source's `H` host distances
+//! (`8·H` bytes) and its `n`-long slot row (`2·n` bytes) only once a
+//! path from that source is asked: a [`OnceLock`] per source (per
+//! cached row in the LRU), filled by running the kernel from the same
+//! source again. The kernel is a pure function of the CSR and the
+//! source, so the slots have the bits an eager build would have
 //! written, and a filled row is read without a lock. A distance row
 //! runs the kernel with no slot or first-hop row at all. `ScratchPool`
-//! is the one fill path both oracles share; it counts the rows it
-//! builds.
+//! is the one slot-row fill path; it counts the rows it builds.
 //!
 //! # Each host pair once
 //!
 //! Links are undirected, so `d(a, b)` and `d(b, a)` are one route summed
-//! in opposite order, and differ at most in the last few ulps. The eager
-//! oracle therefore stores them as a `PairTable`: `d(a, b)` for every
+//! in opposite order, and differ at most in the last few ulps. The
+//! up-front store therefore keeps them as a `PairTable`: `d(a, b)` for every
 //! host pair `a < b` as an f64 in a strict upper triangle, and `d(b, a)`
 //! as the signed difference of the two bit patterns in one `i8`. Every
 //! distance is non-negative or `INFINITY`, and for those the bit pattern
@@ -56,9 +57,9 @@
 //!
 //! # One kernel
 //!
-//! Every shortest-path answer in this crate — [`HostRoutes::build`],
-//! [`crate::router::OnDemandRouter`]'s rows (both through one host-row
-//! builder), [`Apsp::build`] and [`dijkstra`] — comes out of the one
+//! Every shortest-path answer in this crate — a [`HostRouter`]'s rows
+//! in either store (through one host-row builder), [`Apsp::build`] and
+//! [`dijkstra`] — comes out of the one
 //! loop in `sssp`, run over a `Csr` view of the graph (one flat
 //! `(neighbour, delay)` array in [`Graph::neighbors`] order). Four
 //! things in that loop are deliberate:
@@ -106,11 +107,12 @@
 //!   join testbeds leaves.
 
 use crate::graph::{Adj, EdgeId, Graph, NodeId};
+use crate::router::{HostRow, RouterStats, RowCache};
 use crate::Millis;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Result of a single-source Dijkstra run.
 #[derive(Clone, Debug)]
@@ -146,7 +148,7 @@ impl ShortestPaths {
 
 /// "No predecessor" in a predecessor-slot row: the source and
 /// unreachable nodes.
-pub(crate) const NO_PREV: u16 = u16::MAX;
+const NO_PREV: u16 = u16::MAX;
 
 /// One CSR entry: a link out of a node.
 #[derive(Clone, Copy, Debug)]
@@ -165,7 +167,7 @@ struct Link {
 /// each with its reverse slot. `16 B × 2E + 4 B × (n + 1)`; built once
 /// per router / table build so a relaxation reads one flat array
 /// instead of chasing `Adj → EdgeId → Edge`.
-pub(crate) struct Csr {
+struct Csr {
     off: Vec<u32>,
     adj: Vec<Link>,
     /// Smallest positive link delay (`INFINITY` when none is positive).
@@ -178,10 +180,10 @@ impl Csr {
     /// # Panics
     /// Panics when a node has `u16::MAX` links or more: its slots would
     /// not fit a predecessor row.
-    pub(crate) fn new(g: &Graph) -> Self {
+    fn new(g: &Graph) -> Self {
         // Sized exactly, one allocation each: growing `adj` by doubling
         // left half-size buffers behind and moved peak RSS (see the
-        // allocation note in `HostRoutes::build`). The slot table is
+        // allocation note in `HostRouter::new`). The slot table is
         // asked for last, so it is freed from the top of the heap.
         let mut csr = Self::with_capacity(g.num_nodes(), 2 * g.num_edges());
         // Per link, its slot at its lower-id end, which comes in first;
@@ -264,7 +266,7 @@ impl Csr {
         }
     }
 
-    pub(crate) fn num_nodes(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         self.off.len() - 1
     }
 
@@ -274,11 +276,6 @@ impl Csr {
 
     fn degree(&self, v: u32) -> u32 {
         self.off[v as usize + 1] - self.off[v as usize]
-    }
-
-    /// Links of the graph (each is two entries).
-    pub(crate) fn num_edges(&self) -> usize {
-        self.adj.len() / 2
     }
 
     /// The predecessor of `t` that slot `slot` names, or `None` for
@@ -299,7 +296,7 @@ const NIL: u32 = u32::MAX;
 /// one array of the row's entries: memory is the ring plus those, on any
 /// delay range, and is kept from row to row.
 #[derive(Default)]
-pub(crate) struct BucketQueue {
+struct BucketQueue {
     /// `1 / w`.
     inv_width: f64,
     /// The bucket being drained.
@@ -312,7 +309,7 @@ pub(crate) struct BucketQueue {
 
 impl BucketQueue {
     /// Empty the queue and set its bucket width to `width` ms.
-    pub(crate) fn reset(&mut self, width: Millis) {
+    fn reset(&mut self, width: Millis) {
         self.inv_width = 1.0 / width;
         self.bucket = 0;
         self.heads.clear();
@@ -361,7 +358,7 @@ impl BucketQueue {
 /// the first hop from the source (`u32::MAX` for both). `prev` and
 /// `first` may both be empty, for distances alone: a distance row then
 /// pays for no predecessor.
-pub(crate) fn sssp(
+fn sssp(
     csr: &Csr,
     source: u32,
     dist: &mut [Millis],
@@ -498,9 +495,9 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
 /// All-pairs shortest paths with next-hop routing tables.
 ///
 /// Memory is `O(n^2)` for distances (f64) plus `O(n^2)` for next hops
-/// (u32). No simulation builds it: routed underlays hold [`HostRoutes`]
-/// or an [`crate::router::OnDemandRouter`]. It stays as the dense
-/// reference the tests hold both to.
+/// (u32). No simulation builds it: routed underlays hold a
+/// [`HostRouter`]. It stays as the dense reference the tests hold
+/// both of its stores to.
 ///
 /// Distances are kept at full `f64` precision: an earlier revision
 /// downcast them to f32, which collapsed delays differing only below
@@ -522,7 +519,7 @@ impl Apsp {
     /// the two planes.
     pub fn build(g: &Graph) -> Self {
         let n = g.num_nodes();
-        // Planes before scratch, as in `HostRoutes::build`.
+        // Planes before scratch, as in `HostRouter::new`.
         let mut dist = vec![Millis::INFINITY; n * n];
         let mut next = vec![u32::MAX; n * n];
         let csr = Csr::new(g);
@@ -583,53 +580,70 @@ impl Apsp {
     }
 }
 
-/// Shortest paths between the hosts of an underlay: one Dijkstra row
-/// per host, none per router.
+/// Shortest paths between the hosts of an underlay, over the graph it
+/// owns: one Dijkstra row per host, none per router.
 ///
 /// The overlay only asks about hosts — probe RTTs, and stretch and
-/// stress over host-to-host routes — so this keeps the host-to-host
-/// distances, copied from each host's row at the host columns, each
-/// host pair once (a `PairTable`, see the module docs):
-/// `4.5·H(H−1)` bytes against [`Apsp`]'s `12·n²`. A host's `n`-long row
-/// of predecessor slots (see the module docs) is built the first time a
-/// path from it is asked, `2·n` bytes per host asked from, over the CSR
-/// this keeps (`16 B × 2E`). Each row is the kernel run from the same
-/// source as the matching [`Apsp`] row, so every distance and slot has
-/// the same bits.
-pub struct HostRoutes {
-    /// The graph's adjacency, kept for the slot rows.
+/// stress over host-to-host routes — so this keeps host-to-host
+/// distances, in one of two stores its constructor picks:
+///
+/// * [`Self::new`] fills every host's row up front, each host pair once
+///   (a `PairTable`, see the module docs): `4.5·H(H−1)` bytes against
+///   [`Apsp`]'s `12·n²`, read with no lock;
+/// * [`Self::with_lru`] computes a host's row, `8·H` bytes, on its
+///   first use and keeps at most `capacity` in an LRU
+///   ([`crate::router`]), for graphs where `H²` is too many.
+///
+/// A host's `n`-long row of predecessor slots (see the module docs) is
+/// built the first time a path from it is asked, `2·n` bytes per host
+/// asked from, over the CSR this keeps (`16 B × 2E`); the LRU drops it
+/// with its row. Each row is the kernel run from the same source as the
+/// matching [`Apsp`] row, so both stores answer every query with the
+/// same bits.
+pub struct HostRouter {
+    graph: Arc<Graph>,
+    /// The graph's adjacency, kept for the rows.
     csr: Csr,
     /// Graph node of each host, in host-id order.
     hosts: Vec<NodeId>,
-    /// Host-to-host distances in ms.
-    dist: PairTable,
-    /// Per source host, its predecessor-slot row once a path from it
-    /// has been asked; [`NO_PREV`] for the source and unreachable
-    /// nodes.
-    prev: Vec<OnceLock<Box<[u16]>>>,
-    scratch: ScratchPool,
+    store: Store,
+    /// Idle kernel scratch, so a row reuses an earlier row's scratch
+    /// rows and queue. Rows are filled on whichever thread asks first,
+    /// several at once when runner threads ask different sources
+    /// together, so each fill takes scratch of its own and gives it back.
+    idle: Mutex<Vec<RowScratch>>,
+    /// Predecessor-slot rows built.
+    slot_rows: AtomicU64,
 }
 
-impl std::fmt::Debug for HostRoutes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostRoutes")
-            .field("nodes", &self.csr.num_nodes())
-            .field("hosts", &self.hosts.len())
-            .field("slot_rows", &self.slot_rows_built())
-            .finish()
-    }
+/// Where a [`HostRouter`] keeps its host distances.
+enum Store {
+    /// Every host pair, and per source host its predecessor-slot row
+    /// once a path from it has been asked.
+    Pairs {
+        dist: PairTable,
+        prev: Vec<OnceLock<Box<[u16]>>>,
+    },
+    /// A bounded LRU of host rows, each holding its own slot row.
+    Rows(RowCache),
 }
 
-impl HostRoutes {
+/// Row-cache memory budget used by [`HostRouter::default_capacity`].
+const ROW_BUDGET_BYTES: usize = 64 << 20;
+
+impl HostRouter {
     /// Run Dijkstra from the node of every host in `hosts`, keeping the
     /// host distances; slot rows wait for the first path query.
     ///
     /// # Panics
-    /// Panics when a host is not a node of `g`.
-    pub fn build(g: &Graph, hosts: Vec<NodeId>) -> Self {
-        let n = g.num_nodes();
+    /// Panics when a host is not a node of `graph`.
+    pub fn new(graph: impl Into<Arc<Graph>>, hosts: Vec<NodeId>) -> Self {
+        let graph = graph.into();
         let h = hosts.len();
-        assert!(hosts.iter().all(|v| v.idx() < n), "host out of range");
+        assert!(
+            hosts.iter().all(|v| v.idx() < graph.num_nodes()),
+            "host out of range"
+        );
         // The tables come first, then the CSR that is kept, then the
         // scratch, a few exactly-sized allocations plus the queue, which
         // holds one row's pushes at most. When a process builds tables
@@ -642,20 +656,71 @@ impl HostRoutes {
         // and scratch came first (DESIGN.md §8).
         let mut dist = PairTable::new(h);
         let prev = (0..h).map(|_| OnceLock::new()).collect();
-        let csr = Csr::new(g);
-        let mut scratch = RowScratch::new(n);
+        let csr = Csr::new(&graph);
+        let mut scratch = RowScratch::new(graph.num_nodes());
         let mut row = vec![Millis::INFINITY; h];
         for (a, &s) in hosts.iter().enumerate() {
             scratch.host_dists(&csr, &hosts, s, &mut row);
             dist.push_row(a, &row);
         }
         Self {
+            graph,
             csr,
             hosts,
-            dist,
-            prev,
-            scratch: ScratchPool::default(),
+            store: Store::Pairs { dist, prev },
+            idle: Mutex::default(),
+            slot_rows: AtomicU64::default(),
         }
+    }
+
+    /// Router over the hosts `hosts` of `graph` holding at most
+    /// `capacity` host rows; pass `None` for [`Self::default_capacity`]
+    /// of the graph's node count. No row is computed until it is asked.
+    ///
+    /// # Panics
+    /// Panics when a host is not a node of `graph`.
+    pub fn with_lru(
+        graph: impl Into<Arc<Graph>>,
+        hosts: Vec<NodeId>,
+        capacity: Option<usize>,
+    ) -> Self {
+        let graph = graph.into();
+        let n = graph.num_nodes();
+        assert!(hosts.iter().all(|v| v.idx() < n), "host out of range");
+        let capacity = capacity.unwrap_or_else(|| Self::default_capacity(n)).max(1);
+        let rows = RowCache::new(hosts.len(), capacity);
+        Self {
+            csr: Csr::new(&graph),
+            graph,
+            hosts,
+            store: Store::Rows(rows),
+            idle: Mutex::default(),
+            slot_rows: AtomicU64::default(),
+        }
+    }
+
+    /// Rows-in-memory bound for an `n`-node graph under a fixed
+    /// ~64 MiB budget, clamped to `[8, n]`. At 1k nodes that is every
+    /// row (the dense regime); at 20k nodes it is ~200 rows — memory
+    /// stays `O(capacity · (H + n))`, not `O(H · n)`.
+    ///
+    /// The formula prices a row at 16 bytes per node, the size of the
+    /// node-keyed rows the router used to cache. A host row is `8·H`
+    /// bytes until a path from its source is asked and `8·H + 2·n`
+    /// after. When hosts are at most half the nodes (as on A9's
+    /// testbeds) that is at most 4 and 6 bytes per node, so the budget
+    /// is about 4× conservative for rows that only answer distances, as
+    /// the join walks' rows do, and 2.7× when every row holds its
+    /// slots. The formula is kept on purpose: it fixes every A9
+    /// capacity, and with it every row hit, miss and eviction count.
+    pub fn default_capacity(n: usize) -> usize {
+        let row_bytes = n.max(1) * 16;
+        (ROW_BUDGET_BYTES / row_bytes).clamp(8, n.max(8))
+    }
+
+    /// The graph the routes run over.
+    pub fn graph(&self) -> &Arc<Graph> {
+        &self.graph
     }
 
     /// Graph node of each host, in host-id order.
@@ -663,16 +728,60 @@ impl HostRoutes {
         &self.hosts
     }
 
+    /// Whether host rows are kept in an LRU ([`Self::with_lru`]) rather
+    /// than every host pair up front.
+    pub fn is_lru(&self) -> bool {
+        matches!(self.store, Store::Rows(_))
+    }
+
+    /// Row and slot-row counters; up front, the slot rows alone.
+    pub fn stats(&self) -> RouterStats {
+        let slot_rows = self.slot_rows.load(Ordering::Relaxed);
+        match &self.store {
+            Store::Pairs { .. } => RouterStats {
+                slot_rows,
+                ..RouterStats::default()
+            },
+            Store::Rows(rows) => rows.stats(slot_rows),
+        }
+    }
+
+    /// Host `a`'s row: the LRU's, computed outside its lock on a miss;
+    /// up front, a copy of `a`'s distances, which never holds slots.
+    pub fn row(&self, a: usize) -> Arc<HostRow> {
+        let h = self.hosts.len();
+        match &self.store {
+            Store::Pairs { .. } => {
+                Arc::new(HostRow::new((0..h).map(|b| self.dist_ms(a, b)).collect()))
+            }
+            Store::Rows(rows) => rows.row(a, || {
+                // The row is allocated before the scratch is taken.
+                let mut row = HostRow::new(vec![Millis::INFINITY; h]);
+                self.with_scratch(|s| {
+                    s.host_dists(&self.csr, &self.hosts, self.hosts[a], &mut row.dist)
+                });
+                row
+            }),
+        }
+    }
+
     /// Shortest one-way delay (ms) from host `a` to host `b`; the bits
     /// of [`Apsp::dist_ms`] between their nodes.
     ///
     /// # Panics
     /// Panics when `a` or `b` is not a host id, in release builds too:
-    /// the table is a triangle, so an id past the end would read
+    /// the pair table is a triangle, so an id past the end would read
     /// another pair.
     #[inline]
     pub fn dist_ms(&self, a: usize, b: usize) -> Millis {
-        self.dist.get(a, b)
+        assert!(
+            a < self.hosts.len() && b < self.hosts.len(),
+            "host id out of range"
+        );
+        match &self.store {
+            Store::Pairs { dist, .. } => dist.get(a, b),
+            Store::Rows(_) => self.row(a).dist_ms(b),
+        }
     }
 
     /// Node sequence of the route from host `a` to host `b` (inclusive),
@@ -695,41 +804,56 @@ impl HostRoutes {
     /// Float sums can break `d_a(u) = d_a(v) + d_v(u)` in the last ulp;
     /// the host-pair pins in `tests/host_routes.rs` hold the two walks
     /// equal on the testbeds the experiments build.
-    ///
-    /// The row's slots are read off `g`'s adjacency lists, so `g` must
-    /// be the graph the routes were built over.
-    ///
-    /// # Panics
-    /// Panics when `g`'s node or link count is not that graph's.
-    pub fn path_nodes(&self, g: &Graph, a: usize, b: usize) -> Vec<NodeId> {
-        assert_graph(g, &self.csr);
-        if self.dist_ms(a, b).is_infinite() {
-            return Vec::new();
-        }
-        route_nodes(g, self.prev_row(a), self.hosts[a], self.hosts[b])
+    pub fn path_nodes(&self, a: usize, b: usize) -> Vec<NodeId> {
+        self.with_slots(a, |prev| {
+            route_nodes(&self.graph, prev, self.hosts[a], self.hosts[b])
+        })
     }
 
     /// Edge sequence of the route from host `a` to host `b`, read off
-    /// `g`'s adjacency entries; `g` must be the graph the routes were
-    /// built over.
-    ///
-    /// # Panics
-    /// Panics when `g`'s node or link count is not that graph's.
-    pub fn path_edges(&self, g: &Graph, a: usize, b: usize) -> Vec<EdgeId> {
-        assert_graph(g, &self.csr);
-        route_links(g, self.prev_row(a), self.hosts[b])
+    /// the graph's adjacency entries.
+    pub fn path_edges(&self, a: usize, b: usize) -> Vec<EdgeId> {
+        self.with_slots(a, |prev| route_links(&self.graph, prev, self.hosts[b]))
     }
 
-    /// Predecessor-slot rows built so far: one per source host a path
-    /// has been asked from.
-    pub fn slot_rows_built(&self) -> u64 {
-        self.scratch.slot_rows_built()
+    /// `walk` over host `a`'s predecessor-slot row, built on first use.
+    fn with_slots<R>(&self, a: usize, walk: impl FnOnce(&[u16]) -> R) -> R {
+        match &self.store {
+            Store::Pairs { prev, .. } => walk(self.slot_row(&prev[a], a)),
+            Store::Rows(_) => walk(self.slot_row(&self.row(a).prev, a)),
+        }
     }
 
-    /// Host `a`'s predecessor-slot row, built on first use.
-    fn prev_row(&self, a: usize) -> &[u16] {
-        self.scratch
-            .slot_row(&self.prev[a], &self.csr, self.hosts[a])
+    /// Host `a`'s predecessor-slot row, held in `cell`: on the first
+    /// call the kernel runs from `a` again, straight into a new row
+    /// (allocated before the scratch is taken); later calls, and
+    /// threads that waited on the first, read the row.
+    fn slot_row<'c>(&self, cell: &'c OnceLock<Box<[u16]>>, a: usize) -> &'c [u16] {
+        cell.get_or_init(|| {
+            let mut row = vec![NO_PREV; self.csr.num_nodes()].into_boxed_slice();
+            self.with_scratch(|s| {
+                let source = self.hosts[a].0;
+                sssp(
+                    &self.csr,
+                    source,
+                    &mut s.dist,
+                    &mut row,
+                    &mut s.first,
+                    &mut s.queue,
+                );
+            });
+            self.slot_rows.fetch_add(1, Ordering::Relaxed);
+            row
+        })
+    }
+
+    /// `f` on idle scratch, or on new scratch when none is idle.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut RowScratch) -> R) -> R {
+        let idle = self.idle.lock().expect("scratch lock").pop();
+        let mut scratch = idle.unwrap_or_else(|| RowScratch::new(self.csr.num_nodes()));
+        let out = f(&mut scratch);
+        self.idle.lock().expect("scratch lock").push(scratch);
+        out
     }
 }
 
@@ -787,10 +911,10 @@ impl PairTable {
 
     /// `d(a, b)`: the pair's upper entry plus its mirror byte, masked
     /// to zero above the diagonal, with no branch on the side; the spill
-    /// list is read only when the byte says so.
+    /// list is read only when the byte says so. `a` and `b` must be
+    /// host ids: past the end they would name another pair.
     #[inline]
     fn get(&self, a: usize, b: usize) -> Millis {
-        assert!(a < self.hosts && b < self.hosts, "host id out of range");
         if a == b {
             return 0.0;
         }
@@ -836,7 +960,7 @@ fn mirror_delta(upper: Millis, lower: Millis) -> Option<i8> {
 /// distance row, whose host columns a distance row keeps, a first-hop
 /// row that a slot row does not keep, and the queue, all kept from row
 /// to row.
-pub(crate) struct RowScratch {
+struct RowScratch {
     dist: Vec<Millis>,
     first: Vec<u32>,
     queue: BucketQueue,
@@ -853,16 +977,10 @@ impl RowScratch {
         }
     }
 
-    /// The distance row from `source` that both host-route oracles
-    /// store: `dist` (one slot per host) gets the kernel's distance row
+    /// The distance row from `source` that both of a [`HostRouter`]'s
+    /// stores hold: `dist` (one slot per host) gets the kernel's distance row
     /// at the host columns.
-    pub(crate) fn host_dists(
-        &mut self,
-        csr: &Csr,
-        hosts: &[NodeId],
-        source: NodeId,
-        dist: &mut [Millis],
-    ) {
+    fn host_dists(&mut self, csr: &Csr, hosts: &[NodeId], source: NodeId, dist: &mut [Millis]) {
         sssp(
             csr,
             source.0,
@@ -876,67 +994,6 @@ impl RowScratch {
             *d = row[t.idx()];
         }
     }
-}
-
-/// The lazy slot rows of one host-route oracle: idle kernel scratch, so
-/// a row reuses an earlier row's scratch rows and queue, and the count
-/// of slot rows built. Rows are filled on whichever thread asks first,
-/// several at once when runner threads ask different sources together,
-/// so each fill takes scratch of its own and gives it back.
-#[derive(Default)]
-pub(crate) struct ScratchPool {
-    idle: Mutex<Vec<RowScratch>>,
-    slot_rows: AtomicU64,
-}
-
-impl ScratchPool {
-    /// Idle scratch, or new scratch for an `n`-node graph.
-    pub(crate) fn take(&self, n: usize) -> RowScratch {
-        let idle = self.idle.lock().expect("scratch pool lock").pop();
-        idle.unwrap_or_else(|| RowScratch::new(n))
-    }
-
-    pub(crate) fn give_back(&self, scratch: RowScratch) {
-        self.idle.lock().expect("scratch pool lock").push(scratch);
-    }
-
-    /// `source`'s predecessor-slot row, held in `cell`: on the first
-    /// call the kernel runs from `source` again, straight into a new
-    /// row (allocated before the scratch is taken); later calls, and
-    /// threads that waited on the first, read the row.
-    pub(crate) fn slot_row<'a>(
-        &self,
-        cell: &'a OnceLock<Box<[u16]>>,
-        csr: &Csr,
-        source: NodeId,
-    ) -> &'a [u16] {
-        cell.get_or_init(|| {
-            let n = csr.num_nodes();
-            let mut row = vec![NO_PREV; n].into_boxed_slice();
-            let mut scratch = self.take(n);
-            let RowScratch { dist, first, queue } = &mut scratch;
-            sssp(csr, source.0, dist, &mut row, first, queue);
-            self.give_back(scratch);
-            self.slot_rows.fetch_add(1, Ordering::Relaxed);
-            row
-        })
-    }
-
-    /// Slot rows [`Self::slot_row`] has built.
-    pub(crate) fn slot_rows_built(&self) -> u64 {
-        self.slot_rows.load(Ordering::Relaxed)
-    }
-}
-
-/// Panics unless `g` has the node and link counts of `csr`, the graph
-/// a set of predecessor-slot rows was built over. A slot indexes `g`'s
-/// adjacency lists, so on another graph it would name another link
-/// without an error; a graph of the same size is not caught.
-pub(crate) fn assert_graph(g: &Graph, csr: &Csr) {
-    assert!(
-        g.num_nodes() == csr.num_nodes() && g.num_edges() == csr.num_edges(),
-        "not the graph the routes were built over"
-    );
 }
 
 /// The adjacency entry `t`'s predecessor slot names in a
@@ -954,20 +1011,22 @@ fn steps_back<'a>(g: &'a Graph, prev: &'a [u16], to: NodeId) -> impl Iterator<It
     })
 }
 
-/// Node sequence `source → to` (inclusive) along a predecessor-slot
-/// row, for a `to` the row reaches.
-pub(crate) fn route_nodes(g: &Graph, prev: &[u16], source: NodeId, to: NodeId) -> Vec<NodeId> {
+/// Node sequence `source → to` (inclusive) along `source`'s
+/// predecessor-slot row; empty when the row does not reach `to`.
+fn route_nodes(g: &Graph, prev: &[u16], source: NodeId, to: NodeId) -> Vec<NodeId> {
     let mut nodes: Vec<NodeId> = std::iter::once(to)
         .chain(steps_back(g, prev, to).map(|adj| adj.to))
         .collect();
+    if nodes.last() != Some(&source) {
+        return Vec::new();
+    }
     nodes.reverse();
-    debug_assert_eq!(nodes[0], source);
     nodes
 }
 
 /// The links of the route to `to` along a predecessor-slot row, in
 /// route order. Empty when `to` is the row's source or unreachable.
-pub(crate) fn route_links(g: &Graph, prev: &[u16], to: NodeId) -> Vec<EdgeId> {
+fn route_links(g: &Graph, prev: &[u16], to: NodeId) -> Vec<EdgeId> {
     let mut links: Vec<EdgeId> = steps_back(g, prev, to).map(|adj| adj.edge).collect();
     links.reverse();
     links
@@ -990,7 +1049,7 @@ fn route_edges(g: &Graph, nodes: &[NodeId]) -> Vec<EdgeId> {
 mod reference_tests;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{LinkAttrs, NodeKind};
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1047,19 +1106,32 @@ mod tests {
     }
 
     /// Hosts 0 and 2 of [`line_with_shortcut`] plus a leaf host 3 hanging
-    /// off router 1.
-    fn host_routes() -> (Graph, HostRoutes) {
+    /// off router 1, routed by each store: up front, then an LRU with a
+    /// row per host.
+    fn host_routers() -> (Graph, [HostRouter; 2]) {
         let mut g = line_with_shortcut();
         let leaf = g.add_node(NodeKind::Host);
         g.add_edge(NodeId(1), leaf, LinkAttrs::delay(0.5));
-        let routes = HostRoutes::build(&g, vec![NodeId(0), NodeId(2), leaf]);
-        (g, routes)
+        let hosts = vec![NodeId(0), NodeId(2), leaf];
+        let routers = [
+            HostRouter::new(g.clone(), hosts.clone()),
+            HostRouter::with_lru(g.clone(), hosts, None),
+        ];
+        (g, routers)
+    }
+
+    /// The up-front store's pair table and slot rows.
+    fn pairs(routes: &HostRouter) -> (&PairTable, &[OnceLock<Box<[u16]>>]) {
+        let Store::Pairs { dist, prev } = &routes.store else {
+            panic!("an LRU router");
+        };
+        (dist, prev)
     }
 
     /// Lengths of the slot rows built so far, per source host.
-    fn slot_row_lens(routes: &HostRoutes) -> Vec<Option<usize>> {
-        routes
-            .prev
+    fn slot_row_lens(routes: &HostRouter) -> Vec<Option<usize>> {
+        pairs(routes)
+            .1
             .iter()
             .map(|c| c.get().map(|r| r.len()))
             .collect()
@@ -1070,8 +1142,9 @@ mod tests {
     /// router-sized plane — and answers like the dense one.
     #[test]
     fn host_routes_hold_host_rows_only() {
-        let (g, routes) = host_routes();
-        assert_eq!((routes.dist.upper.len(), routes.dist.mirror.len()), (3, 3));
+        let (g, [routes, _]) = host_routers();
+        let (dist, _) = pairs(&routes);
+        assert_eq!((dist.upper.len(), dist.mirror.len()), (3, 3));
         assert_eq!(slot_row_lens(&routes), [None, None, None]);
         assert_eq!(routes.csr.num_nodes(), g.num_nodes());
         assert_eq!(routes.dist_ms(0, 1), 2.0);
@@ -1079,38 +1152,47 @@ mod tests {
         assert_eq!(routes.dist_ms(1, 1), 0.0);
         assert_eq!(slot_row_lens(&routes), [None, None, None]);
         assert_eq!(
-            routes.path_nodes(&g, 2, 1),
+            routes.path_nodes(2, 1),
             vec![NodeId(3), NodeId(1), NodeId(2)]
         );
-        assert_eq!(routes.path_nodes(&g, 1, 1), vec![NodeId(2)]);
-        assert_eq!(routes.path_edges(&g, 0, 2).len(), 2);
+        assert_eq!(routes.path_nodes(1, 1), vec![NodeId(2)]);
+        assert_eq!(routes.path_edges(0, 2).len(), 2);
         assert_eq!(slot_row_lens(&routes), [Some(4), Some(4), Some(4)]);
-        assert_eq!(routes.slot_rows_built(), 3);
+        assert_eq!(routes.stats().slot_rows, 3);
 
-        let single = HostRoutes::build(&g, vec![NodeId(1)]);
-        assert_eq!((single.dist.upper.len(), single.dist.mirror.len()), (0, 0));
+        let single = HostRouter::new(g, vec![NodeId(1)]);
+        let (dist, _) = pairs(&single);
+        assert_eq!((dist.upper.len(), dist.mirror.len()), (0, 0));
         assert_eq!(single.dist_ms(0, 0), 0.0);
         assert_eq!(slot_row_lens(&single), [None]);
-        assert_eq!(single.path_nodes(&g, 0, 0), vec![NodeId(1)]);
+        assert_eq!(single.path_nodes(0, 0), vec![NodeId(1)]);
         assert_eq!(slot_row_lens(&single), [Some(4)]);
     }
 
     /// A slot row is built once per source, on its first path query,
-    /// and holds the slots the kernel writes from that source.
+    /// and holds the slots the kernel writes from that source, in
+    /// either store.
     #[test]
     fn slot_rows_are_built_once_on_the_first_path_query() {
-        let (g, routes) = host_routes();
-        for _ in 0..3 {
-            routes.path_edges(&g, 1, 0);
-            routes.path_nodes(&g, 1, 2);
-        }
-        assert_eq!(slot_row_lens(&routes), [None, Some(4), None]);
-        assert_eq!(routes.slot_rows_built(), 1);
+        let (g, routers) = host_routers();
         let csr = Csr::new(&g);
         let (mut dist, mut prev, mut first) = (vec![0.0; 4], vec![0; 4], vec![0; 4]);
         let mut queue = BucketQueue::default();
         sssp(&csr, 2, &mut dist, &mut prev, &mut first, &mut queue);
-        assert_eq!(routes.prev[1].get().map(|r| &r[..]), Some(&prev[..]));
+        for routes in routers {
+            for _ in 0..3 {
+                routes.path_edges(1, 0);
+                routes.path_nodes(1, 2);
+            }
+            assert_eq!(routes.stats().slot_rows, 1);
+            let slots = if routes.is_lru() {
+                routes.row(1).prev().map(<[u16]>::to_vec)
+            } else {
+                assert_eq!(slot_row_lens(&routes), [None, Some(4), None]);
+                pairs(&routes).1[1].get().map(|r| r.to_vec())
+            };
+            assert_eq!(slots.as_deref(), Some(&prev[..]));
+        }
     }
 
     /// Each host pair is stored once: the eager table of a 1 001-host
@@ -1125,9 +1207,10 @@ mod tests {
             59,
         );
         let nodes = crate::transit_stub::attach_hosts(&mut g, hosts, 59, 0.0);
-        let routes = HostRoutes::build(&g, nodes);
-        let spill = routes.dist.spill.capacity() * std::mem::size_of::<(usize, Millis)>();
-        let bytes = routes.dist.bytes();
+        let routes = HostRouter::new(g, nodes);
+        let (dist, _) = pairs(&routes);
+        let spill = dist.spill.capacity() * std::mem::size_of::<(usize, Millis)>();
+        let bytes = dist.bytes();
         assert!(bytes <= 9 * hosts * (hosts - 1) / 2 + spill, "{bytes} B");
         assert!(bytes < 8 * hosts * hosts, "{bytes} B");
     }
@@ -1177,8 +1260,8 @@ mod tests {
                 g.add_edge(node(i), node(i + 1), LinkAttrs::delay(1e-16));
             }
             let hosts: Vec<NodeId> = g.nodes().collect();
-            let routes = HostRoutes::build(&g, hosts.clone());
             let apsp = Apsp::build(&g);
+            let routes = HostRouter::new(g, hosts.clone());
             for (a, &na) in hosts.iter().enumerate() {
                 for (b, &nb) in hosts.iter().enumerate() {
                     assert_eq!(
@@ -1188,41 +1271,48 @@ mod tests {
                     );
                 }
             }
-            assert!(!routes.dist.spill.is_empty());
+            assert!(!pairs(&routes).0.spill.is_empty());
         }
     }
 
+    /// Runs `query` on each store: it must panic with "host id out of
+    /// range". The last store's panic is the caller's; the others' are
+    /// caught and checked here.
+    fn refused_by_both_stores(query: impl Fn(&HostRouter)) {
+        let (_, [up_front, lru]) = host_routers();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| query(&up_front)))
+            .expect_err("the pair table answered");
+        let text = err.downcast_ref::<&str>().copied();
+        let text = text.or_else(|| err.downcast_ref::<String>().map(String::as_str));
+        assert!(
+            text.is_some_and(|t| t.contains("host id out of range")),
+            "another panic"
+        );
+        query(&lru);
+    }
+
     /// A host id past the end would read another pair of the triangle;
-    /// it panics instead, in release builds too.
+    /// it panics instead, in release builds too, in either store.
     #[test]
     #[should_panic(expected = "host id out of range")]
     fn dist_ms_refuses_out_of_range_hosts() {
-        let (_, routes) = host_routes();
-        routes.dist_ms(0, 3);
+        refused_by_both_stores(|routes| {
+            routes.dist_ms(0, 3);
+        });
     }
 
     #[test]
     #[should_panic(expected = "host id out of range")]
     fn dist_ms_refuses_out_of_range_sources() {
-        let (_, routes) = host_routes();
-        routes.dist_ms(3, 0);
+        refused_by_both_stores(|routes| {
+            routes.dist_ms(3, 0);
+        });
     }
 
     #[test]
     #[should_panic(expected = "host out of range")]
     fn host_outside_the_graph_panics() {
-        HostRoutes::build(&line_with_shortcut(), vec![NodeId(3)]);
-    }
-
-    /// Slots index the adjacency lists of the graph the rows were built
-    /// over; handed a graph with another link count, a route query
-    /// panics in release builds too instead of naming other links.
-    #[test]
-    #[should_panic(expected = "not the graph the routes were built over")]
-    fn routes_refuse_another_graph() {
-        let (mut g, routes) = host_routes();
-        g.add_edge(NodeId(0), NodeId(3), LinkAttrs::delay(9.0));
-        routes.path_edges(&g, 0, 2);
+        HostRouter::new(line_with_shortcut(), vec![NodeId(3)]);
     }
 
     /// Regression: delays that differ only below f32 resolution must stay
@@ -1288,32 +1378,38 @@ mod tests {
         d
     }
 
+    /// A random spanning tree on `n` nodes plus up to `n` extra links,
+    /// delays 1–20 ms.
+    pub(crate) fn random_graph(rng: &mut StdRng, n: usize) -> Graph {
+        let mut g = Graph::with_nodes(n, NodeKind::Stub);
+        for v in 1..n {
+            let u = rng.gen_range(0..v);
+            g.add_edge(
+                NodeId(u as u32),
+                NodeId(v as u32),
+                LinkAttrs::delay(rng.gen_range(1.0..20.0)),
+            );
+        }
+        for _ in 0..n {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            if a != b && g.find_edge(NodeId(a as u32), NodeId(b as u32)).is_none() {
+                g.add_edge(
+                    NodeId(a as u32),
+                    NodeId(b as u32),
+                    LinkAttrs::delay(rng.gen_range(1.0..20.0)),
+                );
+            }
+        }
+        g
+    }
+
     #[test]
     fn apsp_matches_floyd_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10 {
             let n = rng.gen_range(2..20);
-            let mut g = Graph::with_nodes(n, NodeKind::Stub);
-            // Random spanning structure plus extra edges.
-            for v in 1..n {
-                let u = rng.gen_range(0..v);
-                g.add_edge(
-                    NodeId(u as u32),
-                    NodeId(v as u32),
-                    LinkAttrs::delay(rng.gen_range(1.0..20.0)),
-                );
-            }
-            for _ in 0..n {
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
-                if a != b && g.find_edge(NodeId(a as u32), NodeId(b as u32)).is_none() {
-                    g.add_edge(
-                        NodeId(a as u32),
-                        NodeId(b as u32),
-                        LinkAttrs::delay(rng.gen_range(1.0..20.0)),
-                    );
-                }
-            }
+            let g = random_graph(&mut rng, n);
             let apsp = Apsp::build(&g);
             let fw = floyd_warshall(&g);
             for a in g.nodes() {

@@ -1,12 +1,12 @@
 //! An independent reference for the shortest-path kernel.
 //!
-//! Dense-vs-on-demand agreement (`router::tests`, `tests/router_props.rs`)
-//! compares the kernel with itself. The reference here is the textbook
+//! Agreement between a [`HostRouter`]'s two stores (`router::tests`,
+//! `tests/router_props.rs`) compares the kernel with itself. The reference here is the textbook
 //! loop this crate ran before the kernel existed — adjacency lists, a
 //! heap ordered by `f64::partial_cmp` then node id, every node pushed,
 //! first hops found by walking `prev` back from each target — and
-//! `sssp`, [`Apsp::build`], [`HostRoutes::build`], the
-//! [`OnDemandRouter`]'s rows and [`dijkstra`] must match it bit for bit
+//! `sssp`, [`Apsp::build`], both of a [`HostRouter`]'s stores and
+//! [`dijkstra`] must match it bit for bit
 //! on every (source, target), including on the graphs where the leaf
 //! skip, the relaxation-time first hop, the (distance, id, slot) tie
 //! rule, a bucket drained again and the tie replay after an absorbed
@@ -24,7 +24,6 @@
 use super::*;
 use crate::graph::{LinkAttrs, NodeKind};
 use crate::powerlaw::{self, PowerLawConfig};
-use crate::router::OnDemandRouter;
 use crate::transit_stub::attach_hosts;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -210,13 +209,13 @@ fn check_kernel(lists: &Lists) -> Vec<RefRow> {
 }
 
 /// The kernel and the four public entry points against the reference,
-/// every (source, target); [`HostRoutes`] and an [`OnDemandRouter`]
-/// with every node a host. Returns the reference rows.
+/// every (source, target); a [`HostRouter`] of each store with every
+/// node a host. Returns the reference rows.
 fn check_graph(g: &Graph) -> Vec<RefRow> {
     let rows = check_kernel(&lists_of(g));
     let apsp = Apsp::build(g);
-    let hosts = HostRoutes::build(g, g.nodes().collect());
-    let router = OnDemandRouter::new(g, g.nodes().collect(), Some(1));
+    let hosts = HostRouter::new(g.clone(), g.nodes().collect());
+    let router = HostRouter::with_lru(g.clone(), g.nodes().collect(), Some(1));
     for s in g.nodes() {
         let want = &rows[s.idx()];
         let row = router.row(s.idx());
@@ -229,7 +228,7 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
 
             let (a, b) = (s.idx(), t.idx());
             assert_eq!(row.dist_ms(b).to_bits(), bits, "row dist {s}->{t}");
-            assert_eq!(router.path_nodes(g, a, b), path, "row path {s}->{t}");
+            assert_eq!(router.path_nodes(a, b), path, "row path {s}->{t}");
 
             assert_eq!(sp.dist[t.idx()].to_bits(), bits, "dijkstra dist {s}->{t}");
             assert_eq!(
@@ -257,12 +256,8 @@ fn check_graph(g: &Graph) -> Vec<RefRow> {
 
             // Host rows: `s`'s own tree, which must be the dense route.
             assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
-            assert_eq!(hosts.path_nodes(g, a, b), path, "host path {s}->{t}");
-            assert_eq!(
-                hosts.path_nodes(g, a, b),
-                hops,
-                "host vs apsp path {s}->{t}"
-            );
+            assert_eq!(hosts.path_nodes(a, b), path, "host path {s}->{t}");
+            assert_eq!(hosts.path_nodes(a, b), hops, "host vs apsp path {s}->{t}");
         }
     }
     rows
@@ -491,7 +486,7 @@ fn one_long_link_raises_the_width() {
 /// shares one bucket and each relaxation along it lands in the bucket
 /// being drained, which is drained again, once per link. From beyond the
 /// long link every tiny delay is absorbed (`1 + 10⁻¹⁶ == 1`), so those
-/// rows are tie replays too. [`HostRoutes`] and the on-demand rows are
+/// rows are tie replays too. Both of a [`HostRouter`]'s stores are
 /// held to the reference, not to [`Apsp`], which shares the kernel.
 #[test]
 fn tiny_links_beside_a_long_one_redrain_one_bucket() {
@@ -507,8 +502,8 @@ fn tiny_links_beside_a_long_one_redrain_one_bucket() {
         assert_eq!(Csr::new(&g).bucket_width(), 1.0 / (RING / 2) as Millis);
         let lists = lists_of(&g);
         let rows = check_kernel(&lists);
-        let hosts = HostRoutes::build(&g, g.nodes().collect());
-        let router = OnDemandRouter::new(&g, g.nodes().collect(), Some(1));
+        let hosts = HostRouter::new(g.clone(), g.nodes().collect());
+        let router = HostRouter::with_lru(g.clone(), g.nodes().collect(), Some(1));
         for s in g.nodes() {
             let want = &rows[s.idx()];
             let row = router.row(s.idx());
@@ -518,8 +513,8 @@ fn tiny_links_beside_a_long_one_redrain_one_bucket() {
                 let path = if s == t { vec![s] } else { want.path(t.0) };
                 assert_eq!(hosts.dist_ms(a, b).to_bits(), bits, "host dist {s}->{t}");
                 assert_eq!(row.dist_ms(b).to_bits(), bits, "row dist {s}->{t}");
-                assert_eq!(hosts.path_nodes(&g, a, b), path, "host path {s}->{t}");
-                assert_eq!(router.path_nodes(&g, a, b), path, "row path {s}->{t}");
+                assert_eq!(hosts.path_nodes(a, b), path, "host path {s}->{t}");
+                assert_eq!(router.path_nodes(a, b), path, "row path {s}->{t}");
             }
         }
         // Both directions of a pair through the tiny stretch and the long

@@ -1,23 +1,23 @@
 //! Host rows against the dense table they replace: for every ordered
-//! host pair, `HostRoutes` must give the distance bits and the node path
+//! host pair, a `HostRouter` must give the distance bits and the node path
 //! that `Apsp` gives between the two hosts' nodes, on the testbeds the
 //! experiments build.
 //!
 //! The two walks differ — `Apsp` reads each hop from the current node's
-//! own row, `HostRoutes` reads the source host's predecessor row — and
-//! agree in exact arithmetic (see `HostRoutes::path_nodes`). These pins
+//! own row, `HostRouter` reads the source host's predecessor row — and
+//! agree in exact arithmetic (see `HostRouter::path_nodes`). These pins
 //! are the floating-point half of that argument. A seed that ever finds
 //! a mismatch belongs here as a named case.
 
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::{attach_hosts, generate, TransitStubConfig};
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Apsp, Graph, HostRoutes, NodeId};
+use vdm_topology::{Apsp, Graph, HostRouter, NodeId};
 
 /// Compare every ordered host pair; returns the number compared.
 fn assert_matches_apsp(g: &Graph, hosts: Vec<NodeId>) -> usize {
     let apsp = Apsp::build(g);
-    let routes = HostRoutes::build(g, hosts.clone());
+    let routes = HostRouter::new(g.clone(), hosts.clone());
     for (a, &na) in hosts.iter().enumerate() {
         for (b, &nb) in hosts.iter().enumerate() {
             assert_eq!(
@@ -26,7 +26,7 @@ fn assert_matches_apsp(g: &Graph, hosts: Vec<NodeId>) -> usize {
                 "dist h{a}->h{b} ({na}->{nb})"
             );
             assert_eq!(
-                routes.path_nodes(g, a, b),
+                routes.path_nodes(a, b),
                 apsp.path_nodes(na, nb),
                 "path h{a}->h{b} ({na}->{nb})"
             );

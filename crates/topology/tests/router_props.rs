@@ -1,10 +1,11 @@
-//! Property tests for the on-demand router: for arbitrary Waxman,
-//! power-law and transit-stub underlays its host rows must answer every
-//! ordered host pair as `HostRoutes` does, bit for bit — distance bits,
+//! Property tests for the row-LRU store: for arbitrary Waxman,
+//! power-law and transit-stub underlays a `HostRouter`'s LRU rows must
+//! answer every ordered host pair as its up-front pair table does, bit
+//! for bit — distance bits,
 //! node path and link sequence — at any capacity; and LRU eviction must
 //! be invisible (an evicted, re-queried row equals a fresh computation).
 //!
-//! Both oracles are filled by the one host-row builder in `spath.rs`,
+//! Both stores are filled by the one host-row builder in `spath.rs`,
 //! so agreement between them covers the storage, the host indexing and
 //! the LRU — not the kernel, which `spath/reference_tests.rs` checks
 //! against an independent textbook Dijkstra. What the two share beyond
@@ -17,7 +18,7 @@ use proptest::prelude::*;
 use vdm_topology::powerlaw::{self, PowerLawConfig};
 use vdm_topology::transit_stub::{self, attach_hosts, TransitStubConfig};
 use vdm_topology::waxman::{self, WaxmanConfig};
-use vdm_topology::{Apsp, Graph, HostRoutes, HostRow, NodeId, OnDemandRouter};
+use vdm_topology::{Apsp, Graph, HostRouter, HostRow, NodeId};
 
 /// The two fixed seeds every graph family is checked on (plus the
 /// proptest-driven parameter space around them).
@@ -52,19 +53,19 @@ fn powerlaw_graph(nodes: usize, seed: u64) -> Graph {
 /// re-queries rows the first evicted.
 fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
     let apsp = Apsp::build(g);
-    let routes = HostRoutes::build(g, hosts.to_vec());
+    let routes = HostRouter::new(g.clone(), hosts.to_vec());
     let h = hosts.len();
     for (a, &na) in hosts.iter().enumerate() {
         for (b, &nb) in hosts.iter().enumerate() {
             prop_assert_eq!(
-                routes.path_nodes(g, a, b),
+                routes.path_nodes(a, b),
                 apsp.path_nodes(na, nb),
                 "slot path h{}->h{} vs the dense walk",
                 a,
                 b
             );
             prop_assert_eq!(
-                routes.path_edges(g, a, b),
+                routes.path_edges(a, b),
                 apsp.path_edges(g, na, nb),
                 "slot links h{}->h{} vs the searched links",
                 a,
@@ -73,7 +74,7 @@ fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
         }
     }
     for capacity in [1, 2, h] {
-        let router = OnDemandRouter::new(g, hosts.to_vec(), Some(capacity));
+        let router = HostRouter::with_lru(g.clone(), hosts.to_vec(), Some(capacity));
         for sweep in 0..2 {
             for (a, &na) in hosts.iter().enumerate() {
                 for (b, &nb) in hosts.iter().enumerate() {
@@ -89,16 +90,16 @@ fn check(g: &Graph, hosts: &[NodeId]) -> Result<(), TestCaseError> {
                     );
                     prop_assert_eq!(d.to_bits(), apsp.dist_ms(na, nb).to_bits());
                     prop_assert_eq!(
-                        router.path_nodes(g, a, b),
-                        routes.path_nodes(g, a, b),
+                        router.path_nodes(a, b),
+                        routes.path_nodes(a, b),
                         "path h{}->h{}, capacity {}",
                         a,
                         b,
                         capacity
                     );
                     prop_assert_eq!(
-                        router.path_edges(g, a, b),
-                        routes.path_edges(g, a, b),
+                        router.path_edges(a, b),
+                        routes.path_edges(a, b),
                         "links h{}->h{}, capacity {}",
                         a,
                         b,
@@ -188,10 +189,10 @@ proptest! {
         queries in proptest::collection::vec(0usize..24, 1..60),
     ) {
         let g = powerlaw_graph(nodes, SEEDS[seed_ix]);
-        let router = OnDemandRouter::new(&g, every_node(&g), Some(2));
+        let router = HostRouter::with_lru(g.clone(), every_node(&g), Some(2));
         for q in queries {
             let a = q % nodes;
-            let fresh = OnDemandRouter::new(&g, every_node(&g), Some(1)).row(a);
+            let fresh = HostRouter::with_lru(g.clone(), every_node(&g), Some(1)).row(a);
             prop_assert_eq!(&*router.row(a), &*fresh, "row {} diverged", a);
         }
         let s = router.stats();
@@ -199,7 +200,7 @@ proptest! {
     }
 }
 
-/// One cached row is one row of `HostRoutes`: a distance per host and,
+/// One cached row is one row of the pair table: a distance per host and,
 /// once a path from its host is asked, a 2-byte predecessor slot per
 /// node, nothing per router beyond that. On this testbed that is 8·9
 /// bytes before the first path query and 8·9 + 2·39 after, not the
@@ -210,15 +211,15 @@ fn on_demand_rows_hold_host_rows_only() {
     let hosts = attach_hosts(&mut g, 9, 7, 0.0);
     let n = g.num_nodes();
     assert_eq!(n, 39);
-    let router = OnDemandRouter::new(&g, hosts.clone(), None);
-    let routes = HostRoutes::build(&g, hosts);
+    let router = HostRouter::with_lru(g.clone(), hosts.clone(), None);
+    let routes = HostRouter::new(g.clone(), hosts);
     let row = router.row(4);
     let bytes = |row: &HostRow| {
         std::mem::size_of_val(row.dists()) + row.prev().map_or(0, std::mem::size_of_val)
     };
     assert_eq!((row.dists().len(), row.prev()), (9, None));
     assert_eq!(bytes(&row), 8 * 9);
-    router.path_edges(&g, 4, 0);
+    router.path_edges(4, 0);
     assert_eq!(row.prev().map(<[u16]>::len), Some(n));
     assert_eq!(bytes(&row), 8 * 9 + 2 * 39);
     for b in 0..9 {
@@ -239,14 +240,14 @@ fn concurrent_first_path_queries_match_the_dense_walk() {
     let hosts = attach_hosts(&mut g, 14, 3, 0.0);
     let apsp = Apsp::build(&g);
     let h = hosts.len();
-    let routes = HostRoutes::build(&g, hosts.clone());
-    let full = OnDemandRouter::new(&g, hosts.clone(), Some(h));
-    let tiny = OnDemandRouter::new(&g, hosts.clone(), Some(2));
+    let routes = HostRouter::new(g.clone(), hosts.clone());
+    let full = HostRouter::with_lru(g.clone(), hosts.clone(), Some(h));
+    let tiny = HostRouter::with_lru(g.clone(), hosts.clone(), Some(2));
     type Walk<'a> = &'a (dyn Fn(usize, usize) -> (Vec<NodeId>, Vec<vdm_topology::EdgeId>) + Sync);
     let oracles: [Walk; 3] = [
-        &|a, b| (routes.path_nodes(&g, a, b), routes.path_edges(&g, a, b)),
-        &|a, b| (full.path_nodes(&g, a, b), full.path_edges(&g, a, b)),
-        &|a, b| (tiny.path_nodes(&g, a, b), tiny.path_edges(&g, a, b)),
+        &|a, b| (routes.path_nodes(a, b), routes.path_edges(a, b)),
+        &|a, b| (full.path_nodes(a, b), full.path_edges(a, b)),
+        &|a, b| (tiny.path_nodes(a, b), tiny.path_edges(a, b)),
     ];
     for walk in oracles {
         let start = Barrier::new(4);
@@ -271,7 +272,7 @@ fn concurrent_first_path_queries_match_the_dense_walk() {
             }
         });
     }
-    assert_eq!(routes.slot_rows_built(), h as u64);
+    assert_eq!(routes.stats().slot_rows, h as u64);
     assert_eq!(full.stats().slot_rows, h as u64);
     assert!(tiny.stats().slot_rows >= h as u64);
 }
