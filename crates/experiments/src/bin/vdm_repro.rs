@@ -22,17 +22,20 @@
 //!   all           everything above
 //! ```
 //!
-//! `scale` (A9; A12 with `--shards N`, which outside smoke mode runs
-//! *only* the sharded sweep — the plain one at 100k would take hours on
-//! the single heap), `multitree` (A10), `bootstrap` (A11) and `loopback`
-//! (a fleet of real `vdm-node` daemons against the simulator) stay out
-//! of `all` because they gate as well as measure. Each builds a
+//! Every family runs at one of two sizes: `--quick`, which CI and the
+//! goldens pin, or `--paper` (the default), the dissertation's own
+//! parameters, which the committed reproduction runs.
+//!
+//! `scale` (A9; with `--shards N`, *only* the A12 sharded sweep),
+//! `multitree` (A10), `bootstrap` (A11) and `loopback` (a fleet of real
+//! `vdm-node` daemons against the simulator) stay out of `all` because
+//! they gate as well as measure. Each builds a
 //! `vdm_experiments::Report`, written to `BENCH_<name>.json` under
-//! `--csv` (default `results`): run parameters and whole-run results,
-//! one flat object per point under `points`, and `failures` /
-//! `failure_detail` — the gates the family's library code judged and
-//! the run did not pass (EXPERIMENTS.md lists them). Any failure exits
-//! 1. `--smoke` runs a tiny fixed grid sequentially, for CI.
+//! `--csv` (default `results`): the effort tier, run parameters and
+//! whole-run results, one flat object per point under `points`, and
+//! `failures` / `failure_detail` — the gates the family's library code
+//! judged and the run did not pass (EXPERIMENTS.md lists them). Every
+//! gate applies at both tiers; any failure exits 1.
 //!
 //! Runs fan their simulation cells across a thread pool
 //! (`RAYON_NUM_THREADS` controls the width; `--sequential` forces the
@@ -67,7 +70,6 @@ struct Opts {
     seed: u64,
     csv_dir: Option<String>,
     sequential: bool,
-    smoke: bool,
     shards: Option<NonZeroUsize>,
     out_dir: Option<String>,
     nodes: Option<usize>,
@@ -92,13 +94,12 @@ fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &s
 fn takes(cmd: &str, flag: &str) -> bool {
     match flag {
         "--seed" | "--csv" => true,
-        "--smoke" => matches!(cmd, "scale" | "multitree" | "bootstrap" | "loopback"),
         "--shards" => cmd == "scale",
         "--nodes" | "--node-bin" => cmd == "loopback",
         "--out" => cmd == "trace",
         "--sequential" => !matches!(cmd, "trace" | "loopback"),
         // --quick, --paper
-        _ => cmd != "loopback",
+        _ => true,
     }
 }
 
@@ -116,7 +117,6 @@ fn parse_args(args: &[String]) -> (Vec<&str>, Opts, Vec<&str>) {
             "--quick" => opts.effort = Effort::Quick,
             "--paper" => opts.effort = Effort::Paper,
             "--sequential" => opts.sequential = true,
-            "--smoke" => opts.smoke = true,
             "--seed" => opts.seed = value(&mut it, a, "an integer"),
             "--shards" => opts.shards = Some(value(&mut it, a, "a positive integer")),
             "--nodes" => opts.nodes = Some(value(&mut it, a, "an integer >= 2")),
@@ -413,58 +413,23 @@ fn trace_inspect(mode: &str, args: &[String]) -> io::Result<()> {
 const REPORTS: &[&str] = &["scale", "multitree", "bootstrap", "loopback"];
 
 fn dispatch(cmd: &str, family: &str, opts: &Opts) -> io::Result<()> {
-    let (e, s, smoke) = (opts.effort, opts.seed, opts.smoke);
+    let (e, s) = (opts.effort, opts.seed);
     match cmd {
-        "scale" => {
-            if smoke || opts.shards.is_none() {
-                run_report(opts, || {
-                    let r = if smoke {
-                        scale::scale_family_with_sizes(&[64, 128], s)
-                    } else {
-                        scale::scale_family(e, s)
-                    };
-                    Ok(r.report(smoke, s))
-                })?;
+        "scale" => run_report(opts, || match opts.shards {
+            None => Ok(scale::scale_family(e, s).report(e, s)),
+            Some(max_shards) => {
+                let (n, chunks) = (shard::shard_size(e), shard::shard_chunks(e));
+                Ok(shard::shard_family(n, max_shards.get(), chunks, s).report(e, s))
             }
-            let Some(max_shards) = opts.shards else {
-                return Ok(());
-            };
-            run_report(opts, || {
-                let r = if smoke {
-                    shard::shard_family_smoke(max_shards.get(), s)
-                } else {
-                    let (n, chunks) = (shard::shard_size(e), shard::shard_chunks(e));
-                    shard::shard_family(n, max_shards.get(), chunks, s)
-                };
-                Ok(r.report(smoke, s))
-            })
-        }
-        "multitree" => run_report(opts, || {
-            let r = if smoke {
-                multitree::multitree_family_smoke(s)
-            } else {
-                multitree::multitree_family(e, s)
-            };
-            Ok(r.report(smoke, s))
         }),
-        "bootstrap" => run_report(opts, || {
-            let r = if smoke {
-                bootstrap::bootstrap_family_smoke(s)
-            } else {
-                bootstrap::bootstrap_family(e, s)
-            };
-            Ok(r.report(smoke, s))
-        }),
+        "multitree" => run_report(opts, || Ok(multitree::multitree_family(e, s).report(e, s))),
+        "bootstrap" => run_report(opts, || Ok(bootstrap::bootstrap_family(e, s).report(e, s))),
         "loopback" => run_report(opts, || {
-            let mut cfg = if smoke {
-                LoopbackConfig::smoke()
-            } else {
-                LoopbackConfig::full()
-            };
+            let mut cfg = LoopbackConfig::new(e);
             cfg.seed = s;
             cfg.node_bin = opts.node_bin.clone();
             cfg.nodes = opts.nodes.unwrap_or(cfg.nodes);
-            Ok(loopback::run(&cfg)?.report(smoke, s))
+            Ok(loopback::run(&cfg)?.report(e, s))
         }),
         "all" => figures::ALL.iter().try_for_each(|f| run_family(f, opts)),
         _ => {
@@ -520,7 +485,7 @@ fn run(args: &[String]) -> io::Result<()> {
     let go = || dispatch(cmd, family, &opts);
     // Sequential mode runs every cell — and so every nested fan-out —
     // on this thread, which is all the thread-local override covers.
-    if opts.sequential || opts.smoke || traced {
+    if opts.sequential || traced {
         runner::with_mode(runner::ExecMode::Sequential, go)
     } else {
         go()
@@ -530,14 +495,14 @@ fn run(args: &[String]) -> io::Result<()> {
 fn print_usage() {
     let families: Vec<&str> = figures::ALL.iter().map(|f| f.name).collect();
     println!(
-        "usage: vdm-repro <family> [--quick|--paper] [--seed N] [--csv DIR] [--sequential]\n\
-         \x20      vdm-repro scale [--quick|--paper] [--smoke] [--shards N] [--seed N] [--csv DIR]\n\
-         \x20      vdm-repro multitree|bootstrap [--quick|--paper] [--smoke] [--seed N] [--csv DIR]\n\
-         \x20      vdm-repro loopback [--smoke] [--nodes N] [--seed N] [--node-bin PATH] [--csv DIR]\n\
+        "usage: vdm-repro <family>|multitree|bootstrap [--quick|--paper] [--seed N] [--csv DIR] [--sequential]\n\
+         \x20      vdm-repro scale [--quick|--paper] [--shards N] [--seed N] [--csv DIR] [--sequential]\n\
+         \x20      vdm-repro loopback [--quick|--paper] [--nodes N] [--seed N] [--node-bin PATH] [--csv DIR]\n\
          \x20      vdm-repro trace <family> [--quick|--paper] [--seed N] [--out DIR] [--csv DIR]\n\
          \x20      vdm-repro trace filter|summarize|dump --input FILE\n\
          \x20                  [--host N] [--kind K] [--t0 S] [--t1 S] [--limit N]\n\n\
-         families: {}  all",
+         families: {}  all\n\
+         --paper (the default) runs the paper's parameters; --quick the CI size",
         families.join("  ")
     );
 }

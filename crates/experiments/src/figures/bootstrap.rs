@@ -64,7 +64,6 @@ struct BsScale {
 fn scale(effort: Effort) -> BsScale {
     let (joiners, warmup_s, crowd_at_s, spread_s, settle_s, reps) = match effort {
         Effort::Quick => (10, 30.0, 60.0, 5.0, 90.0, 2),
-        Effort::Default => (20, 40.0, 80.0, 8.0, 150.0, 3),
         Effort::Paper => (40, 60.0, 120.0, 10.0, 240.0, 5),
     };
     BsScale {
@@ -224,31 +223,27 @@ pub struct BootstrapReport {
 /// One sweep row: (table tag, x, k, stale fraction, churn fraction).
 type RowSpec = (&'static str, f64, usize, f64, f64);
 
-fn row_specs(ks: &[usize], stales: &[f64], churns: &[f64]) -> Vec<RowSpec> {
-    let k_mid = ks[ks.len() / 2];
+fn row_specs() -> Vec<RowSpec> {
+    let k_mid = KS[KS.len() / 2];
     let mut specs: Vec<RowSpec> = Vec::new();
-    for &k in ks {
+    for k in KS {
         specs.push(("k", k as f64, k, STALE_DEFAULT, CHURN_DEFAULT));
     }
-    for &s in stales {
+    for s in STALES {
         specs.push(("stale", s, k_mid, s, CHURN_DEFAULT));
     }
-    for &c in churns {
+    for c in CHURNS {
         specs.push(("churn", c, k_mid, STALE_DEFAULT, c));
     }
     specs
 }
 
-fn family(
-    sc: &BsScale,
-    ks: &[usize],
-    stales: &[f64],
-    churns: &[f64],
-    seed: u64,
-) -> BootstrapReport {
-    let max_k = ks.iter().copied().max().expect("at least one k");
+/// The full A11 family at an effort tier.
+pub fn bootstrap_family(effort: Effort, seed: u64) -> BootstrapReport {
+    let sc = &scale(effort);
+    let max_k = KS.iter().copied().max().expect("at least one k");
     let setup = ch3_setup(max_k + sc.joiners, 0.0, seed);
-    let specs = row_specs(ks, stales, churns);
+    let specs = row_specs();
     let grid = two_series("A11", specs.len(), sc.reps, seed, |row, series, s| {
         let (_, _, k, stale, churn) = specs[row];
         run_point(&setup, sc, PROTOS[series as usize], k, stale, churn, s)
@@ -331,46 +326,17 @@ fn family(
             }
         }
     }
-    let tables = [table_a, table_b, table_c]
-        .into_iter()
-        .filter(|t| !t.rows.is_empty())
-        .collect();
     BootstrapReport {
-        tables,
+        tables: vec![table_a, table_b, table_c],
         points,
         total_violations,
         anchor_median_s: median(anchor_meds),
     }
 }
 
-/// The full A11 family at an effort tier.
-pub fn bootstrap_family(effort: Effort, seed: u64) -> BootstrapReport {
-    family(&scale(effort), &KS, &STALES, &CHURNS, seed)
-}
-
-/// The acceptance cell's session shape: 8 joiners, one trial.
-fn smoke_scale() -> BsScale {
-    BsScale {
-        joiners: 8,
-        warmup_s: 30.0,
-        crowd_at_s: 60.0,
-        spread_s: 4.0,
-        settle_s: 60.0,
-        measure_every_s: 60.0,
-        reps: 1,
-    }
-}
-
-/// The CI smoke variant: exactly the acceptance cell — `k = 3`, 30 %
-/// stale entries, half the live seeds crashed mid-crowd — one trial
-/// per protocol.
-pub fn bootstrap_family_smoke(seed: u64) -> BootstrapReport {
-    family(&smoke_scale(), &[3], &[], &[], seed)
-}
-
 impl BootstrapReport {
     /// The `BENCH_bootstrap.json` document and the A11 gates.
-    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+    pub fn report(&self, effort: Effort, seed: u64) -> Report {
         let mut failures = Vec::new();
         if self.total_violations > 0 {
             failures.push(format!(
@@ -378,16 +344,14 @@ impl BootstrapReport {
                 self.total_violations
             ));
         }
-        if smoke && !self.anchor_median_s.is_finite() {
-            failures.push(
-                "no joiner anchored via discovery in the smoke cell — bootstrap path dead".into(),
-            );
+        if !self.anchor_median_s.is_finite() {
+            failures.push("no joiner anchored via discovery — bootstrap path dead".into());
         }
         Report {
             name: "bootstrap",
             tables: self.tables.clone(),
             header: Fields::default()
-                .with("smoke", smoke)
+                .with("effort", effort.name())
                 .with("seed", seed)
                 .with("total_violations", self.total_violations)
                 .with("anchor_median_s", self.anchor_median_s),
@@ -404,7 +368,7 @@ mod tests {
 
     #[test]
     fn point_is_deterministic_per_seed() {
-        let sc = smoke_scale();
+        let sc = scale(Effort::Quick);
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
         let a = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
         let b = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
@@ -415,7 +379,7 @@ mod tests {
 
     #[test]
     fn acceptance_cell_joins_succeed_without_violations() {
-        let sc = smoke_scale();
+        let sc = scale(Effort::Quick);
         let setup = ch3_setup(3 + sc.joiners, 0.0, 42);
         let m = run_point(&setup, &sc, Protocol::Vdm, 3, 0.3, 0.5, 42);
         assert_eq!(m.violations, 0.0, "structural invariants broke");
@@ -433,33 +397,36 @@ mod tests {
 
     #[test]
     fn smoke_report_has_the_gate_shape() {
-        let r = bootstrap_family_smoke(42);
+        let r = bootstrap_family(Effort::Quick, 42);
         assert_eq!(r.total_violations, 0);
         assert!(r.anchor_median_s.is_finite());
-        assert_eq!(r.tables.len(), 1, "smoke sweeps only the k table");
-        assert_eq!(r.points.len(), 2, "one VDM and one HMTP point");
-        let doc = r.report(true, 42);
+        assert_eq!(r.tables.len(), 3, "the k, stale and churn tables");
+        let rows = KS.len() + STALES.len() + CHURNS.len();
+        assert_eq!(r.points.len(), rows * 2 * 2, "two trials per protocol");
+        let doc = r.report(Effort::Quick, 42);
         assert_eq!(doc.name, "bootstrap");
         assert_eq!(doc.failures, Vec::<String>::new());
+        assert_eq!(doc.header.get("effort"), Some(&Field::Str("quick".into())));
         assert_eq!(doc.header.get("total_violations"), Some(&Field::U64(0)));
         assert!(matches!(doc.header.get("anchor_median_s"), Some(Field::F64(m)) if m.is_finite()));
-        assert_eq!(doc.points[1].get("proto"), Some(&Field::Str("HMTP".into())));
+        assert_eq!(doc.points[1].get("proto"), Some(&Field::Str("VDM".into())));
+        assert_eq!(doc.points[2].get("proto"), Some(&Field::Str("HMTP".into())));
     }
 
-    /// Each A11 gate fires on a report doctored to break it; a run that
-    /// anchored nobody only fails the smoke cell.
+    /// Each A11 gate fires on a report doctored to break it.
     #[test]
     fn doctored_report_fails_its_gates() {
-        let r = BootstrapReport {
+        let mut r = BootstrapReport {
             tables: Vec::new(),
             points: Vec::new(),
             total_violations: 1,
-            anchor_median_s: f64::NAN,
+            anchor_median_s: 0.2,
         };
-        let failures = r.report(false, 42).failures;
+        let failures = r.report(Effort::Quick, 42).failures;
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].starts_with("1 structural invariant violations"));
-        let failures = r.report(true, 42).failures;
+        r.anchor_median_s = f64::NAN;
+        let failures = r.report(Effort::Paper, 42).failures;
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[1].starts_with("no joiner anchored via discovery"));
     }
@@ -471,7 +438,7 @@ mod tests {
             crowd_at_s: 50.0,
             spread_s: 3.0,
             settle_s: 50.0,
-            ..smoke_scale()
+            ..scale(Effort::Quick)
         };
         let setup = ch3_setup(3 + sc.joiners, 0.0, 11);
         let before = {

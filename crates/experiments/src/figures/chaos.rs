@@ -138,7 +138,6 @@ fn chaos_metrics(out: &RunOutput) -> ChaosMetrics {
 fn scale(effort: Effort) -> ChurnConfig {
     let (members, warmup_s, slots) = match effort {
         Effort::Quick => (15, 60.0, 3),
-        Effort::Default => (40, 120.0, 5),
         Effort::Paper => (80, 200.0, 8),
     };
     ChurnConfig {

@@ -162,7 +162,6 @@ pub fn churn_family(effort: Effort, seed: u64) -> Vec<Table> {
 pub fn nodes_family(effort: Effort, seed: u64) -> Vec<Table> {
     let sizes: Vec<usize> = match effort {
         Effort::Quick => vec![20, 40, 60],
-        Effort::Default => vec![100, 200, 400, 700, 1000],
         Effort::Paper => (1..=10).map(|k| k * 100).collect(),
     };
     let mut tables = FourTables::new(

@@ -21,7 +21,6 @@ use vdm_overlay::stats::SlotMeasurement;
 pub fn metric_family(effort: Effort, seed: u64) -> Vec<Table> {
     let (batch, batches, interval_s) = match effort {
         Effort::Quick => (15, 3, 150.0),
-        Effort::Default => (50, 8, 500.0),
         Effort::Paper => (50, 10, 500.0),
     };
     let members = batch * batches;

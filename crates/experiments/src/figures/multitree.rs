@@ -73,7 +73,6 @@ impl MtScale {
 fn scale(effort: Effort) -> MtScale {
     let (members, warmup_s, slots, reps) = match effort {
         Effort::Quick => (14, 60.0, 4, 2),
-        Effort::Default => (30, 120.0, 5, 3),
         Effort::Paper => (60, 200.0, 7, 5),
     };
     MtScale {
@@ -369,22 +368,9 @@ pub fn multitree_family(effort: Effort, seed: u64) -> MultiTreeReport {
     family(&scale(effort), &KS, seed)
 }
 
-/// The CI smoke variant: tiny, `k ∈ {1, 2}`, one trial — just enough
-/// to exercise every code path and the `k = 1` identity gate.
-pub fn multitree_family_smoke(seed: u64) -> MultiTreeReport {
-    let sc = MtScale {
-        members: 10,
-        warmup_s: 40.0,
-        slot_s: 30.0,
-        slots: 3,
-        reps: 1,
-    };
-    family(&sc, &[1, 2], seed)
-}
-
 impl MultiTreeReport {
     /// The `BENCH_multitree.json` document and the A10 gate.
-    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+    pub fn report(&self, effort: Effort, seed: u64) -> Report {
         let mut failures = Vec::new();
         if !self.k1_identical {
             failures.push(
@@ -396,7 +382,7 @@ impl MultiTreeReport {
             name: "multitree",
             tables: self.tables.clone(),
             header: Fields::default()
-                .with("smoke", smoke)
+                .with("effort", effort.name())
                 .with("seed", seed)
                 .with("perturb_amp", PERTURB_AMP)
                 .with("k1_identical", self.k1_identical),
@@ -451,17 +437,19 @@ mod tests {
 
     #[test]
     fn smoke_report_has_the_gate_shape() {
-        let r = multitree_family_smoke(3);
+        let r = multitree_family(Effort::Quick, 3);
         assert!(r.k1_identical);
         assert_eq!(r.tables.len(), 2);
-        assert_eq!(r.tables[0].rows.len(), 2);
-        assert_eq!(r.points.len(), 4);
-        let doc = r.report(true, 3);
+        assert_eq!(r.tables[0].rows.len(), KS.len());
+        // k × {crash, chaos} × trials.
+        assert_eq!(r.points.len(), KS.len() * 2 * 2);
+        let doc = r.report(Effort::Quick, 3);
         assert_eq!(doc.name, "multitree");
         assert_eq!(doc.failures, Vec::<String>::new());
+        assert_eq!(doc.header.get("effort"), Some(&Field::Str("quick".into())));
         assert_eq!(doc.header.get("k1_identical"), Some(&Field::Bool(true)));
-        assert_eq!(doc.points[3].get("k"), Some(&Field::U64(2)));
-        assert!(matches!(doc.points[3].get("series"), Some(Field::Str(s)) if s == "chaos"));
+        assert_eq!(doc.points[7].get("k"), Some(&Field::U64(2)));
+        assert!(matches!(doc.points[7].get("series"), Some(Field::Str(s)) if s == "chaos"));
     }
 
     /// The A10 gate fires on a report doctored to break it.
@@ -472,7 +460,7 @@ mod tests {
             points: Vec::new(),
             k1_identical: false,
         };
-        let failures = r.report(true, 3).failures;
+        let failures = r.report(Effort::Quick, 3).failures;
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].starts_with("k=1 multitree session diverged"));
     }

@@ -262,7 +262,6 @@ fn shard_sweep(max: usize) -> Vec<usize> {
 pub fn shard_size(effort: Effort) -> usize {
     match effort {
         Effort::Quick => 2000,
-        Effort::Default => 20_000,
         Effort::Paper => 100_000,
     }
 }
@@ -271,7 +270,6 @@ pub fn shard_size(effort: Effort) -> usize {
 pub fn shard_chunks(effort: Effort) -> u64 {
     match effort {
         Effort::Quick => 20,
-        Effort::Default => 25,
         Effort::Paper => 30,
     }
 }
@@ -390,17 +388,12 @@ pub fn shard_family(n: usize, max_shards: usize, chunks: u64, seed: u64) -> Shar
     }
 }
 
-/// The CI smoke cell: tiny population, few chunks.
-pub fn shard_family_smoke(max_shards: usize, seed: u64) -> ShardReport {
-    shard_family(96, max_shards, 10, seed)
-}
-
 impl ShardReport {
     /// The `BENCH_shard.json` document and the A12 gates. `cores` is
     /// recorded because the wall-clock columns only show parallel
     /// speedup when the host actually has cores to run the shard
     /// threads on.
-    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+    pub fn report(&self, effort: Effort, seed: u64) -> Report {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let points = self.points.iter().map(|p| {
             Fields::default()
@@ -453,7 +446,7 @@ impl ShardReport {
             name: "shard",
             tables: self.tables.clone(),
             header: Fields::default()
-                .with("smoke", smoke)
+                .with("effort", effort.name())
                 .with("seed", seed)
                 .with("cores", cores)
                 .with("n", self.n)
@@ -477,9 +470,9 @@ mod tests {
 
     #[test]
     fn smoke_family_gates_hold() {
-        let r = shard_family_smoke(4, 7);
+        let r = shard_family(96, 4, 10, 7);
         assert_eq!(r.n, 96);
-        assert_eq!(r.report(true, 7).failures, Vec::<String>::new());
+        assert_eq!(r.report(Effort::Quick, 7).failures, Vec::<String>::new());
         assert_eq!(
             r.points.iter().map(|p| p.shards).collect::<Vec<_>>(),
             vec![1, 2, 4]
@@ -511,7 +504,7 @@ mod tests {
 
     #[test]
     fn json_parses_shape() {
-        let r = shard_family_smoke(2, 3).report(true, 3);
+        let r = shard_family(96, 2, 10, 3).report(Effort::Quick, 3);
         assert_eq!((r.name, r.points.len()), ("shard", 2));
         assert_eq!(r.failures, Vec::<String>::new());
         assert_eq!(r.header.get("s1_identical"), Some(&Field::Bool(true)));
@@ -523,13 +516,13 @@ mod tests {
     /// Each A12 gate fires on a report doctored to break it.
     #[test]
     fn doctored_reports_fail_their_gates() {
-        let mut r = shard_family_smoke(2, 3);
+        let mut r = shard_family(96, 2, 10, 3);
         r.s1_identical = false;
         r.fingerprints_match = false;
         r.points[1].cross_events = 0;
         r.points[1].delivered -= 1;
         r.max_shards = 4;
-        let failures = r.report(true, 3).failures;
+        let failures = r.report(Effort::Quick, 3).failures;
         assert_eq!(failures.len(), 5, "{failures:?}");
         assert!(failures[0].starts_with("S=1 sharded run diverged"));
         assert!(failures[1].starts_with("delivery fingerprints diverged"));

@@ -103,7 +103,6 @@ fn soak_metrics(out: &RunOutput) -> SoakMetrics {
 fn soak_shape(effort: Effort, members: usize) -> SoakConfig {
     let (warmup_s, duration_s, burst_every_s, quiet_tail_s) = match effort {
         Effort::Quick => (60.0, 180.0, 60.0, 60.0),
-        Effort::Default => (120.0, 400.0, 100.0, 80.0),
         Effort::Paper => (200.0, 800.0, 120.0, 100.0),
     };
     SoakConfig {
@@ -121,7 +120,6 @@ fn soak_shape(effort: Effort, members: usize) -> SoakConfig {
 fn members(effort: Effort) -> usize {
     match effort {
         Effort::Quick => 14,
-        Effort::Default => 40,
         Effort::Paper => 80,
     }
 }

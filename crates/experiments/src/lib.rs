@@ -23,27 +23,33 @@ pub use proto::{Protocol, Session};
 pub use report::Report;
 pub use table::Table;
 
-/// Effort preset for the harness: `Quick` for CI smoke runs, `Default`
-/// for laptop-scale reproduction, `Paper` for the dissertation's full
-/// parameters (792-router topology, 32 repetitions, 10 000 s runs).
+/// The two run sizes of the harness: `Quick`, which CI and the goldens
+/// pin, and `Paper`, the dissertation's own parameters (792-router
+/// topology, 32 repetitions, 10 000 s runs), which the committed
+/// reproduction runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Effort {
     /// Seconds per figure; coarse.
     Quick,
-    /// Minutes per figure family; faithful shapes.
+    /// The paper's full scale; minutes (`vdm-repro all` ran in about
+    /// 3 minutes on a 2-vCPU box).
     #[default]
-    Default,
-    /// The paper's full scale; minutes (`vdm-repro all --paper` ran
-    /// in about 6 minutes on a 2-vCPU box).
     Paper,
 }
 
 impl Effort {
+    /// The tier's name, as reports record it (`"quick"` or `"paper"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Effort::Quick => "quick",
+            Effort::Paper => "paper",
+        }
+    }
+
     /// Repetitions per configuration.
     pub fn reps(self) -> usize {
         match self {
             Effort::Quick => 2,
-            Effort::Default => 8,
             Effort::Paper => 32,
         }
     }
@@ -52,7 +58,6 @@ impl Effort {
     pub fn ch3_members(self) -> usize {
         match self {
             Effort::Quick => 40,
-            Effort::Default => 200,
             Effort::Paper => 200,
         }
     }
@@ -61,7 +66,6 @@ impl Effort {
     pub fn ch3_slots(self) -> usize {
         match self {
             Effort::Quick => 3,
-            Effort::Default => 8,
             Effort::Paper => 20,
         }
     }
@@ -70,7 +74,6 @@ impl Effort {
     pub fn ch3_chunk_s(self) -> f64 {
         match self {
             Effort::Quick => 5.0,
-            Effort::Default => 2.0,
             Effort::Paper => 1.0,
         }
     }
@@ -79,7 +82,6 @@ impl Effort {
     pub fn ch5_scale(self) -> (usize, f64, usize) {
         match self {
             Effort::Quick => (25, 200.0, 3),
-            Effort::Default => (100, 1000.0, 6),
             Effort::Paper => (100, 2000.0, 10),
         }
     }
@@ -88,7 +90,6 @@ impl Effort {
     pub fn ch5_chunk_ms(self) -> f64 {
         match self {
             Effort::Quick => 1000.0,
-            Effort::Default => 500.0,
             Effort::Paper => 100.0,
         }
     }

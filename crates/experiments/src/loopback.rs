@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use crate::proto::{Protocol, Session};
 use crate::report::{Fields, Report};
+use crate::Effort;
 use vdm_netsim::{HostId, LatencySpace, SimTime};
 use vdm_overlay::driver::DriverConfig;
 use vdm_overlay::scenario::{Action, Scenario};
@@ -61,30 +62,23 @@ pub struct LoopbackConfig {
 }
 
 impl LoopbackConfig {
-    /// The 100-process acceptance-gate configuration.
-    pub fn full() -> Self {
+    /// The fleet at an effort tier: 16 processes and a shorter session
+    /// at `Quick`, the 100-process acceptance gate at `Paper`.
+    pub fn new(effort: Effort) -> Self {
+        let (nodes, run_s, emit_start_ms, emit_stop_before_s, join_spread_ms) = match effort {
+            Effort::Quick => (16, 9.0, 2_000, 1.5, 1_000),
+            Effort::Paper => (100, 14.0, 3_000, 2.0, 2_000),
+        };
         Self {
-            nodes: 100,
-            run_s: 14.0,
+            nodes,
+            run_s,
             chunk_interval_ms: 100,
-            emit_start_ms: 3_000,
-            emit_stop_before_s: 2.0,
-            join_spread_ms: 2_000,
+            emit_start_ms,
+            emit_stop_before_s,
+            join_spread_ms,
             degree_limit: 4,
             seed: 42,
             node_bin: None,
-        }
-    }
-
-    /// The CI smoke configuration: 16 processes, shorter session.
-    pub fn smoke() -> Self {
-        Self {
-            nodes: 16,
-            run_s: 9.0,
-            emit_start_ms: 2_000,
-            emit_stop_before_s: 1.5,
-            join_spread_ms: 1_000,
-            ..Self::full()
         }
     }
 }
@@ -122,7 +116,7 @@ pub struct LoopbackReport {
 
 impl LoopbackReport {
     /// The `BENCH_loopback.json` document and the equivalence gates.
-    pub fn report(&self, smoke: bool, seed: u64) -> Report {
+    pub fn report(&self, effort: Effort, seed: u64) -> Report {
         let receivers = (self.nodes - 1) as u64;
         let mut failures = self.node_failures.clone();
         if self.daemon_chunks == 0 {
@@ -171,7 +165,7 @@ impl LoopbackReport {
             name: "loopback",
             tables: Vec::new(),
             header: Fields::default()
-                .with("smoke", smoke)
+                .with("effort", effort.name())
                 .with("seed", seed)
                 .with("nodes", self.nodes)
                 .with("daemon_chunks", self.daemon_chunks)
@@ -430,7 +424,10 @@ mod tests {
             sim_delivery: 1.0,
             ..LoopbackReport::default()
         };
-        assert_eq!(clean.report(true, 42).failures, Vec::<String>::new());
+        assert_eq!(
+            clean.report(Effort::Quick, 42).failures,
+            Vec::<String>::new()
+        );
 
         let r = LoopbackReport {
             daemon_chunks: 0,
@@ -445,7 +442,7 @@ mod tests {
             ..clean
         };
         assert_eq!(
-            r.report(true, 42).failures,
+            r.report(Effort::Quick, 42).failures,
             [
                 "node 3 exited with signal 9",
                 "source emitted no chunks",

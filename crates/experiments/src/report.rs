@@ -132,7 +132,7 @@ mod tests {
             name: "demo",
             tables: Vec::new(),
             header: Fields::default()
-                .with("smoke", true)
+                .with("k1_identical", true)
                 .with("seed", 42u64)
                 .with("median_s", f64::NAN),
             points: vec![point(64, "vdm", 1.25), point(128, "hmtp", 2.0)],
@@ -141,13 +141,13 @@ mod tests {
         let doc = r.render();
         assert_eq!(
             doc,
-            "{\"bench\":\"demo\",\"smoke\":true,\"seed\":42,\"median_s\":null,\"failures\":2,\
+            "{\"bench\":\"demo\",\"k1_identical\":true,\"seed\":42,\"median_s\":null,\"failures\":2,\
              \"failure_detail\":\"said \\\"no\\\"\\nthen left; second\",\"points\":[\n\
              {\"n\":64,\"protocol\":\"vdm\",\"stretch\":1.25},\n\
              {\"n\":128,\"protocol\":\"hmtp\",\"stretch\":2.0}\n]}\n"
         );
         let head = parse_flat_object(&r.head().finish()).expect("header parses");
-        assert_eq!(head["smoke"], Value::Bool(true));
+        assert_eq!(head["k1_identical"], Value::Bool(true));
         assert!(head["median_s"].as_num().is_some_and(f64::is_nan));
         let detail = "said \"no\"\nthen left; second";
         assert_eq!(head["failure_detail"].as_str(), Some(detail));

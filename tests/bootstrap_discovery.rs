@@ -9,9 +9,10 @@ mod common;
 
 use common::run_driver;
 use proptest::{prop_assert, prop_assert_eq, proptest};
-use vdm_experiments::figures::bootstrap::{bootstrap_family_smoke, resilient};
+use vdm_experiments::figures::bootstrap::{bootstrap_family, resilient};
 use vdm_experiments::report::Field;
 use vdm_experiments::setup::ch3_setup;
+use vdm_experiments::Effort;
 use vdm_overlay::agent::AgentConfig;
 use vdm_overlay::driver::RunOutput;
 use vdm_overlay::scenario::{ChurnConfig, FlashCrowdConfig, Scenario};
@@ -33,13 +34,14 @@ fn run_flash_crowd_with(
     run_driver(&setup, agent, &scenario, vec![4; members + 1], plan_seed)
 }
 
-/// The fixed-seed CI gate: the acceptance cell (k = 3, 30 % stale
-/// entries, half the live seeds crashed mid-crowd) must leave zero
+/// The fixed-seed CI gate: the quick A11 family (every k, staleness and
+/// seed-churn cell, the acceptance cell k = 3, 30 % stale entries, half
+/// the live seeds crashed mid-crowd among them) must leave zero
 /// structural violations, anchor at least one joiner via discovery,
 /// and reproduce byte-identically on a rerun.
 #[test]
 fn bootstrap_smoke() {
-    let report = bootstrap_family_smoke(42);
+    let report = bootstrap_family(Effort::Quick, 42);
     assert_eq!(report.total_violations, 0, "tree invariants broke");
     assert!(
         report.anchor_median_s.is_finite(),
@@ -55,10 +57,10 @@ fn bootstrap_smoke() {
             "discovery never probed the seeds: {p:?}"
         );
     }
-    let again = bootstrap_family_smoke(42);
+    let again = bootstrap_family(Effort::Quick, 42);
     assert_eq!(
-        report.report(true, 42).render(),
-        again.report(true, 42).render()
+        report.report(Effort::Quick, 42).render(),
+        again.report(Effort::Quick, 42).render()
     );
 }
 

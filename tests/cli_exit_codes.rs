@@ -47,12 +47,14 @@ fn usage_errors_exit_2() {
     assert_usage_error(&["soak", "--seed", "not-a-number"]);
     assert_usage_error(&["soak", "--csv"]); // missing value
     assert_usage_error(&["soak", "--no-cache"]);
-    assert_usage_error(&["soak", "--smoke"]); // report families only
+    // Retired: `--quick` is the CI size of every family.
+    for family in ["soak", "scale", "multitree", "bootstrap", "loopback"] {
+        assert_usage_error(&[family, "--smoke"]);
+    }
     assert_usage_error(&["bench"]); // retired: perf/ measures, the tests gate
     assert_usage_error(&["loopback", "--bogus"]);
     assert_usage_error(&["loopback", "--nodes", "1"]); // source + a receiver
     assert_usage_error(&["loopback", "--seed"]); // missing value
-    assert_usage_error(&["loopback", "--quick"]); // the fleet has no effort tiers
 }
 
 #[test]
@@ -186,22 +188,21 @@ fn report_keys(path: &std::path::Path) -> (Vec<String>, Vec<Vec<String>>, f64) {
 #[test]
 fn scale_smoke_writes_both_reports_with_the_pinned_schema() {
     let dir = scratch("schema");
-    let out = run(&[
-        "scale",
-        "--smoke",
-        "--shards",
-        "2",
-        "--seed",
-        "42",
-        "--csv",
-        dir.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let csv = dir.to_str().unwrap();
+    for shards in [&[][..], &["--shards", "2"]] {
+        let args = [&["scale", "--quick", "--seed", "42", "--csv", csv], shards].concat();
+        let out = run(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for name in ["BENCH_scale.json", "BENCH_shard.json"] {
+        let text = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert!(text.contains("\"effort\":\"quick\""), "{name}: {text}");
+    }
     let scale = report_keys(&dir.join("BENCH_scale.json"));
     let shard = report_keys(&dir.join("BENCH_shard.json"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -217,7 +218,7 @@ fn scale_smoke_writes_both_reports_with_the_pinned_schema() {
         head,
         sorted(&[
             "bench",
-            "smoke",
+            "effort",
             "seed",
             "degree",
             "failures",
@@ -250,7 +251,7 @@ fn scale_smoke_writes_both_reports_with_the_pinned_schema() {
         head,
         sorted(&[
             "bench",
-            "smoke",
+            "effort",
             "seed",
             "cores",
             "n",

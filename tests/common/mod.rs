@@ -1,7 +1,7 @@
 //! Shared integration-test harness: the fixed-seed session runner and
 //! scenario builders the suites repeat, the golden-CSV diff
 //! helper (goldens live in `tests/goldens/`, regenerated with
-//! `UPDATE_GOLDENS=1`), and the smoke-report shape assertions.
+//! `UPDATE_GOLDENS=1`), and the quick-report shape assertions.
 //!
 //! Every `[[test]]` target that declares `mod common;` compiles its own
 //! copy, so helpers unused by one target are expected dead code there.
@@ -97,12 +97,15 @@ pub fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-/// What every smoke [`Report`] must carry: the right bench tag, the
-/// smoke flag and seed stamped, at least one point, no failed gate, and
-/// a rendered document that ends with a newline.
+/// What every quick-tier [`Report`] must carry: the right bench tag,
+/// the effort tier and seed stamped, at least one point, no failed
+/// gate, and a rendered document that ends with a newline.
 pub fn assert_smoke_report(report: &Report, bench: &str, seed: u64) {
     assert_eq!(report.name, bench);
-    assert_eq!(report.header.get("smoke"), Some(&Field::Bool(true)));
+    assert_eq!(
+        report.header.get("effort"),
+        Some(&Field::Str("quick".into()))
+    );
     assert_eq!(report.header.get("seed"), Some(&Field::U64(seed)));
     assert!(!report.points.is_empty(), "no data points");
     assert_eq!(report.failures, Vec::<String>::new());

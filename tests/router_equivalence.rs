@@ -73,7 +73,7 @@ fn a2_reconnect_anchor_identical_under_on_demand_router() {
     });
 }
 
-/// A9's coordinate-guided sweep at the `vdm-repro scale --smoke` sizes,
+/// A9's coordinate-guided sweep at N = 64 and N = 128,
 /// through a 1-row LRU and through one row per host: capacity decides
 /// how often a row is rebuilt, never an answer, so every join's contact
 /// count and the final parent vector are identical.

@@ -10,6 +10,7 @@ mod common;
 use common::assert_smoke_report;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use vdm_experiments::figures::scale;
+use vdm_experiments::Effort;
 use vdm_netsim::HostId;
 use vdm_overlay::coords::{pair_seed, VivaldiState, ERR_FLOOR, ERR_INIT, MAX_COORD};
 
@@ -39,12 +40,12 @@ fn guided_joins_stay_on_the_log_curve_at_10k() {
         guided.row_misses, 10_001,
         "one row per host plus the source's"
     );
-    assert_eq!(r.report(false, 42).failures, Vec::<String>::new());
+    assert_eq!(r.report(Effort::Paper, 42).failures, Vec::<String>::new());
 }
 
 /// A fast shadow of the knee gate at a size the default test job can
 /// afford: guided entry must already undercut the unguided mean well
-/// before the knee, on the same seed the CI smoke gate uses — the smoke
+/// before the knee, at `--quick`'s largest size and CI's seed — the
 /// report's own contacts gate. (The stretch bound is judged only from
 /// 5k up: at toy sizes guided deliberately trades a small stretch
 /// premium for its contact savings, and the async stack ships it
@@ -52,7 +53,7 @@ fn guided_joins_stay_on_the_log_curve_at_10k() {
 #[test]
 fn guided_joins_undercut_unguided_at_smoke_sizes() {
     let r = scale::scale_family_with_sizes(&[512], 42);
-    assert_smoke_report(&r.report(true, 42), "scale", 42);
+    assert_smoke_report(&r.report(Effort::Quick, 42), "scale", 42);
 }
 
 proptest! {
